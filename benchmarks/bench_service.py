@@ -8,9 +8,11 @@ benchmark records both effects in ``BENCH_service.json``:
 
 * **throughput** — N sequential one-shot CLI solves (cold subprocesses, the
   pre-service execution model) vs N requests against an already-warm
-  ``repro serve`` over real HTTP.  The floor (:data:`SPEEDUP_FLOOR`) is 2x;
-  in practice the win is dominated by the per-process start-up the server
-  amortizes away, plus the cached verification out-sets.
+  ``repro serve`` over real HTTP.  The win is the per-process start-up the
+  server amortizes away, plus the cached results: a warm keep-alive round
+  trip costs about a millisecond against most of a second per CLI run.
+  The floor (:data:`SPEEDUP_FLOOR`) is 100x, which a transport stall on
+  every response (~40 ms, measured 16–37x tiny) cannot meet.
 * **coalescing** — K identical concurrent ``/solve`` requests, fired
   through a start barrier while the first computation is still deriving,
   must perform **exactly one** requirement derivation: the ``coalesced``
@@ -71,7 +73,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 RECORD_PATH = REPO_ROOT / "BENCH_service.json"
 
 #: Acceptance floor: warm-server throughput over sequential cold CLI solves.
-SPEEDUP_FLOOR = 2.0
+#: Healthy runs measure ~1000x; a ~40 ms stall per response measures
+#: 16–37x.
+SPEEDUP_FLOOR = 100.0
 
 #: Concurrent identical requests in the coalescing phase.
 K_CONCURRENT = 6
@@ -637,7 +641,7 @@ if pytest is not None:
 
     @pytest.mark.experiment("service")
     def test_bench_service_warm_server_speedup(report_sink):
-        """A warm solve server beats sequential cold CLI invocations >= 2x."""
+        """A warm solve server beats sequential cold CLI invocations >= 100x."""
         from repro.analysis import format_table
 
         record = run_benchmark(tiny=False)

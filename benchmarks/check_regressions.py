@@ -50,13 +50,13 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 
 #: benchmark name -> (script, committed record, {dotted metric: tiny floor}).
 #: Tiny floors are calibrated well below healthy tiny-run measurements
-#: (kernel ~5x, incremental ~3x, service ~100x+, sweep ~2x on 1 core) but
+#: (kernel ~5x, incremental ~3x, service ~1000x, sweep ~2x on 1 core) but
 #: far above what a genuine regression — a broken cache tier, a lost
-#: coalescing path — would produce (~1x).  A floor spec starting with
-#: ``"@"`` is a dotted path dereferenced in the *fresh* record: the
-#: benchmark computes a hardware-conditional floor at run time (e.g. the
-#: execution-tier scaling win, unmeasurable on a 1-core box) and the gate
-#: holds the run to the floor that box can actually meet.
+#: coalescing path, a transport stall on every response — would produce.
+#: A floor spec starting with ``"@"`` is a dotted path dereferenced in the
+#: *fresh* record: the benchmark computes a hardware-conditional floor at
+#: run time (e.g. the execution-tier scaling win, unmeasurable on a 1-core
+#: box) and the gate holds the run to the floor that box can actually meet.
 GATES: dict[str, tuple[str, str, dict[str, float | str]]] = {
     "kernel": (
         "bench_kernel.py",
@@ -84,7 +84,9 @@ GATES: dict[str, tuple[str, str, dict[str, float | str]]] = {
         "bench_service.py",
         "BENCH_service.json",
         {
-            "speedup_warm_server": 2.0,
+            # A ~40 ms stall per keep-alive response measures 16–37x tiny;
+            # healthy tiny runs measure ~1000x.
+            "speedup_warm_server": 100.0,
             # 4-worker process tier vs the GIL-bound thread tier; the
             # benchmark records 2.0 on >= 4 cores, a sanity floor below.
             "scaling.speedup_4_workers": "@scaling.floor",

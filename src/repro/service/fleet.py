@@ -43,8 +43,11 @@ Everything else under ``/v1/`` — ``/solve``, ``/sweep``, ``/jobs/...`` —
 is proxied.  Jobs are replica-local state, so the fleet namespaces their
 ids: a handle from ``POST /v1/jobs/sweep`` comes back as ``r2.<id>`` and
 later ``GET /v1/jobs/r2.<id>`` routes to the owning replica; ``GET
-/v1/jobs`` fans out and merges.  Unprefixed legacy paths answer with a
-``Deprecation`` header, exactly like a single replica.
+/v1/jobs`` fans out and merges.  The front is the same
+:class:`~repro.service.server.HTTPFront` a replica runs, so request
+framing, keep-alive, one-write responses, error envelopes and the
+``Deprecation`` header on unprefixed legacy paths behave exactly like a
+single replica.
 """
 
 from __future__ import annotations
@@ -53,18 +56,16 @@ import http.client
 import json
 import os
 import re
-import socket
 import subprocess
 import sys
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Sequence
 
 from .jobs import error_envelope
-from .server import encode_json, normalize_path
+from .server import HTTPFront, encode_json
 
 __all__ = ["FleetSupervisor", "Replica"]
 
@@ -72,9 +73,6 @@ __all__ = ["FleetSupervisor", "Replica"]
 #: flushed banner line; the supervisor parses it to learn each replica's
 #: port.
 _BANNER = re.compile(r"listening on (http://[^\s]+)")
-
-#: Cap on request bodies accepted at the front (mirrors the replica cap).
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class Replica:
@@ -117,85 +115,7 @@ class Replica:
         return "up" if self.in_rotation else "out-of-rotation"
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-fleet"
-    fleet: "FleetSupervisor"
-    quiet: bool = True
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.quiet:
-            super().log_message(format, *args)
-
-    def setup(self) -> None:
-        super().setup()
-        self.fleet._track(self.connection)
-
-    def finish(self) -> None:
-        try:
-            super().finish()
-        finally:
-            self.fleet._untrack(self.connection)
-
-    def _respond(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_legacy_path", None):
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f"</v1{self._legacy_path}>; rel=\"successor-version\""
-            )
-        if self.fleet.closing:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length) if length is not None else 0
-        except ValueError:
-            length = 0
-        if length <= 0:
-            return b""
-        if length > _MAX_BODY_BYTES:
-            # Unread body: its bytes would garble the next keep-alive read.
-            self.close_connection = True
-            raise ValueError("request body too large")
-        return self.rfile.read(length)
-
-    def _dispatch(self, method: str) -> None:
-        route, legacy = normalize_path(self.path)
-        self._legacy_path = route if legacy else None
-        busy = self.fleet._mark_busy(self.connection)
-        try:
-            body = self._read_body() if method == "POST" else b""
-            status, payload = self.fleet.dispatch(method, route, body)
-            self._respond(status, payload)
-        except Exception as exc:  # noqa: BLE001 - the front must always answer
-            self._respond(
-                500, encode_json(error_envelope(type(exc).__name__, str(exc), 500))
-            )
-        finally:
-            if busy:
-                self.fleet._mark_idle(self.connection)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("DELETE")
-
-
-class FleetSupervisor:
+class FleetSupervisor(HTTPFront):
     """Spawn, supervise and front N ``repro serve`` replicas on one store.
 
     Parameters
@@ -251,71 +171,16 @@ class FleetSupervisor:
         self.spawn_timeout = spawn_timeout
         self.quiet = quiet
         self.replicas = [Replica(index) for index in range(replicas)]
-        handler = type("_BoundFleetHandler", (_FleetHandler,),
-                       {"fleet": self, "quiet": quiet, "timeout": 30})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = False
+        super().__init__(host, port, quiet, server_version="repro-fleet")
         self._lock = threading.Lock()
-        self._conn_lock = threading.Lock()
-        self._connections: dict[socket.socket, bool] = {}
         self._restart_lock = threading.Lock()
-        self._stopping = threading.Event()
         self._stopped = threading.Event()
-        self._thread: threading.Thread | None = None
         self._health_thread: threading.Thread | None = None
         self._rr = 0
         self._started_monotonic = time.monotonic()
         self.proxied = {"solve": 0, "sweep": 0, "jobs": 0}
         self.failovers = 0
         self.rolling_restarts = 0
-
-    # -- front address -----------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def closing(self) -> bool:
-        return self._stopping.is_set()
-
-    # -- keep-alive connection tracking (same contract as ServiceServer) --------
-    def _track(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            self._connections[conn] = False
-
-    def _untrack(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            self._connections.pop(conn, None)
-
-    def _mark_busy(self, conn: socket.socket) -> bool:
-        with self._conn_lock:
-            if conn in self._connections:
-                self._connections[conn] = True
-                return True
-        return False
-
-    def _mark_idle(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            if conn in self._connections:
-                self._connections[conn] = False
-
-    def _close_idle_connections(self) -> None:
-        with self._conn_lock:
-            for conn, busy in list(self._connections.items()):
-                if busy:
-                    continue
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
 
     # -- replica lifecycle -------------------------------------------------------
     def _spawn_command(self, replica: Replica) -> list[str]:
@@ -418,17 +283,11 @@ class FleetSupervisor:
         self._health_thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        try:
-            self.httpd.serve_forever(poll_interval=0.1)
-        finally:
-            self.httpd.server_close()
-
     def _health_loop(self) -> None:
         """Respawn dead replicas (budgeted); keep rotation = the healthy set."""
-        while not self._stopping.wait(self.health_interval):
+        while not self._closing.wait(self.health_interval):
             for replica in self.replicas:
-                if not replica.admittable or self._stopping.is_set():
+                if not replica.admittable or self._closing.is_set():
                     continue
                 if not replica.alive():
                     replica.in_rotation = False
@@ -496,10 +355,19 @@ class FleetSupervisor:
         Connection-level failures (the replica died mid-flight) and 503s
         (it started draining after routing chose it) both retry on the
         next in-rotation replica — the seam that makes a rolling restart
-        invisible to clients.
+        invisible to clients.  The rotation is re-read before each try:
+        a request that picked the last replica of an old rotation (the one
+        a rolling restart drains next) fails over to the successor the
+        restart readmitted meanwhile.  Each replica is tried at most once.
         """
         last: tuple[int, bytes] | None = None
-        for replica in self._routing_order():
+        tried: list[Replica] = []
+        while True:
+            untried = [r for r in self._routing_order() if r not in tried]
+            if not untried:
+                break
+            replica = untried[0]
+            tried.append(replica)
             try:
                 status, data = self._forward(replica, method, "/v1" + route, body)
             except (OSError, http.client.HTTPException):
@@ -566,7 +434,7 @@ class FleetSupervisor:
         )
 
     def _fleet_healthz(self) -> tuple[int, bytes]:
-        draining = self._stopping.is_set()
+        draining = self._closing.is_set()
         states = {
             replica.replica_id: {
                 "state": replica.state(),
@@ -663,7 +531,7 @@ class FleetSupervisor:
             "store": self.store,
             "restart_budget": self.restart_budget,
             "rolling_restarts": self.rolling_restarts,
-            "stopping": self._stopping.is_set(),
+            "stopping": self._closing.is_set(),
             "replicas": [
                 {
                     "replica": replica.replica_id,
@@ -756,7 +624,7 @@ class FleetSupervisor:
             restarted: list[str] = []
             failed: list[str] = []
             for replica in self.replicas:
-                if self._stopping.is_set():
+                if self._closing.is_set():
                     break
                 if self._restart_one(replica, drain_timeout):
                     restarted.append(replica.replica_id)
@@ -807,7 +675,7 @@ class FleetSupervisor:
         if self._stopped.is_set():
             return True
         self._stopped.set()
-        self._stopping.set()
+        self._closing.set()
         per_replica_timeout = drain_timeout if drain_timeout is not None else 60.0
 
         def _stop_replica(replica: Replica) -> None:
@@ -846,11 +714,6 @@ class FleetSupervisor:
         if self._health_thread is not None:
             self._health_thread.join(timeout=5.0)
         return drained
-
-    def stop_async(self) -> None:
-        threading.Thread(
-            target=self.stop, name="repro-fleet-stop", daemon=True
-        ).start()
 
 
 def _prefix_job_ids(data: bytes, replica_id: str) -> bytes:

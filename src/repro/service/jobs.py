@@ -27,6 +27,8 @@ is directly unit-testable.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ __all__ = [
     "ServiceTimeout",
     "SolveJob",
     "WorkerError",
+    "decode_json",
     "error_envelope",
     "parse_solve_payload",
 ]
@@ -194,27 +197,48 @@ class SolveJob:
 
 
 class InstanceCache:
-    """Rebuilt instances keyed by content, bounded FIFO.
+    """Rebuilt instances and parsed jobs keyed by content, bounded FIFO.
 
-    Two layers of deduplication: a raw-payload digest short-circuits exact
-    byte-for-byte repeats without rebuilding anything, and the canonical
-    content fingerprint maps semantically identical payloads (different
-    module order, different dict order) to one live object.  Returning the
-    *same* object matters because the engine's memory tables are keyed by
-    object identity — a repeated request then hits the cache front instead
-    of re-probing the store.
+    Three layers of deduplication: a digest of the raw request bytes maps
+    an exact byte-for-byte repeat straight to its parsed, validated
+    :class:`SolveJob` (:meth:`solve_job` — no JSON decoding, no
+    validation, no canonical digest); a raw-payload digest short-circuits
+    repeats of one instance payload without rebuilding anything; and the
+    canonical content fingerprint maps semantically identical payloads
+    (different module order, different dict order) to one live object.
+    Returning the *same* object matters because the engine's memory tables
+    are keyed by object identity — a repeated request then hits the cache
+    front instead of re-probing the store.  Sharing one job across
+    requests is safe because :class:`SolveJob` is frozen.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
         self.max_entries = max_entries
         self._lock = threading.Lock()
+        self._by_body: OrderedDict[bytes, SolveJob] = OrderedDict()
         self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
         self._by_fingerprint: OrderedDict[str, Any] = OrderedDict()
 
-    def _remember(self, table: OrderedDict, key: str, value: Any) -> None:
+    def _remember(self, table: OrderedDict, key: Any, value: Any) -> None:
         while len(table) >= self.max_entries:
             table.popitem(last=False)
         table[key] = value
+
+    def solve_job(self, raw: bytes) -> SolveJob:
+        """The parsed job for one raw ``POST /solve`` body.
+
+        A miss decodes and parses through :func:`parse_solve_payload`;
+        only a job that parsed is remembered, so a malformed body fails
+        the same way every time.
+        """
+        digest = hashlib.blake2b(raw, digest_size=16).digest()
+        with self._lock:
+            job = self._by_body.get(digest)
+        if job is None:
+            job = parse_solve_payload(decode_json(raw), self)
+            with self._lock:
+                self._remember(self._by_body, digest, job)
+        return job
 
     def resolve(self, source: str, payload: Mapping[str, Any]) -> tuple[Any, str]:
         """``(instance, fingerprint)`` for one request payload.
@@ -249,6 +273,14 @@ class InstanceCache:
             built = (instance, fingerprint)
             self._remember(self._by_digest, digest, built)
             return built
+
+
+def decode_json(raw: bytes) -> Any:
+    """A request body's JSON value; :class:`ServiceError` (400) if it is not."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ServiceError(f"request body is not valid JSON: {exc}") from exc
 
 
 def _require(condition: bool, message: str) -> None:

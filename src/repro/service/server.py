@@ -45,9 +45,10 @@ clients and fleets can migrate on their own schedule.
     path, so ``kill -TERM`` on ``repro serve`` drains and exits 0.
 
 Error mapping: malformed JSON or payloads → 400, unknown routes and job
-ids → 404, request deadline passed → 504, draining → 503, a full job
-table → 429, solver/domain failures → 422, anything unexpected → 500;
-every error body is the one envelope
+ids → 404, a body without valid ``Content-Length`` framing → 411, an
+oversized body → 413, request deadline passed → 504, draining → 503, a
+full job table → 429, solver/domain failures → 422, anything unexpected →
+500; every error body is the one envelope
 ``{"error": {"type": ..., "message": ..., "status": ...}}``.
 
 Connections are keep-alive (HTTP/1.1 persistent): a client — or the fleet
@@ -57,6 +58,16 @@ response carries ``Connection: close``, and sockets that are *idle*
 between requests are shut down after the drain completes, so
 ``server_close()`` never waits on a parked keep-alive socket while no
 in-flight response is ever cut off.
+
+Every JSON response leaves the socket in **one write** — status line, headers
+and body in one buffer — on a socket with ``TCP_NODELAY`` set.  On a
+keep-alive connection a second small write would otherwise sit in
+Nagle's algorithm until the client acknowledged the first, and the client
+delays that ACK (~40 ms on Linux) waiting for more data: every request
+would pay the stall.  The plumbing lives in one handler and one
+:class:`HTTPFront` base shared with the fleet front
+(:mod:`repro.service.fleet`), so both layers frame requests and responses
+identically.
 """
 
 from __future__ import annotations
@@ -68,10 +79,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..exceptions import ProvenanceError
-from .jobs import ServiceError, error_envelope
+from .jobs import ServiceError, decode_json, error_envelope
 from .service import SolveService
 
-__all__ = ["ServiceServer", "normalize_path"]
+__all__ = ["HTTPFront", "ServiceServer", "normalize_path"]
 
 #: Refuse request bodies larger than this (a serialized workflow payload is
 #: typically a few hundred KB at the arities this library targets).
@@ -121,56 +132,62 @@ def encode_json(payload: Any) -> bytes:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Request framing and responses for one :class:`HTTPFront`.
+
+    The handler owns the wire — body framing, route normalization, the
+    single-write response, error envelopes, busy/idle marking for the
+    drain — and the front answers ``front.dispatch(method, route, body)``.
+    """
+
     protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
-    #: Set by :class:`ServiceServer` on the handler subclass it builds.
-    service: SolveService
+    # TCP_NODELAY on every accepted socket (see the module docstring).
+    disable_nagle_algorithm = True
+    #: Set on the bound subclass each :class:`HTTPFront` builds.
+    front: "HTTPFront"
     quiet: bool = True
 
-    # -- plumbing ---------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:
             super().log_message(format, *args)
 
     def setup(self) -> None:
         super().setup()
-        self.server.owner._track(self.connection)  # type: ignore[attr-defined]
+        self.front._track(self.connection)
 
     def finish(self) -> None:
         try:
             super().finish()
         finally:
-            self.server.owner._untrack(self.connection)  # type: ignore[attr-defined]
+            self.front._untrack(self.connection)
 
     def _respond(self, status: int, payload: Any) -> None:
-        body = encode_json(payload)
+        """Answer in one write; ``payload`` is JSON-able or encoded bytes."""
+        body = payload if isinstance(payload, bytes) else encode_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_legacy_path", None):
+        if self._legacy_path:
             # The unversioned spelling still answers byte-identically, but
             # tells clients where the supported route lives.
             self.send_header("Deprecation", "true")
             self.send_header(
                 "Link", f"<{API_PREFIX}{self._legacy_path}>; rel=\"successor-version\""
             )
-        if self.server.owner.closing:  # type: ignore[attr-defined]
-            # Draining: finish this exchange, then let the socket go so
-            # server_close() never waits on a parked keep-alive connection.
+        if self.close_connection or self.front.closing:
+            # Draining (or unframed leftovers): finish this exchange, then
+            # let the socket go so server_close() never waits on a parked
+            # keep-alive connection.
             self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
+        # end_headers() would flush the headers on their own; the body
+        # joins them in the same buffer instead (see the module docstring).
+        self._headers_buffer.append(b"\r\n" + body)
         try:
-            self.wfile.write(body)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 
     def _fail(self, exc: BaseException) -> None:
         if isinstance(exc, ServiceError):
-            if exc.status in (411, 413):
-                # The body was never consumed and its framing is unknown —
-                # leftover bytes would be parsed as the next request line.
-                self.close_connection = True
             self._respond(exc.status, exc.as_dict())
         elif isinstance(exc, ProvenanceError):
             # Well-formed request, unsolvable instance (unknown solver,
@@ -180,155 +197,90 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._respond(500, error_envelope(type(exc).__name__, str(exc), 500))
 
-    def _not_found(self) -> None:
-        self._respond(
-            404,
-            error_envelope("ServiceError", f"no such path {self.path!r}", 404),
-        )
+    def _read_body(self) -> bytes:
+        """The request body, framed by ``Content-Length``.
 
-    def _drain_body(self) -> None:
-        """Discard a request body this route ignores.
-
-        Keep-alive framing depends on it: unread body bytes would be parsed
-        as the next request line on this connection.
+        Every request's body is consumed, whether or not its route reads
+        it: unread bytes would be parsed as the next request line on this
+        keep-alive connection.  When the framing is unknown (a malformed,
+        negative or oversized length, or a transfer coding this server
+        does not speak) nothing can be consumed safely, so the request
+        fails and the connection closes after the answer.
         """
+        header = self.headers.get("Content-Length")
+        if header is None and "Transfer-Encoding" not in self.headers:
+            return b""  # RFC 9112 §6.3: no framing header means no body
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(header)  # type: ignore[arg-type]
         except (TypeError, ValueError):
-            length = 0
-        if 0 < length <= MAX_BODY_BYTES:
-            self.rfile.read(length)
-        elif length > MAX_BODY_BYTES:
-            self.close_connection = True
-
-    def _read_body(self) -> Any:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length)
-        except (TypeError, ValueError):
-            raise ServiceError("Content-Length required", status=411)
-        if length < 0 or length > MAX_BODY_BYTES:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        self.close_connection = True
+        if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
+        raise ServiceError("a valid Content-Length is required", status=411)
 
-    # -- routes -----------------------------------------------------------------
-    def _route(self) -> str:
-        """Canonical (un-versioned) route; flags legacy spellings."""
+    def _handle(self, method: str) -> None:
         route, legacy = normalize_path(self.path)
         self._legacy_path = route if legacy else None
-        return route
-
-    def _job_id(self, route: str) -> str | None:
-        """The ``<id>`` of a ``/jobs/<id>`` route (``None`` when malformed)."""
-        job_id = route[len("/jobs/"):]
-        return job_id if job_id and "/" not in job_id else None
+        busy = self.front._mark_busy(self.connection)
+        try:
+            self._respond(*self.front.dispatch(method, route, self._read_body()))
+        except Exception as exc:  # noqa: BLE001 - a handler must always answer
+            self._fail(exc)
+        finally:
+            if busy:
+                self.front._mark_idle(self.connection)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route == "/healthz":
-                payload = self.service.healthz()
-                # 503 while draining or with a dead execution tier: body
-                # still answers, but balancers and pollers see "stop
-                # routing here" at the status level.
-                unavailable = payload["draining"] or not payload.get(
-                    "healthy", True
-                )
-                self._respond(503 if unavailable else 200, payload)
-            elif route == "/metrics":
-                self._respond(200, self.service.metrics())
-            elif route == "/version":
-                self._respond(200, self.service.version())
-            elif route == "/jobs":
-                self._respond(200, {"jobs": self.service.jobs.list_jobs()})
-            elif route.startswith("/jobs/") and self._job_id(route):
-                self._respond(200, self.service.jobs.status(self._job_id(route)))
-            else:
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._handle("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route == "/solve":
-                self._respond(200, self.service.solve_payload(self._read_body()))
-            elif route == "/sweep":
-                self._respond(200, self.service.sweep_payload(self._read_body()))
-            elif route == "/jobs/sweep":
-                # 202: accepted, not done — the body is the job handle.
-                self._respond(202, self.service.jobs.submit(self._read_body()))
-            elif route == "/shutdown":
-                self._drain_body()  # the (ignored) body must leave the socket
-                self._respond(202, {"status": "shutting down"})
-                self.server.owner.stop_async()  # type: ignore[attr-defined]
-            else:
-                self._drain_body()
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._handle("POST")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route.startswith("/jobs/") and self._job_id(route):
-                self._respond(200, self.service.jobs.cancel(self._job_id(route)))
-            else:
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._handle("DELETE")
 
 
-class ServiceServer:
-    """Bind a :class:`SolveService` to a host/port and run the serve loop.
+class _HTTPServer(ThreadingHTTPServer):
+    # socketserver's listen backlog of 5 overflows when a burst of clients
+    # connects at once (the fleet front opens one connection per proxied
+    # request); the kernel then drops the SYN and the client retries only
+    # after its 1 s retransmission timeout.
+    request_queue_size = socket.SOMAXCONN
+    # Non-daemon handler threads: server_close() joins them, so a graceful
+    # stop only returns after every drained request's response has actually
+    # been written — drain must never drop the very response it waited for.
+    daemon_threads = False
 
-    The constructor binds the socket (so callers can read the ephemeral
-    ``port`` before serving); :meth:`serve_forever` blocks until
-    :meth:`stop` is called from another thread (or :meth:`start` runs the
-    loop on a daemon thread for in-process use — tests, benchmarks, the
-    demo).
+
+class HTTPFront:
+    """A keep-alive HTTP/JSON front: bound socket, serve loop, connections.
+
+    Shared by :class:`ServiceServer` and the fleet front
+    (:class:`~repro.service.fleet.FleetSupervisor`).  A subclass answers
+    requests in ``dispatch(method, route, body) -> (status, payload)`` —
+    ``route`` un-versioned, ``body`` the raw request bytes, ``payload``
+    JSON-able or already-encoded bytes — and implements ``stop``, which
+    sets :attr:`closing` and calls :meth:`_close_idle_connections` once
+    in-flight work has drained.
+
+    The constructor binds the socket, so callers can read the ephemeral
+    ``port`` before serving.
     """
 
-    def __init__(
-        self,
-        service: SolveService,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        quiet: bool = True,
-    ) -> None:
-        self.service = service
+    def __init__(self, host: str, port: int, quiet: bool, server_version: str) -> None:
         # A socket timeout bounds idle connections so joining handler
         # threads on close can never hang on a client that connected but
         # sent nothing.
         handler = type(
             "_BoundHandler",
             (_Handler,),
-            {"service": service, "quiet": quiet, "timeout": 30},
+            {"front": self, "quiet": quiet, "timeout": 30,
+             "server_version": server_version},
         )
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        # Non-daemon handler threads: server_close() joins them, so a
-        # graceful stop only returns after every drained request's
-        # response has actually been written — drain must never drop the
-        # very response it waited for.
-        self.httpd.daemon_threads = False
-        self.httpd.owner = self  # type: ignore[attr-defined]
-        self._stopped = threading.Event()
+        self.httpd = _HTTPServer((host, port), handler)
         self._closing = threading.Event()
         # Keep-alive sockets and whether each is mid-request.  Guarded by
         # one lock so "mark busy" and "close every idle socket" are atomic
@@ -352,6 +304,7 @@ class ServiceServer:
 
     @property
     def closing(self) -> bool:
+        """Whether a stop began: every response now says ``Connection: close``."""
         return self._closing.is_set()
 
     # -- connection tracking (keep-alive vs drain) -------------------------------
@@ -383,14 +336,13 @@ class ServiceServer:
                     except OSError:
                         pass
 
-    def _close_idle_connections(self) -> int:
-        """Shut down sockets parked between keep-alive requests; count them.
+    def _close_idle_connections(self) -> None:
+        """Shut down sockets parked between keep-alive requests.
 
         Runs after the drain, so anything still marked busy is writing its
         (already computed) response and is left alone — it closes itself
         via the ``Connection: close`` every response carries by then.
         """
-        closed = 0
         with self._conn_lock:
             for conn, busy in list(self._connections.items()):
                 if busy:
@@ -399,16 +351,82 @@ class ServiceServer:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # already dying; its handler will untrack it
-                closed += 1
-        return closed
 
     # -- serving ----------------------------------------------------------------
     def serve_forever(self) -> None:
-        """Run the accept loop on the calling thread until :meth:`stop`."""
+        """Run the accept loop on the calling thread until ``stop``."""
         try:
             self.httpd.serve_forever(poll_interval=0.1)
         finally:
             self.httpd.server_close()
+
+    def stop_async(self) -> None:
+        """Trigger ``stop`` without blocking the calling (handler) thread."""
+        threading.Thread(target=self.stop, name="repro-stop", daemon=True).start()
+
+
+def _job_id(route: str) -> str | None:
+    """The ``<id>`` of a ``/jobs/<id>`` route (``None`` for anything else)."""
+    if not route.startswith("/jobs/"):
+        return None
+    job_id = route[len("/jobs/"):]
+    return job_id if job_id and "/" not in job_id else None
+
+
+class ServiceServer(HTTPFront):
+    """Bind a :class:`SolveService` to a host/port and run the serve loop.
+
+    :meth:`serve_forever` blocks until :meth:`stop` is called from another
+    thread (or :meth:`start` runs the loop on a daemon thread for
+    in-process use — tests, benchmarks, the demo).
+    """
+
+    def __init__(
+        self,
+        service: SolveService,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        quiet: bool = True,
+    ) -> None:
+        self.service = service
+        super().__init__(host, port, quiet, server_version="repro-serve")
+        self._stopped = threading.Event()
+
+    def dispatch(self, method: str, route: str, body: bytes) -> tuple[int, Any]:
+        """Answer one request; ``(status, JSON-able payload)``."""
+        service = self.service
+        job_id = _job_id(route)
+        if method == "GET":
+            if route == "/healthz":
+                payload = service.healthz()
+                # 503 while draining or with a dead execution tier: body
+                # still answers, but balancers and pollers see "stop
+                # routing here" at the status level.
+                unavailable = payload["draining"] or not payload.get("healthy", True)
+                return (503 if unavailable else 200), payload
+            if route == "/metrics":
+                return 200, service.metrics()
+            if route == "/version":
+                return 200, service.version()
+            if route == "/jobs":
+                return 200, {"jobs": service.jobs.list_jobs()}
+            if job_id:
+                return 200, service.jobs.status(job_id)
+        elif method == "POST":
+            if route == "/solve":
+                # Raw bytes: an exact repeat skips decoding and parsing.
+                return 200, service.solve_payload(body)
+            if route == "/sweep":
+                return 200, service.sweep_payload(decode_json(body))
+            if route == "/jobs/sweep":
+                # 202: accepted, not done — the body is the job handle.
+                return 202, service.jobs.submit(decode_json(body))
+            if route == "/shutdown":
+                self.stop_async()
+                return 202, {"status": "shutting down"}
+        elif method == "DELETE" and job_id:
+            return 200, service.jobs.cancel(job_id)
+        return 404, error_envelope("ServiceError", f"no such path {route!r}", 404)
 
     def start(self) -> "ServiceServer":
         """Run the serve loop on a daemon thread (in-process embedding)."""
@@ -418,7 +436,6 @@ class ServiceServer:
         self._thread.start()
         return self
 
-    # -- shutdown ---------------------------------------------------------------
     def stop(self, drain_timeout: float | None = None) -> bool:
         """Drain the service, stop the accept loop, close the socket.
 
@@ -439,7 +456,3 @@ class ServiceServer:
         if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=5.0)
         return drained
-
-    def stop_async(self) -> None:
-        """Trigger :meth:`stop` without blocking the calling (handler) thread."""
-        threading.Thread(target=self.stop, name="repro-serve-stop", daemon=True).start()

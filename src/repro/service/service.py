@@ -13,7 +13,9 @@ CLI invocation pays per run are paid once per *process*.
 Request flow for ``solve_payload``:
 
 1. parse + canonicalize the body into a :class:`~repro.service.jobs.SolveJob`
-   (its :attr:`~repro.service.jobs.SolveJob.key` is the coalescing key);
+   (its :attr:`~repro.service.jobs.SolveJob.key` is the coalescing key) —
+   or, for an exact byte repeat of an earlier HTTP body, look the parsed
+   job up by digest;
 2. probe the bounded in-memory **result cache** — a repeat of a completed
    request is answered without touching the pool;
 3. :meth:`~repro.service.coalescer.RequestCoalescer.join` — an identical
@@ -552,10 +554,18 @@ class SolveService:
 
     # -- public endpoints --------------------------------------------------------
     def solve_payload(self, body: Any) -> dict[str, Any]:
-        """``POST /solve``: parse, coalesce, compute, answer."""
+        """``POST /solve``: parse, coalesce, compute, answer.
+
+        ``body`` is the decoded JSON object, or the raw request bytes (the
+        HTTP path), whose parsed job is memoized by digest
+        (:meth:`~repro.service.jobs.InstanceCache.solve_job`).
+        """
         self._count("solve")
         try:
-            job = parse_solve_payload(body, self.instances)
+            if isinstance(body, bytes):
+                job = self.instances.solve_job(body)
+            else:
+                job = parse_solve_payload(body, self.instances)
             return self.submit(job)
         except BaseException as exc:
             self._count_failure(exc)

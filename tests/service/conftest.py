@@ -9,7 +9,9 @@ anywhere.
 
 from __future__ import annotations
 
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -47,6 +49,20 @@ def figure1_payload() -> dict:
     return workflow_to_dict(figure1_workflow())
 
 
+@pytest.fixture(scope="session")
+def large_payload() -> dict:
+    """A workflow whose solve body spans several KB (> 2000 bytes).
+
+    Real requests are this size; ``http.client`` sends their headers and
+    body in separate writes, which the latency tests must cover.
+    """
+    workflow = Workflow(
+        [random_total_module(300 + i, 5, 4, f"m{i}", f"s{i}_") for i in range(3)],
+        name="large",
+    )
+    return workflow_to_dict(workflow)
+
+
 @pytest.fixture
 def overlapping_payloads() -> tuple[dict, dict]:
     """Two workflows sharing one module by content (the module tier's unit)."""
@@ -58,3 +74,18 @@ def overlapping_payloads() -> tuple[dict, dict]:
         [shared, random_total_module(13, 2, 2, "right", "r_")], name="right-wf"
     )
     return workflow_to_dict(left), workflow_to_dict(right)
+
+
+@pytest.fixture
+def median_round_trip_ms():
+    """Median wall time of ``rounds`` sequential calls, in milliseconds."""
+
+    def measure(call, rounds: int = 50) -> float:
+        samples = []
+        for _ in range(rounds):
+            started = time.perf_counter()
+            call()
+            samples.append((time.perf_counter() - started) * 1e3)
+        return statistics.median(samples)
+
+    return measure

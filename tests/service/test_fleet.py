@@ -10,6 +10,7 @@ is sequenced through events (``Blocker``, ``drain_started``), no sleeps.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -227,6 +228,43 @@ class TestFleetServing:
             fleet_client.request("GET", "/no-such")
         assert excinfo.value.status == 404
         assert excinfo.value.error_type == "ServiceError"
+
+    def test_keep_alive_round_trips_through_the_front_stay_fast(
+        self, fleet_client, large_payload, median_round_trip_ms
+    ):
+        """Same bound as a single replica: no ~40 ms stall at either hop."""
+        fleet_client.healthz()
+        assert median_round_trip_ms(fleet_client.healthz) < 10.0
+
+        def solve() -> None:
+            fleet_client.solve(workflow=large_payload, gamma=2, kind="set")
+
+        solve()  # computed once; repeats are store result-tier hits
+        assert median_round_trip_ms(solve) < 10.0
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_unframed_body_is_refused_and_closes_the_connection(
+        self, fleet, fleet_client, length
+    ):
+        """A body the front cannot frame must never be read as a request."""
+        with socket.create_connection((fleet.host, fleet.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/solve HTTP/1.1\r\nHost: fleet\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+                b"GET /v1/healthz HTTP/1.1\r\n\r\n"
+            )
+            answer = b""
+            while chunk := sock.recv(65536):  # until the front closes
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in head
+        envelope = json.loads(body)["error"]
+        assert envelope["status"] == 411 and envelope["type"] == "ServiceError"
+        # The smuggled healthz line was never answered...
+        assert answer.count(b"HTTP/1.1 ") == 1
+        # ...and a valid request on a fresh connection is.
+        assert fleet_client.healthz()["status"] == "ok"
 
 
 class TestFleetSupervision:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -154,6 +155,60 @@ class TestV1Surface:
         )
         assert message == "too slow" and error_type == "ServiceTimeout"
         assert _error_details({}, "fallback") == ("fallback", None)
+
+
+class TestKeepAliveLatency:
+    """A warm keep-alive round trip costs its work, not a TCP stall.
+
+    A response written in two pieces (headers, then body) waits on the
+    client's delayed ACK — ~40 ms per request on Linux — so a healthy
+    loopback round trip sits far below the 10 ms bound and a stalled one
+    far above it.
+    """
+
+    def test_healthz_round_trips_stay_fast(self, served, median_round_trip_ms):
+        _, _, client = served
+        client.healthz()
+        assert median_round_trip_ms(client.healthz) < 10.0
+
+    def test_large_solve_round_trips_stay_fast(
+        self, served, large_payload, median_round_trip_ms
+    ):
+        _, _, client = served
+        assert len(json.dumps({"workflow": large_payload})) > 2000
+
+        def solve() -> None:
+            client.solve(workflow=large_payload, gamma=2, kind="set")
+
+        solve()  # computed once; every timed repeat is a result-cache hit
+        assert median_round_trip_ms(solve) < 10.0
+
+    def test_connection_burst_is_accepted_without_retransmits(self, served):
+        """Many clients connecting at once must all be queued for accept.
+
+        A listen backlog smaller than the burst drops SYNs, and each
+        dropped one costs its client a 1 s retransmission timeout.
+        """
+        _, server, _ = served
+        clients = 32
+        barrier = threading.Barrier(clients)
+        seconds: list[float] = []
+
+        def connect() -> None:
+            client = ServiceClient(server.url, timeout=30)
+            client._base_path = "/v1"  # no probe: one fresh connect each
+            barrier.wait(timeout=30)
+            started = time.perf_counter()
+            client.healthz()
+            seconds.append(time.perf_counter() - started)
+
+        threads = [threading.Thread(target=connect) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(seconds) == clients
+        assert max(seconds) < 0.9, sorted(seconds)[-3:]
 
 
 class TestErrorMapping:

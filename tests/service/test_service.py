@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -262,3 +263,110 @@ class TestSweep:
         assert elapsed < 0.5, elapsed
         blocker.release.set()
         assert service.drain(timeout=30)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Count calls into the one parse path the raw-body memo falls back to."""
+    from repro.service import jobs
+
+    calls = []
+    real = jobs.parse_solve_payload
+
+    def counting(body, instances):
+        calls.append(body)
+        return real(body, instances)
+
+    monkeypatch.setattr(jobs, "parse_solve_payload", counting)
+    return calls
+
+
+class TestRawBodyMemo:
+    """``POST /solve`` bodies are memoized by digest of their raw bytes."""
+
+    def test_exact_byte_repeat_skips_decode_and_parse(
+        self, parse_calls, large_payload
+    ):
+        from repro.service import ServiceClient, ServiceServer
+
+        service = SolveService(workers=1, default_timeout=30)
+        server = ServiceServer(service, port=0).start()
+        try:
+            client = ServiceClient(server.url, timeout=30)
+            records = [
+                client.solve(workflow=large_payload, gamma=2, kind="set")
+                for _ in range(3)
+            ]
+        finally:
+            server.stop(drain_timeout=30)
+        assert len(parse_calls) == 1  # the HTTP handler passed raw bytes
+        assert len({record["cost"] for record in records}) == 1
+        metrics = service.metrics()
+        # Everything after parsing still ran for each repeat.
+        assert metrics["requests"]["solve"] == 3
+        assert metrics["result_hits"]["memory"] == 2
+
+    @pytest.mark.parametrize(
+        "raw, parses",
+        [
+            (b"{not json", 0),  # fails decoding, before the parser
+            (b'{"workflow": {"modules": []}, "gamma": "two"}', 1),
+        ],
+    )
+    def test_malformed_bodies_fail_every_time_and_are_never_cached(
+        self, parse_calls, raw, parses
+    ):
+        service = SolveService(workers=1, default_timeout=30)
+        for attempt in (1, 2):
+            with pytest.raises(ServiceError) as excinfo:
+                service.solve_payload(raw)
+            assert excinfo.value.status == 400
+            assert len(parse_calls) == attempt * parses
+        assert service.metrics()["errors"] == 2
+        assert service.drain(timeout=30)
+
+    def test_byte_spellings_of_one_workflow_share_a_key_and_a_derivation(
+        self, figure1_payload
+    ):
+        body = {"workflow": figure1_payload, "gamma": 2, "kind": "set"}
+        reordered = dict(figure1_payload)
+        reordered["modules"] = list(reversed(figure1_payload["modules"]))
+        raw_a = json.dumps(body).encode()
+        raw_b = json.dumps(
+            {"kind": "set", "gamma": 2, "workflow": reordered}, sort_keys=True
+        ).encode()
+        assert raw_a != raw_b
+        service = SolveService(workers=1, default_timeout=30)
+        job_a = service.instances.solve_job(raw_a)
+        job_b = service.instances.solve_job(raw_b)
+        assert job_a.key == job_b.key
+        assert job_a.instance is job_b.instance
+        first = service.solve_payload(raw_a)
+        second = service.solve_payload(raw_b)
+        assert first["cost"] == second["cost"]
+        metrics = service.metrics()
+        assert metrics["leaders"] == 1
+        assert metrics["result_hits"]["memory"] == 1
+        assert metrics["cache"]["derivation_misses"] == 1
+        assert service.drain(timeout=30)
+
+    def test_draining_service_refuses_a_memoized_repeat(
+        self, parse_calls, figure1_payload
+    ):
+        raw = json.dumps({"workflow": figure1_payload, "gamma": 2}).encode()
+        service = SolveService(workers=1, default_timeout=30)
+        service.solve_payload(raw)
+        assert service.drain(timeout=30)
+        with pytest.raises(ServiceError) as excinfo:
+            service.solve_payload(raw)
+        assert excinfo.value.status == 503
+        assert len(parse_calls) == 1  # the repeat hit the memo and was still refused
+
+    def test_memo_is_bounded_by_the_instance_cache_size(self, figure1_payload):
+        from repro.service import InstanceCache
+
+        instances = InstanceCache(max_entries=2)
+        for gamma in (2, 3, 4):
+            raw = json.dumps({"workflow": figure1_payload, "gamma": gamma}).encode()
+            assert instances.solve_job(raw).gamma == gamma
+        assert len(instances._by_body) == 2
