@@ -292,7 +292,7 @@ def run_jobs_phase(tiny: bool) -> dict:
     try:
         client = ServiceClient(server.url, timeout=300.0)
         submit_started = time.perf_counter()
-        handle = client.submit_sweep_job(grid)
+        handle = client.request("POST", "/jobs/sweep", grid)
         submit_seconds = time.perf_counter() - submit_started
         final = client.wait_job(handle["job"], timeout=300, poll=0.05)
         wall_seconds = final["seconds"]

@@ -25,9 +25,7 @@ registered in the solver registry::
 
 ``repro engine list-solvers`` (CLI) prints the registry.  The historical
 free functions (``repro.optim.solve_secure_view`` and the per-algorithm
-``solve_*`` functions) still work; the top-level
-:func:`repro.solve_secure_view` re-export is a deprecation shim that warns
-and delegates to the engine.
+``solve_*`` functions) still work.
 
 Layout
 ------
@@ -58,8 +56,6 @@ Layout
 ``repro.analysis``
     Experiment harness: metrics, sweeps, and text reporting.
 """
-
-import warnings as _warnings
 
 from .core import (
     Attribute,
@@ -107,24 +103,6 @@ from .kernel import (
 __version__ = "1.10.0"
 
 
-def solve_secure_view(problem, method: str = "auto", **kwargs):
-    """Deprecated shim: solve a Secure-View instance by solver name.
-
-    Superseded by the engine — build a :class:`Planner` (or use
-    ``Planner.from_problem``) and call ``solve``; it shares derivations
-    across calls and returns a uniform :class:`SolveResult`.  This shim
-    keeps one-off call sites working and returns the bare
-    :class:`SecureViewSolution` like the historical API did.
-    """
-    _warnings.warn(
-        "repro.solve_secure_view is deprecated; use "
-        "repro.Planner.from_problem(problem).solve(solver=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Planner.from_problem(problem).solve(solver=method, **kwargs).solution
-
-
 __all__ = [
     "__version__",
     "Attribute",
@@ -165,6 +143,4 @@ __all__ = [
     "SolverRegistry",
     "default_registry",
     "register_solver",
-    # deprecated shims
-    "solve_secure_view",
 ]

@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import compare_solvers, format_records
 from .core import is_gamma_private_workflow
@@ -103,7 +103,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     planner = Planner.from_problem(problem, store=args.store or None)
     result = planner.solve(
-        solver=args.solver or args.method,
+        solver=args.solver,
         seed=args.seed,
         local_search=bool(args.local_search),
         verify=args.verify,
@@ -352,27 +352,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _service_flags_ok(args: argparse.Namespace) -> bool:
+    """Check the serve/fleet cross-flag rules argparse cannot express.
+
+    A broken rule is reported on stderr; the caller exits 2, like any
+    other usage error.
+    """
+    problem = None
+    if not args.store and getattr(args, "store_max_bytes", None) is not None:
+        problem = "--store-max-bytes requires --store"
+    elif not args.store and args.warmup:
+        problem = "--warmup requires --store (nothing to warm from)"
+    elif args.exec_workers is not None and args.exec_mode != "processes":
+        problem = "--exec-workers requires --exec processes"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+    return problem is None
+
+
+def _drain_on_signals(command: str, stop: Callable[[], object]) -> None:
+    """SIGTERM/SIGINT run ``stop`` (a graceful drain) on a helper thread.
+
+    The serve loop blocks the main thread, and an HTTP server must not be
+    shut down from its own serve thread.  A second signal skips the
+    drain: the operator asked twice.
+    """
+    import os
     import signal
     import threading
 
+    stopping = threading.Event()
+
+    def _graceful(signum, frame) -> None:
+        if stopping.is_set():
+            print(
+                f"repro {command}: second signal, exiting without draining",
+                file=sys.stderr,
+                flush=True,
+            )
+            os._exit(130)
+        stopping.set()
+        threading.Thread(target=stop, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _graceful)
+    signal.signal(signal.SIGINT, _graceful)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceServer, SolveService
 
-    # Cross-flag validation argparse cannot express: maintenance against a
-    # store needs a store to maintain.  Exit 2 like any other usage error.
-    if not args.store and args.store_max_bytes is not None:
-        print("error: --store-max-bytes requires --store", file=sys.stderr)
-        return 2
-    if not args.store and args.warmup:
-        print(
-            "error: --warmup requires --store (nothing to warm from)", file=sys.stderr
-        )
-        return 2
-    if args.exec_workers is not None and args.exec_mode != "processes":
-        print(
-            "error: --exec-workers requires --exec processes",
-            file=sys.stderr,
-        )
+    if not _service_flags_ok(args):
         return 2
     service = SolveService(
         store=args.store or None,
@@ -396,27 +425,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:  # port in use, privileged bind, bad host ...
         print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
-
-    stopping = threading.Event()
-
-    def _graceful(signum, frame) -> None:
-        # serve_forever blocks this (main) thread, and httpd.shutdown must
-        # not be called from the serve thread — hand the drain to a helper.
-        # A second signal skips the drain: the operator asked twice.
-        if stopping.is_set():
-            import os
-
-            print(
-                "repro serve: second signal, exiting without draining",
-                file=sys.stderr,
-                flush=True,
-            )
-            os._exit(130)
-        stopping.set()
-        threading.Thread(target=server.stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
+    _drain_on_signals("serve", server.stop)
     exec_note = (
         f"exec=processes:{service.exec_tier.workers}"
         if service.exec_tier is not None
@@ -442,6 +451,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replica_argv(args: argparse.Namespace) -> list[str]:
+    """The ``repro serve`` arguments a fleet gives every replica.
+
+    Each shared serve/fleet flag is forwarded as given, except the front's
+    own ``--host``/``--port`` and ``--store``, which the supervisor passes
+    itself.  The argv rides along verbatim on every spawn and respawn, so
+    a rolling restart brings a replica back identically.
+    """
+    argv: list[str] = []
+    for flag, dest in (
+        ("--workers", "workers"),
+        ("--exec", "exec_mode"),
+        ("--exec-workers", "exec_workers"),
+        ("--timeout", "timeout"),
+        ("--result-cache-size", "result_cache_size"),
+        ("--warmup", "warmup"),
+        ("--maintenance-interval", "maintenance_interval"),
+    ):
+        value = getattr(args, dest)
+        if value is not None:  # unset --exec-workers means "= --workers"
+            argv += [flag, str(value)]
+    argv.append("--quiet" if args.quiet else "--no-quiet")
+    return argv
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     if getattr(args, "fleet_command", None) == "restart":
         return _cmd_fleet_restart(args)
@@ -450,37 +484,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .service import FleetSupervisor
 
-    if not args.store and args.warmup:
-        print(
-            "error: --warmup requires --store (nothing to warm from)", file=sys.stderr
-        )
+    if not _service_flags_ok(args):
         return 2
-    if args.exec_workers is not None and args.exec_mode != "processes":
-        print(
-            "error: --exec-workers requires --exec processes",
-            file=sys.stderr,
-        )
-        return 2
-    # Per-replica configuration rides along verbatim on every spawn (and
-    # respawn), so a rolling restart brings a replica back identically.
-    serve_argv: list[str] = ["--workers", str(args.workers)]
-    serve_argv += ["--exec", args.exec_mode]
-    if args.exec_workers is not None:
-        serve_argv += ["--exec-workers", str(args.exec_workers)]
-    if args.timeout is not None:
-        serve_argv += ["--timeout", str(args.timeout)]
-    if args.result_cache_size is not None:
-        serve_argv += ["--result-cache-size", str(args.result_cache_size)]
-    if args.warmup:
-        serve_argv += ["--warmup", str(args.warmup)]
-    if args.maintenance_interval is not None:
-        serve_argv += ["--maintenance-interval", str(args.maintenance_interval)]
     supervisor = FleetSupervisor(
         replicas=args.replicas,
         store=args.store or None,
         host=args.host,
         port=args.port,
-        serve_argv=serve_argv,
+        serve_argv=_replica_argv(args),
         restart_budget=args.restart_budget,
         quiet=args.quiet,
     )
@@ -490,28 +501,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    stopping = threading.Event()
-
-    def _graceful(signum, frame) -> None:
-        if stopping.is_set():
-            import os
-
-            print(
-                "repro fleet: second signal, exiting without draining",
-                file=sys.stderr,
-                flush=True,
-            )
-            os._exit(130)
-        stopping.set()
-        threading.Thread(target=supervisor.stop, daemon=True).start()
-
     def _rolling(signum, frame) -> None:
         # SIGHUP: the operator's "roll the fleet" — replica at a time,
         # never failing a request.
         threading.Thread(target=supervisor.rolling_restart, daemon=True).start()
 
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
+    _drain_on_signals("fleet", supervisor.stop)
     signal.signal(signal.SIGHUP, _rolling)
     print(
         f"repro fleet: listening on {supervisor.url} "
@@ -686,6 +681,92 @@ def _arg_nonnegative_float(text: str) -> float:
     return value
 
 
+def _add_service_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``repro serve`` and ``repro fleet`` share, defined once.
+
+    A fleet forwards them to its replicas (see :func:`_replica_argv`), so
+    both commands take the same values with the same defaults.
+    """
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8080, help="listening port (0 picks a free one)"
+    )
+    parser.add_argument(
+        "--store",
+        default="",
+        help=(
+            "persistent derivation store directory; every fleet replica "
+            f"attaches the same one (e.g. {DEFAULT_STORE_DIR})"
+        ),
+    )
+    parser.add_argument(
+        "--workers",
+        type=_arg_positive_int,
+        default=4,
+        help="solve worker threads (per replica in a fleet)",
+    )
+    parser.add_argument(
+        "--exec",
+        dest="exec_mode",
+        choices=("threads", "processes"),
+        default="threads",
+        help=(
+            "execution tier for leader computations: 'threads' (in-process, "
+            "GIL-bound) or 'processes' (persistent worker processes; K "
+            "distinct concurrent solves use K cores; default: threads)"
+        ),
+    )
+    parser.add_argument(
+        "--exec-workers",
+        type=_arg_positive_int,
+        default=None,
+        help=(
+            "worker processes for --exec processes (default: --workers); "
+            "each keeps a hot cache and its own store attachment"
+        ),
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=300.0,
+        help="default per-request deadline in seconds (0 = unbounded)",
+    )
+    parser.add_argument(
+        "--result-cache-size",
+        type=_arg_nonnegative_int,
+        default=256,
+        help=(
+            "bound on the in-memory completed-result cache (default 256; "
+            "0 disables it so repeats read the store's result tier — what "
+            "a fleet measuring cross-replica reuse wants)"
+        ),
+    )
+    parser.add_argument(
+        "--warmup",
+        type=_arg_nonnegative_int,
+        default=0,
+        help=(
+            "re-compile the N most-requested workflow fingerprints from the "
+            "store at start-up (requires --store; default 0)"
+        ),
+    )
+    parser.add_argument(
+        "--maintenance-interval",
+        type=_arg_nonnegative_float,
+        default=30.0,
+        help=(
+            "seconds between background maintenance passes, jittered ±10%% "
+            "(0 disables the maintenance thread; default 30)"
+        ),
+    )
+    parser.add_argument(
+        "--quiet",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="suppress per-request access logging (and a fleet's replica output)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -708,15 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem")
     solve.add_argument(
         "--solver",
-        default="",
-        choices=["", *solver_names],
-        help="registry solver name (see `repro engine list-solvers`)",
-    )
-    solve.add_argument(
-        "--method",
         default="auto",
         choices=solver_names,
-        help="deprecated alias for --solver",
+        help="registry solver name (see `repro engine list-solvers`)",
     )
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--local-search", action="store_true")
@@ -874,52 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
             "/shutdown) drain in-flight work and exit 0."
         ),
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080, help="0 picks a free port")
-    serve.add_argument(
-        "--workers", type=_arg_positive_int, default=4, help="solve worker threads"
-    )
-    serve.add_argument(
-        "--exec",
-        dest="exec_mode",
-        choices=("threads", "processes"),
-        default="threads",
-        help=(
-            "execution tier for leader computations: 'threads' (in-process, "
-            "GIL-bound) or 'processes' (persistent worker processes; K "
-            "distinct concurrent solves use K cores; default: threads)"
-        ),
-    )
-    serve.add_argument(
-        "--exec-workers",
-        type=_arg_positive_int,
-        default=None,
-        help=(
-            "worker processes for --exec processes (default: --workers); "
-            "each keeps a hot cache and its own store attachment"
-        ),
-    )
-    serve.add_argument(
-        "--store",
-        default="",
-        help=f"persistent derivation store directory (e.g. {DEFAULT_STORE_DIR})",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="default per-request deadline in seconds (0 = unbounded)",
-    )
-    serve.add_argument(
-        "--result-cache-size",
-        type=_arg_nonnegative_int,
-        default=256,
-        help=(
-            "bound on the in-memory completed-result cache (default 256; "
-            "0 disables it so repeats read the store's result tier — what "
-            "a fleet measuring cross-replica reuse wants)"
-        ),
-    )
+    _add_service_flags(serve)
     serve.add_argument(
         "--result-ttl",
         type=_arg_positive_float,
@@ -949,30 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
             "byte budget the maintenance pass GCs the store down to "
             "(requires --store; default: no GC)"
         ),
-    )
-    serve.add_argument(
-        "--warmup",
-        type=_arg_nonnegative_int,
-        default=0,
-        help=(
-            "re-compile the N most-requested workflow fingerprints from the "
-            "store at start-up (requires --store; default 0)"
-        ),
-    )
-    serve.add_argument(
-        "--maintenance-interval",
-        type=_arg_nonnegative_float,
-        default=30.0,
-        help=(
-            "seconds between background maintenance passes, jittered ±10%% "
-            "(0 disables the maintenance thread; default 30)"
-        ),
-    )
-    serve.add_argument(
-        "--quiet",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="suppress per-request access logging",
     )
     serve.add_argument(
         "--replica-id",
@@ -1007,10 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_restart.add_argument(
         "--timeout", type=float, default=300.0, help="request deadline in seconds"
     )
-    fleet.add_argument("--host", default="127.0.0.1")
-    fleet.add_argument(
-        "--port", type=int, default=8080, help="front port (0 picks a free port)"
-    )
+    _add_service_flags(fleet)
     fleet.add_argument(
         "--replicas",
         type=_arg_positive_int,
@@ -1018,70 +1021,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve replica processes to spawn (default 2)",
     )
     fleet.add_argument(
-        "--store",
-        default="",
-        help=(
-            "store directory every replica attaches — the shared result "
-            f"tier is what makes cross-replica reuse work (e.g. {DEFAULT_STORE_DIR})"
-        ),
-    )
-    fleet.add_argument(
-        "--workers",
-        type=_arg_positive_int,
-        default=4,
-        help="solve worker threads per replica",
-    )
-    fleet.add_argument(
-        "--exec",
-        dest="exec_mode",
-        choices=("threads", "processes"),
-        default="threads",
-        help="execution tier inside each replica (see repro serve --exec)",
-    )
-    fleet.add_argument(
-        "--exec-workers",
-        type=_arg_positive_int,
-        default=None,
-        help="worker processes per replica for --exec processes",
-    )
-    fleet.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-request deadline passed to every replica",
-    )
-    fleet.add_argument(
-        "--result-cache-size",
-        type=_arg_nonnegative_int,
-        default=None,
-        help="per-replica in-memory result cache bound (0 disables)",
-    )
-    fleet.add_argument(
-        "--warmup",
-        type=_arg_nonnegative_int,
-        default=0,
-        help=(
-            "each replica preloads the N most-popular workflows from the "
-            "shared store's meta tier at (re)start (requires --store)"
-        ),
-    )
-    fleet.add_argument(
-        "--maintenance-interval",
-        type=_arg_nonnegative_float,
-        default=None,
-        help="per-replica maintenance interval (passed through to serve)",
-    )
-    fleet.add_argument(
         "--restart-budget",
         type=_arg_nonnegative_int,
         default=3,
         help="unexpected-death respawns allowed per replica (default 3)",
-    )
-    fleet.add_argument(
-        "--quiet",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="suppress replica stdout forwarding",
     )
     fleet.set_defaults(func=_cmd_fleet)
 

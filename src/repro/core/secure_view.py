@@ -19,6 +19,7 @@ with a single string.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -196,12 +197,18 @@ class SecureViewProblem:
         hidden_attributes: Iterable[str],
         privatized_modules: Iterable[str] = (),
     ) -> float:
-        """``c(V̄) + c(P̄)`` for a candidate solution."""
+        """``c(V̄) + c(P̄)`` for a candidate solution.
+
+        Summed exactly (``math.fsum``): set order follows the per-process
+        string hash, and a plain float sum in that order could differ in
+        the last bit between processes solving the same instance.
+        """
         costs = self.attribute_costs()
         module_costs = self.privatization_costs()
-        total = sum(costs[name] for name in set(hidden_attributes))
-        total += sum(module_costs[name] for name in set(privatized_modules))
-        return total
+        return math.fsum(
+            [costs[name] for name in set(hidden_attributes)]
+            + [module_costs[name] for name in set(privatized_modules)]
+        )
 
     def make_solution(
         self,

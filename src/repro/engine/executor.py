@@ -57,7 +57,9 @@ __all__ = [
     "SweepSpec",
     "WorkerContext",
     "default_jobs",
+    "error_record",
     "run_sweep",
+    "solve_cell",
     "spec_from_grid",
     "worker_context",
 ]
@@ -250,12 +252,14 @@ class WorkerContext:
     """Per-process state: one cache (with store back tier), rebuilt instances.
 
     This is the worker bootstrap shared by every process-fanning surface:
-    the sweep executor's pool initializer builds one per worker, and the
-    service's execution tier (:mod:`repro.service.exec_tier`) attaches its
-    long-lived solve workers through the same class — one module-granular
-    :class:`~repro.engine.cache.DerivationCache`, optionally backed by a
-    per-process :class:`~repro.engine.store.DerivationStore` over a shared
-    directory, plus identity-preserving instance/planner memos.
+    one module-granular :class:`~repro.engine.cache.DerivationCache`,
+    optionally backed by a per-process
+    :class:`~repro.engine.store.DerivationStore` over a shared directory.
+    The sweep executor's pool initializer builds one per worker and uses
+    its per-sweep instance and planner memos.  The service's execution tier
+    (:mod:`repro.service.exec_tier`) attaches each long-lived solve worker
+    through the same class, but only for its cache: over it the worker
+    runs the service's own :class:`~repro.service.jobs.SolveRunner`.
     """
 
     def __init__(
@@ -310,9 +314,6 @@ class WorkerContext:
         return planner, fingerprint
 
 
-#: Backwards-compatible alias (pre-refactor internal name).
-_WorkerContext = WorkerContext
-
 #: Worker-process singleton, created by the pool initializer (or lazily by
 #: :func:`worker_context`).
 _CONTEXT: WorkerContext | None = None
@@ -340,20 +341,110 @@ def _init_worker(store_path: str | None) -> None:
     worker_context(store_path)
 
 
-def _error_record(cell: SweepCell, message: str, error_type: str) -> dict[str, Any]:
-    record: dict[str, Any] = {
-        "index": cell.index,
-        "workflow": cell.label,
-        "gamma": cell.gamma,
-        "kind": cell.kind,
-        "solver": cell.solver,
-        "seed": cell.seed,
-        "method": cell.solver,
+def error_record(
+    label: str,
+    gamma: int | None,
+    kind: str | None,
+    solver: str,
+    seed: int | None,
+    exc: BaseException,
+) -> dict[str, Any]:
+    """The record of a cell whose solve raised ``exc`` (cost infinite).
+
+    ``error_type`` is the failing class's name; a failure forwarded from
+    a service worker process carries the original one as ``error_type``.
+    """
+    return {
+        "workflow": label,
+        "gamma": gamma,
+        "kind": kind,
+        "solver": solver,
+        "seed": seed,
+        "method": solver,
         "cost": float("inf"),
-        "error": message,
-        "error_type": error_type,
+        "error": str(exc),
+        "error_type": getattr(exc, "error_type", type(exc).__name__),
         "from_store": False,
     }
+
+
+def solve_cell(
+    planner: Planner,
+    fingerprint: str,
+    label: str,
+    solver: str,
+    seed: int | None = None,
+    verify: bool = False,
+    reuse_results: bool = True,
+    costs: Mapping[str, float] | None = None,
+) -> dict[str, Any]:
+    """Answer one cell — (instance, Γ, kind, solver, seed) — as a flat record.
+
+    The one solve step every surface runs: the sweep executor's chunks,
+    and the solve service on its threads and in its process workers.  With
+    a store attached to the planner's cache, its result tier is probed
+    first (``reuse_results``) and a fresh record is persisted; a stored
+    record, error records included, comes back with ``from_store: True``.
+    Infeasibility raised while *deriving* the requirement lists is a pure
+    function of the workflow's content, so it is persisted as an error
+    record before it propagates; every other failure (work limits, solver
+    applicability) may change across versions and is never persisted.
+    Cost overrides are never persisted either: the result key has no cost
+    dimension, so a stored override would alias the base solve.
+    """
+    cache = planner.cache
+    before = cache.stats()
+    key = ResultKey(planner.backend, planner.gamma, planner.kind, solver, seed, verify)
+    costs = dict(costs) if costs else None
+    store = cache.store if costs is None else None
+    if store is not None and reuse_results:
+        stored = store.load_result(fingerprint, key)
+        if stored is not None:
+            delta = cache.stats().delta(before)
+            return {
+                **stored,
+                "workflow": label,
+                "from_store": True,
+                "cache": delta.as_dict(),
+            }
+    try:
+        planner.problem(costs)
+    except RequirementError as exc:
+        if store is not None:
+            record = error_record(label, planner.gamma, planner.kind, solver, seed, exc)
+            store.save_result(fingerprint, key, record)
+        raise
+    result = planner.solve(solver=solver, seed=seed, verify=verify, costs=costs)
+    record = {
+        "workflow": label,
+        "gamma": planner.gamma,
+        "kind": planner.kind,
+        "solver": solver,
+        "resolved_solver": result.solver,
+        "method": str(result.solution.meta.get("method", result.solver)),
+        "seed": seed,
+        "cost": result.cost,
+        "hidden_attributes": sorted(result.hidden_attributes),
+        "privatized_modules": sorted(result.privatized_modules),
+        "guarantee": result.guarantee,
+        "seconds": result.seconds,
+    }
+    if result.certificate is not None:
+        record["verified"] = result.certificate.ok
+    if store is not None:
+        store.save_result(fingerprint, key, record)
+    record["from_store"] = False
+    # Informational under concurrency (another thread may tick the shared
+    # counters in between); aggregate deltas are the authoritative totals.
+    record["cache"] = result.cache_stats.delta(before).as_dict()
+    return record
+
+
+def _error_record(cell: SweepCell, exc: BaseException) -> dict[str, Any]:
+    record = error_record(
+        cell.label, cell.gamma, cell.kind, cell.solver, cell.seed, exc
+    )
+    record["index"] = cell.index
     record.update(cell.params)
     return record
 
@@ -364,93 +455,30 @@ def _run_chunk_in(
     """Run one chunk of cells (one family's worth) and report stat deltas."""
     instances: Mapping[str, SweepInstance] = chunk["instances"]
     cells: Sequence[SweepCell] = chunk["cells"]
-    backend = chunk["backend"]
-    verify = bool(chunk["verify"])
-    reuse_results = bool(chunk["reuse_results"])
-
     records: list[dict[str, Any]] = []
     before_chunk = context.cache.stats()
     result_hits = 0
     for cell in cells:
-        fingerprint: str | None = None
-        result_key: tuple | None = None
-        deriving = False
         try:
             planner, fingerprint = context.planner(
-                instances[cell.label], cell.gamma, cell.kind, backend
+                instances[cell.label], cell.gamma, cell.kind, chunk["backend"]
             )
-            gamma = planner.gamma if cell.gamma is None else cell.gamma
-            kind = planner.kind if cell.kind is None else cell.kind
-            result_key = ResultKey(
-                planner.backend, gamma, kind, cell.solver, cell.seed, verify
+            record = solve_cell(
+                planner,
+                fingerprint,
+                cell.label,
+                cell.solver,
+                cell.seed,
+                bool(chunk["verify"]),
+                bool(chunk["reuse_results"]),
             )
-            stored = None
-            if context.store is not None and reuse_results:
-                stored = context.store.load_result(fingerprint, result_key)
-            if stored is not None:
-                record = dict(stored)
-                record["index"] = cell.index
-                record["workflow"] = cell.label
-                record["from_store"] = True
-                record.update(cell.params)
-                result_hits += 1
-                records.append(record)
-                continue
-            before = context.cache.stats()
-            deriving = True
-            planner.problem()  # phase marker: derivation failures persist
-            deriving = False
-            result = planner.solve(
-                solver=cell.solver, seed=cell.seed, verify=verify
-            )
-            delta = result.cache_stats.delta(before)
-            record = {
-                "workflow": cell.label,
-                "gamma": gamma,
-                "kind": kind,
-                "solver": cell.solver,
-                "resolved_solver": result.solver,
-                "method": str(result.solution.meta.get("method", result.solver)),
-                "seed": cell.seed,
-                "cost": result.cost,
-                "hidden_attributes": sorted(result.hidden_attributes),
-                "privatized_modules": sorted(result.privatized_modules),
-                "guarantee": result.guarantee,
-                "seconds": result.seconds,
-            }
-            if result.certificate is not None:
-                record["verified"] = result.certificate.ok
-            if context.store is not None:
-                context.store.save_result(fingerprint, result_key, record)
-            record["index"] = cell.index
-            record["from_store"] = False
-            record["cache"] = delta.as_dict()
-            record.update(cell.params)
-            records.append(record)
         except Exception as exc:  # noqa: BLE001 - failure isolation by design
-            record = _error_record(cell, str(exc), type(exc).__name__)
-            if (
-                context.store is not None
-                and result_key is not None
-                and deriving
-                and isinstance(exc, RequirementError)
-            ):
-                # Infeasibility surfaced *during derivation* is a pure
-                # function of workflow content, so a warm store can skip
-                # the failing derivation next run too.  Anything else
-                # (work limits, solver applicability, environment
-                # failures) can change across versions and configurations
-                # and is never persisted.
-                context.store.save_result(
-                    fingerprint,
-                    result_key,
-                    {
-                        key: value
-                        for key, value in record.items()
-                        if key not in ("index", "from_store")
-                    },
-                )
-            records.append(record)
+            records.append(_error_record(cell, exc))
+            continue
+        result_hits += record["from_store"]
+        record["index"] = cell.index
+        record.update(cell.params)
+        records.append(record)
     chunk_delta = context.cache.stats().delta(before_chunk).as_dict()
     chunk_delta["result_store_hits"] = result_hits
     return records, chunk_delta
@@ -671,8 +699,7 @@ def run_sweep(
                         chunk_records, delta = future.result()
                     except Exception as exc:  # noqa: BLE001 - isolate dead chunks
                         chunk_records = [
-                            _error_record(cell, str(exc), type(exc).__name__)
-                            for cell in chunk["cells"]
+                            _error_record(cell, exc) for cell in chunk["cells"]
                         ]
                         delta = {}
                     records.extend(chunk_records)

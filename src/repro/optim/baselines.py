@@ -84,7 +84,9 @@ def random_feasible(
     """
     if rng is None:
         rng = random.Random(seed)
-    remaining = list(problem.hidable_attributes)
+    # Sorted before any draw: set order follows the per-process string hash,
+    # and one seed must give one answer in every process.
+    remaining = sorted(problem.hidable_attributes)
     rng.shuffle(remaining)
     hidden: set[str] = set()
 
@@ -102,7 +104,7 @@ def random_feasible(
         hidden.add(remaining.pop())
     # Drop attributes that are not needed (reverse scan keeps it deterministic
     # for a given seed).
-    for name in sorted(hidden, key=lambda item: rng.random()):
+    for name in sorted(sorted(hidden), key=lambda item: rng.random()):
         trial = hidden - {name}
         if all(
             problem.requirement_satisfied(module_name, trial)

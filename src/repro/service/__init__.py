@@ -32,18 +32,22 @@ Components
     The threaded HTTP front for one replica: ``POST /v1/solve``,
     ``POST /v1/sweep``, ``POST /v1/jobs/sweep``, ``GET /v1/jobs[/<id>]``,
     ``DELETE /v1/jobs/<id>``, ``GET /v1/healthz``, ``GET /v1/metrics``,
-    ``GET /v1/version``, ``POST /v1/shutdown`` (unprefixed legacy aliases
-    answer with a ``Deprecation`` header); keep-alive connections;
-    graceful drain on stop.
+    ``GET /v1/version``, ``POST /v1/shutdown`` (any other path answers the
+    enveloped 404); keep-alive connections; graceful drain on stop.
 :class:`FleetSupervisor`
     ``repro fleet``: N supervised ``repro serve`` replica processes on
     one shared store behind a health-aware ``/v1`` proxy front, with
     budgeted respawns and drain-aware rolling restarts.
 :class:`ServiceClient`
     Stdlib client used by ``repro submit`` and scripts; keep-alive
-    connections, versioned-API negotiation, envelope-aware errors.
+    connections to the ``/v1`` API, envelope-aware errors.
 :class:`SolveJob` / :func:`parse_solve_payload`
     The request codec; a job's ``key`` is the coalescing identity.
+:class:`SolveRunner`
+    One process's hot solve state around the engine's one cell step
+    (:func:`~repro.engine.executor.solve_cell`): instances, a bounded
+    planner table and the popularity warm-up.  The service computes
+    through its runner, and every execution-tier worker through its own.
 """
 
 from .background import JobManager, MaintenanceScheduler, SweepJob
@@ -58,6 +62,7 @@ from .jobs import (
     ServiceError,
     ServiceTimeout,
     SolveJob,
+    SolveRunner,
     WorkerError,
     parse_solve_payload,
 )
@@ -80,6 +85,7 @@ __all__ = [
     "ServiceServer",
     "ServiceTimeout",
     "SolveJob",
+    "SolveRunner",
     "SolveService",
     "SweepJob",
     "TERMINAL_JOB_STATES",

@@ -368,15 +368,20 @@ class JobManager:
             active: "deque[tuple[int, SolveJob, Any]]" = deque()
             while pending or active:
                 while pending and len(active) < window and not job.cancel.is_set():
+                    # Admitted from this runner thread, never from a pool
+                    # thread: a runner waiting on pool work from inside the
+                    # pool would consume the very slot the computation needs.
                     index, cell = pending.popleft()
-                    active.append((index, cell, self._dispatch(cell)))
+                    active.append((index, cell, service._admit(cell)))
                 if not active:
                     break  # cancelled with nothing left in flight
                 # Collect in dispatch (= cell-index) order, so `records`
                 # is always a prefix of the final report and progress
                 # counters are monotone.
-                index, cell, outcome = active.popleft()
-                record = self._collect(cell, outcome)
+                index, cell, admitted = active.popleft()
+                record = service._collect(
+                    cell, admitted, service._effective_timeout(cell), isolate=True
+                )
                 record["index"] = index
                 with self._changed:
                     job.records.append(record)
@@ -400,52 +405,6 @@ class JobManager:
                 job.dropped = job.total - len(job.records)
                 self.cells_dropped += job.dropped
                 self._finish_locked(job, "failed")
-
-    def _dispatch(self, cell: SolveJob) -> Any:
-        """Admit one cell; a finished record (cache hit) or a wait handle.
-
-        Never called from a pool thread: a runner waiting on pool work
-        from inside the pool would consume the very slot the computation
-        needs.
-        """
-        service = self.service
-        service._note_popularity(cell)
-        if service.reuse_results:
-            record = service._lookup_result(cell.key)
-            if record is not None:
-                with service._state:
-                    service.result_hits_memory += 1
-                record["coalesced"] = False
-                return record
-        return service._begin(cell)
-
-    def _collect(self, cell: SolveJob, outcome: Any) -> dict[str, Any]:
-        service = self.service
-        try:
-            if isinstance(outcome, dict):
-                return outcome
-            leader, entry = outcome
-            record = dict(
-                service.coalescer.wait(entry, service._effective_timeout(cell))
-            )
-            record["coalesced"] = not leader
-            return record
-        except BaseException as exc:  # per-cell isolation, like /sweep
-            service._count_failure(exc)
-            return {
-                "workflow": cell.label,
-                "gamma": cell.gamma,
-                "kind": cell.kind,
-                "solver": cell.solver,
-                "seed": cell.seed,
-                "method": cell.solver,
-                "cost": None,
-                "error": str(exc),
-                # WorkerError forwards the original class name from the
-                # process tier, keeping job records mode-independent.
-                "error_type": getattr(exc, "error_type", type(exc).__name__),
-                "from_store": False,
-            }
 
     def _finish_locked(self, job: SweepJob, state: str) -> None:
         job.state = state
@@ -618,39 +577,17 @@ class MaintenanceScheduler:
     def warm_up(self, k: int) -> int:
         """Preload the ``k`` most-requested stored workflows into the hot cache.
 
-        For each: rebuild the instance from the meta tier's serialized
-        payload (through the service's :class:`InstanceCache`, so client
-        requests for the same content map onto the *same object* and hit
-        the identity-keyed tables), compile its kernel pack, and load
-        every stored requirement point.  After a restart the first solve
-        of a popular fingerprint then reports ``compile_hits > 0`` instead
-        of paying compilation on the request path.  Returns the number of
-        workflows warmed; per-workflow failures are isolated and counted.
+        Runs the service runner's :meth:`~repro.service.jobs.SolveRunner.warm`
+        (the same warm-up every execution-tier worker runs at spawn), so
+        after a restart the first solve of a popular fingerprint reports
+        ``compile_hits > 0`` instead of paying compilation on the request
+        path.  Returns the number of workflows warmed; per-workflow
+        failures count under ``task_failures["warm_up"]``.
         """
-        service = self.service
-        store = service.cache.store
-        if store is None or k <= 0:
-            return 0
-        warmed = 0
-        for fingerprint, _count, payload in store.popular_workflows(k):
-            try:
-                workflow, resolved = service.instances.resolve("workflow", payload)
-                if resolved != fingerprint:
-                    raise ValueError(
-                        f"stored payload for {fingerprint[:12]} re-fingerprints "
-                        f"to {resolved[:12]}"
-                    )
-                service.cache.compiled_workflow(workflow)
-                for gamma, kind, backend in store.stored_requirement_points(
-                    fingerprint
-                ):
-                    service.cache.requirements(workflow, gamma, kind, backend=backend)
-                warmed += 1
-            except Exception:  # noqa: BLE001 - isolation by design
-                with self._lock:
-                    self.task_failures["warm_up"] += 1
+        warmed, failed = self.service.runner.warm(k)
         with self._lock:
             self.warmed_packs += warmed
+            self.task_failures["warm_up"] += failed
         return warmed
 
     # -- observability -----------------------------------------------------------

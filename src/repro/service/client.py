@@ -18,15 +18,10 @@ from the server's envelope, and the full payload, so callers can
 distinguish a malformed request (400) from a timeout (504) from a draining
 server (503).
 
-Two transport behaviours matter operationally:
-
-* **keep-alive** — one persistent connection per calling thread, reused
-  across requests (a stale socket the server closed between requests is
-  retried once on a fresh one), instead of a TCP handshake per call;
-* **base-path negotiation** — the client speaks the versioned ``/v1`` API
-  and probes once per client: a server answering 404 on ``/v1/healthz``
-  is pre-v1, and the client falls back to the deprecated unprefixed
-  routes so old servers keep working during a fleet upgrade.
+The client speaks the versioned ``/v1`` API over **keep-alive**
+connections: one persistent connection per calling thread, reused across
+requests (a stale socket the server closed between requests is retried
+once on a fresh one), instead of a TCP handshake per call.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ __all__ = ["ServiceClient", "ServiceClientError"]
 #: Job states after which polling can stop (mirrors ``JOB_STATES``).
 _TERMINAL_JOB_STATES = ("done", "failed", "cancelled")
 
-#: The API prefix this client speaks natively.
+#: The API prefix every route lives under.
 _API_PREFIX = "/v1"
 
 #: Connection failures that mean "the server closed our parked keep-alive
@@ -71,17 +66,15 @@ class ServiceClientError(Exception):
         self.status = status
         self.payload = dict(payload or {})
         #: The server-side exception class from the v1 error envelope
-        #: (``None`` for transport failures and legacy flat bodies).
+        #: (``None`` for transport failures).
         self.error_type = error_type
 
 
 def _error_details(payload: Any, fallback: str) -> tuple[str, str | None]:
-    """``(message, type)`` from an error body, envelope or legacy flat."""
+    """``(message, type)`` from an error envelope body."""
     error = payload.get("error") if isinstance(payload, Mapping) else None
-    if isinstance(error, Mapping):  # v1 envelope
+    if isinstance(error, Mapping):
         return str(error.get("message", fallback)), error.get("type")
-    if error is not None:  # pre-v1 flat body: {"error": "...", "status": N}
-        return str(error), None
     return fallback, None
 
 
@@ -114,9 +107,6 @@ class ServiceClient:
         # One keep-alive connection per calling thread (http.client
         # connections are not thread-safe to share).
         self._local = threading.local()
-        #: Negotiated base path: ``"/v1"`` against a current server, ``""``
-        #: against a pre-v1 one.  ``None`` until the first request probes.
-        self._base_path: str | None = None
 
     # -- transport --------------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
@@ -135,12 +125,14 @@ class ServiceClient:
             self._local.conn = None
             conn.close()
 
-    def _roundtrip(self, method: str, path: str, payload: Any) -> dict[str, Any]:
-        """One JSON exchange on the thread's keep-alive connection.
+    def request(self, method: str, path: str, payload: Any = None) -> dict[str, Any]:
+        """One JSON round trip; raises :class:`ServiceClientError` on 4xx/5xx.
 
-        A server is free to close a parked keep-alive socket at any time
-        (draining, idle timeout); when the failure proves no response byte
-        arrived, the request is replayed once on a fresh connection.
+        ``path`` is the un-versioned route (``"/solve"``), sent under
+        ``/v1``.  It runs on the thread's keep-alive connection.  A server
+        is free to close a parked keep-alive socket at any time (draining,
+        idle timeout); when the failure proves no response byte arrived,
+        the request is replayed once on a fresh connection.
         """
         body = None
         headers = {"Accept": "application/json"}
@@ -152,7 +144,7 @@ class ServiceClient:
                 conn = self._connection()
                 fresh = conn.sock is None
                 try:
-                    conn.request(method, path, body=body, headers=headers)
+                    conn.request(method, _API_PREFIX + path, body=body, headers=headers)
                     response = conn.getresponse()
                     data = response.read()
                 except _STALE_CONNECTION_ERRORS:
@@ -183,46 +175,7 @@ class ServiceClient:
             )
         return parsed
 
-    def _negotiated_base(self) -> str:
-        """Probe the server's API surface once; ``"/v1"`` or ``""``.
-
-        ``/v1/version`` is the probe: it answers even mid-drain, and it
-        does not perturb the server's request counters the way a healthz
-        or metrics probe would.
-        """
-        if self._base_path is None:
-            try:
-                self._roundtrip("GET", f"{_API_PREFIX}/version", None)
-            except ServiceClientError as exc:
-                if exc.status == 404:
-                    self._base_path = ""  # pre-v1 server: legacy routes
-                elif exc.status == 0:
-                    raise  # unreachable: report, renegotiate next call
-                else:
-                    # Any real HTTP answer (503 draining included) proves
-                    # the /v1 surface exists.
-                    self._base_path = _API_PREFIX
-            else:
-                self._base_path = _API_PREFIX
-        return self._base_path
-
-    def request(self, method: str, path: str, payload: Any = None) -> dict[str, Any]:
-        """One JSON round trip; raises :class:`ServiceClientError` on 4xx/5xx.
-
-        ``path`` is the un-versioned route (``"/solve"``); the negotiated
-        base path (``/v1`` unless the server predates it) is prepended.
-        """
-        return self._roundtrip(method, f"{self._negotiated_base()}{path}", payload)
-
     # -- endpoints --------------------------------------------------------------
-    def submit(self, body: Mapping[str, Any]) -> dict[str, Any]:
-        """POST a raw, already-assembled ``/solve`` body.
-
-        Deprecated for everyday use: prefer :meth:`solve`, which builds
-        the body from typed arguments (``repro submit`` goes through it).
-        """
-        return self.request("POST", "/solve", body)
-
     def solve(
         self,
         workflow: Any = None,
@@ -256,7 +209,7 @@ class ServiceClient:
             body["timeout"] = timeout
         if label is not None:
             body["label"] = label
-        return self.submit(body)
+        return self.request("POST", "/solve", body)
 
     def sweep(
         self,
@@ -306,13 +259,6 @@ class ServiceClient:
         return body
 
     # -- async jobs --------------------------------------------------------------
-    def submit_sweep_job(self, body: Mapping[str, Any]) -> dict[str, Any]:
-        """POST a raw, already-assembled grid to ``/jobs/sweep``; the handle.
-
-        Deprecated for everyday use: prefer :meth:`sweep_async`.
-        """
-        return self.request("POST", "/jobs/sweep", body)
-
     def sweep_async(
         self,
         *,
@@ -335,7 +281,7 @@ class ServiceClient:
             workflows, problems, gammas, kinds, solvers, seeds, verify,
             backend, timeout,
         )
-        return self.submit_sweep_job(body)
+        return self.request("POST", "/jobs/sweep", body)
 
     def job(self, job_id: str) -> dict[str, Any]:
         """``GET /jobs/<id>``: state, progress counters, partial records."""

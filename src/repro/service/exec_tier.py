@@ -11,23 +11,27 @@ onto (``repro serve --exec processes --exec-workers N``).
 
 Design
 ------
-* **Workers are resident, not per-task.**  Each worker bootstraps a
-  :func:`repro.engine.executor.worker_context` — the same per-process
-  attachment the sweep executor proved out: its own
+* **Workers are resident, not per-task, and run the service's own code.**
+  Each worker bootstraps a :func:`repro.engine.executor.worker_context` —
+  the same per-process attachment the sweep executor uses: its own
   :class:`~repro.engine.store.DerivationStore` handle over the shared
-  directory, a hot module-granular
-  :class:`~repro.engine.cache.DerivationCache` in front, and
-  identity-preserving instance/planner memos.  At spawn a worker pre-warms
-  the store's most popular workflow packs, so its first request pays a
-  solve, not a recompilation.
+  directory and a hot module-granular
+  :class:`~repro.engine.cache.DerivationCache` in front — and runs a
+  :class:`~repro.service.jobs.SolveRunner` over that cache, the same class
+  the service computes through in thread mode: a bounded planner table,
+  the store result-tier probe, the solve and the record all come from one
+  implementation.  At spawn a worker runs the runner's warm-up of the
+  store's most popular workflow packs, so its first request pays a solve,
+  not a recompilation.
 * **Requests cross the boundary as JSON-shaped bodies.**  Parsed jobs hold
   rebuilt workflows whose callables do not pickle; the tier re-encodes each
   job via :meth:`~repro.service.jobs.SolveJob.to_wire` and the worker
   re-parses it with the same :func:`~repro.service.jobs.parse_solve_payload`
-  codec the HTTP front uses.  Results come back as the picklable record
-  dict (cost, hidden attributes, guarantee, certificate verdict, seconds)
-  plus a :class:`~repro.engine.cache.CacheStats` delta the parent merges
-  into ``/metrics`` — "did the tier save work" stays a counter read.
+  codec the HTTP front uses.  Results come back as the runner's picklable
+  record (a stored error record included — the parent reads ``from_store``
+  and ``error`` from it exactly as in thread mode) plus a
+  :class:`~repro.engine.cache.CacheStats` delta the parent merges into
+  ``/metrics`` — "did the tier save work" stays a counter read.
 * **One collector thread multiplexes every worker.**  Each worker gets a
   duplex pipe; the collector blocks in
   :func:`multiprocessing.connection.wait` on all pipes *and all process
@@ -59,9 +63,7 @@ from collections import deque
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..engine.store import ResultKey
-from ..exceptions import ProvenanceError
-from .jobs import InstanceCache, ServiceError, WorkerError, parse_solve_payload
+from .jobs import ServiceError, SolveRunner, WorkerError, parse_solve_payload, status_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .jobs import SolveJob
@@ -112,129 +114,6 @@ def _mp_context(start_method: str | None = None) -> Any:
 # Worker side (runs in the child process)
 # ---------------------------------------------------------------------------
 
-def _status_of(exc: BaseException) -> int:
-    if isinstance(exc, ServiceError):
-        return exc.status
-    if isinstance(exc, ProvenanceError):
-        return 422
-    return 500
-
-
-class _WorkerState:
-    """Everything one worker process keeps hot between tasks."""
-
-    def __init__(self, context: Any, reuse_results: bool) -> None:
-        self.context = context  # engine.executor.WorkerContext
-        self.reuse_results = reuse_results
-        self.instances = InstanceCache()
-        self._planners: dict[tuple, Any] = {}
-        self._warmed: set[str] = set()
-
-    def _planner_for(self, job: "SolveJob") -> Any:
-        from ..engine import Planner
-
-        key = (job.source, job.fingerprint, job.gamma, job.kind, job.backend)
-        planner = self._planners.get(key)
-        if planner is None:
-            if job.source == "workflow":
-                planner = Planner(
-                    job.instance,
-                    job.gamma,
-                    kind=job.kind,
-                    cache=self.context.cache,
-                    backend=job.backend,
-                )
-            else:
-                planner = Planner.from_problem(
-                    job.instance, cache=self.context.cache, backend=job.backend
-                )
-            self._planners[key] = planner
-        return planner
-
-    def compute(self, wire: Mapping[str, Any]) -> dict[str, Any]:
-        """One solve, mirroring ``SolveService._compute`` semantics exactly:
-
-        probe the store's result tier first (a persisted *error* record
-        re-raises as a 422, same as a fresh infeasible solve), otherwise
-        solve through the hot cache and persist the record (cost overrides
-        excluded — the result tier's key has no cost dimension).
-        """
-        job = parse_solve_payload(wire, self.instances)
-        before = self.context.cache.stats()
-        planner = self._planner_for(job)
-        gamma = planner.gamma if job.gamma is None else job.gamma
-        kind = planner.kind if job.kind is None else job.kind
-        result_key = ResultKey(
-            planner.backend, gamma, kind, job.solver, job.seed, job.verify
-        )
-        store = self.context.store
-        persistable = job.costs is None
-        if store is not None and self.reuse_results and persistable:
-            stored = store.load_result(job.fingerprint, result_key)
-            if stored is not None:
-                if "error" in stored:
-                    raise ServiceError(str(stored["error"]), status=422)
-                record = dict(stored)
-                record["workflow"] = job.label
-                record["from_store"] = True
-                record["fingerprint"] = job.fingerprint
-                record["cache"] = self.context.cache.stats().delta(before).as_dict()
-                return record
-        result = planner.solve(
-            solver=job.solver,
-            seed=job.seed,
-            verify=job.verify,
-            costs=dict(job.costs) if job.costs else None,
-        )
-        delta = result.cache_stats.delta(before)
-        record: dict[str, Any] = {
-            "workflow": job.label,
-            "gamma": gamma,
-            "kind": kind,
-            "solver": job.solver,
-            "resolved_solver": result.solver,
-            "method": str(result.solution.meta.get("method", result.solver)),
-            "seed": job.seed,
-            "cost": result.cost,
-            "hidden_attributes": sorted(result.hidden_attributes),
-            "privatized_modules": sorted(result.privatized_modules),
-            "guarantee": result.guarantee,
-            "seconds": result.seconds,
-        }
-        if result.certificate is not None:
-            record["verified"] = result.certificate.ok
-        if store is not None and persistable:
-            store.save_result(job.fingerprint, result_key, record)
-        record["from_store"] = False
-        record["fingerprint"] = job.fingerprint
-        record["cache"] = delta.as_dict()
-        return record
-
-    def warm(self, k: int) -> int:
-        """Preload the k most-popular stored packs (idempotent per pack)."""
-        store, cache = self.context.store, self.context.cache
-        if store is None or k <= 0:
-            return 0
-        warmed = 0
-        for fingerprint, _count, payload in store.popular_workflows(k):
-            if fingerprint in self._warmed:
-                continue
-            try:
-                workflow, resolved = self.instances.resolve("workflow", payload)
-                if resolved != fingerprint:
-                    continue
-                cache.compiled_workflow(workflow)
-                for gamma, kind, backend in store.stored_requirement_points(
-                    fingerprint
-                ):
-                    cache.requirements(workflow, gamma, kind, backend=backend)
-                self._warmed.add(fingerprint)
-                warmed += 1
-            except Exception:  # noqa: BLE001 - warm-up is best-effort
-                continue
-        return warmed
-
-
 def _worker_main(
     conn: Any, store_path: str | None, reuse_results: bool, warmup: int
 ) -> None:
@@ -247,13 +126,13 @@ def _worker_main(
     """
     from ..engine.executor import worker_context
 
-    state = _WorkerState(worker_context(store_path), reuse_results)
+    runner = SolveRunner(worker_context(store_path).cache, reuse_results=reuse_results)
     try:
-        warmed = state.warm(warmup)
+        warmed, _ = runner.warm(warmup)
         # Format-v2 stores serve pre-warmed packs as memory-mapped sidecars;
         # report how much of this worker's warm set is shared mappings so
         # the parent's /metrics can show the per-worker memory win.
-        stats = state.context.cache.stats()
+        stats = runner.cache.stats()
         conn.send(
             (
                 "ready",
@@ -274,24 +153,24 @@ def _worker_main(
             if op == "exit":
                 break
             if op == "warm":
-                conn.send(("warmed", state.warm(int(message[1]))))
+                conn.send(("warmed", runner.warm(int(message[1]))[0]))
                 continue
             if op != "solve":  # pragma: no cover - future-proofing
                 continue
             task_id, wire = message[1], message[2]
             if isinstance(wire, Mapping) and wire.get("label") == CRASH_LABEL:
                 os._exit(70)  # the deterministic mid-solve death (tests)
-            before = state.context.cache.stats()
+            before = runner.cache.stats()
             try:
-                record = state.compute(wire)
+                record = runner.solve(parse_solve_payload(wire, runner.instances))
             except BaseException as exc:  # noqa: BLE001 - forwarded, not fatal
-                delta = state.context.cache.stats().delta(before).as_dict()
+                delta = runner.cache.stats().delta(before).as_dict()
                 conn.send(
                     (
                         "error",
                         task_id,
                         str(exc),
-                        _status_of(exc),
+                        status_of(exc),
                         type(exc).__name__,
                         delta,
                     )
@@ -618,10 +497,6 @@ class ProcessExecTier:
         assert task.record is not None
         return task.record
 
-    def run(self, job: "SolveJob") -> dict[str, Any]:
-        """``submit`` + ``wait`` (the service's pool threads call this)."""
-        return self.wait(self.submit(job))
-
     # -- warm-up ------------------------------------------------------------------
     def warm_workers(self, k: int | None = None) -> int:
         """Ask every *idle* ready worker to pre-warm its top-k packs.
@@ -677,20 +552,6 @@ class ProcessExecTier:
             if not self._changed.wait_for(_settled, timeout):
                 return False
             return any(w.alive for w in self._workers)
-
-    def await_busy(self, count: int, timeout: float | None = None) -> bool:
-        """Block until at least ``count`` workers hold an assigned task."""
-        with self._changed:
-            return self._changed.wait_for(
-                lambda: self._busy_locked() >= count, timeout
-            )
-
-    def await_idle(self, timeout: float | None = None) -> bool:
-        """Block until nothing is queued or assigned."""
-        with self._changed:
-            return self._changed.wait_for(
-                lambda: not self._queue and self._busy_locked() == 0, timeout
-            )
 
     # -- observability ------------------------------------------------------------
     def healthy(self) -> bool:

@@ -46,8 +46,8 @@ later ``GET /v1/jobs/r2.<id>`` routes to the owning replica; ``GET
 /v1/jobs`` fans out and merges.  The front is the same
 :class:`~repro.service.server.HTTPFront` a replica runs, so request
 framing, keep-alive, one-write responses, error envelopes and the
-``Deprecation`` header on unprefixed legacy paths behave exactly like a
-single replica.
+enveloped 404 for any path outside ``/v1`` behave exactly like a single
+replica.
 """
 
 from __future__ import annotations

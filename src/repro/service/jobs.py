@@ -23,6 +23,12 @@ one persistent-store entry with every other surface (CLI, sweep executor).
 Anything malformed raises :class:`ServiceError` with an HTTP status the
 server maps onto the response; nothing here touches sockets, so the codec
 is directly unit-testable.
+
+A parsed job is answered by a :class:`SolveRunner`: the per-process hot
+state (instances, a bounded planner table, warm-up) around the engine's one
+cell step, :func:`~repro.engine.executor.solve_cell`.  The service holds
+one and every execution-tier worker process holds its own, so both tiers
+answer through the same code.
 """
 
 from __future__ import annotations
@@ -30,10 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..engine import Planner
+from ..engine.executor import solve_cell
+from ..exceptions import ProvenanceError
 from ..kernel import VALID_BACKENDS, resolve_backend
 
 __all__ = [
@@ -43,10 +53,12 @@ __all__ = [
     "ServiceError",
     "ServiceTimeout",
     "SolveJob",
+    "SolveRunner",
     "WorkerError",
     "decode_json",
     "error_envelope",
     "parse_solve_payload",
+    "status_of",
 ]
 
 #: Requirement-list kinds a request may ask for (workflow instances only).
@@ -57,6 +69,9 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
 
 #: The subset of :data:`JOB_STATES` a job never leaves once entered.
 TERMINAL_JOB_STATES = ("done", "failed", "cancelled")
+
+#: Default bound on a :class:`SolveRunner`'s planner table (FIFO eviction).
+PLANNER_LIMIT = 128
 
 
 def error_envelope(
@@ -73,6 +88,21 @@ def error_envelope(
     return {
         "error": {"type": error_type, "message": message, "status": status}
     }
+
+
+def status_of(exc: BaseException) -> int:
+    """The HTTP status a failure answers with, whichever tier raised it.
+
+    A :class:`ServiceError` carries its own; a well-formed request for an
+    unsolvable instance (unknown solver, infeasible requirements, work
+    limits: a :class:`~repro.exceptions.ProvenanceError`) is 422; anything
+    else is 500.
+    """
+    if isinstance(exc, ServiceError):
+        return exc.status
+    if isinstance(exc, ProvenanceError):
+        return 422
+    return 500
 
 
 class ServiceError(Exception):
@@ -273,6 +303,119 @@ class InstanceCache:
             built = (instance, fingerprint)
             self._remember(self._by_digest, digest, built)
             return built
+
+
+class SolveRunner:
+    """One process's hot solve state: instances, planners, warm-up.
+
+    Answers a parsed :class:`SolveJob` through the engine's
+    :func:`~repro.engine.executor.solve_cell` over one shared
+    :class:`~repro.engine.cache.DerivationCache`.  Planners are memoized
+    per ``(source, fingerprint, Γ, kind, backend)`` in a table bounded by
+    ``max_planners`` (FIFO eviction) and stamped for TTL expiry.  The
+    :class:`SolveService` holds one runner; each execution-tier worker
+    process holds its own over its worker cache.
+    """
+
+    def __init__(
+        self,
+        cache: Any,
+        registry: Any = None,
+        reuse_results: bool = True,
+        max_planners: int = PLANNER_LIMIT,
+    ) -> None:
+        self.cache = cache
+        self.registry = registry
+        self.reuse_results = reuse_results
+        self.max_planners = max_planners
+        self.instances = InstanceCache()
+        self._lock = threading.Lock()
+        self._planners: OrderedDict[tuple, tuple[Planner, float]] = OrderedDict()
+        self._warmed: set[str] = set()
+
+    def planner(self, job: SolveJob) -> Planner:
+        """The memoized planner for a job's instance and derivation point."""
+        key = (job.source, job.fingerprint, job.gamma, job.kind, job.backend)
+        with self._lock:
+            entry = self._planners.get(key)
+            if entry is not None:
+                return entry[0]
+        options = dict(cache=self.cache, registry=self.registry, backend=job.backend)
+        if job.source == "workflow":
+            planner = Planner(job.instance, job.gamma, kind=job.kind, **options)
+        else:
+            planner = Planner.from_problem(job.instance, **options)
+        with self._lock:
+            # First construction wins so concurrent requests converge on one
+            # planner (and therefore one identity-keyed cache entry set).
+            existing = self._planners.get(key)
+            if existing is not None:
+                return existing[0]
+            while len(self._planners) >= self.max_planners:
+                self._planners.popitem(last=False)
+            self._planners[key] = (planner, time.monotonic())
+            return planner
+
+    def solve(self, job: SolveJob) -> dict[str, Any]:
+        """The job's record; a stored error record is returned, not raised."""
+        record = solve_cell(
+            self.planner(job),
+            job.fingerprint,
+            job.label,
+            job.solver,
+            job.seed,
+            job.verify,
+            self.reuse_results,
+            job.costs,
+        )
+        record["fingerprint"] = job.fingerprint
+        return record
+
+    def expire(self, ttl: float, now: float) -> int:
+        """Drop planners built ``ttl`` seconds before ``now``; the count."""
+        with self._lock:
+            stale = [
+                key
+                for key, (_, stamp) in self._planners.items()
+                if now - stamp >= ttl
+            ]
+            for key in stale:
+                del self._planners[key]
+        return len(stale)
+
+    def warm(self, k: int) -> tuple[int, int]:
+        """Preload the ``k`` most-requested stored workflows; ``(warmed, failed)``.
+
+        For each: rebuild the instance from the meta tier's serialized
+        payload (through :attr:`instances`, so requests for the same content
+        map onto the *same object* and hit the identity-keyed tables),
+        compile its kernel pack, and load every stored requirement point.
+        A fingerprint this runner already warmed is skipped, so repeated
+        passes only pick up respawns and shifted popularity.  Failures are
+        isolated per workflow and counted.
+        """
+        store = self.cache.store
+        if store is None or k <= 0:
+            return 0, 0
+        warmed = failed = 0
+        for fingerprint, _count, payload in store.popular_workflows(k):
+            if fingerprint in self._warmed:
+                continue
+            try:
+                workflow, resolved = self.instances.resolve("workflow", payload)
+                if resolved != fingerprint:
+                    raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
+                self.cache.compiled_workflow(workflow)
+                for gamma, kind, backend in store.stored_requirement_points(
+                    fingerprint
+                ):
+                    self.cache.requirements(workflow, gamma, kind, backend=backend)
+            except Exception:  # noqa: BLE001 - warm-up is best-effort
+                failed += 1
+                continue
+            self._warmed.add(fingerprint)
+            warmed += 1
+        return warmed, failed
 
 
 def decode_json(raw: bytes) -> Any:

@@ -7,10 +7,8 @@ pool — so slow solves occupy pool slots, not the accept loop.
 
 Routes (v1 API)
 ---------------
-Every endpoint is mounted under ``/v1/``; the unprefixed spellings from
-before the API was versioned still answer identically, but carry a
-``Deprecation: true`` header (plus a ``Link`` to the ``/v1`` successor) so
-clients and fleets can migrate on their own schedule.
+Every endpoint is mounted under ``/v1/``, the one spelling of each route;
+any path outside it answers the enveloped 404.
 
 ``GET /v1/healthz``
     Liveness: ``{"status": "ok" | "draining" | "unhealthy", "draining":
@@ -78,8 +76,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from ..exceptions import ProvenanceError
-from .jobs import ServiceError, decode_json, error_envelope
+from .jobs import ServiceError, decode_json, error_envelope, status_of
 from .service import SolveService
 
 __all__ = ["HTTPFront", "ServiceServer", "normalize_path"]
@@ -92,16 +89,15 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 API_PREFIX = "/v1"
 
 
-def normalize_path(path: str) -> tuple[str, bool]:
-    """Map a request path onto the canonical route and a legacy flag.
+def normalize_path(path: str) -> str | None:
+    """The un-versioned route of a request path; ``None`` outside ``/v1``.
 
-    ``/v1/solve`` → ``("/solve", False)``; the deprecated unprefixed
-    ``/solve`` → ``("/solve", True)``.  The fleet front shares this helper
-    so both layers agree on what counts as a legacy spelling.
+    ``/v1/solve`` → ``"/solve"``; ``/solve`` → ``None``.  Both fronts
+    route through the one handler that calls this.
     """
     if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-        return path[len(API_PREFIX):] or "/", False
-    return path, True
+        return path[len(API_PREFIX):] or "/"
+    return None
 
 
 def _scrub_nonfinite(value: Any) -> Any:
@@ -134,7 +130,7 @@ def encode_json(payload: Any) -> bytes:
 class _Handler(BaseHTTPRequestHandler):
     """Request framing and responses for one :class:`HTTPFront`.
 
-    The handler owns the wire — body framing, route normalization, the
+    The handler owns the wire — body framing, the ``/v1`` prefix, the
     single-write response, error envelopes, busy/idle marking for the
     drain — and the front answers ``front.dispatch(method, route, body)``.
     """
@@ -166,13 +162,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._legacy_path:
-            # The unversioned spelling still answers byte-identically, but
-            # tells clients where the supported route lives.
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f"<{API_PREFIX}{self._legacy_path}>; rel=\"successor-version\""
-            )
         if self.close_connection or self.front.closing:
             # Draining (or unframed leftovers): finish this exchange, then
             # let the socket go so server_close() never waits on a parked
@@ -187,15 +176,9 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _fail(self, exc: BaseException) -> None:
-        if isinstance(exc, ServiceError):
-            self._respond(exc.status, exc.as_dict())
-        elif isinstance(exc, ProvenanceError):
-            # Well-formed request, unsolvable instance (unknown solver,
-            # infeasible requirements, work limits): the client's fault
-            # semantically, but not a malformed message.
-            self._respond(422, error_envelope(type(exc).__name__, str(exc), 422))
-        else:
-            self._respond(500, error_envelope(type(exc).__name__, str(exc), 500))
+        status = status_of(exc)
+        error_type = getattr(exc, "error_type", type(exc).__name__)
+        self._respond(status, error_envelope(error_type, str(exc), status))
 
     def _read_body(self) -> bytes:
         """The request body, framed by ``Content-Length``.
@@ -222,11 +205,13 @@ class _Handler(BaseHTTPRequestHandler):
         raise ServiceError("a valid Content-Length is required", status=411)
 
     def _handle(self, method: str) -> None:
-        route, legacy = normalize_path(self.path)
-        self._legacy_path = route if legacy else None
         busy = self.front._mark_busy(self.connection)
         try:
-            self._respond(*self.front.dispatch(method, route, self._read_body()))
+            body = self._read_body()
+            route = normalize_path(self.path)
+            if route is None:
+                raise ServiceError(f"no such path {self.path!r}", status=404)
+            self._respond(*self.front.dispatch(method, route, body))
         except Exception as exc:  # noqa: BLE001 - a handler must always answer
             self._fail(exc)
         finally:

@@ -23,22 +23,27 @@ Request flow for ``solve_payload``:
 4. a leader submits the computation to the worker pool; completion is
    published through a done-callback, so a leader whose *wait* times out
    still resolves its followers and still populates the caches;
-5. inside the computation, the persistent store's result tier is probed
-   first (sharing entries with ``repro sweep --store`` and warm CLI runs),
-   then the planner solves through the shared thread-safe cache.
+5. the computation is the engine's one cell step, run by a
+   :class:`~repro.service.jobs.SolveRunner`: the persistent store's result
+   tier is probed first (sharing entries with ``repro sweep --store`` and
+   warm CLI runs), then the planner solves through the shared thread-safe
+   cache.
 
+Steps 2–3 are one *admit* step and the wait that follows is one *collect*
+step, shared by ``/solve``, ``/sweep`` and ``/jobs/sweep``:
 ``sweep_payload`` expands a grid into per-cell jobs and pushes them all
-through the *same* pipeline, so sweep cells coalesce with each other and
+through the same two steps, so sweep cells coalesce with each other and
 with concurrent ``/solve`` traffic, and overlapping workflows share the
 module tier (``reused_modules`` in ``/metrics`` counts it).
 
 Where a leader computation *burns CPU* is the execution tier
 (``exec_mode``): ``"threads"`` runs it on the pool thread itself (one core,
 GIL-bound), ``"processes"`` ships it to a persistent
-:class:`~repro.service.exec_tier.ProcessExecTier` worker so K distinct
-concurrent requests use K cores.  Either way the pool thread owns the
-coalescer publication, so everything above this paragraph is
-mode-independent.
+:class:`~repro.service.exec_tier.ProcessExecTier` worker, which runs its
+own :class:`~repro.service.jobs.SolveRunner`, so K distinct concurrent
+requests use K cores.  Either way the pool thread owns the coalescer
+publication and reads the returned record, so everything above this
+paragraph is mode-independent.
 
 Shutdown is graceful by construction: :meth:`SolveService.drain` stops
 admitting new work (503), waits for every in-flight computation to publish
@@ -53,25 +58,25 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping
 
-from ..engine import DerivationCache, Planner
-from ..engine.store import DerivationStore, ResultKey
+from ..engine import DerivationCache
+from ..engine.executor import error_record
+from ..engine.store import DerivationStore
 from .background import JobManager, MaintenanceScheduler
 from .coalescer import RequestCoalescer
 from .exec_tier import ProcessExecTier, TierUnavailable
 from .jobs import (
-    InstanceCache,
+    PLANNER_LIMIT,
     ServiceError,
     ServiceTimeout,
     SolveJob,
+    SolveRunner,
     parse_solve_payload,
 )
 
 __all__ = ["SolveService"]
 
-#: Default bounds on memoized planners and completed-result records (FIFO
-#: eviction; override per service via ``planner_cache_size`` /
-#: ``result_cache_size``).
-STATE_LIMIT = 128
+#: Default bound on completed-result records (FIFO eviction; override per
+#: service via ``result_cache_size``).
 RESULT_LIMIT = 256
 
 
@@ -147,7 +152,7 @@ class SolveService:
         default_timeout: float | None = 60.0,
         reuse_results: bool = True,
         result_cache_size: int = RESULT_LIMIT,
-        planner_cache_size: int = STATE_LIMIT,
+        planner_cache_size: int = PLANNER_LIMIT,
         result_ttl: float | None = None,
         job_ttl: float | None = 600.0,
         max_jobs: int = 256,
@@ -193,22 +198,24 @@ class SolveService:
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
             store = DerivationStore(store)
         self.cache = DerivationCache(store=store)
-        self.registry = registry
+        #: The in-process solve state; the thread tier (and the process
+        #: tier's inline fallback) computes through it.
+        self.runner = SolveRunner(
+            self.cache, registry, reuse_results, planner_cache_size
+        )
+        self.instances = self.runner.instances
         self.replica_id = replica_id
         self.workers = workers
         self.default_timeout = default_timeout
         self.reuse_results = reuse_results
         self.result_cache_size = result_cache_size
-        self.planner_cache_size = planner_cache_size
         self.result_ttl = result_ttl
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-solve"
         )
         self.coalescer = RequestCoalescer()
-        self.instances = InstanceCache()
-        # Both memo tables stamp entries with their insertion time so the
-        # TTL task (and lazy lookups) can expire them.
-        self._planners: OrderedDict[tuple, tuple[Planner, float]] = OrderedDict()
+        # Result entries are stamped with their insertion time so the TTL
+        # task (and lazy lookups) can expire them.
         self._results: OrderedDict[tuple, tuple[dict[str, Any], float]] = OrderedDict()
         self._state = threading.Lock()
         self._idle = threading.Condition(self._state)
@@ -281,40 +288,7 @@ class SolveService:
         with self._state:
             return self._in_flight
 
-    # -- planner and result memoization -----------------------------------------
-    def _planner_for(self, job: SolveJob) -> Planner:
-        key = (job.source, job.fingerprint, job.gamma, job.kind, job.backend)
-        with self._state:
-            entry = self._planners.get(key)
-            if entry is not None:
-                return entry[0]
-        if job.source == "workflow":
-            planner = Planner(
-                job.instance,
-                job.gamma,
-                kind=job.kind,
-                cache=self.cache,
-                registry=self.registry,
-                backend=job.backend,
-            )
-        else:
-            planner = Planner.from_problem(
-                job.instance,
-                cache=self.cache,
-                registry=self.registry,
-                backend=job.backend,
-            )
-        with self._state:
-            # First construction wins so concurrent requests converge on one
-            # planner (and therefore one identity-keyed cache entry set).
-            existing = self._planners.get(key)
-            if existing is not None:
-                return existing[0]
-            while len(self._planners) >= self.planner_cache_size:
-                self._planners.popitem(last=False)
-            self._planners[key] = (planner, time.monotonic())
-            return planner
-
+    # -- result memoization -----------------------------------------------------
     def _remember_result(self, key: tuple, record: Mapping[str, Any]) -> None:
         if self.result_cache_size == 0:
             return
@@ -350,18 +324,15 @@ class SolveService:
         if self.result_ttl is None:
             return 0
         now = time.monotonic() if now is None else now
-        dropped = 0
         with self._state:
-            for table in (self._results, self._planners):
-                stale = [
-                    key
-                    for key, (_, stamp) in table.items()
-                    if now - stamp >= self.result_ttl
-                ]
-                for key in stale:
-                    del table[key]
-                dropped += len(stale)
-        return dropped
+            stale = [
+                key
+                for key, (_, stamp) in self._results.items()
+                if now - stamp >= self.result_ttl
+            ]
+            for key in stale:
+                del self._results[key]
+        return len(stale) + self.runner.expire(self.result_ttl, now)
 
     # -- popularity (persisted by maintenance into the store's meta tier) -------
     def _note_popularity(self, job: SolveJob) -> None:
@@ -391,76 +362,6 @@ class SolveService:
         return flushed
 
     # -- the computation (runs on a pool thread) --------------------------------
-    def _compute(self, job: SolveJob) -> dict[str, Any]:
-        before = self.cache.stats()
-        planner = self._planner_for(job)
-        gamma = planner.gamma if job.gamma is None else job.gamma
-        kind = planner.kind if job.kind is None else job.kind
-        result_key = ResultKey(
-            planner.backend, gamma, kind, job.solver, job.seed, job.verify
-        )
-        store = self.cache.store
-        # Cost overrides are excluded from the persistent result tier: its
-        # key has no cost dimension (by design — fingerprints exclude
-        # costs), so persisting an override would alias the base solve.
-        persistable = job.costs is None
-        if store is not None and self.reuse_results and persistable:
-            stored = store.load_result(job.fingerprint, result_key)
-            if stored is not None:
-                with self._state:
-                    self.result_hits_store += 1
-                if "error" in stored:
-                    # The sweep executor persists derivation-time
-                    # infeasibility as an error record (it is a pure
-                    # function of workflow content).  A fresh solve of
-                    # this request raises and maps to 422, so a
-                    # store-served repeat must answer identically — never
-                    # a 200 with cost Infinity (and never enter the
-                    # memory result cache as a "success").
-                    raise ServiceError(str(stored["error"]), status=422)
-                record = dict(stored)
-                record["workflow"] = job.label
-                record["from_store"] = True
-                record["fingerprint"] = job.fingerprint
-                # Same schema as a fresh computation: a (near-zero) cache
-                # delta, so clients never KeyError on which tier answered.
-                record["cache"] = self.cache.stats().delta(before).as_dict()
-                self._remember_result(job.key, record)
-                return record
-        result = planner.solve(
-            solver=job.solver,
-            seed=job.seed,
-            verify=job.verify,
-            costs=dict(job.costs) if job.costs else None,
-        )
-        # Per-record deltas are informational under concurrency (another
-        # request may tick the shared counters in between); the /metrics
-        # delta against the service baseline is the authoritative total.
-        delta = result.cache_stats.delta(before)
-        record: dict[str, Any] = {
-            "workflow": job.label,
-            "gamma": gamma,
-            "kind": kind,
-            "solver": job.solver,
-            "resolved_solver": result.solver,
-            "method": str(result.solution.meta.get("method", result.solver)),
-            "seed": job.seed,
-            "cost": result.cost,
-            "hidden_attributes": sorted(result.hidden_attributes),
-            "privatized_modules": sorted(result.privatized_modules),
-            "guarantee": result.guarantee,
-            "seconds": result.seconds,
-        }
-        if result.certificate is not None:
-            record["verified"] = result.certificate.ok
-        if store is not None and persistable:
-            store.save_result(job.fingerprint, result_key, record)
-        record["from_store"] = False
-        record["fingerprint"] = job.fingerprint
-        record["cache"] = delta.as_dict()
-        self._remember_result(job.key, record)
-        return record
-
     def _execute(self, job: SolveJob) -> dict[str, Any]:
         """Run one leader computation on the selected execution tier.
 
@@ -471,8 +372,10 @@ class SolveService:
         pool) falls back to inline execution (``exec.inline_fallbacks``);
         a failure *while computing* (including a worker crash) propagates
         to everyone attached to this leader, exactly like a thread-mode
-        solver failure.
+        solver failure.  Either tier answers with the runner's record,
+        read here the same way.
         """
+        record = None
         tier = self.exec_tier
         if tier is not None:
             try:
@@ -482,16 +385,37 @@ class SolveService:
                     self.exec_inline_fallbacks += 1
             else:
                 record = tier.wait(task)
-                if record.get("from_store"):
-                    with self._state:
-                        self.result_hits_store += 1
-                self._remember_result(job.key, record)
-                return record
-        return self._compute(job)
+        if record is None:
+            record = self.runner.solve(job)
+        if record["from_store"]:
+            with self._state:
+                self.result_hits_store += 1
+        if "error" in record:
+            # A persisted infeasibility (a pure function of workflow
+            # content) answers like the fresh solve that raised it: a 422,
+            # never a 200 with cost Infinity, and never a cached success.
+            raise ServiceError(str(record["error"]), status=422)
+        self._remember_result(job.key, record)
+        return record
 
     # -- admission and coalescing -----------------------------------------------
-    def _begin(self, job: SolveJob):
-        """Join (or start) the computation for a job; ``(is_leader, entry)``."""
+    def _admit(self, job: SolveJob) -> Any:
+        """Admit one job: a finished record, or a ``(leader, entry)`` to wait on.
+
+        Counts the request's popularity, answers a completed identical
+        request from the result cache, and otherwise joins the identical
+        in-flight computation — or, as its leader, starts it on the pool.
+        ``/solve``, ``/sweep`` and ``/jobs/sweep`` admit every job here;
+        :meth:`_collect` finishes it.
+        """
+        self._note_popularity(job)
+        if self.reuse_results:
+            record = self._lookup_result(job.key)
+            if record is not None:
+                with self._state:
+                    self.result_hits_memory += 1
+                record["coalesced"] = False
+                return record
         leader, entry = self.coalescer.join(job.key)
         if not leader:
             return leader, entry
@@ -532,6 +456,39 @@ class SolveService:
         future.add_done_callback(_publish)
         return leader, entry
 
+    def _collect(
+        self,
+        job: SolveJob,
+        admitted: Any,
+        timeout: float | None,
+        isolate: bool = False,
+    ) -> dict[str, Any]:
+        """Wait up to ``timeout`` for an admitted job; its record.
+
+        The record says whether it joined another request's computation
+        (``coalesced``).  A failure raises — or, with ``isolate`` (sweep and
+        job cells), is counted and answered as the cell's error record, so
+        one bad cell never fails its grid.
+        """
+        try:
+            if isinstance(admitted, dict):
+                return admitted
+            leader, entry = admitted
+            record = dict(self.coalescer.wait(entry, timeout))
+            record["coalesced"] = not leader
+            return record
+        except BaseException as exc:
+            if not isolate:
+                raise
+            self._count_failure(exc)
+            record = error_record(
+                job.label, job.gamma, job.kind, job.solver, job.seed, exc
+            )
+            # null, not float("inf"): Infinity is not valid JSON and this
+            # record crosses the HTTP boundary.
+            record["cost"] = None
+            return record
+
     def _effective_timeout(self, job: SolveJob) -> float | None:
         return job.timeout if job.timeout is not None else self.default_timeout
 
@@ -539,18 +496,7 @@ class SolveService:
         """Run one job end to end (blocking); the solve record."""
         if self.draining:
             raise ServiceError("service is draining", status=503)
-        self._note_popularity(job)
-        if self.reuse_results:
-            record = self._lookup_result(job.key)
-            if record is not None:
-                with self._state:
-                    self.result_hits_memory += 1
-                record["coalesced"] = False
-                return record
-        leader, entry = self._begin(job)
-        record = dict(self.coalescer.wait(entry, self._effective_timeout(job)))
-        record["coalesced"] = not leader
-        return record
+        return self._collect(job, self._admit(job), self._effective_timeout(job))
 
     # -- public endpoints --------------------------------------------------------
     def solve_payload(self, body: Any) -> dict[str, Any]:
@@ -590,21 +536,7 @@ class SolveService:
         started = time.perf_counter()
         before = self.cache.stats()
         coalesced_before = self.coalescer.coalesced
-        # Same admission path as /solve: completed identical cells come
-        # straight from the result cache; the rest join (or start) their
-        # computation.  `begun` holds either a finished record or a
-        # (leader, entry) pair to wait on.
-        begun: list[Any] = []
-        for job in jobs:
-            self._note_popularity(job)
-            record = self._lookup_result(job.key) if self.reuse_results else None
-            if record is not None:
-                with self._state:
-                    self.result_hits_memory += 1
-                record["coalesced"] = False
-                begun.append(record)
-            else:
-                begun.append(self._begin(job))
+        admitted = [self._admit(job) for job in jobs]
         # One deadline for the whole request, shared by every cell wait —
         # not one full timeout per cell (a 20-cell grid is one request,
         # not 20 requests' worth of patience).
@@ -613,38 +545,11 @@ class SolveService:
         )
         deadline = None if timeout is None else time.monotonic() + timeout
         records: list[dict[str, Any]] = []
-        for index, (job, outcome) in enumerate(zip(jobs, begun)):
-            try:
-                if isinstance(outcome, dict):
-                    record = outcome
-                else:
-                    leader, entry = outcome
-                    remaining = (
-                        None if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    record = dict(self.coalescer.wait(entry, remaining))
-                    record["coalesced"] = not leader
-            except BaseException as exc:
-                self._count_failure(exc)
-                record = {
-                    "workflow": job.label,
-                    "gamma": job.gamma,
-                    "kind": job.kind,
-                    "solver": job.solver,
-                    "seed": job.seed,
-                    "method": job.solver,
-                    # null, not float("inf"): Infinity is not valid JSON
-                    # and this report crosses the HTTP boundary.
-                    "cost": None,
-                    "error": str(exc),
-                    # WorkerError forwards the original class name from the
-                    # process tier, keeping reports mode-independent.
-                    "error_type": getattr(
-                        exc, "error_type", type(exc).__name__
-                    ),
-                    "from_store": False,
-                }
+        for index, (job, outcome) in enumerate(zip(jobs, admitted)):
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            record = self._collect(job, outcome, remaining, isolate=True)
             record["index"] = index
             records.append(record)
         delta = self.cache.stats().delta(before)

@@ -286,6 +286,25 @@ class TestStoreBackedProcessTier:
             assert second.drain(timeout=30)
 
 
+class TestWorkerRunner:
+    def test_worker_planner_table_is_bounded(self):
+        """A worker's runner evicts planners past the service's default bound."""
+        from repro.core import Workflow
+        from repro.engine.executor import WorkerContext
+        from repro.service import SolveRunner
+        from repro.service.jobs import PLANNER_LIMIT
+        from repro.workloads import random_total_module, workflow_to_dict
+
+        # Built the way a worker process builds its runner.
+        runner = SolveRunner(WorkerContext(None).cache)
+        for index in range(PLANNER_LIMIT + 8):
+            module = random_total_module(index, 2, 1, f"m{index}", f"a{index}_")
+            workflow = Workflow([module], name=f"w{index}")
+            body = {"workflow": workflow_to_dict(workflow), "gamma": 2}
+            runner.solve(parse_solve_payload(body, runner.instances))
+        assert len(runner._planners) == PLANNER_LIMIT
+
+
 class TestConstruction:
     def test_exec_workers_requires_process_mode(self):
         with pytest.raises(ValueError, match="exec_workers requires"):

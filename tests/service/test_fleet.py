@@ -30,13 +30,13 @@ from repro.workloads import figure1_workflow, workflow_to_dict
 
 class TestHelpers:
     def test_normalize_path(self):
-        assert normalize_path("/v1/solve") == ("/solve", False)
-        assert normalize_path("/v1/jobs/abc") == ("/jobs/abc", False)
-        assert normalize_path("/v1") == ("/", False)
-        assert normalize_path("/solve") == ("/solve", True)
-        assert normalize_path("/healthz") == ("/healthz", True)
+        assert normalize_path("/v1/solve") == "/solve"
+        assert normalize_path("/v1/jobs/abc") == "/jobs/abc"
+        assert normalize_path("/v1") == "/"
+        assert normalize_path("/solve") is None
+        assert normalize_path("/healthz") is None
         # /v1x is not the version prefix.
-        assert normalize_path("/v1x/solve") == ("/v1x/solve", True)
+        assert normalize_path("/v1x/solve") is None
 
     def test_merge_numeric_sums_leaves_and_skips_identity(self):
         totals: dict = {}
@@ -217,11 +217,24 @@ class TestFleetServing:
             fleet_client.job("unprefixed-id")
         assert excinfo.value.status == 404
 
-    def test_legacy_alias_at_the_front_answers_deprecation_header(self, fleet):
-        with urllib.request.urlopen(f"{fleet.url}/healthz", timeout=30) as response:
-            assert response.status == 200
-            assert response.headers.get("Deprecation") == "true"
-            assert "/v1/healthz" in response.headers.get("Link", "")
+    def test_unprefixed_paths_answer_the_enveloped_404(self, fleet):
+        """Only ``/v1`` routes exist, on a replica and through the front."""
+        for url in (fleet.url, fleet.replicas[0].url):
+            for method, path in (("GET", "/healthz"), ("POST", "/solve")):
+                request = urllib.request.Request(
+                    f"{url}{path}",
+                    data=b"{}" if method == "POST" else None,
+                    method=method,
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=30)
+                assert excinfo.value.code == 404
+                envelope = json.loads(excinfo.value.read())["error"]
+                assert envelope == {
+                    "type": "ServiceError",
+                    "message": f"no such path {path!r}",
+                    "status": 404,
+                }
 
     def test_unknown_route_is_enveloped_404(self, fleet_client):
         with pytest.raises(ServiceClientError) as excinfo:

@@ -152,3 +152,45 @@ class TestCanonicalization:
             thread.join(timeout=30)
         assert all(job is not None for job in jobs)
         assert len({id(job.instance) for job in jobs}) == 1
+
+    def test_concurrent_first_jobs_converge_on_one_bounded_planner_table(
+        self, figure1_payload
+    ):
+        """Racing cold jobs share one planner per key; the bound always holds."""
+        import sys
+        import threading
+
+        from repro.engine import DerivationCache
+        from repro.service import SolveRunner
+
+        runner = SolveRunner(DerivationCache(), max_planners=2)
+        jobs = [
+            parse_solve_payload(_solve_body(figure1_payload, gamma=g), runner.instances)
+            for g in (2, 3, 4)
+        ]
+        slots = 12  # more threads than cores, several per key
+        planners = [None] * slots
+        sizes: list[int] = []
+        barrier = threading.Barrier(slots)
+
+        def build(slot: int) -> None:
+            barrier.wait(timeout=30)
+            planners[slot] = runner.planner(jobs[slot % 2])
+            sizes.append(len(runner._planners))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(slots)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sizes) == slots and max(sizes) <= 2
+        assert len({id(planners[i]) for i in range(0, slots, 2)}) == 1
+        assert len({id(planners[i]) for i in range(1, slots, 2)}) == 1
+        runner.planner(jobs[2])  # a third key evicts the oldest
+        assert len(runner._planners) == 2

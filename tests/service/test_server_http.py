@@ -68,32 +68,7 @@ class TestRoutes:
 
 
 class TestV1Surface:
-    """The versioned API: /v1 routes, legacy aliases, version, keep-alive."""
-
-    def _get(self, url: str):
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, dict(response.headers), json.loads(
-                response.read().decode("utf-8")
-            )
-
-    def test_v1_and_legacy_routes_answer_identically(self, served):
-        _, server, _ = served
-        status_v1, headers_v1, body_v1 = self._get(f"{server.url}/v1/healthz")
-        status_legacy, headers_legacy, body_legacy = self._get(
-            f"{server.url}/healthz"
-        )
-        assert status_v1 == status_legacy == 200
-        # uptime ticks between the two calls; everything else is identical.
-        body_v1.pop("uptime_seconds"), body_legacy.pop("uptime_seconds")
-        assert body_v1 == body_legacy
-
-    def test_legacy_alias_answers_deprecation_header(self, served):
-        _, server, _ = served
-        _, headers, _ = self._get(f"{server.url}/healthz")
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/healthz" in headers.get("Link", "")
-        _, headers_v1, _ = self._get(f"{server.url}/v1/healthz")
-        assert "Deprecation" not in headers_v1
+    """The versioned API: /v1 routes, version, keep-alive, envelopes."""
 
     def test_version_reports_package_api_and_store_formats(self, served, tmp_path):
         _, _, client = served
@@ -113,16 +88,6 @@ class TestV1Surface:
         finally:
             server.stop(drain_timeout=30)
 
-    def test_client_negotiates_legacy_base_path(self, served):
-        _, server, _ = served
-        client = ServiceClient(server.url, timeout=30)
-        assert client._negotiated_base() == "/v1"
-        # A pre-v1 server 404s the probe; the client falls back to the
-        # unprefixed routes and keeps working.
-        legacy = ServiceClient(server.url, timeout=30)
-        legacy._base_path = ""
-        assert legacy.healthz()["status"] == "ok"
-
     def test_keep_alive_reuses_one_connection(self, served):
         _, server, client = served
         client.healthz()
@@ -140,21 +105,6 @@ class TestV1Surface:
         assert excinfo.value.error_type == "ServiceError"
         envelope = excinfo.value.payload["error"]
         assert envelope["status"] == 404 and "no such path" in envelope["message"]
-
-    def test_client_parses_legacy_flat_error_bodies(self):
-        from repro.service.client import _error_details
-
-        message, error_type = _error_details(
-            {"error": "service is draining", "status": 503}, "fallback"
-        )
-        assert message == "service is draining" and error_type is None
-        message, error_type = _error_details(
-            {"error": {"type": "ServiceTimeout", "message": "too slow",
-                       "status": 504}},
-            "fallback",
-        )
-        assert message == "too slow" and error_type == "ServiceTimeout"
-        assert _error_details({}, "fallback") == ("fallback", None)
 
 
 class TestKeepAliveLatency:
@@ -196,7 +146,6 @@ class TestKeepAliveLatency:
 
         def connect() -> None:
             client = ServiceClient(server.url, timeout=30)
-            client._base_path = "/v1"  # no probe: one fresh connect each
             barrier.wait(timeout=30)
             started = time.perf_counter()
             client.healthz()
@@ -218,7 +167,7 @@ class TestErrorMapping:
             client.request("POST", "/solve", payload=None)  # empty body
         assert excinfo.value.status == 400
         request = urllib.request.Request(
-            f"{server.url}/solve",
+            f"{server.url}/v1/solve",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -234,7 +183,9 @@ class TestErrorMapping:
     def test_invalid_payload_is_400_with_reason(self, served):
         _, _, client = served
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit({"workflow": {"modules": []}, "gamma": "two"})
+            client.request(
+                "POST", "/solve", {"workflow": {"modules": []}, "gamma": "two"}
+            )
         assert excinfo.value.status == 400
         assert "gamma" in str(excinfo.value)
 
@@ -257,7 +208,7 @@ class TestErrorMapping:
         """Partial-failure sweep reports must parse under RFC 8259 rules."""
         _, server, _ = served
         request = urllib.request.Request(
-            f"{server.url}/sweep",
+            f"{server.url}/v1/sweep",
             data=json.dumps(
                 {"workflows": [figure1_payload], "solvers": ["no-such-solver"]}
             ).encode("utf-8"),
@@ -287,9 +238,7 @@ class TestErrorMapping:
                 # No request-level timeout: the server would hold the
                 # connection for its 30s default, far past the socket
                 # deadline.
-                impatient.submit(
-                    {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
-                )
+                impatient.solve(workflow=figure1_payload, gamma=2, solver="blocker")
             assert excinfo.value.status == 0
             assert "timed out" in str(excinfo.value)
         finally:
@@ -302,9 +251,8 @@ class TestErrorMapping:
         try:
             client = ServiceClient(server.url, timeout=30)
             with pytest.raises(ServiceClientError) as excinfo:
-                client.submit(
-                    {"workflow": figure1_payload, "gamma": 2,
-                     "solver": "blocker", "timeout": 0.05}
+                client.solve(
+                    workflow=figure1_payload, gamma=2, solver="blocker", timeout=0.05
                 )
             assert excinfo.value.status == 504
         finally:
@@ -317,7 +265,7 @@ class TestJobRoutes:
         _, server, client = served
         # 202 on the wire: accepted, not done.
         request = urllib.request.Request(
-            f"{server.url}/jobs/sweep",
+            f"{server.url}/v1/jobs/sweep",
             data=json.dumps(
                 {"workflows": [figure1_payload], "solvers": ["exact", "greedy"]}
             ).encode("utf-8"),
@@ -383,7 +331,7 @@ class TestJobRoutes:
     def test_malformed_grid_is_400_not_a_job(self, served):
         _, _, client = served
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit_sweep_job({"workflows": "nope"})
+            client.request("POST", "/jobs/sweep", {"workflows": "nope"})
         assert excinfo.value.status == 400
         assert client.jobs() == []
 
@@ -398,9 +346,7 @@ class TestShutdown:
         assert health["status"] == "ok" and health["draining"] is False
 
         def call() -> None:
-            client.submit(
-                {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
-            )
+            client.solve(workflow=figure1_payload, gamma=2, solver="blocker")
 
         request_thread = threading.Thread(target=call)
         request_thread.start()
@@ -423,7 +369,7 @@ class TestShutdown:
         service = SolveService(workers=1, default_timeout=30)
         server = ServiceServer(service, port=0).start()
         client = ServiceClient(server.url, timeout=30)
-        client.submit({"workflow": figure1_payload, "gamma": 2})
+        client.solve(workflow=figure1_payload, gamma=2)
         ack = client.shutdown()
         assert ack["status"] == "shutting down"
         server._thread.join(timeout=30)
@@ -441,8 +387,8 @@ class TestShutdown:
         outcome: dict = {}
 
         def call() -> None:
-            outcome["record"] = client.submit(
-                {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
+            outcome["record"] = client.solve(
+                workflow=figure1_payload, gamma=2, solver="blocker"
             )
 
         request_thread = threading.Thread(target=call)

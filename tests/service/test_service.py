@@ -29,10 +29,12 @@ class TestModuleTierReuse:
         assert metrics["coalesced"] == 0  # distinct keys — sharing, not coalescing
         assert service.drain(timeout=30)
 
+    @pytest.mark.parametrize("exec_mode", ["threads", "processes"])
     def test_stored_error_records_answer_422_like_a_fresh_solve(
-        self, tmp_path, figure1_payload
+        self, tmp_path, figure1_payload, exec_mode
     ):
-        """A sweep-persisted infeasibility record must not become a 200."""
+        """A sweep-persisted infeasibility record must not become a 200, and
+        every repeat is a store hit, whichever tier reads the store."""
         from repro.engine.store import DerivationStore, ResultKey
         from repro.service import InstanceCache, parse_solve_payload
 
@@ -50,15 +52,43 @@ class TestModuleTierReuse:
                 "error_type": "RequirementError",
             },
         )
-        service = SolveService(store=store, workers=1, default_timeout=30)
-        with pytest.raises(ServiceError) as excinfo:
-            service.solve_payload(dict(body))
-        assert excinfo.value.status == 422
-        assert "empty requirement list" in str(excinfo.value)
-        # The error was never memorized as a success either.
-        with pytest.raises(ServiceError):
-            service.solve_payload(dict(body))
-        assert service.drain(timeout=30)
+        service = SolveService(
+            store=store,
+            workers=1,
+            default_timeout=30,
+            maintenance_interval=None,
+            exec_mode=exec_mode,
+        )
+        try:
+            for _ in range(2):
+                with pytest.raises(ServiceError) as excinfo:
+                    service.solve_payload(dict(body))
+                assert excinfo.value.status == 422
+                assert "empty requirement list" in str(excinfo.value)
+            # Never memorized as a success: both answers read the store.
+            assert service.metrics()["result_hits"]["store"] == 2
+        finally:
+            assert service.drain(timeout=30)
+
+    def test_derivation_infeasibility_is_persisted_and_repeats_from_the_store(
+        self, tmp_path, figure1_payload
+    ):
+        from repro.exceptions import RequirementError
+
+        body = {"workflow": figure1_payload, "gamma": 64, "kind": "set"}
+        store = str(tmp_path / "store")
+        first = SolveService(store=store, workers=1, default_timeout=30)
+        with pytest.raises(RequirementError) as fresh:  # answered as a 422
+            first.solve_payload(dict(body))
+        assert first.drain(timeout=30)
+        second = SolveService(store=store, workers=1, default_timeout=30)
+        with pytest.raises(ServiceError) as stored:
+            second.solve_payload(dict(body))
+        assert stored.value.status == 422
+        assert str(stored.value) == str(fresh.value)
+        assert second.metrics()["result_hits"]["store"] == 1
+        assert second.metrics()["cache"]["derivation_misses"] == 0
+        assert second.drain(timeout=30)
 
     def test_store_backed_service_shares_results_across_restarts(
         self, tmp_path, figure1_payload

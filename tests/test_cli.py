@@ -48,7 +48,7 @@ class TestInfoAndSolve:
     def test_solve_writes_solution(self, problem_file, tmp_path, capsys):
         out_path = tmp_path / "solution.json"
         code = main(
-            ["solve", problem_file, "--method", "exact", "--output", str(out_path)]
+            ["solve", problem_file, "--solver", "exact", "--output", str(out_path)]
         )
         assert code == 0
         payload = json.loads(out_path.read_text())
@@ -57,7 +57,7 @@ class TestInfoAndSolve:
 
     def test_solve_with_local_search(self, problem_file, capsys):
         assert (
-            main(["solve", problem_file, "--method", "greedy", "--local-search"]) == 0
+            main(["solve", problem_file, "--solver", "greedy", "--local-search"]) == 0
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["hidden_attributes"]
@@ -80,7 +80,7 @@ class TestInfoAndSolve:
 class TestVerifyAndAttack:
     def _solve(self, problem_file, tmp_path) -> str:
         out_path = tmp_path / "solution.json"
-        main(["solve", problem_file, "--method", "exact", "--output", str(out_path)])
+        main(["solve", problem_file, "--solver", "exact", "--output", str(out_path)])
         return str(out_path)
 
     def test_verify_accepts_good_solution(self, problem_file, tmp_path):
@@ -411,6 +411,44 @@ class TestServeFlagValidation:
     def test_store_maintenance_flags_require_a_store(self, flags, capsys):
         assert main(["serve", *flags]) == 2
         assert "requires --store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--warmup", "3"], ["--exec-workers", "2"]])
+    def test_fleet_applies_the_same_cross_flag_checks(self, flags, capsys):
+        assert main(["fleet", *flags]) == 2  # refused before any replica spawns
+        assert "requires --" in capsys.readouterr().err
+
+
+class TestFleetReplicaArgv:
+    def test_replicas_receive_every_shared_flag_as_given(self):
+        import argparse
+
+        from repro.cli import _replica_argv, build_parser
+
+        parser = build_parser()
+        commands = next(
+            action.choices
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+        def flag_dests(command: str) -> set[str]:
+            actions = commands[command]._actions
+            return {a.dest for a in actions if a.option_strings} - {"help"}
+
+        shared = flag_dests("serve") & flag_dests("fleet")
+        assert len(shared) == 11
+        given = (
+            "--workers 3 --exec processes --exec-workers 2 --timeout 12.5 "
+            "--result-cache-size 0 --warmup 4 --maintenance-interval 0 "
+            "--store s --no-quiet"
+        ).split()
+        for flags in ([], given):
+            fleet = parser.parse_args(["fleet", *flags])
+            # The supervisor adds --store itself; the front keeps host/port.
+            argv = ["serve", "--store", fleet.store, *_replica_argv(fleet)]
+            replica = parser.parse_args(argv)
+            for dest in shared - {"host", "port"}:
+                assert getattr(replica, dest) == getattr(fleet, dest), dest
 
 
 class TestStoreMaintenance:
