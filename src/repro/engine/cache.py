@@ -296,15 +296,21 @@ class DerivationCache:
 
     # -- content fingerprints -----------------------------------------------------
     @_locked
-    def fingerprint(self, workflow: Workflow) -> str:
-        """The workflow's content hash (store key), computed at most once."""
+    def fingerprint(self, workflow: Workflow, known: str | None = None) -> str:
+        """The workflow's content hash (store key), computed at most once.
+
+        ``known`` is the hash of the payload the caller rebuilt ``workflow``
+        from (:func:`~repro.workloads.fingerprint.instance_fingerprint`);
+        it is recorded instead of tabulating the workflow to hash it.
+        """
         key = self._pin(workflow)
         cached = self._fingerprints.get(key)
         if cached is None:
-            from ..workloads.fingerprint import workflow_fingerprint
+            if known is None:
+                from ..workloads.fingerprint import workflow_fingerprint
 
-            cached = workflow_fingerprint(workflow)
-            self._fingerprints[key] = cached
+                known = workflow_fingerprint(workflow)
+            cached = self._fingerprints[key] = known
         return cached
 
     @_locked

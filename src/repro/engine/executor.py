@@ -25,27 +25,35 @@ guarantee the serial path had:
   worker attaches a persistent :class:`~repro.engine.store.DerivationStore`
   as its cache's back tier, so derivations (and whole solve results) are
   shared *across* workers and *across* runs: a repeated sweep against a
-  warm store performs zero requirement derivations.
+  warm store performs zero requirement derivations;
+* **stored cells answered in the driver** — the driver hashes each
+  instance once from its payload
+  (:func:`~repro.workloads.fingerprint.instance_fingerprint`), answers
+  every workflow cell the store's result tier already holds, and groups
+  and dispatches only the rest, so a warm re-run of a grid is a store read
+  that starts no workers.
 
 Workflows carry arbitrary Python callables and cannot be pickled, so cells
 ship the *serialized* instance (the tabulated-functionality JSON payload of
-:mod:`repro.workloads.serialization`) and every worker rebuilds and caches
-it once per process.  Tabulation enumerates each module's input domain, so
-instances containing a very-high-arity module (e.g. the paper's Example-5
-star center at large n) should stay on the in-process path
-(``analysis.sweep``/``compare_solvers`` with ``n_jobs=1``) rather than be
-shipped through a :class:`SweepInstance`.
+:mod:`repro.workloads.serialization`) with its fingerprint, and every
+worker rebuilds and caches it once per process.  Tabulation enumerates
+each module's input domain, so instances containing a very-high-arity
+module (e.g. the paper's Example-5 star center at large n) should stay on
+the in-process path (``analysis.sweep``/``compare_solvers`` with
+``n_jobs=1``) rather than be shipped through a :class:`SweepInstance`.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..exceptions import RequirementError
+from ..kernel import resolve_backend
 from .cache import CacheStats, DerivationCache
 from .planner import Planner
 from .store import DerivationStore, ResultKey
@@ -141,6 +149,15 @@ class SweepSpec:
     backend: str | None = None
     verify: bool = False
     params: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Labels key the per-instance tables of the driver and its workers
+        # (fingerprints, rebuilt instances, planners): a repeated label
+        # would solve every cell carrying it on one of the instances.
+        counts = Counter(instance.label for instance in self.instances)
+        repeated = sorted(label for label, count in counts.items() if count > 1)
+        if repeated:
+            raise ValueError(f"sweep instance labels must be unique: {repeated}")
 
     def _pairs_for(self, label: str) -> tuple[tuple[str, int | None], ...]:
         if self.solver_seed_pairs is None:
@@ -273,21 +290,25 @@ class WorkerContext:
         self._instances: dict[str, tuple[Any, str]] = {}  # label -> (obj, fp)
         self._planners: dict[tuple, Planner] = {}
 
-    def _instance(self, instance: SweepInstance) -> tuple[Any, str]:
+    def _instance(
+        self, instance: SweepInstance, fingerprint: str | None
+    ) -> tuple[Any, str]:
         cached = self._instances.get(instance.label)
         if cached is not None:
             return cached
-        from ..workloads.fingerprint import payload_fingerprint
+        from ..workloads.fingerprint import instance_fingerprint
         from ..workloads.serialization import problem_from_dict, workflow_from_dict
 
+        # Built before hashing, so a payload that fails both ways reports
+        # the rebuild's error, as a cell always has.
         if instance.source == "workflow":
             obj = workflow_from_dict(instance.payload)
-            fingerprint = self.cache.fingerprint(obj)
         else:
             obj = problem_from_dict(instance.payload)
-            fingerprint = payload_fingerprint(
-                {"problem": instance.payload}
-            )
+        if fingerprint is None:
+            fingerprint = instance_fingerprint(instance.source, instance.payload)
+        if instance.source == "workflow":
+            self.cache.fingerprint(obj, fingerprint)
         built = (obj, fingerprint)
         self._instances[instance.label] = built
         return built
@@ -298,10 +319,17 @@ class WorkerContext:
         gamma: int | None,
         kind: str | None,
         backend: str | None,
+        fingerprint: str | None,
     ) -> tuple[Planner, str]:
+        """The memoized planner for one instance at one derivation point.
+
+        ``fingerprint`` is the instance's store key as the sweep driver
+        computed it, or ``None`` (the driver could not hash the payload),
+        in which case it is computed here and its error raised per cell.
+        """
         key = (instance.label, gamma, kind, backend)
         cached = self._planners.get(key)
-        obj, fingerprint = self._instance(instance)
+        obj, fingerprint = self._instance(instance, fingerprint)
         if cached is not None:
             return cached, fingerprint
         if instance.source == "workflow":
@@ -368,6 +396,17 @@ def error_record(
     }
 
 
+def _stored_record(
+    store: DerivationStore, fingerprint: str, key: tuple, label: str
+) -> dict[str, Any] | None:
+    """The result tier's record of one cell, relabelled and marked
+    ``from_store``; ``None`` when the store holds none."""
+    stored = store.load_result(fingerprint, key)
+    if stored is None:
+        return None
+    return {**stored, "workflow": label, "from_store": True}
+
+
 def solve_cell(
     planner: Planner,
     fingerprint: str,
@@ -398,15 +437,10 @@ def solve_cell(
     costs = dict(costs) if costs else None
     store = cache.store if costs is None else None
     if store is not None and reuse_results:
-        stored = store.load_result(fingerprint, key)
-        if stored is not None:
-            delta = cache.stats().delta(before)
-            return {
-                **stored,
-                "workflow": label,
-                "from_store": True,
-                "cache": delta.as_dict(),
-            }
+        record = _stored_record(store, fingerprint, key, label)
+        if record is not None:
+            record["cache"] = cache.stats().delta(before).as_dict()
+            return record
     try:
         planner.problem(costs)
     except RequirementError as exc:
@@ -440,13 +474,18 @@ def solve_cell(
     return record
 
 
+def _cell_record(cell: SweepCell, record: dict[str, Any]) -> dict[str, Any]:
+    """Tag a cell's record with its grid index and report tags."""
+    record["index"] = cell.index
+    record.update(cell.params)
+    return record
+
+
 def _error_record(cell: SweepCell, exc: BaseException) -> dict[str, Any]:
     record = error_record(
         cell.label, cell.gamma, cell.kind, cell.solver, cell.seed, exc
     )
-    record["index"] = cell.index
-    record.update(cell.params)
-    return record
+    return _cell_record(cell, record)
 
 
 def _run_chunk_in(
@@ -454,6 +493,7 @@ def _run_chunk_in(
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """Run one chunk of cells (one family's worth) and report stat deltas."""
     instances: Mapping[str, SweepInstance] = chunk["instances"]
+    fingerprints: Mapping[str, str | None] = chunk["fingerprints"]
     cells: Sequence[SweepCell] = chunk["cells"]
     records: list[dict[str, Any]] = []
     before_chunk = context.cache.stats()
@@ -461,7 +501,11 @@ def _run_chunk_in(
     for cell in cells:
         try:
             planner, fingerprint = context.planner(
-                instances[cell.label], cell.gamma, cell.kind, chunk["backend"]
+                instances[cell.label],
+                cell.gamma,
+                cell.kind,
+                chunk["backend"],
+                fingerprints[cell.label],
             )
             record = solve_cell(
                 planner,
@@ -476,9 +520,7 @@ def _run_chunk_in(
             records.append(_error_record(cell, exc))
             continue
         result_hits += record["from_store"]
-        record["index"] = cell.index
-        record.update(cell.params)
-        records.append(record)
+        records.append(_cell_record(cell, record))
     chunk_delta = context.cache.stats().delta(before_chunk).as_dict()
     chunk_delta["result_store_hits"] = result_hits
     return records, chunk_delta
@@ -569,8 +611,71 @@ def _families(instances: Sequence[SweepInstance]) -> list[list[str]]:
     return list(families.values())
 
 
+def _instance_fingerprints(
+    instances: Sequence[SweepInstance],
+) -> dict[str, str | None]:
+    """Each instance's store key, hashed once from its payload.
+
+    ``None`` marks a payload that does not fingerprint: its cells skip
+    the store probe and dispatch, and the worker reports the error per
+    cell.
+    """
+    from ..workloads.fingerprint import instance_fingerprint
+
+    fingerprints: dict[str, str | None] = {}
+    for instance in instances:
+        try:
+            fingerprints[instance.label] = instance_fingerprint(
+                instance.source, instance.payload
+            )
+        except Exception:  # noqa: BLE001 - the worker reports it per cell
+            fingerprints[instance.label] = None
+    return fingerprints
+
+
+def _answer_stored(
+    spec: SweepSpec,
+    cells: Sequence[SweepCell],
+    fingerprints: Mapping[str, str | None],
+    store: DerivationStore,
+) -> tuple[list[dict[str, Any]], list[SweepCell]]:
+    """Answer every workflow cell the result tier holds.
+
+    Returns the answered records — exactly what a worker's store hit
+    produces — and the cells left to dispatch.  ``problem`` cells always
+    dispatch: their Γ and kind live in the payload, not the grid.
+    """
+    records: list[dict[str, Any]] = []
+    try:
+        backend = resolve_backend(spec.backend)
+    except ValueError:
+        return records, list(cells)  # workers report the bad backend per cell
+    verify = bool(spec.verify)
+    workflows = {i.label for i in spec.instances if i.source == "workflow"}
+    remaining: list[SweepCell] = []
+    for cell in cells:
+        fingerprint = fingerprints.get(cell.label)
+        record = None
+        if fingerprint is not None and cell.label in workflows:
+            key = ResultKey(
+                backend, cell.gamma, cell.kind, cell.solver, cell.seed, verify
+            )
+            record = _stored_record(store, fingerprint, key, cell.label)
+        if record is None:
+            remaining.append(cell)
+        else:
+            record["cache"] = CacheStats().as_dict()
+            records.append(_cell_record(cell, record))
+    return records, remaining
+
+
 def _chunks_for(
-    spec: SweepSpec, store_path: str | None, reuse_results: bool, chunk_size: int | None
+    spec: SweepSpec,
+    store_path: str | None,
+    reuse_results: bool,
+    chunk_size: int | None,
+    cells: Sequence[SweepCell] | None = None,
+    fingerprints: Mapping[str, str | None] | None = None,
 ) -> list[dict[str, Any]]:
     """Group cells by (shared-module family, Γ, kind) to share derivations.
 
@@ -581,35 +686,47 @@ def _chunks_for(
     are per-(Γ, kind) anyway, so splitting there keeps a single-instance
     multi-Γ grid parallel instead of collapsing it into one serial chunk.
     ``chunk_size`` additionally caps cells per dispatched chunk, trading
-    sharing for load balance.
+    sharing for load balance.  ``cells`` (default: the whole grid) are the
+    cells to dispatch; only their instances are grouped.  Each chunk
+    carries its instances' ``fingerprints`` (a missing one is computed by
+    the worker).
     """
-    by_instance = {instance.label: instance for instance in spec.instances}
+    if cells is None:
+        cells = spec.cells()
+    fingerprints = fingerprints or {}
+    pending = {cell.label for cell in cells}
+    by_instance = {
+        instance.label: instance
+        for instance in spec.instances
+        if instance.label in pending
+    }
     family_of = {
         label: index
-        for index, family in enumerate(_families(spec.instances))
+        for index, family in enumerate(_families(list(by_instance.values())))
         for label in family
     }
     grouped: dict[tuple, list[SweepCell]] = {}
-    for cell in spec.cells():
+    for cell in cells:
         grouped.setdefault(
             (family_of[cell.label], cell.gamma, cell.kind), []
         ).append(cell)
     chunks: list[dict[str, Any]] = []
-    for cells in grouped.values():
+    for group in grouped.values():
         pieces = (
-            [cells]
+            [group]
             if not chunk_size
-            else [cells[i : i + chunk_size] for i in range(0, len(cells), chunk_size)]
+            else [group[i : i + chunk_size] for i in range(0, len(group), chunk_size)]
         )
         for piece in pieces:
+            # Ship only the payloads this piece actually touches —
+            # tabulated workflows can be large and chunks cross the
+            # process boundary.
+            labels = list(dict.fromkeys(c.label for c in piece))
             chunks.append(
                 {
-                    # Ship only the payloads this piece actually touches —
-                    # tabulated workflows can be large and chunks cross the
-                    # process boundary.
-                    "instances": {
-                        label: by_instance[label]
-                        for label in dict.fromkeys(c.label for c in piece)
+                    "instances": {label: by_instance[label] for label in labels},
+                    "fingerprints": {
+                        label: fingerprints.get(label) for label in labels
                     },
                     "cells": piece,
                     "backend": spec.backend,
@@ -651,33 +768,41 @@ def run_sweep(
     reuse_results:
         When a store is attached, serve previously-solved cells straight
         from it (``from_store: true`` in the record) instead of re-running
-        the solver.  Derivation-level sharing happens regardless.
+        the solver.  The driver answers every stored workflow cell itself,
+        from one fingerprint per instance, and dispatches only the rest, so
+        a warm re-run starts no workers (``stats["chunks"] == 0``).
+        Derivation-level sharing happens regardless.
     chunk_size:
         Maximum cells per dispatched chunk; defaults to "all solver×seed
         cells of one (shared-module family, Γ, kind) group", which
         maximizes derivation sharing.  Smaller chunks trade sharing for
         balance.
     """
+    started = time.perf_counter()
     if n_jobs <= 0:
         n_jobs = default_jobs()
-    store_instance: DerivationStore | None = None
-    if isinstance(store, DerivationStore):
-        store_instance = store
-        store_path: str | None = str(store.root)
-    elif store is not None:
-        store_path = str(store)
+    if store is None or isinstance(store, DerivationStore):
+        store_handle = store
     else:
-        store_path = None
+        store_handle = DerivationStore(store)
+    store_path = str(store_handle.root) if store_handle is not None else None
 
-    chunks = _chunks_for(spec, store_path, reuse_results, chunk_size)
-    started = time.perf_counter()
+    fingerprints = _instance_fingerprints(spec.instances)
     records: list[dict[str, Any]] = []
-    totals: dict[str, int] = {}
+    cells = spec.cells()
+    if store_handle is not None and reuse_results:
+        records, cells = _answer_stored(spec, cells, fingerprints, store_handle)
+    totals: dict[str, int] = {"result_store_hits": len(records)}
+    chunks = _chunks_for(
+        spec, store_path, reuse_results, chunk_size, cells, fingerprints
+    )
+    totals["chunks"] = len(chunks)
 
     if n_jobs == 1 or len(chunks) <= 1:
-        # In-process: reuse a caller-passed store instance so its counters
-        # reflect the run (worker processes always open their own).
-        context = WorkerContext(store_path, store=store_instance)
+        # In-process: reuse the driver's store handle, so a caller-passed
+        # store's counters reflect the run (worker processes always open
+        # their own).
+        context = WorkerContext(store_path, store=store_handle)
         for chunk in chunks:
             chunk_records, delta = _run_chunk_in(context, chunk)
             records.extend(chunk_records)
@@ -706,7 +831,6 @@ def run_sweep(
                     _merge_stats(totals, delta)
 
     records.sort(key=lambda record: record["index"])
-    totals.setdefault("result_store_hits", 0)
     for name in CacheStats().as_dict():
         totals.setdefault(name, 0)
     return SweepReport(

@@ -201,6 +201,9 @@ class DerivationStore:
         self.hits: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.misses: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.writes: dict[str, int] = {category: 0 for category in _CATEGORIES}
+        #: Fingerprints whose ``meta.json`` this handle knows to carry a
+        #: ``workflow_payload``, so a requirement save skips re-reading it.
+        self._meta_payloads: set[str] = set()
 
     # -- paths and raw IO -------------------------------------------------------
     def _dir(self, fingerprint: str) -> Path:
@@ -329,9 +332,12 @@ class DerivationStore:
         return payload if isinstance(payload, dict) else {}
 
     def _write_meta(self, fingerprint: str, workflow: "Workflow") -> None:
+        if fingerprint in self._meta_payloads:
+            return
         meta_path = self._dir(fingerprint) / "meta.json"
         existing = self._read_raw(meta_path)
         if existing.get("workflow_payload") is not None:
+            self._meta_payloads.add(fingerprint)
             return
         from ..workloads.serialization import workflow_to_dict
 
@@ -355,6 +361,7 @@ class DerivationStore:
             meta_path,
             payload,
         )
+        self._meta_payloads.add(fingerprint)
 
     # -- requirements -----------------------------------------------------------
     def load_requirements(
@@ -855,6 +862,9 @@ class DerivationStore:
                 directory.rmdir()  # only succeeds when empty
             except OSError:
                 pass
+        # Forget which meta documents carry a payload only now, after the
+        # deletions, so a save racing this gc re-checks its entry.
+        self._meta_payloads.clear()
         return {
             "deleted_files": deleted_files,
             "freed_bytes": freed,

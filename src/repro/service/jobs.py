@@ -14,8 +14,8 @@ and requirement lists baked in) — plus solve parameters::
 Parsing produces a :class:`SolveJob`, whose :attr:`SolveJob.key` is the
 **coalescing key**: ``(workflow_fingerprint, backend, gamma, kind, solver,
 seed, verify)`` (plus the cost-override items when present).  The
-fingerprint reuses the store's content canonicalization
-(:func:`~repro.workloads.fingerprint.workflow_fingerprint`), so two clients
+fingerprint is the store's content key, hashed straight from the payload
+(:func:`~repro.workloads.fingerprint.instance_fingerprint`), so two clients
 submitting the same workflow — regardless of module order, dict key order
 or formatting — produce the same key, coalesce while in flight, and share
 one persistent-store entry with every other surface (CLI, sweep executor).
@@ -240,10 +240,15 @@ class InstanceCache:
     are keyed by object identity — a repeated request then hits the cache
     front instead of re-probing the store.  Sharing one job across
     requests is safe because :class:`SolveJob` is frozen.
+
+    ``cache`` is the :class:`~repro.engine.cache.DerivationCache` the
+    instances are solved against: each new workflow's fingerprint is handed
+    to it, so it never tabulates the workflow to hash it again.
     """
 
-    def __init__(self, max_entries: int = 64) -> None:
+    def __init__(self, max_entries: int = 64, cache: Any = None) -> None:
         self.max_entries = max_entries
+        self.cache = cache
         self._lock = threading.Lock()
         self._by_body: OrderedDict[bytes, SolveJob] = OrderedDict()
         self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
@@ -277,9 +282,11 @@ class InstanceCache:
         content must converge on a single rebuilt object, or the
         identity-keyed engine tables would treat them as distinct
         instances.  Rebuilding under the lock costs a few ms once per new
-        instance — repeats are dictionary hits.
+        instance — repeats are dictionary hits.  The fingerprint is the
+        sweep executor's key too (:func:`instance_fingerprint`), so service
+        and sweep share persistent-store result entries.
         """
-        from ..workloads.fingerprint import payload_fingerprint, workflow_fingerprint
+        from ..workloads.fingerprint import instance_fingerprint, payload_fingerprint
         from ..workloads.serialization import problem_from_dict, workflow_from_dict
 
         with self._lock:
@@ -289,16 +296,15 @@ class InstanceCache:
                 return cached
             if source == "workflow":
                 instance = workflow_from_dict(payload)
-                fingerprint = workflow_fingerprint(instance)
             else:
                 instance = problem_from_dict(payload)
-                # Mirrors the sweep executor's problem keying, so service
-                # and sweep share persistent-store result entries.
-                fingerprint = payload_fingerprint({"problem": payload})
+            fingerprint = instance_fingerprint(source, payload)
             existing = self._by_fingerprint.get(fingerprint)
             if existing is not None:
                 instance = existing
             else:
+                if source == "workflow" and self.cache is not None:
+                    self.cache.fingerprint(instance, fingerprint)
                 self._remember(self._by_fingerprint, fingerprint, instance)
             built = (instance, fingerprint)
             self._remember(self._by_digest, digest, built)
@@ -328,7 +334,7 @@ class SolveRunner:
         self.registry = registry
         self.reuse_results = reuse_results
         self.max_planners = max_planners
-        self.instances = InstanceCache()
+        self.instances = InstanceCache(cache=cache)
         self._lock = threading.Lock()
         self._planners: OrderedDict[tuple, tuple[Planner, float]] = OrderedDict()
         self._warmed: set[str] = set()

@@ -21,6 +21,26 @@ sorted keys.  It is therefore invariant under
 It changes whenever anything semantically relevant changes: a module table,
 an attribute domain or cost, a privacy flag, or the workflow's name.
 
+**Payload fingerprints** key the instances the sweep executor and the
+solve service receive serialized.  :func:`instance_fingerprint` hashes a
+workflow payload without building the workflow or evaluating any module:
+it rebuilds each module's schemas, reads the module's table off the
+payload over its full input domain, and emits what
+:func:`~repro.workloads.serialization.workflow_to_dict` would.  The
+contract is bit-for-bit equality with the live path,
+``instance_fingerprint("workflow", p) ==
+workflow_fingerprint(workflow_from_dict(p))``, under any module, row or
+key order, omitted defaults (``cost``, ``private``,
+``privatization_cost``), integer costs, duplicate domain values and extra
+rows outside the input domain; and where the live path raises
+:class:`~repro.exceptions.SchemaError` (an input row without an image) or
+:class:`~repro.exceptions.DomainError` (an output outside its domain), so
+does the payload path.  Workflow-level wiring — one producer per
+attribute, no cycles — is left to :func:`workflow_from_dict`; a payload
+that fails only there still fingerprints, and can never match a workflow
+that builds.  A ``problem`` payload carries its requirement lists, so it is
+keyed by the digest of the payload itself.
+
 **Module fingerprints** key the store's shared per-module tier.  The
 paper's Γ-privacy requirement of a private module depends only on that
 module's relation, so :func:`module_fingerprint` hashes exactly what the
@@ -39,7 +59,7 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .serialization import workflow_to_dict
+from .serialization import _reserialized_workflow_dict, workflow_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.module import Module
@@ -48,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "canonical_module_payload",
     "canonical_workflow_payload",
+    "instance_fingerprint",
     "module_fingerprint",
     "module_payload_fingerprint",
     "payload_fingerprint",
@@ -55,11 +76,14 @@ __all__ = [
 ]
 
 
-def canonical_workflow_payload(workflow: "Workflow") -> dict[str, Any]:
-    """The serialized workflow with module order normalized by name."""
-    payload = workflow_to_dict(workflow)
+def _by_module_name(payload: dict[str, Any]) -> dict[str, Any]:
     payload["modules"] = sorted(payload["modules"], key=lambda m: m["name"])
     return payload
+
+
+def canonical_workflow_payload(workflow: "Workflow") -> dict[str, Any]:
+    """The serialized workflow with module order normalized by name."""
+    return _by_module_name(workflow_to_dict(workflow))
 
 
 def payload_fingerprint(payload: Mapping[str, Any]) -> str:
@@ -78,6 +102,21 @@ def payload_fingerprint(payload: Mapping[str, Any]) -> str:
 def workflow_fingerprint(workflow: "Workflow") -> str:
     """Stable content hash of a workflow (see module docstring)."""
     return payload_fingerprint(canonical_workflow_payload(workflow))
+
+
+def instance_fingerprint(source: str, payload: Mapping[str, Any]) -> str:
+    """Store key of a serialized ``"workflow"`` or ``"problem"`` instance.
+
+    A workflow payload hashes to its :func:`workflow_fingerprint` without
+    being rebuilt (see module docstring); a problem payload to the digest
+    of ``{"problem": payload}``.
+    """
+    if source == "workflow":
+        canonical = _by_module_name(_reserialized_workflow_dict(payload))
+        return payload_fingerprint(canonical)
+    if source == "problem":
+        return payload_fingerprint({"problem": payload})
+    raise ValueError(f"unknown instance source {source!r}")
 
 
 def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:

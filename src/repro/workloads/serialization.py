@@ -25,6 +25,7 @@ workflow; solutions serialize hidden attributes and privatized modules.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Mapping
 
@@ -81,8 +82,13 @@ def _attribute_from_dict(payload: Mapping[str, Any]) -> Attribute:
     )
 
 
-def _module_to_dict(module: Module) -> dict[str, Any]:
-    table = tabulate_function(module)
+def _module_to_dict(
+    module: Module, table: Mapping[tuple, tuple] | None = None
+) -> dict[str, Any]:
+    """Serialize one module; ``table`` is its :func:`tabulate_function` map
+    when the caller already holds it."""
+    if table is None:
+        table = tabulate_function(module)
     return {
         "name": module.name,
         "private": module.private,
@@ -94,6 +100,13 @@ def _module_to_dict(module: Module) -> dict[str, Any]:
 
 
 def _module_from_dict(payload: Mapping[str, Any]) -> Module:
+    return _module_and_table(payload)[0]
+
+
+def _module_and_table(
+    payload: Mapping[str, Any],
+) -> tuple[Module, dict[tuple, tuple]]:
+    """Rebuild one serialized module, returned with its raw tabulated map."""
     inputs = [_attribute_from_dict(item) for item in payload["inputs"]]
     outputs = [_attribute_from_dict(item) for item in payload["outputs"]]
     input_names = [a.name for a in inputs]
@@ -107,12 +120,10 @@ def _module_from_dict(payload: Mapping[str, Any]) -> Module:
         try:
             image = table[key]
         except KeyError as exc:
-            raise SchemaError(
-                f"module {payload['name']!r} has no tabulated output for {key!r}"
-            ) from exc
+            raise _missing_row(payload["name"], key) from exc
         return dict(zip(output_names, image))
 
-    return Module(
+    module = Module(
         payload["name"],
         inputs,
         outputs,
@@ -120,6 +131,41 @@ def _module_from_dict(payload: Mapping[str, Any]) -> Module:
         private=bool(payload.get("private", True)),
         privatization_cost=float(payload.get("privatization_cost", 1.0)),
     )
+    return module, table
+
+
+def _missing_row(module_name: str, key: tuple) -> SchemaError:
+    return SchemaError(f"module {module_name!r} has no tabulated output for {key!r}")
+
+
+def _checked_table(module: Module, table: Mapping[tuple, tuple]) -> dict[tuple, tuple]:
+    """:func:`tabulate_function` of a module rebuilt from ``table``, read
+    straight off ``table`` instead of evaluating the module row by row.
+
+    Enumerates the input domain in the same order and raises what that
+    evaluation raises: :class:`SchemaError` for an input row without an
+    image (or an image short of an output), :class:`DomainError` for an
+    output value outside its domain.
+    """
+    outputs = module.output_names
+    domains = [attribute.domain for attribute in module.output_schema]
+    checked: dict[tuple, tuple] = {}
+    for key in itertools.product(*(a.domain.values for a in module.input_schema)):
+        try:
+            image = table[key]
+        except KeyError:
+            raise _missing_row(module.name, key) from None
+        if len(image) < len(outputs):
+            raise SchemaError(
+                f"module {module.name!r} did not produce output attribute "
+                f"{outputs[len(image)]!r}"
+            )
+        image = image[: len(outputs)]
+        for domain, value in zip(domains, image):
+            if value not in domain.values:
+                domain.validate(value)  # raises the DomainError evaluation does
+        checked[key] = image
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +184,21 @@ def workflow_from_dict(payload: Mapping[str, Any]) -> Workflow:
     """Rebuild a workflow from :func:`workflow_to_dict` output."""
     modules = [_module_from_dict(item) for item in payload["modules"]]
     return Workflow(modules, name=payload.get("name", "workflow"))
+
+
+def _reserialized_workflow_dict(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """``workflow_to_dict(workflow_from_dict(payload))`` without evaluating
+    any module, modules in payload order.
+
+    Rebuilds each module's schemas and checks its table over the input
+    domain (:func:`_checked_table`), so a module-level defect raises the
+    same error; workflow-level wiring (producers, cycles) is not checked.
+    """
+    modules = []
+    for item in payload["modules"]:
+        module, table = _module_and_table(item)
+        modules.append(_module_to_dict(module, _checked_table(module, table)))
+    return {"name": payload.get("name", "workflow"), "modules": modules}
 
 
 def dump_workflow(workflow: Workflow, path: str) -> None:

@@ -67,6 +67,15 @@ class TestGridExpansion:
         with pytest.raises(ValueError):
             SweepInstance("x", "mystery", {})
 
+    def test_duplicate_labels_rejected(self):
+        # Cells are routed to instances by label: two instances under one
+        # label would both be solved as whichever the worker built first.
+        payloads = [workflow_to_dict(random_workflow(5, seed=s)) for s in (1, 2)]
+        with pytest.raises(ValueError, match="unique"):
+            SweepSpec(
+                instances=tuple(SweepInstance("x", "workflow", p) for p in payloads)
+            )
+
 
 class TestSerialParallelEquivalence:
     def test_records_identical_modulo_timings(self):
@@ -108,9 +117,11 @@ class TestStoreIntegration:
         store = tmp_path / "store"
         cold = run_sweep(spec, n_jobs=2, store=store)
         assert cold.stats["derivation_misses"] > 0
+        assert cold.stats["chunks"] > 0
         warm = run_sweep(spec, n_jobs=2, store=store)
         assert warm.stats["derivation_misses"] == 0
         assert warm.result_store_hits == len(warm.records)
+        assert warm.stats["chunks"] == 0  # answered in the driver
         assert [scrub_record(r) for r in warm.records] == [
             scrub_record(r) for r in cold.records
         ]
@@ -141,6 +152,7 @@ class TestStoreIntegration:
         assert warm.errors == 2
         assert warm.stats["derivation_misses"] == 0
         assert warm.result_store_hits == len(warm.records)
+        assert warm.stats["chunks"] == 0
         assert [scrub_record(r) for r in warm.records] == [
             scrub_record(r) for r in cold.records
         ]
@@ -159,9 +171,10 @@ class TestStoreIntegration:
     def test_fresh_results_still_reuses_derivations(self, tmp_path):
         spec = _spec()
         store = tmp_path / "store"
-        run_sweep(spec, n_jobs=1, store=store)
+        cold = run_sweep(spec, n_jobs=1, store=store)
         warm = run_sweep(spec, n_jobs=1, store=store, reuse_results=False)
         assert warm.result_store_hits == 0
+        assert warm.stats["chunks"] == cold.stats["chunks"]  # no driver probe
         assert warm.stats["derivation_misses"] == 0  # derivations from store
         assert warm.stats["store_hits"] > 0
 
@@ -173,6 +186,78 @@ class TestStoreIntegration:
         assert store.stats()["writes"] > 0
         run_sweep(_spec(), n_jobs=1, store=store)
         assert store.stats()["result_hits"] > 0
+
+
+class TestDriverProbe:
+    """The driver answers stored cells itself and dispatches only the rest."""
+
+    def test_results_keyed_through_live_planner_are_served_warm(self, tmp_path):
+        from repro.engine import DerivationCache, DerivationStore, Planner
+        from repro.engine.executor import solve_cell
+
+        spec = _spec()
+        workflows = {f"w{seed}": random_workflow(5, seed=seed) for seed in (1, 2)}
+        cache = DerivationCache(store=DerivationStore(tmp_path / "store"))
+        for cell in spec.cells():
+            workflow = workflows[cell.label]
+            planner = Planner(workflow, cell.gamma, kind=cell.kind, cache=cache)
+            # The live-object key: the workflow tabulated and hashed.
+            fingerprint = cache.fingerprint(workflow)
+            solve_cell(planner, fingerprint, cell.label, cell.solver, cell.seed)
+        warm = run_sweep(spec, n_jobs=2, store=tmp_path / "store")
+        assert warm.stats["chunks"] == 0
+        assert warm.result_store_hits == len(spec.cells())
+        assert warm.stats["derivation_misses"] == 0
+        assert all(record["from_store"] for record in warm.records)
+        assert [scrub_record(r) for r in warm.records] == [
+            scrub_record(r) for r in run_sweep(spec, n_jobs=1).records
+        ]
+
+    def test_half_warm_store_dispatches_only_the_unstored_cells(self, tmp_path):
+        store = tmp_path / "store"
+        run_sweep(_spec(solvers=("greedy",)), n_jobs=1, store=store)
+        spec = _spec()
+        half = run_sweep(spec, n_jobs=2, store=store)
+        stored = [(r["solver"], r["from_store"]) for r in half.records]
+        assert stored == [("set_lp", False), ("greedy", True)] * 2
+        assert half.result_store_hits == 2
+        unstored = run_sweep(_spec(solvers=("set_lp",)), n_jobs=1)
+        assert half.stats["chunks"] == unstored.stats["chunks"]
+        assert [scrub_record(r) for r in half.records] == [
+            scrub_record(r) for r in run_sweep(spec, n_jobs=1).records
+        ]
+
+    def test_payload_that_does_not_fingerprint_still_fails_per_cell(self, tmp_path):
+        bad = workflow_to_dict(random_workflow(5, seed=2))
+        del bad["modules"][0]["table"][0]
+        spec = SweepSpec(
+            instances=(
+                SweepInstance(
+                    "good", "workflow", workflow_to_dict(random_workflow(5, seed=1))
+                ),
+                SweepInstance("bad", "workflow", bad),
+            ),
+            solvers=("greedy",),
+        )
+        store = tmp_path / "store"
+        run_sweep(spec, n_jobs=1, store=store)
+        warm = run_sweep(spec, n_jobs=1, store=store)
+        assert [r["from_store"] for r in warm.records] == [True, False]
+        assert warm.records[1]["error_type"] == "SchemaError"
+        assert "no tabulated output" in warm.records[1]["error"]
+        assert warm.stats["chunks"] == 1
+
+    def test_rebuilt_workflows_are_not_tabulated_to_be_hashed(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.workloads.fingerprint as fingerprint
+
+        def tabulated(workflow):
+            raise AssertionError("a rebuilt workflow was tabulated to be hashed")
+
+        monkeypatch.setattr(fingerprint, "workflow_fingerprint", tabulated)
+        report = run_sweep(_spec(), n_jobs=1, store=tmp_path / "store")
+        assert report.errors == 0
 
 
 class TestVerification:

@@ -11,7 +11,12 @@ from repro.engine import DerivationCache, DerivationStore, Planner
 from repro.engine.store import FORMAT_VERSION, OutSetKey, ResultKey, _key_digest
 from repro.kernel import CompiledWorkflow
 from repro.optim.lp import HAVE_SCIPY
-from repro.workloads import figure1_workflow, random_workflow, workflow_fingerprint
+from repro.workloads import (
+    figure1_workflow,
+    random_workflow,
+    workflow_fingerprint,
+    workflow_to_dict,
+)
 
 
 @pytest.fixture
@@ -579,6 +584,41 @@ class TestPopularityMeta:
         assert store.popularity(fingerprint) == 2
         popular = store.popular_workflows(1)
         assert popular[0][0] == fingerprint and popular[0][1] == 2
+
+    def test_requirement_saves_read_meta_once_per_handle(self, store, monkeypatch):
+        workflow = figure1_workflow()
+        fingerprint = workflow_fingerprint(workflow)
+        cache = DerivationCache()
+        reads = []
+        read_raw = store._read_raw
+        monkeypatch.setattr(
+            store, "_read_raw", lambda path: reads.append(path.name) or read_raw(path)
+        )
+        store.bump_popularity(fingerprint, 2)
+        for gamma in (1, 2):
+            for kind in ("set", "cardinality"):
+                derived = cache.requirements(workflow, gamma, kind, backend="kernel")
+                store.save_requirements(
+                    fingerprint, gamma, kind, "kernel", derived, workflow=workflow
+                )
+        assert reads.count("meta.json") == 2  # the bump, then the first save
+        assert store.popular_workflows(1) == [
+            (fingerprint, 2, workflow_to_dict(workflow))
+        ]
+
+    def test_gc_forgets_which_meta_carries_a_payload(self, store):
+        workflow = figure1_workflow()
+        fingerprint = workflow_fingerprint(workflow)
+        derived = DerivationCache().requirements(workflow, 2, "set", backend="kernel")
+        store.save_requirements(
+            fingerprint, 2, "set", "kernel", derived, workflow=workflow
+        )
+        store.gc(max_bytes=0)
+        store.bump_popularity(fingerprint)
+        store.save_requirements(
+            fingerprint, 2, "set", "kernel", derived, workflow=workflow
+        )
+        assert [fp for fp, _, _ in store.popular_workflows(1)] == [fingerprint]
 
     def test_popular_workflows_ranks_and_skips_unwarmables(self, store):
         ranked_wf = figure1_workflow()

@@ -7,6 +7,10 @@ Two contracts back the persistent derivation store:
   dict in the serialized payload, and it must survive a serialize →
   deserialize round trip (otherwise two processes would file the same
   instance under different keys and never share derivations);
+* ``instance_fingerprint`` hashes a serialized workflow without rebuilding
+  it, and must equal ``workflow_fingerprint`` of the rebuilt workflow bit
+  for bit — and raise what it raises — or a sweep driver, a sweep worker
+  and the solve service would key one instance differently;
 * artifacts that pass through the store (requirement lists, packed kernel
   tables) must produce verdicts *identical* to freshly computed ones, on
   both backends — a store hit may never change an answer.
@@ -16,14 +20,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Module, Workflow, boolean_attributes, workflow_out_sets
 from repro.engine import DerivationCache, DerivationStore
+from repro.exceptions import DomainError, SchemaError
 from repro.kernel import CompiledWorkflow
 from repro.workloads import (
+    instance_fingerprint,
     random_workflow,
+    workflow_family,
     workflow_fingerprint,
     workflow_from_dict,
     workflow_to_dict,
@@ -77,6 +85,90 @@ def test_fingerprint_invariant_under_dict_and_module_ordering(seed, shuffle_seed
     payload["modules"] = modules
     rebuilt = workflow_from_dict(payload)
     assert workflow_fingerprint(rebuilt) == workflow_fingerprint(workflow)
+
+
+def _family_payload(seed: int) -> dict:
+    """One serialized member of a random ``workflow_family`` edit chain,
+    its costs rounded to whole numbers (still written as floats)."""
+    rng = random.Random(seed)
+    family = workflow_family(
+        n_variants=2,
+        seed=seed % 1000,
+        n_modules=rng.randint(2, 5),
+        topology=rng.choice(["chain", "layered", "random"]),
+    )
+    payload = workflow_to_dict(rng.choice(family))
+    for module in payload["modules"]:
+        module["privatization_cost"] = float(round(module["privatization_cost"]))
+        for attribute in module["inputs"] + module["outputs"]:
+            attribute["cost"] = float(round(attribute["cost"]))
+    return payload
+
+
+def _rewritten(payload: dict, rng: random.Random) -> dict:
+    """The same content written differently: shuffled module, row and key
+    order, defaults omitted, costs as integers, duplicated domain values,
+    extra rows outside the input domain and values past an image's last
+    output (the rebuilt module ignores both)."""
+    payload = _shuffle_payload(payload, rng)
+    rng.shuffle(payload["modules"])
+    for module in payload["modules"]:
+        rng.shuffle(module["table"])
+        if module["private"] and rng.random() < 0.5:
+            del module["private"]
+        if module["privatization_cost"] == 1.0 and rng.random() < 0.5:
+            del module["privatization_cost"]
+        else:
+            module["privatization_cost"] = int(module["privatization_cost"])
+        for attribute in module["inputs"] + module["outputs"]:
+            if attribute["cost"] == 1.0 and rng.random() < 0.5:
+                del attribute["cost"]
+            else:
+                attribute["cost"] = int(attribute["cost"])
+            if rng.random() < 0.3:
+                attribute["values"].append(rng.choice(attribute["values"]))
+        if rng.random() < 0.3:
+            rng.choice(module["table"])[1].append(0)
+        if rng.random() < 0.5:
+            # Boolean domains: a 2 in the key is outside every input domain.
+            module["table"].append(
+                [[2] * len(module["inputs"]), [0] * len(module["outputs"])]
+            )
+    return payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, seeds)
+def test_payload_fingerprint_matches_rebuilt_workflow(seed, rewrite_seed):
+    """The payload path keys an instance exactly as its rebuilt workflow."""
+    payload = _family_payload(seed)
+    rewritten = _rewritten(payload, random.Random(rewrite_seed))
+    expected = workflow_fingerprint(workflow_from_dict(payload))
+    assert workflow_fingerprint(workflow_from_dict(rewritten)) == expected
+    assert instance_fingerprint("workflow", rewritten) == expected
+    assert instance_fingerprint("workflow", payload) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, seeds, st.sampled_from([SchemaError, DomainError]))
+def test_payload_fingerprint_raises_where_tabulation_does(seed, defect_seed, error):
+    """A missing row (SchemaError) or an output outside its domain
+    (DomainError) fails both paths alike."""
+    payload = _family_payload(seed)
+    rng = random.Random(defect_seed)
+    module = rng.choice(payload["modules"])
+    row = rng.randrange(len(module["table"]))
+    if error is SchemaError:
+        del module["table"][row]
+    else:
+        image = module["table"][row][1]
+        image[rng.randrange(len(image))] = 2
+    with pytest.raises(error) as live:
+        workflow_fingerprint(workflow_from_dict(payload))
+    with pytest.raises(error) as direct:
+        instance_fingerprint("workflow", payload)
+    assert type(direct.value) is type(live.value)
+    assert str(direct.value) == str(live.value)
 
 
 @settings(max_examples=15, deadline=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import SweepInstance, SweepSpec, run_sweep, scrub_record
-from repro.service import SolveService
+from repro.service import ServiceClient, ServiceServer, SolveService
 from repro.workloads import random_workflow, workflow_to_dict
 
 #: Keys a surface adds for its own callers: the sweep's cell index, the
@@ -93,3 +93,34 @@ def test_every_surface_answers_with_the_same_record(payloads, tmp_path, with_sto
     assert _sweep(payloads, store("sweep")) == cold
     for exec_mode in ("threads", "processes"):
         assert _service(payloads, store(exec_mode), exec_mode) == (cold, cold)
+
+
+def test_service_answers_from_what_a_sweep_stored(payloads, tmp_path):
+    """A sweep and the service key an instance alike (one payload
+    fingerprint), so ``POST /v1/solve`` reads the sweep's stored result."""
+    store = str(tmp_path / "shared")
+    cold = _sweep(payloads, store)
+    service = SolveService(
+        store=store, workers=2, default_timeout=60, maintenance_interval=None
+    )
+    server = ServiceServer(service, port=0).start()
+    try:
+        client = ServiceClient(server.url, timeout=60)
+        records = [
+            client.solve(
+                workflow=payload,
+                label=label,
+                gamma=2,
+                kind=kind,
+                solver=solver,
+                seed=seed,
+            )
+            for label, payload in payloads.items()
+            for kind in KINDS
+            for solver, seed in PAIRS
+        ]
+        client.close()
+    finally:
+        server.stop(drain_timeout=60)
+    assert all(record["from_store"] for record in records)
+    assert [_comparable(record) for record in records] == cold

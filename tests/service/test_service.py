@@ -13,6 +13,28 @@ from repro.workloads.serialization import problem_to_dict
 from repro.core import SecureViewProblem
 
 
+class TestInstanceKeying:
+    def test_new_instance_is_hashed_from_its_payload_only(
+        self, tmp_path, figure1_payload, monkeypatch
+    ):
+        """The fingerprint the service keys a request by is handed to the
+        cache, so neither tabulates the rebuilt workflow to hash it."""
+        import repro.workloads.fingerprint as fingerprint
+
+        def tabulated(workflow):
+            raise AssertionError("a rebuilt workflow was tabulated to be hashed")
+
+        monkeypatch.setattr(fingerprint, "workflow_fingerprint", tabulated)
+        service = SolveService(store=str(tmp_path / "store"), workers=1)
+        try:
+            record = service.solve_payload(
+                {"workflow": figure1_payload, "gamma": 2, "kind": "set"}
+            )
+        finally:
+            assert service.drain(timeout=30)
+        assert "error" not in record and record["from_store"] is False
+
+
 class TestModuleTierReuse:
     def test_overlapping_workflows_pay_the_shared_module_once(
         self, overlapping_payloads
