@@ -22,7 +22,7 @@ The CLI exposes the everyday operations a workflow owner would run:
 * ``serve``     — run the long-lived solve service (threaded HTTP/JSON
   server speaking the versioned ``/v1`` API with one hot derivation
   cache, request coalescing, async jobs, background maintenance — store
-  GC budget, cache TTLs, restart warm-up — and ``/v1/metrics``;
+  GC budget, job expiry, restart warm-up — and ``/v1/metrics``;
   SIGTERM/SIGINT drain in-flight work and exit 0),
 * ``fleet``     — spawn and supervise N ``repro serve`` replicas sharing
   one store behind a health-aware ``/v1`` proxy front (budgeted respawn
@@ -408,7 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         default_timeout=args.timeout if args.timeout > 0 else None,
         result_cache_size=args.result_cache_size,
-        result_ttl=args.result_ttl,
         job_ttl=args.job_ttl,
         max_jobs=args.max_jobs,
         store_max_bytes=args.store_max_bytes,
@@ -950,15 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_service_flags(serve)
-    serve.add_argument(
-        "--result-ttl",
-        type=_arg_positive_float,
-        default=None,
-        help=(
-            "seconds a cached result/planner stays valid; expired by the "
-            "maintenance pass (default: no TTL, size bound only)"
-        ),
-    )
     serve.add_argument(
         "--job-ttl",
         type=_arg_positive_float,

@@ -41,10 +41,15 @@ Components
     The parallel sweep executor: fan a (workflow × Γ × kind × solver ×
     seed) grid over worker processes with per-worker store attachment,
     deterministic record ordering and failure isolation.
+:class:`SolveRunner`
+    One process's solve state — a cache, plus instances and planners keyed
+    by content — held by every sweep worker, the solve service and each of
+    its execution-tier workers.
 """
 
 from .cache import CacheStats, DerivationCache
 from .executor import (
+    SolveRunner,
     SweepCell,
     SweepInstance,
     SweepReport,
@@ -74,6 +79,7 @@ __all__ = [
     "PrivacyCertificate",
     "SolveRequest",
     "SolveResult",
+    "SolveRunner",
     "SolverRegistry",
     "SolverSpec",
     "SweepCell",

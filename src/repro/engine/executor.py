@@ -35,19 +35,23 @@ guarantee the serial path had:
 
 Workflows carry arbitrary Python callables and cannot be pickled, so cells
 ship the *serialized* instance (the tabulated-functionality JSON payload of
-:mod:`repro.workloads.serialization`) with its fingerprint, and every
-worker rebuilds and caches it once per process.  Tabulation enumerates
-each module's input domain, so instances containing a very-high-arity
-module (e.g. the paper's Example-5 star center at large n) should stay on
-the in-process path (``analysis.sweep``/``compare_solvers`` with
-``n_jobs=1``) rather than be shipped through a :class:`SweepInstance`.
+:mod:`repro.workloads.serialization`) with its fingerprint.  Each process
+answers cells through one :class:`SolveRunner`, which rebuilds an instance
+once per *content* (two labels carrying one workflow share one object, one
+planner and one derivation) and runs :func:`solve_cell`.  The solve service
+and each of its execution-tier workers hold one too (:mod:`repro.service`).
+Tabulation enumerates each module's input domain, so instances containing a
+very-high-arity module (e.g. the paper's Example-5 star center at large n)
+should stay on the in-process path (``analysis.sweep``/``compare_solvers``
+with ``n_jobs=1``) rather than be shipped through a :class:`SweepInstance`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -59,23 +63,27 @@ from .planner import Planner
 from .store import DerivationStore, ResultKey
 
 __all__ = [
+    "SolveRunner",
     "SweepCell",
     "SweepInstance",
     "SweepReport",
     "SweepSpec",
-    "WorkerContext",
     "default_jobs",
     "error_record",
     "run_sweep",
     "solve_cell",
     "spec_from_grid",
-    "worker_context",
 ]
 
 #: Keys of a record that legitimately differ between runs and process
 #: layouts (wall-clock and cache-locality artifacts).  Everything else must
 #: be identical between a serial and a parallel execution of one grid.
 VOLATILE_RECORD_KEYS = ("seconds", "cache", "from_store")
+
+#: Default bounds on a long-lived :class:`SolveRunner`'s instance and
+#: planner tables (FIFO eviction).  A sweep sizes its runners from its grid.
+INSTANCE_LIMIT = 64
+PLANNER_LIMIT = 128
 
 
 def default_jobs() -> int:
@@ -151,9 +159,9 @@ class SweepSpec:
     params: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Labels key the per-instance tables of the driver and its workers
-        # (fingerprints, rebuilt instances, planners): a repeated label
-        # would solve every cell carrying it on one of the instances.
+        # Labels key run_sweep's per-instance tables (fingerprints, chunk
+        # payloads): a repeated label would solve every cell carrying it on
+        # one of the instances.
         counts = Counter(instance.label for instance in self.instances)
         repeated = sorted(label for label, count in counts.items() if count > 1)
         if repeated:
@@ -265,108 +273,176 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
 # Worker side
 # ---------------------------------------------------------------------------
 
-class WorkerContext:
-    """Per-process state: one cache (with store back tier), rebuilt instances.
+def _bounded_put(table: OrderedDict, limit: int, key: Any, value: Any) -> None:
+    while len(table) >= limit:
+        table.popitem(last=False)
+    table[key] = value
 
-    This is the worker bootstrap shared by every process-fanning surface:
-    one module-granular :class:`~repro.engine.cache.DerivationCache`,
-    optionally backed by a per-process
-    :class:`~repro.engine.store.DerivationStore` over a shared directory.
-    The sweep executor's pool initializer builds one per worker and uses
-    its per-sweep instance and planner memos.  The service's execution tier
-    (:mod:`repro.service.exec_tier`) attaches each long-lived solve worker
-    through the same class, but only for its cache: over it the worker
-    runs the service's own :class:`~repro.service.jobs.SolveRunner`.
+
+class SolveRunner:
+    """One process's solve state: a cache, and instances and planners by content.
+
+    Every surface that answers cells holds exactly one: each sweep worker
+    (built by the pool initializer), the in-process sweep path, the solve
+    service, and each of the service's execution-tier worker processes.
+    The :class:`~repro.engine.cache.DerivationCache` is backed by a
+    :class:`~repro.engine.store.DerivationStore` when ``store`` (an
+    instance or a directory path) is given.
+
+    :meth:`resolve` rebuilds a serialized instance once per content
+    fingerprint, so equal content under any label or byte spelling is one
+    object and the cache's identity-keyed tables hit across requests.
+    :meth:`planner` memoizes planners per ``(source, fingerprint, Γ, kind,
+    backend)``.  Both tables evict FIFO past ``max_instances`` /
+    ``max_planners``; a sweep sizes them from its grid, so a worker never
+    rebuilds an instance mid-sweep.  Both are thread-safe: concurrent first
+    requests converge on one instance and one planner.  Every cell is
+    answered by :func:`solve_cell`.
     """
 
     def __init__(
-        self, store_path: str | None, store: DerivationStore | None = None
+        self,
+        store: DerivationStore | str | os.PathLike | None = None,
+        registry: Any = None,
+        reuse_results: bool = True,
+        max_instances: int = INSTANCE_LIMIT,
+        max_planners: int = PLANNER_LIMIT,
     ) -> None:
-        if store is not None:
-            self.store: DerivationStore | None = store
-        else:
-            self.store = DerivationStore(store_path) if store_path else None
-        self.cache = DerivationCache(store=self.store)
-        self._instances: dict[str, tuple[Any, str]] = {}  # label -> (obj, fp)
-        self._planners: dict[tuple, Planner] = {}
+        if store is not None and not isinstance(store, DerivationStore):
+            store = DerivationStore(store)
+        self.cache = DerivationCache(store=store)
+        self.registry = registry
+        self.reuse_results = reuse_results
+        self.max_instances = max_instances
+        self.max_planners = max_planners
+        self._lock = threading.Lock()
+        self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
+        self._by_fingerprint: OrderedDict[str, Any] = OrderedDict()
+        self._planners: OrderedDict[tuple, Planner] = OrderedDict()
+        self._warmed: set[str] = set()
 
-    def _instance(
-        self, instance: SweepInstance, fingerprint: str | None
+    def resolve(
+        self,
+        source: str,
+        payload: Mapping[str, Any],
+        fingerprint: str | None = None,
     ) -> tuple[Any, str]:
-        cached = self._instances.get(instance.label)
-        if cached is not None:
-            return cached
-        from ..workloads.fingerprint import instance_fingerprint
+        """``(instance, fingerprint)`` for one serialized instance.
+
+        ``fingerprint`` is the payload's store key when the caller already
+        hashed it (:func:`run_sweep` does); otherwise a digest of the raw
+        payload short-circuits repeats, and a new payload is hashed with
+        :func:`~repro.workloads.fingerprint.instance_fingerprint` (its
+        error raised to the caller).  A new workflow's fingerprint is handed
+        to the cache, so it is never tabulated to be hashed again.
+        Serialized under one lock: rebuilding under it costs a few ms once
+        per new instance, and repeats are dictionary hits.
+        """
+        from ..workloads.fingerprint import instance_fingerprint, payload_fingerprint
         from ..workloads.serialization import problem_from_dict, workflow_from_dict
 
-        # Built before hashing, so a payload that fails both ways reports
-        # the rebuild's error, as a cell always has.
-        if instance.source == "workflow":
-            obj = workflow_from_dict(instance.payload)
-        else:
-            obj = problem_from_dict(instance.payload)
-        if fingerprint is None:
-            fingerprint = instance_fingerprint(instance.source, instance.payload)
-        if instance.source == "workflow":
-            self.cache.fingerprint(obj, fingerprint)
-        built = (obj, fingerprint)
-        self._instances[instance.label] = built
-        return built
+        with self._lock:
+            digest = None
+            if fingerprint is not None:
+                instance = self._by_fingerprint.get(fingerprint)
+                if instance is not None:
+                    return instance, fingerprint
+            else:
+                digest = payload_fingerprint({source: payload})
+                built = self._by_digest.get(digest)
+                if built is not None:
+                    return built
+            # Rebuilt before hashing, so a payload that fails both ways
+            # reports the rebuild's error.
+            if source == "workflow":
+                instance = workflow_from_dict(payload)
+            else:
+                instance = problem_from_dict(payload)
+            if fingerprint is None:
+                fingerprint = instance_fingerprint(source, payload)
+            existing = self._by_fingerprint.get(fingerprint)
+            if existing is not None:
+                instance = existing
+            else:
+                if source == "workflow":
+                    self.cache.fingerprint(instance, fingerprint)
+                _bounded_put(
+                    self._by_fingerprint, self.max_instances, fingerprint, instance
+                )
+            built = (instance, fingerprint)
+            if digest is not None:
+                _bounded_put(self._by_digest, self.max_instances, digest, built)
+            return built
 
     def planner(
         self,
-        instance: SweepInstance,
+        source: str,
+        instance: Any,
+        fingerprint: str,
         gamma: int | None,
         kind: str | None,
         backend: str | None,
-        fingerprint: str | None,
-    ) -> tuple[Planner, str]:
-        """The memoized planner for one instance at one derivation point.
-
-        ``fingerprint`` is the instance's store key as the sweep driver
-        computed it, or ``None`` (the driver could not hash the payload),
-        in which case it is computed here and its error raised per cell.
-        """
-        key = (instance.label, gamma, kind, backend)
-        cached = self._planners.get(key)
-        obj, fingerprint = self._instance(instance, fingerprint)
-        if cached is not None:
-            return cached, fingerprint
-        if instance.source == "workflow":
-            planner = Planner(
-                obj, gamma, kind=kind, cache=self.cache, backend=backend
-            )
+    ) -> Planner:
+        """The memoized planner for one instance at one derivation point."""
+        key = (source, fingerprint, gamma, kind, backend)
+        with self._lock:
+            planner = self._planners.get(key)
+        if planner is not None:
+            return planner
+        options = dict(cache=self.cache, registry=self.registry, backend=backend)
+        if source == "workflow":
+            planner = Planner(instance, gamma, kind=kind, **options)
         else:
-            planner = Planner.from_problem(obj, cache=self.cache, backend=backend)
-        self._planners[key] = planner
-        return planner, fingerprint
+            planner = Planner.from_problem(instance, **options)
+        with self._lock:
+            # First construction wins so concurrent requests converge on one
+            # planner (and therefore one identity-keyed cache entry set).
+            existing = self._planners.get(key)
+            if existing is not None:
+                return existing
+            _bounded_put(self._planners, self.max_planners, key, planner)
+            return planner
+
+    def warm(self, k: int) -> tuple[int, int]:
+        """Preload the ``k`` most-requested stored workflows; ``(warmed, failed)``.
+
+        For each: rebuild the instance from the meta tier's serialized
+        payload (through :meth:`resolve`, so requests for the same content
+        map onto the *same object*), compile its kernel pack, and load every
+        stored requirement point.  A fingerprint this runner already warmed
+        is skipped.  Failures are isolated per workflow and counted.
+        """
+        store = self.cache.store
+        if store is None or k <= 0:
+            return 0, 0
+        warmed = failed = 0
+        for fingerprint, _count, payload in store.popular_workflows(k):
+            if fingerprint in self._warmed:
+                continue
+            try:
+                workflow, resolved = self.resolve("workflow", payload)
+                if resolved != fingerprint:
+                    raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
+                self.cache.compiled_workflow(workflow)
+                for gamma, kind, backend in store.stored_requirement_points(
+                    fingerprint
+                ):
+                    self.cache.requirements(workflow, gamma, kind, backend=backend)
+            except Exception:  # noqa: BLE001 - warm-up is best-effort
+                failed += 1
+                continue
+            self._warmed.add(fingerprint)
+            warmed += 1
+        return warmed, failed
 
 
-#: Worker-process singleton, created by the pool initializer (or lazily by
-#: :func:`worker_context`).
-_CONTEXT: WorkerContext | None = None
+#: A sweep pool worker's runner, built by :func:`_init_worker`.
+_RUNNER: SolveRunner | None = None
 
 
-def worker_context(store_path: str | None = None) -> WorkerContext:
-    """The process-wide :class:`WorkerContext`, created on first use.
-
-    Every process-fanning surface bootstraps through here so one worker
-    process holds exactly one cache/store attachment no matter how it was
-    spawned.  ``store_path`` only matters on the creating call; later calls
-    return the existing singleton unchanged.
-    """
-    global _CONTEXT
-    if _CONTEXT is None:
-        _CONTEXT = WorkerContext(store_path)
-    return _CONTEXT
-
-
-def _init_worker(store_path: str | None) -> None:
-    # Pool initializers always start from a fresh context: a recycled
-    # interpreter (e.g. fork reuse) must attach the *this* sweep's store.
-    global _CONTEXT
-    _CONTEXT = None
-    worker_context(store_path)
+def _init_worker(*args: Any) -> None:
+    global _RUNNER
+    _RUNNER = SolveRunner(*args)
 
 
 def error_record(
@@ -489,23 +565,23 @@ def _error_record(cell: SweepCell, exc: BaseException) -> dict[str, Any]:
 
 
 def _run_chunk_in(
-    context: WorkerContext, chunk: Mapping[str, Any]
+    runner: SolveRunner, chunk: Mapping[str, Any]
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """Run one chunk of cells (one family's worth) and report stat deltas."""
     instances: Mapping[str, SweepInstance] = chunk["instances"]
     fingerprints: Mapping[str, str | None] = chunk["fingerprints"]
     cells: Sequence[SweepCell] = chunk["cells"]
     records: list[dict[str, Any]] = []
-    before_chunk = context.cache.stats()
+    before_chunk = runner.cache.stats()
     result_hits = 0
     for cell in cells:
         try:
-            planner, fingerprint = context.planner(
-                instances[cell.label],
-                cell.gamma,
-                cell.kind,
-                chunk["backend"],
-                fingerprints[cell.label],
+            source = instances[cell.label].source
+            instance, fingerprint = runner.resolve(
+                source, instances[cell.label].payload, fingerprints[cell.label]
+            )
+            planner = runner.planner(
+                source, instance, fingerprint, cell.gamma, cell.kind, chunk["backend"]
             )
             record = solve_cell(
                 planner,
@@ -514,20 +590,20 @@ def _run_chunk_in(
                 cell.solver,
                 cell.seed,
                 bool(chunk["verify"]),
-                bool(chunk["reuse_results"]),
+                runner.reuse_results,
             )
         except Exception as exc:  # noqa: BLE001 - failure isolation by design
             records.append(_error_record(cell, exc))
             continue
         result_hits += record["from_store"]
         records.append(_cell_record(cell, record))
-    chunk_delta = context.cache.stats().delta(before_chunk).as_dict()
+    chunk_delta = runner.cache.stats().delta(before_chunk).as_dict()
     chunk_delta["result_store_hits"] = result_hits
     return records, chunk_delta
 
 
 def _run_chunk(chunk: Mapping[str, Any]) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    return _run_chunk_in(worker_context(chunk.get("store_path")), chunk)
+    return _run_chunk_in(_RUNNER, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -671,25 +747,20 @@ def _answer_stored(
 
 def _chunks_for(
     spec: SweepSpec,
-    store_path: str | None,
-    reuse_results: bool,
-    chunk_size: int | None,
     cells: Sequence[SweepCell] | None = None,
     fingerprints: Mapping[str, str | None] | None = None,
 ) -> list[dict[str, Any]]:
     """Group cells by (shared-module family, Γ, kind) to share derivations.
 
     All cells of one family (instances connected by shared module content)
-    at one (Γ, kind) point go to one worker context, whose module-granular
-    cache derives each distinct module once for the whole family.  Distinct
+    at one (Γ, kind) point go to one worker, whose module-granular cache
+    derives each distinct module once for the whole family.  Distinct
     (Γ, kind) points still fan out as separate chunks — requirement lists
     are per-(Γ, kind) anyway, so splitting there keeps a single-instance
     multi-Γ grid parallel instead of collapsing it into one serial chunk.
-    ``chunk_size`` additionally caps cells per dispatched chunk, trading
-    sharing for load balance.  ``cells`` (default: the whole grid) are the
-    cells to dispatch; only their instances are grouped.  Each chunk
-    carries its instances' ``fingerprints`` (a missing one is computed by
-    the worker).
+    ``cells`` (default: the whole grid) are the cells to dispatch; only
+    their instances are grouped.  Each chunk carries its instances'
+    ``fingerprints`` (a missing one is computed by the worker).
     """
     if cells is None:
         cells = spec.cells()
@@ -712,29 +783,18 @@ def _chunks_for(
         ).append(cell)
     chunks: list[dict[str, Any]] = []
     for group in grouped.values():
-        pieces = (
-            [group]
-            if not chunk_size
-            else [group[i : i + chunk_size] for i in range(0, len(group), chunk_size)]
+        # Ship only the payloads this group actually touches — tabulated
+        # workflows can be large and chunks cross the process boundary.
+        labels = list(dict.fromkeys(c.label for c in group))
+        chunks.append(
+            {
+                "instances": {label: by_instance[label] for label in labels},
+                "fingerprints": {label: fingerprints.get(label) for label in labels},
+                "cells": group,
+                "backend": spec.backend,
+                "verify": spec.verify,
+            }
         )
-        for piece in pieces:
-            # Ship only the payloads this piece actually touches —
-            # tabulated workflows can be large and chunks cross the
-            # process boundary.
-            labels = list(dict.fromkeys(c.label for c in piece))
-            chunks.append(
-                {
-                    "instances": {label: by_instance[label] for label in labels},
-                    "fingerprints": {
-                        label: fingerprints.get(label) for label in labels
-                    },
-                    "cells": piece,
-                    "backend": spec.backend,
-                    "verify": spec.verify,
-                    "reuse_results": reuse_results,
-                    "store_path": store_path,
-                }
-            )
     return chunks
 
 
@@ -748,7 +808,6 @@ def run_sweep(
     n_jobs: int = 1,
     store: DerivationStore | str | os.PathLike | None = None,
     reuse_results: bool = True,
-    chunk_size: int | None = None,
 ) -> SweepReport:
     """Execute a sweep grid, serially or across ``n_jobs`` worker processes.
 
@@ -772,11 +831,10 @@ def run_sweep(
         from one fingerprint per instance, and dispatches only the rest, so
         a warm re-run starts no workers (``stats["chunks"] == 0``).
         Derivation-level sharing happens regardless.
-    chunk_size:
-        Maximum cells per dispatched chunk; defaults to "all solver×seed
-        cells of one (shared-module family, Γ, kind) group", which
-        maximizes derivation sharing.  Smaller chunks trade sharing for
-        balance.
+
+    Every process answers its chunks through one :class:`SolveRunner`
+    whose tables are sized from the dispatched cells, so no worker evicts
+    an instance or a planner it needs again later in the sweep.
     """
     started = time.perf_counter()
     if n_jobs <= 0:
@@ -793,18 +851,21 @@ def run_sweep(
     if store_handle is not None and reuse_results:
         records, cells = _answer_stored(spec, cells, fingerprints, store_handle)
     totals: dict[str, int] = {"result_store_hits": len(records)}
-    chunks = _chunks_for(
-        spec, store_path, reuse_results, chunk_size, cells, fingerprints
-    )
+    chunks = _chunks_for(spec, cells, fingerprints)
     totals["chunks"] = len(chunks)
+    # Runner table bounds: one slot per dispatched instance and point.
+    sizes = (
+        max(1, len({cell.label for cell in cells})),
+        max(1, len({(cell.label, cell.gamma, cell.kind) for cell in cells})),
+    )
 
     if n_jobs == 1 or len(chunks) <= 1:
         # In-process: reuse the driver's store handle, so a caller-passed
         # store's counters reflect the run (worker processes always open
         # their own).
-        context = WorkerContext(store_path, store=store_handle)
+        runner = SolveRunner(store_handle, None, reuse_results, *sizes)
         for chunk in chunks:
-            chunk_records, delta = _run_chunk_in(context, chunk)
+            chunk_records, delta = _run_chunk_in(runner, chunk)
             records.extend(chunk_records)
             _merge_stats(totals, delta)
         effective_jobs = 1
@@ -813,7 +874,7 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=effective_jobs,
             initializer=_init_worker,
-            initargs=(store_path,),
+            initargs=(store_path, None, reuse_results, *sizes),
         ) as pool:
             pending = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
             while pending:

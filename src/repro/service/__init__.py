@@ -26,8 +26,8 @@ Components
     immediately and the cells run through the same pipeline
     (``GET /jobs/<id>`` reports progress and partial records,
     ``DELETE /jobs/<id>`` cancels); a scheduler thread owns store GC to a
-    byte budget, cache TTL expiry, popularity flushing and restart
-    warm-up.
+    byte budget, job expiry, popularity flushing and restart warm-up.
+    Every other table is bounded by size alone.
 :class:`ServiceServer`
     The threaded HTTP front for one replica: ``POST /v1/solve``,
     ``POST /v1/sweep``, ``POST /v1/jobs/sweep``, ``GET /v1/jobs[/<id>]``,
@@ -41,13 +41,13 @@ Components
 :class:`ServiceClient`
     Stdlib client used by ``repro submit`` and scripts; keep-alive
     connections to the ``/v1`` API, envelope-aware errors.
-:class:`SolveJob` / :func:`parse_solve_payload`
-    The request codec; a job's ``key`` is the coalescing identity.
-:class:`SolveRunner`
-    One process's hot solve state around the engine's one cell step
-    (:func:`~repro.engine.executor.solve_cell`): instances, a bounded
-    planner table and the popularity warm-up.  The service computes
-    through its runner, and every execution-tier worker through its own.
+:class:`SolveJob` / :func:`parse_solve_payload` / :class:`InstanceCache`
+    The request codec; a job's ``key`` is the coalescing identity, and an
+    exact byte repeat of a request body is looked up, not re-parsed.  A
+    job runs through the engine's
+    :class:`~repro.engine.executor.SolveRunner` — the one per-process solve
+    state, shared with the sweep executor — which the service holds, and
+    every execution-tier worker holds its own of.
 """
 
 from .background import JobManager, MaintenanceScheduler, SweepJob
@@ -62,7 +62,6 @@ from .jobs import (
     ServiceError,
     ServiceTimeout,
     SolveJob,
-    SolveRunner,
     WorkerError,
     parse_solve_payload,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ServiceServer",
     "ServiceTimeout",
     "SolveJob",
-    "SolveRunner",
     "SolveService",
     "SweepJob",
     "TERMINAL_JOB_STATES",

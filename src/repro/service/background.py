@@ -25,18 +25,20 @@ facilities a long-lived process needs:
     One daemon thread owning periodic housekeeping, with jittered
     intervals (a fleet of services sharing one store must not GC in
     lockstep) and per-task failure isolation (a GC crash increments a
-    counter; it never kills TTL expiry, and never the thread).  Tasks:
-    result/planner-cache TTL expiry, job-table expiry, popularity
-    flushing, and store GC to a byte budget.  On demand it also performs
-    **warm-up**: after a restart over a warm store, re-compile the K
-    most-requested workflow fingerprints (ranked by a popularity counter
-    persisted in the store's meta tier) and preload their stored
-    requirement points, so the first solve of a popular instance hits the
-    hot cache instead of paying compilation.
+    counter; it never kills job expiry, and never the thread).  Tasks:
+    job-table expiry, popularity flushing, and store GC to a byte budget.
+    The result, instance and planner tables need no pass: each is bounded
+    by size.  At start-up it also performs **warm-up**: after a restart
+    over a warm store, re-compile the K most-requested workflow
+    fingerprints (ranked by a popularity counter persisted in the store's
+    meta tier) and preload their stored requirement points, so the first
+    solve of a popular instance hits the hot cache instead of paying
+    compilation.  Execution-tier workers run the same warm-up when they
+    spawn.
 
 Everything is observable through ``GET /metrics``: job gauges/counters
 under ``jobs``, and ``maintenance.{gc_runs, gc_deleted_bytes,
-ttl_expired, warmed_packs, ...}``.
+warmed_packs, ...}``.
 """
 
 from __future__ import annotations
@@ -428,43 +430,20 @@ class MaintenanceScheduler:
     store_max_bytes:
         Byte budget the store is GC'd down to each pass; ``None`` disables
         the GC task.
-    warmup:
-        Popular packs the ``warm_workers`` task asks the execution tier's
-        idle workers to preload each pass (0, or thread mode, disables
-        it).  Workers skip packs they already hold, so steady-state passes
-        are no-ops; the task exists for respawned workers and for
-        popularity that shifted since spawn.
-    jitter:
-        Fractional spread on the interval (default ±10%), so replicas
-        sharing a store do not run GC in lockstep.
-    seed:
-        Seed for the jitter RNG (deterministic scheduling in tests).
     """
 
     #: Periodic tasks, in execution order; each failure-isolated.
-    TASKS = (
-        "expire_results",
-        "expire_jobs",
-        "flush_popularity",
-        "gc_store",
-        "warm_workers",
-    )
+    TASKS = ("expire_jobs", "flush_popularity", "gc_store")
 
     def __init__(
         self,
         service: "SolveService",
         interval: float | None = 30.0,
         store_max_bytes: int | None = None,
-        warmup: int = 0,
-        jitter: float = 0.1,
-        seed: int | None = None,
     ) -> None:
         self.service = service
         self.interval = interval
         self.store_max_bytes = store_max_bytes
-        self.warmup = warmup
-        self.jitter = jitter
-        self._rng = random.Random(seed)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -474,7 +453,6 @@ class MaintenanceScheduler:
         self.runs = 0
         self.gc_runs = 0
         self.gc_deleted_bytes = 0
-        self.ttl_expired = 0
         self.expired_jobs = 0
         self.warmed_packs = 0
         self.popularity_flushes = 0
@@ -500,8 +478,9 @@ class MaintenanceScheduler:
             thread.join(timeout)
 
     def _delay(self) -> float:
-        spread = float(self.interval) * self.jitter
-        return max(0.05, float(self.interval) + self._rng.uniform(-spread, spread))
+        # ±10%, so replicas sharing a store do not run GC in lockstep.
+        spread = float(self.interval) * 0.1
+        return max(0.05, float(self.interval) + random.uniform(-spread, spread))
 
     def _loop(self) -> None:
         while not self._stop.wait(self._delay()):
@@ -513,7 +492,7 @@ class MaintenanceScheduler:
 
         A task that raises increments ``task_failures[name]`` and leaves
         the rest of the pass (and the thread) untouched — one bad disk
-        must not stop TTL expiry.
+        must not stop job expiry.
         """
         summary: dict[str, Any] = {}
         with self._run_lock:
@@ -527,13 +506,6 @@ class MaintenanceScheduler:
             with self._lock:
                 self.runs += 1
         return summary
-
-    def _task_expire_results(self) -> int:
-        expired = self.service.expire_caches()
-        if expired:
-            with self._lock:
-                self.ttl_expired += expired
-        return expired
 
     def _task_expire_jobs(self) -> int:
         expired = self.service.jobs.expire()
@@ -559,25 +531,11 @@ class MaintenanceScheduler:
             self.gc_deleted_bytes += result["freed_bytes"]
         return result
 
-    def _task_warm_workers(self) -> int | None:
-        """Keep execution-tier workers warm across respawns and passes.
-
-        Runs *after* ``flush_popularity`` so workers rank against current
-        traffic.  A worker spawned mid-flight (crash recovery) missed the
-        spawn-time warm-up of whatever became popular since; this pass
-        catches it up.  ``None`` when there is nothing to do (thread mode,
-        no store, warm-up disabled).
-        """
-        tier = self.service.exec_tier
-        if tier is None or self.warmup <= 0 or self.service.cache.store is None:
-            return None
-        return tier.warm_workers(self.warmup)
-
     # -- warm-up -----------------------------------------------------------------
     def warm_up(self, k: int) -> int:
         """Preload the ``k`` most-requested stored workflows into the hot cache.
 
-        Runs the service runner's :meth:`~repro.service.jobs.SolveRunner.warm`
+        Runs the service runner's :meth:`~repro.engine.executor.SolveRunner.warm`
         (the same warm-up every execution-tier worker runs at spawn), so
         after a restart the first solve of a popular fingerprint reports
         ``compile_hits > 0`` instead of paying compilation on the request
@@ -598,7 +556,6 @@ class MaintenanceScheduler:
                 "runs": self.runs,
                 "gc_runs": self.gc_runs,
                 "gc_deleted_bytes": self.gc_deleted_bytes,
-                "ttl_expired": self.ttl_expired,
                 "expired_jobs": self.expired_jobs,
                 "warmed_packs": self.warmed_packs,
                 "popularity_flushes": self.popularity_flushes,

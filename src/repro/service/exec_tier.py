@@ -12,17 +12,16 @@ onto (``repro serve --exec processes --exec-workers N``).
 Design
 ------
 * **Workers are resident, not per-task, and run the service's own code.**
-  Each worker bootstraps a :func:`repro.engine.executor.worker_context` —
-  the same per-process attachment the sweep executor uses: its own
-  :class:`~repro.engine.store.DerivationStore` handle over the shared
-  directory and a hot module-granular
-  :class:`~repro.engine.cache.DerivationCache` in front — and runs a
-  :class:`~repro.service.jobs.SolveRunner` over that cache, the same class
-  the service computes through in thread mode: a bounded planner table,
-  the store result-tier probe, the solve and the record all come from one
-  implementation.  At spawn a worker runs the runner's warm-up of the
-  store's most popular workflow packs, so its first request pays a solve,
-  not a recompilation.
+  Each worker builds one :class:`~repro.engine.executor.SolveRunner` — the
+  per-process solve state every sweep worker and the service itself hold:
+  its own :class:`~repro.engine.store.DerivationStore` handle over the
+  shared directory, a hot module-granular
+  :class:`~repro.engine.cache.DerivationCache` in front, and content-keyed
+  instance and planner tables.  The store result-tier probe, the solve and
+  the record all come from one implementation.  Before it announces ready,
+  a worker (a respawned one too) runs the runner's warm-up of the store's
+  most popular workflow packs, so its first request pays a solve, not a
+  recompilation.
 * **Requests cross the boundary as JSON-shaped bodies.**  Parsed jobs hold
   rebuilt workflows whose callables do not pickle; the tier re-encodes each
   job via :meth:`~repro.service.jobs.SolveJob.to_wire` and the worker
@@ -63,7 +62,8 @@ from collections import deque
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .jobs import ServiceError, SolveRunner, WorkerError, parse_solve_payload, status_of
+from ..engine.executor import SolveRunner
+from .jobs import ServiceError, WorkerError, parse_solve_payload, status_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .jobs import SolveJob
@@ -90,18 +90,15 @@ class TierUnavailable(ServiceError):
         super().__init__(message, status=503)
 
 
-def _mp_context(start_method: str | None = None) -> Any:
+def _mp_context() -> Any:
     """A multiprocessing context safe to use from a threaded parent.
 
     ``fork`` from a process already running pool/collector threads is
     undefined behaviour waiting to happen, so the tier prefers
     ``forkserver`` (cheap spawns after a one-time server start; the repro
     package is preloaded so workers do not re-import it) and falls back to
-    ``spawn``.  ``REPRO_EXEC_START_METHOD`` overrides for debugging.
+    ``spawn``.
     """
-    method = start_method or os.environ.get("REPRO_EXEC_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
     try:
         context = multiprocessing.get_context("forkserver")
         context.set_forkserver_preload(["repro.service.exec_tier"])
@@ -120,13 +117,11 @@ def _worker_main(
     """The worker loop: bootstrap, announce readiness, answer until exit.
 
     Protocol (tuples over the duplex pipe):
-    parent → worker: ``("solve", id, wire)`` | ``("warm", k)`` | ``("exit",)``
+    parent → worker: ``("solve", id, wire)`` | ``("exit",)``
     worker → parent: ``("ready", info)`` | ``("done", id, record, delta)`` |
-    ``("error", id, message, status, error_type, delta)`` | ``("warmed", n)``
+    ``("error", id, message, status, error_type, delta)``
     """
-    from ..engine.executor import worker_context
-
-    runner = SolveRunner(worker_context(store_path).cache, reuse_results=reuse_results)
+    runner = SolveRunner(store_path, reuse_results=reuse_results)
     try:
         warmed, _ = runner.warm(warmup)
         # Format-v2 stores serve pre-warmed packs as memory-mapped sidecars;
@@ -152,9 +147,6 @@ def _worker_main(
             op = message[0]
             if op == "exit":
                 break
-            if op == "warm":
-                conn.send(("warmed", runner.warm(int(message[1]))[0]))
-                continue
             if op != "solve":  # pragma: no cover - future-proofing
                 continue
             task_id, wire = message[1], message[2]
@@ -162,7 +154,7 @@ def _worker_main(
                 os._exit(70)  # the deterministic mid-solve death (tests)
             before = runner.cache.stats()
             try:
-                record = runner.solve(parse_solve_payload(wire, runner.instances))
+                record = parse_solve_payload(wire, runner).run(runner)
             except BaseException as exc:  # noqa: BLE001 - forwarded, not fatal
                 delta = runner.cache.stats().delta(before).as_dict()
                 conn.send(
@@ -231,16 +223,12 @@ class ProcessExecTier:
         Mirror of the service flag: workers probe the store's result tier
         before solving.
     warmup:
-        Popular packs each worker pre-warms at spawn (and on
-        :meth:`warm_workers`, which maintenance triggers periodically so
-        respawned workers and shifting popularity stay covered).
+        Popular packs each worker (a respawned one too) pre-warms before
+        it announces ready.
     max_restarts:
         Total worker respawns before the tier declares itself
         unrecoverable (``healthy() == False``; ``/healthz`` turns 503 and
         the service falls back to inline execution).
-    start_method:
-        Multiprocessing start method override (default: forkserver, then
-        spawn — never fork; the parent is threaded).
     """
 
     def __init__(
@@ -250,7 +238,6 @@ class ProcessExecTier:
         reuse_results: bool = True,
         warmup: int = 0,
         max_restarts: int = 16,
-        start_method: str | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -263,7 +250,7 @@ class ProcessExecTier:
         self.reuse_results = reuse_results
         self.warmup = warmup
         self.max_restarts = max_restarts
-        self._mp = _mp_context(start_method)
+        self._mp = _mp_context()
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._queue: "deque[_Task]" = deque()
@@ -355,8 +342,6 @@ class ProcessExecTier:
                 self.workers_mmap_packs += int(message[1].get("mmap_packs", 0))
                 self.workers_mmap_bytes += int(message[1].get("mmap_bytes", 0))
                 self._dispatch_locked()
-            elif op == "warmed":
-                self.workers_warmed += int(message[1])
             elif op in ("done", "error"):
                 task = self._tasks.pop(message[1], None)
                 if worker.task is task:
@@ -496,29 +481,6 @@ class ProcessExecTier:
             raise task.error
         assert task.record is not None
         return task.record
-
-    # -- warm-up ------------------------------------------------------------------
-    def warm_workers(self, k: int | None = None) -> int:
-        """Ask every *idle* ready worker to pre-warm its top-k packs.
-
-        Busy workers are skipped (they are not reading their pipe while
-        solving; warming them would buffer sends behind a computation) —
-        maintenance triggers this periodically, so they catch up on the
-        next pass.  Returns the number of workers messaged.
-        """
-        k = self.warmup if k is None else k
-        if k <= 0:
-            return 0
-        messaged = 0
-        with self._lock:
-            for worker in self._workers:
-                if worker.alive and worker.ready and worker.task is None:
-                    try:
-                        worker.conn.send(("warm", int(k)))
-                        messaged += 1
-                    except (OSError, ValueError):  # pragma: no cover - dying
-                        continue
-        return messaged
 
     # -- test/ops sequencing hooks --------------------------------------------------
     def pause(self) -> None:

@@ -24,11 +24,14 @@ Anything malformed raises :class:`ServiceError` with an HTTP status the
 server maps onto the response; nothing here touches sockets, so the codec
 is directly unit-testable.
 
-A parsed job is answered by a :class:`SolveRunner`: the per-process hot
-state (instances, a bounded planner table, warm-up) around the engine's one
-cell step, :func:`~repro.engine.executor.solve_cell`.  The service holds
-one and every execution-tier worker process holds its own, so both tiers
-answer through the same code.
+A parsed job is answered (:meth:`SolveJob.run`) by the engine's
+:class:`~repro.engine.executor.SolveRunner` — the per-process state that
+rebuilds instances and memoizes planners by content — through the engine's
+one cell step, :func:`~repro.engine.executor.solve_cell`.  The service
+holds one runner and every execution-tier worker process holds its own, so
+both tiers answer through the same code.  The only service-side table is
+:class:`InstanceCache`, the raw-body → :class:`SolveJob` memo layered on
+the service's runner.
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..engine import Planner
-from ..engine.executor import solve_cell
+from ..engine.executor import SolveRunner, solve_cell
 from ..exceptions import ProvenanceError
 from ..kernel import VALID_BACKENDS, resolve_backend
 
@@ -53,7 +54,6 @@ __all__ = [
     "ServiceError",
     "ServiceTimeout",
     "SolveJob",
-    "SolveRunner",
     "WorkerError",
     "decode_json",
     "error_envelope",
@@ -69,9 +69,6 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
 
 #: The subset of :data:`JOB_STATES` a job never leaves once entered.
 TERMINAL_JOB_STATES = ("done", "failed", "cancelled")
-
-#: Default bound on a :class:`SolveRunner`'s planner table (FIFO eviction).
-PLANNER_LIMIT = 128
 
 
 def error_envelope(
@@ -156,8 +153,8 @@ class SolveJob:
     ``instance`` is the rebuilt :class:`~repro.core.workflow.Workflow` or
     :class:`~repro.core.secure_view.SecureViewProblem` — the *same object*
     for every request with the same content fingerprint (see
-    :class:`InstanceCache`), so the engine's identity-keyed memory tables
-    hit across requests.
+    :meth:`~repro.engine.executor.SolveRunner.resolve`), so the engine's
+    identity-keyed memory tables hit across requests.
     """
 
     source: str  # "workflow" | "problem"
@@ -225,46 +222,56 @@ class SolveJob:
             body["costs"] = dict(self.costs)
         return body
 
+    def run(self, runner: SolveRunner) -> dict[str, Any]:
+        """This job's record, answered through ``runner``'s planner table.
+
+        A stored error record is returned, not raised.
+        """
+        planner = runner.planner(
+            self.source,
+            self.instance,
+            self.fingerprint,
+            self.gamma,
+            self.kind,
+            self.backend,
+        )
+        record = solve_cell(
+            planner,
+            self.fingerprint,
+            self.label,
+            self.solver,
+            self.seed,
+            self.verify,
+            runner.reuse_results,
+            self.costs,
+        )
+        record["fingerprint"] = self.fingerprint
+        return record
+
 
 class InstanceCache:
-    """Rebuilt instances and parsed jobs keyed by content, bounded FIFO.
+    """Parsed jobs keyed by raw request bytes, over a runner's instance table.
 
-    Three layers of deduplication: a digest of the raw request bytes maps
-    an exact byte-for-byte repeat straight to its parsed, validated
-    :class:`SolveJob` (:meth:`solve_job` — no JSON decoding, no
-    validation, no canonical digest); a raw-payload digest short-circuits
-    repeats of one instance payload without rebuilding anything; and the
-    canonical content fingerprint maps semantically identical payloads
-    (different module order, different dict order) to one live object.
-    Returning the *same* object matters because the engine's memory tables
-    are keyed by object identity — a repeated request then hits the cache
-    front instead of re-probing the store.  Sharing one job across
-    requests is safe because :class:`SolveJob` is frozen.
-
-    ``cache`` is the :class:`~repro.engine.cache.DerivationCache` the
-    instances are solved against: each new workflow's fingerprint is handed
-    to it, so it never tabulates the workflow to hash it again.
+    A digest of the raw request bytes maps an exact byte-for-byte repeat
+    straight to its parsed, validated :class:`SolveJob` (:meth:`solve_job`
+    — no JSON decoding, no validation, no canonical digest); a miss parses
+    through :func:`parse_solve_payload`, whose instance resolution is the
+    ``runner``'s (:meth:`~repro.engine.executor.SolveRunner.resolve`,
+    content-keyed).  Sharing one job across requests is safe because
+    :class:`SolveJob` is frozen.  The memo shares the runner's instance
+    bound (FIFO eviction).
     """
 
-    def __init__(self, max_entries: int = 64, cache: Any = None) -> None:
-        self.max_entries = max_entries
-        self.cache = cache
+    def __init__(self, runner: SolveRunner | None = None) -> None:
+        self.runner = runner if runner is not None else SolveRunner()
         self._lock = threading.Lock()
         self._by_body: OrderedDict[bytes, SolveJob] = OrderedDict()
-        self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
-        self._by_fingerprint: OrderedDict[str, Any] = OrderedDict()
-
-    def _remember(self, table: OrderedDict, key: Any, value: Any) -> None:
-        while len(table) >= self.max_entries:
-            table.popitem(last=False)
-        table[key] = value
 
     def solve_job(self, raw: bytes) -> SolveJob:
         """The parsed job for one raw ``POST /solve`` body.
 
-        A miss decodes and parses through :func:`parse_solve_payload`;
-        only a job that parsed is remembered, so a malformed body fails
-        the same way every time.
+        Only a job that parsed is remembered, so a malformed body fails the
+        same way every time.
         """
         digest = hashlib.blake2b(raw, digest_size=16).digest()
         with self._lock:
@@ -272,156 +279,14 @@ class InstanceCache:
         if job is None:
             job = parse_solve_payload(decode_json(raw), self)
             with self._lock:
-                self._remember(self._by_body, digest, job)
+                while len(self._by_body) >= self.runner.max_instances:
+                    self._by_body.popitem(last=False)
+                self._by_body[digest] = job
         return job
 
     def resolve(self, source: str, payload: Mapping[str, Any]) -> tuple[Any, str]:
-        """``(instance, fingerprint)`` for one request payload.
-
-        Serialized under one lock: concurrent first requests for the same
-        content must converge on a single rebuilt object, or the
-        identity-keyed engine tables would treat them as distinct
-        instances.  Rebuilding under the lock costs a few ms once per new
-        instance — repeats are dictionary hits.  The fingerprint is the
-        sweep executor's key too (:func:`instance_fingerprint`), so service
-        and sweep share persistent-store result entries.
-        """
-        from ..workloads.fingerprint import instance_fingerprint, payload_fingerprint
-        from ..workloads.serialization import problem_from_dict, workflow_from_dict
-
-        with self._lock:
-            digest = payload_fingerprint({source: payload})
-            cached = self._by_digest.get(digest)
-            if cached is not None:
-                return cached
-            if source == "workflow":
-                instance = workflow_from_dict(payload)
-            else:
-                instance = problem_from_dict(payload)
-            fingerprint = instance_fingerprint(source, payload)
-            existing = self._by_fingerprint.get(fingerprint)
-            if existing is not None:
-                instance = existing
-            else:
-                if source == "workflow" and self.cache is not None:
-                    self.cache.fingerprint(instance, fingerprint)
-                self._remember(self._by_fingerprint, fingerprint, instance)
-            built = (instance, fingerprint)
-            self._remember(self._by_digest, digest, built)
-            return built
-
-
-class SolveRunner:
-    """One process's hot solve state: instances, planners, warm-up.
-
-    Answers a parsed :class:`SolveJob` through the engine's
-    :func:`~repro.engine.executor.solve_cell` over one shared
-    :class:`~repro.engine.cache.DerivationCache`.  Planners are memoized
-    per ``(source, fingerprint, Γ, kind, backend)`` in a table bounded by
-    ``max_planners`` (FIFO eviction) and stamped for TTL expiry.  The
-    :class:`SolveService` holds one runner; each execution-tier worker
-    process holds its own over its worker cache.
-    """
-
-    def __init__(
-        self,
-        cache: Any,
-        registry: Any = None,
-        reuse_results: bool = True,
-        max_planners: int = PLANNER_LIMIT,
-    ) -> None:
-        self.cache = cache
-        self.registry = registry
-        self.reuse_results = reuse_results
-        self.max_planners = max_planners
-        self.instances = InstanceCache(cache=cache)
-        self._lock = threading.Lock()
-        self._planners: OrderedDict[tuple, tuple[Planner, float]] = OrderedDict()
-        self._warmed: set[str] = set()
-
-    def planner(self, job: SolveJob) -> Planner:
-        """The memoized planner for a job's instance and derivation point."""
-        key = (job.source, job.fingerprint, job.gamma, job.kind, job.backend)
-        with self._lock:
-            entry = self._planners.get(key)
-            if entry is not None:
-                return entry[0]
-        options = dict(cache=self.cache, registry=self.registry, backend=job.backend)
-        if job.source == "workflow":
-            planner = Planner(job.instance, job.gamma, kind=job.kind, **options)
-        else:
-            planner = Planner.from_problem(job.instance, **options)
-        with self._lock:
-            # First construction wins so concurrent requests converge on one
-            # planner (and therefore one identity-keyed cache entry set).
-            existing = self._planners.get(key)
-            if existing is not None:
-                return existing[0]
-            while len(self._planners) >= self.max_planners:
-                self._planners.popitem(last=False)
-            self._planners[key] = (planner, time.monotonic())
-            return planner
-
-    def solve(self, job: SolveJob) -> dict[str, Any]:
-        """The job's record; a stored error record is returned, not raised."""
-        record = solve_cell(
-            self.planner(job),
-            job.fingerprint,
-            job.label,
-            job.solver,
-            job.seed,
-            job.verify,
-            self.reuse_results,
-            job.costs,
-        )
-        record["fingerprint"] = job.fingerprint
-        return record
-
-    def expire(self, ttl: float, now: float) -> int:
-        """Drop planners built ``ttl`` seconds before ``now``; the count."""
-        with self._lock:
-            stale = [
-                key
-                for key, (_, stamp) in self._planners.items()
-                if now - stamp >= ttl
-            ]
-            for key in stale:
-                del self._planners[key]
-        return len(stale)
-
-    def warm(self, k: int) -> tuple[int, int]:
-        """Preload the ``k`` most-requested stored workflows; ``(warmed, failed)``.
-
-        For each: rebuild the instance from the meta tier's serialized
-        payload (through :attr:`instances`, so requests for the same content
-        map onto the *same object* and hit the identity-keyed tables),
-        compile its kernel pack, and load every stored requirement point.
-        A fingerprint this runner already warmed is skipped, so repeated
-        passes only pick up respawns and shifted popularity.  Failures are
-        isolated per workflow and counted.
-        """
-        store = self.cache.store
-        if store is None or k <= 0:
-            return 0, 0
-        warmed = failed = 0
-        for fingerprint, _count, payload in store.popular_workflows(k):
-            if fingerprint in self._warmed:
-                continue
-            try:
-                workflow, resolved = self.instances.resolve("workflow", payload)
-                if resolved != fingerprint:
-                    raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
-                self.cache.compiled_workflow(workflow)
-                for gamma, kind, backend in store.stored_requirement_points(
-                    fingerprint
-                ):
-                    self.cache.requirements(workflow, gamma, kind, backend=backend)
-            except Exception:  # noqa: BLE001 - warm-up is best-effort
-                failed += 1
-                continue
-            self._warmed.add(fingerprint)
-            warmed += 1
-        return warmed, failed
+        """``(instance, fingerprint)`` for one request payload, from the runner."""
+        return self.runner.resolve(source, payload)
 
 
 def decode_json(raw: bytes) -> Any:
@@ -474,13 +339,15 @@ def _parse_costs(value: Any) -> tuple[tuple[str, float], ...] | None:
 
 
 def parse_solve_payload(
-    body: Any, instances: InstanceCache
+    body: Any, instances: InstanceCache | SolveRunner
 ) -> SolveJob:
     """Validate one ``POST /solve`` body and canonicalize it into a job.
 
-    Raises :class:`ServiceError` (status 400) on anything malformed — an
-    unknown field combination, a bad Γ, an unknown solver kind or backend,
-    or an instance payload the serializer rejects.
+    ``instances`` resolves the request's instance payload by content: a
+    service's :class:`InstanceCache`, or a bare runner.  Raises
+    :class:`ServiceError` (status 400) on anything malformed — an unknown
+    field combination, a bad Γ, an unknown solver kind or backend, or an
+    instance payload the serializer rejects.
     """
     _require(isinstance(body, Mapping), "request body must be a JSON object")
     has_workflow = "workflow" in body

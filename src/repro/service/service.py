@@ -23,11 +23,11 @@ Request flow for ``solve_payload``:
 4. a leader submits the computation to the worker pool; completion is
    published through a done-callback, so a leader whose *wait* times out
    still resolves its followers and still populates the caches;
-5. the computation is the engine's one cell step, run by a
-   :class:`~repro.service.jobs.SolveRunner`: the persistent store's result
-   tier is probed first (sharing entries with ``repro sweep --store`` and
-   warm CLI runs), then the planner solves through the shared thread-safe
-   cache.
+5. the computation is the engine's one cell step, run through the
+   service's :class:`~repro.engine.executor.SolveRunner`: the persistent
+   store's result tier is probed first (sharing entries with ``repro sweep
+   --store`` and warm CLI runs), then the planner solves through the shared
+   thread-safe cache.
 
 Steps 2–3 are one *admit* step and the wait that follows is one *collect*
 step, shared by ``/solve``, ``/sweep`` and ``/jobs/sweep``:
@@ -40,7 +40,7 @@ Where a leader computation *burns CPU* is the execution tier
 (``exec_mode``): ``"threads"`` runs it on the pool thread itself (one core,
 GIL-bound), ``"processes"`` ships it to a persistent
 :class:`~repro.service.exec_tier.ProcessExecTier` worker, which runs its
-own :class:`~repro.service.jobs.SolveRunner`, so K distinct concurrent
+own :class:`~repro.engine.executor.SolveRunner`, so K distinct concurrent
 requests use K cores.  Either way the pool thread owns the coalescer
 publication and reads the returned record, so everything above this
 paragraph is mode-independent.
@@ -58,18 +58,16 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping
 
-from ..engine import DerivationCache
-from ..engine.executor import error_record
+from ..engine.executor import SolveRunner, error_record
 from ..engine.store import DerivationStore
 from .background import JobManager, MaintenanceScheduler
 from .coalescer import RequestCoalescer
 from .exec_tier import ProcessExecTier, TierUnavailable
 from .jobs import (
-    PLANNER_LIMIT,
+    InstanceCache,
     ServiceError,
     ServiceTimeout,
     SolveJob,
-    SolveRunner,
     parse_solve_payload,
 )
 
@@ -102,13 +100,10 @@ class SolveService:
         and the store's result tier.  Note this applies to seeded *and*
         unseeded randomized solves alike (matching the sweep executor):
         clients wanting fresh randomness per call should vary ``seed``.
-    result_cache_size / planner_cache_size:
-        Bounds on the completed-result and planner memo tables (FIFO
-        eviction past the bound).
-    result_ttl:
-        Seconds a completed result (and an idle planner) stays cached;
-        ``None`` keeps entries until evicted by the size bound.  Enforced
-        lazily on lookup and eagerly by the maintenance pass.
+    result_cache_size:
+        Bound on the completed-result table (FIFO eviction past the
+        bound).  The runner's instance and planner tables keep their own
+        default bounds.
     job_ttl / max_jobs:
         Async-job table policy (see :class:`~repro.service.background.JobManager`):
         how long a *finished* job stays queryable, and how many jobs the
@@ -120,7 +115,8 @@ class SolveService:
         Re-compile this many of the store's most-requested workflow
         fingerprints at construction (popularity persists in the store's
         meta tier), so a restarted service answers its first solves of
-        popular instances from the hot cache.
+        popular instances from the hot cache.  Each execution-tier worker
+        runs the same warm-up when it spawns.
     maintenance_interval:
         Seconds between background maintenance passes (jittered ±10%);
         ``0`` or ``None`` disables the thread (tasks still run on demand
@@ -152,8 +148,6 @@ class SolveService:
         default_timeout: float | None = 60.0,
         reuse_results: bool = True,
         result_cache_size: int = RESULT_LIMIT,
-        planner_cache_size: int = PLANNER_LIMIT,
-        result_ttl: float | None = None,
         job_ttl: float | None = 600.0,
         max_jobs: int = 256,
         store_max_bytes: int | None = None,
@@ -170,10 +164,6 @@ class SolveService:
         # measuring *cross-replica* reuse needs.
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
-        if planner_cache_size < 1:
-            raise ValueError("planner_cache_size must be >= 1")
-        if result_ttl is not None and result_ttl <= 0:
-            raise ValueError("result_ttl must be positive (or None)")
         if job_ttl is not None and job_ttl <= 0:
             raise ValueError("job_ttl must be positive (or None)")
         if max_jobs < 1:
@@ -195,28 +185,21 @@ class SolveService:
                 "a custom solver registry cannot cross the process boundary; "
                 "use exec_mode='threads'"
             )
-        if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
-            store = DerivationStore(store)
-        self.cache = DerivationCache(store=store)
         #: The in-process solve state; the thread tier (and the process
         #: tier's inline fallback) computes through it.
-        self.runner = SolveRunner(
-            self.cache, registry, reuse_results, planner_cache_size
-        )
-        self.instances = self.runner.instances
+        self.runner = SolveRunner(store, registry, reuse_results)
+        self.cache = self.runner.cache
+        self.instances = InstanceCache(self.runner)
         self.replica_id = replica_id
         self.workers = workers
         self.default_timeout = default_timeout
         self.reuse_results = reuse_results
         self.result_cache_size = result_cache_size
-        self.result_ttl = result_ttl
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-solve"
         )
         self.coalescer = RequestCoalescer()
-        # Result entries are stamped with their insertion time so the TTL
-        # task (and lazy lookups) can expire them.
-        self._results: OrderedDict[tuple, tuple[dict[str, Any], float]] = OrderedDict()
+        self._results: OrderedDict[tuple, dict[str, Any]] = OrderedDict()
         self._state = threading.Lock()
         self._idle = threading.Condition(self._state)
         self._in_flight = 0
@@ -248,6 +231,7 @@ class SolveService:
         #: so construction does not block on interpreter start-up.
         self.exec_tier: ProcessExecTier | None = None
         if exec_mode == "processes":
+            store = self.cache.store
             self.exec_tier = ProcessExecTier(
                 workers=exec_workers or workers,
                 store_path=str(store.root) if store is not None else None,
@@ -256,10 +240,7 @@ class SolveService:
             )
         self.jobs = JobManager(self, job_ttl=job_ttl, max_jobs=max_jobs)
         self.maintenance = MaintenanceScheduler(
-            self,
-            interval=maintenance_interval,
-            store_max_bytes=store_max_bytes,
-            warmup=warmup,
+            self, interval=maintenance_interval, store_max_bytes=store_max_bytes
         )
         if warmup:
             self.maintenance.warm_up(warmup)
@@ -295,44 +276,14 @@ class SolveService:
         with self._state:
             while len(self._results) >= self.result_cache_size:
                 self._results.popitem(last=False)
-            self._results[key] = (dict(record), time.monotonic())
+            self._results[key] = dict(record)
 
     def _lookup_result(self, key: tuple) -> dict[str, Any] | None:
         if self.result_cache_size == 0:
             return None
         with self._state:
-            entry = self._results.get(key)
-            if entry is None:
-                return None
-            record, stamp = entry
-            if (
-                self.result_ttl is not None
-                and time.monotonic() - stamp >= self.result_ttl
-            ):
-                del self._results[key]
-                return None
-            return dict(record)
-
-    def expire_caches(self, now: float | None = None) -> int:
-        """Drop result/planner entries older than ``result_ttl``; count dropped.
-
-        The maintenance pass calls this periodically (``ttl_expired`` in
-        ``/metrics``); ``now`` (a ``time.monotonic`` value) is injectable
-        so tests can advance the clock without sleeping.  A no-op when no
-        TTL is configured.
-        """
-        if self.result_ttl is None:
-            return 0
-        now = time.monotonic() if now is None else now
-        with self._state:
-            stale = [
-                key
-                for key, (_, stamp) in self._results.items()
-                if now - stamp >= self.result_ttl
-            ]
-            for key in stale:
-                del self._results[key]
-        return len(stale) + self.runner.expire(self.result_ttl, now)
+            record = self._results.get(key)
+            return None if record is None else dict(record)
 
     # -- popularity (persisted by maintenance into the store's meta tier) -------
     def _note_popularity(self, job: SolveJob) -> None:
@@ -386,7 +337,7 @@ class SolveService:
             else:
                 record = tier.wait(task)
         if record is None:
-            record = self.runner.solve(job)
+            record = job.run(self.runner)
         if record["from_store"]:
             with self._state:
                 self.result_hits_store += 1

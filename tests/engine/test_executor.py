@@ -18,6 +18,7 @@ from repro.workloads import (
     problem_to_dict,
     random_problem,
     random_workflow,
+    workflow_family,
     workflow_to_dict,
 )
 
@@ -258,6 +259,57 @@ class TestDriverProbe:
         monkeypatch.setattr(fingerprint, "workflow_fingerprint", tabulated)
         report = run_sweep(_spec(), n_jobs=1, store=tmp_path / "store")
         assert report.errors == 0
+
+
+class TestContentKeying:
+    """Each process keys instances and planners by content, not by label."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_one_workflow_under_two_labels_derives_once(self, n_jobs):
+        payload = workflow_to_dict(random_workflow(5, seed=1))
+        spec = SweepSpec(
+            instances=(
+                SweepInstance("a", "workflow", payload),
+                SweepInstance("b", "workflow", dict(payload)),
+            ),
+            solvers=("greedy",),
+        )
+        report = run_sweep(spec, n_jobs=n_jobs)
+        assert report.errors == 0
+        assert report.stats["derivation_misses"] == 1
+        first, second = (
+            {k: v for k, v in scrub_record(r).items() if k not in ("workflow", "index")}
+            for r in report.records
+        )
+        assert [r["workflow"] for r in report.records] == ["a", "b"]
+        assert first == second
+
+    def test_family_grid_rebuilds_each_workflow_once(self, monkeypatch):
+        """A worker's tables are sized from the grid: no instance it needs
+        again at the second Γ point was evicted after the first."""
+        import repro.workloads.serialization as serialization
+
+        rebuilt: list[str] = []
+        rebuild = serialization.workflow_from_dict
+
+        def counted(payload):
+            rebuilt.append(payload["name"])
+            return rebuild(payload)
+
+        monkeypatch.setattr(serialization, "workflow_from_dict", counted)
+        family = workflow_family(n_variants=69, seed=3, n_modules=3)
+        spec = SweepSpec(
+            instances=tuple(
+                SweepInstance(w.name, "workflow", workflow_to_dict(w)) for w in family
+            ),
+            gammas=(1, 2),
+            solvers=("greedy",),
+        )
+        report = run_sweep(spec, n_jobs=1)  # in-process, so the count is visible
+        assert report.errors == 0
+        assert report.stats["chunks"] == 2  # one family at each Γ point
+        assert len(family) == 70
+        assert sorted(rebuilt) == sorted(w.name for w in family)
 
 
 class TestVerification:

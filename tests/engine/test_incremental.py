@@ -33,7 +33,6 @@ from repro.engine import (
     SweepInstance,
     SweepSpec,
     run_sweep,
-    scrub_record,
 )
 from repro.engine.executor import _chunks_for
 from repro.exceptions import WorkflowError
@@ -348,7 +347,7 @@ class TestFamilySweepChunking:
     def test_family_lands_in_one_chunk_unrelated_do_not(self, family):
         unrelated = workflow_family(n_variants=0, seed=99, n_modules=3)[0]
         spec = self._spec([*family, unrelated])
-        chunks = _chunks_for(spec, None, True, None)
+        chunks = _chunks_for(spec)
         assert len(chunks) == 2
         assert {len(chunk["instances"]) for chunk in chunks} == {len(family), 1}
 
@@ -391,15 +390,5 @@ class TestFamilySweepChunking:
             solvers=("greedy",),
             seeds=(0,),
         )
-        chunks = _chunks_for(spec, None, True, None)
+        chunks = _chunks_for(spec)
         assert len(chunks) == 6
-
-    def test_chunk_size_still_splits_family_cells(self, family):
-        spec = self._spec(family)
-        chunks = _chunks_for(spec, None, True, 1)
-        assert len(chunks) == len(family)
-        serial = run_sweep(spec, n_jobs=1)
-        split = run_sweep(spec, n_jobs=2, chunk_size=1)
-        assert [scrub_record(r) for r in serial.records] == [
-            scrub_record(r) for r in split.records
-        ]

@@ -273,29 +273,6 @@ class TestJobTable:
 
 
 class TestMaintenance:
-    def test_result_ttl_expiry_counts_and_forgets(self, figure1_payload):
-        service = make_service(result_ttl=60.0)
-        body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-                "solver": "exact"}
-        service.solve_payload(dict(body))
-        assert service.expire_caches() == 0
-        # Result + planner entries both age out past the TTL.
-        assert service.expire_caches(now=time.monotonic() + 61) == 2
-        service.solve_payload(dict(body))  # recomputed, not an error
-        assert service.metrics()["result_hits"]["memory"] == 0
-        assert service.drain(timeout=30)
-
-    def test_lazy_lookup_also_honors_the_ttl(self, figure1_payload, monkeypatch):
-        service = make_service(result_ttl=0.001)
-        body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-                "solver": "exact"}
-        first = service.solve_payload(dict(body))
-        time.sleep(0.01)  # tiny TTL, not a coordination sleep
-        again = service.solve_payload(dict(body))
-        assert again["cost"] == first["cost"]
-        assert service.metrics()["result_hits"]["memory"] == 0
-        assert service.drain(timeout=30)
-
     def test_gc_task_prunes_store_to_budget(self, tmp_path, figure1_payload):
         store_dir = tmp_path / "store"
         service = make_service(store=str(store_dir), store_max_bytes=0)
@@ -322,7 +299,7 @@ class TestMaintenance:
         summary = service.maintenance.run_once()
         assert "RuntimeError" in summary["expire_jobs"]
         # The failing task neither killed the pass nor the other tasks.
-        assert summary["expire_results"] == 0
+        assert summary["flush_popularity"] == 0
         metrics = service.maintenance.metrics()
         assert metrics["task_failures"]["expire_jobs"] == 1
         assert metrics["runs"] == 1
@@ -430,9 +407,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"result_cache_size": -1},
-            {"planner_cache_size": 0},
-            {"result_ttl": 0},
-            {"result_ttl": -1.0},
             {"job_ttl": 0},
             {"max_jobs": 0},
             {"store_max_bytes": -1},

@@ -290,18 +290,17 @@ class TestWorkerRunner:
     def test_worker_planner_table_is_bounded(self):
         """A worker's runner evicts planners past the service's default bound."""
         from repro.core import Workflow
-        from repro.engine.executor import WorkerContext
-        from repro.service import SolveRunner
-        from repro.service.jobs import PLANNER_LIMIT
+        from repro.engine.executor import PLANNER_LIMIT, SolveRunner
         from repro.workloads import random_total_module, workflow_to_dict
 
-        # Built the way a worker process builds its runner.
-        runner = SolveRunner(WorkerContext(None).cache)
+        # Built, and asked, the way a worker process builds and asks its
+        # runner (no store directory here).
+        runner = SolveRunner(None, reuse_results=True)
         for index in range(PLANNER_LIMIT + 8):
             module = random_total_module(index, 2, 1, f"m{index}", f"a{index}_")
             workflow = Workflow([module], name=f"w{index}")
             body = {"workflow": workflow_to_dict(workflow), "gamma": 2}
-            runner.solve(parse_solve_payload(body, runner.instances))
+            parse_solve_payload(body, runner).run(runner)
         assert len(runner._planners) == PLANNER_LIMIT
 
 

@@ -160,12 +160,13 @@ class TestCanonicalization:
         import sys
         import threading
 
-        from repro.engine import DerivationCache
-        from repro.service import SolveRunner
+        from repro.engine import SolveRunner
 
-        runner = SolveRunner(DerivationCache(), max_planners=2)
+        # The service's runner, with a smaller planner bound.
+        runner = SolveRunner(max_planners=2)
+        instances = InstanceCache(runner)
         jobs = [
-            parse_solve_payload(_solve_body(figure1_payload, gamma=g), runner.instances)
+            parse_solve_payload(_solve_body(figure1_payload, gamma=g), instances)
             for g in (2, 3, 4)
         ]
         slots = 12  # more threads than cores, several per key
@@ -173,9 +174,19 @@ class TestCanonicalization:
         sizes: list[int] = []
         barrier = threading.Barrier(slots)
 
+        def planner_of(job):
+            return runner.planner(
+                job.source,
+                job.instance,
+                job.fingerprint,
+                job.gamma,
+                job.kind,
+                job.backend,
+            )
+
         def build(slot: int) -> None:
             barrier.wait(timeout=30)
-            planners[slot] = runner.planner(jobs[slot % 2])
+            planners[slot] = planner_of(jobs[slot % 2])
             sizes.append(len(runner._planners))
 
         interval = sys.getswitchinterval()
@@ -192,5 +203,5 @@ class TestCanonicalization:
         assert len(sizes) == slots and max(sizes) <= 2
         assert len({id(planners[i]) for i in range(0, slots, 2)}) == 1
         assert len({id(planners[i]) for i in range(1, slots, 2)}) == 1
-        runner.planner(jobs[2])  # a third key evicts the oldest
+        planner_of(jobs[2])  # a third key evicts the oldest
         assert len(runner._planners) == 2

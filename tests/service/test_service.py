@@ -415,9 +415,10 @@ class TestRawBodyMemo:
         assert len(parse_calls) == 1  # the repeat hit the memo and was still refused
 
     def test_memo_is_bounded_by_the_instance_cache_size(self, figure1_payload):
+        from repro.engine import SolveRunner
         from repro.service import InstanceCache
 
-        instances = InstanceCache(max_entries=2)
+        instances = InstanceCache(SolveRunner(max_instances=2))
         for gamma in (2, 3, 4):
             raw = json.dumps({"workflow": figure1_payload, "gamma": gamma}).encode()
             assert instances.solve_job(raw).gamma == gamma

@@ -385,8 +385,6 @@ class TestServeFlagValidation:
             ["--workers", "0"],
             ["--result-cache-size", "-1"],
             ["--result-cache-size", "many"],
-            ["--result-ttl", "0"],
-            ["--result-ttl", "-3"],
             ["--job-ttl", "0"],
             ["--max-jobs", "0"],
             ["--store-max-bytes", "-1"],
