@@ -36,7 +36,7 @@ def _cold_sweep(workflow, gamma):
         problem = SecureViewProblem.from_standalone_analysis(
             workflow, gamma, kind="set"
         )
-        costs.append(problem.solve(method=solver).cost())
+        costs.append(Planner.from_problem(problem).solve(solver).cost)
     return costs
 
 

@@ -23,16 +23,14 @@ registered in the solver registry::
     result = planner.solve(solver="exact", verify=True)
     result = planner.solve(solver="lp_rounding", seed=7)
 
-``repro engine list-solvers`` (CLI) prints the registry.  The historical
-free functions (``repro.optim.solve_secure_view`` and the per-algorithm
-``solve_*`` functions) still work.
+``repro engine list-solvers`` (CLI) prints the registry.
 
 Layout
 ------
 ``repro.engine``
     The unified solve surface: solver registry with decorator registration,
-    ``SolveRequest``/``SolveResult`` dataclasses, the ``Planner`` facade and
-    the shared ``DerivationCache``.
+    the ``SolveResult`` dataclass, the ``Planner`` facade and the shared
+    ``DerivationCache``.
 ``repro.core``
     The formal model: attributes, relations, modules, workflows, provenance
     views, possible worlds, Γ-privacy, standalone analysis, requirement
@@ -85,7 +83,6 @@ from .engine import (
     DerivationCache,
     Planner,
     PrivacyCertificate,
-    SolveRequest,
     SolveResult,
     SolverRegistry,
     default_registry,
@@ -138,7 +135,6 @@ __all__ = [
     "DerivationCache",
     "Planner",
     "PrivacyCertificate",
-    "SolveRequest",
     "SolveResult",
     "SolverRegistry",
     "default_registry",

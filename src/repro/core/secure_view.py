@@ -12,9 +12,9 @@ Feasibility of a candidate solution is:
   the general LP in Appendix C.4), and privatized modules contribute their
   privatization cost.
 
-The :meth:`SecureViewProblem.solve` dispatcher routes to the algorithms in
-:mod:`repro.optim` by name so examples and benchmarks can switch solvers
-with a single string.
+The problem holds no solver: the algorithms in :mod:`repro.optim` take it
+as their first argument, and ``repro.engine.Planner.solve`` picks one by
+registry name.
 """
 
 from __future__ import annotations
@@ -229,28 +229,3 @@ class SecureViewProblem:
         )
         return SecureViewSolution(self.workflow, hidden, privatized, meta or {})
 
-    # -- solving -----------------------------------------------------------------------
-    def solve(self, method: str = "auto", **kwargs) -> SecureViewSolution:
-        """Solve the instance with the named algorithm.
-
-        Methods
-        -------
-        ``"exact"``
-            Optimal solution by branch and bound (small instances, any kind).
-        ``"lp_rounding"``
-            Figure-3 LP relaxation + Algorithm-1 randomized rounding
-            (cardinality constraints, all-private workflows).
-        ``"set_lp"``
-            ℓ_max-approximation by LP rounding (set constraints).
-        ``"greedy"``
-            Per-module cheapest option, (γ+1)-approximation for bounded data
-            sharing.
-        ``"general_lp"``
-            ℓ_max-approximation with privatization variables (general
-            workflows, set constraints).
-        ``"auto"``
-            Picks a sensible default based on the instance shape.
-        """
-        from ..optim import solve_secure_view  # local import to avoid a cycle
-
-        return solve_secure_view(self, method=method, **kwargs)

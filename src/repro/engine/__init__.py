@@ -22,9 +22,10 @@ Components
 :class:`SolverRegistry` / :func:`register_solver`
     Decorator-based registry of algorithms with metadata (constraint kind,
     scope, randomization, guarantee); pre-populated with every algorithm in
-    :mod:`repro.optim` by :mod:`repro.engine.adapters`.
-:class:`SolveRequest` / :class:`SolveResult`
-    The uniform request/result surface shared by all solvers.
+    :mod:`repro.optim` by :mod:`repro.engine.adapters`.  It is the only map
+    from solver names to algorithms.
+:class:`SolveResult`
+    The uniform result every solver answers with.
 :class:`DerivationCache`
     Two-tier memoization of requirement derivation, provenance relations,
     compiled kernel packs and verification out-sets: a bounded in-memory
@@ -66,7 +67,7 @@ from .registry import (
     default_registry,
     register_solver,
 )
-from .result import PrivacyCertificate, SolveRequest, SolveResult
+from .result import PrivacyCertificate, SolveResult
 from .store import DerivationStore
 
 from . import adapters as _adapters  # noqa: F401  (populates the registry)
@@ -77,7 +78,6 @@ __all__ = [
     "DerivationStore",
     "Planner",
     "PrivacyCertificate",
-    "SolveRequest",
     "SolveResult",
     "SolveRunner",
     "SolverRegistry",

@@ -5,10 +5,10 @@ default :class:`~repro.engine.registry.SolverRegistry` with the paper's
 algorithms, the exhaustive exact solvers and the benchmark baselines, each
 annotated with the constraint kind it handles, its workflow scope, its
 randomization status and its approximation guarantee.  The ``cost_rank``
-ordering reproduces the historical ``solve_secure_view(method="auto")``
-choice: Algorithm-1 LP rounding for cardinality constraints, the general
-LP for mixed workflows with set constraints, and the ℓ_max set-LP rounding
-otherwise.
+ordering makes ``auto`` the paper's case analysis: Algorithm-1 LP rounding
+for cardinality constraints (Theorem 5), the general LP for mixed
+workflows with set constraints (Section 5.2), and the ℓ_max set-LP
+rounding otherwise (Theorem 6).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..optim.cardinality_rounding import solve_cardinality_rounding
 from ..optim.exact import solve_exact_enumeration, solve_exact_ip
 from ..optim.general_lp import solve_general_lp
 from ..optim.greedy import greedy_guarantee, solve_greedy, union_of_standalone_optima
-from ..optim.local_search import solve_with_local_search
 from ..optim.set_lp import solve_set_lp
 from .registry import register_solver
 
@@ -86,15 +85,6 @@ register_solver(
     cost_rank=35,
     summary="union of standalone optima (Example-5 baseline)",
 )(union_of_standalone_optima)
-
-register_solver(
-    "local_search",
-    constraints="any",
-    scope="any",
-    guarantee="never worse than its base solver",
-    cost_rank=40,
-    summary="base solver + pruning / option-swapping post-processing",
-)(solve_with_local_search)
 
 register_solver(
     "exact",

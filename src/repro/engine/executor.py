@@ -70,6 +70,7 @@ __all__ = [
     "SweepSpec",
     "default_jobs",
     "error_record",
+    "grid_axes",
     "run_sweep",
     "solve_cell",
     "spec_from_grid",
@@ -208,6 +209,44 @@ class SweepSpec:
         return cells
 
 
+# A grid's six axes, with the value an absent (or null) axis takes.
+_GRID_DEFAULTS: Mapping[str, tuple[Any, ...]] = {
+    "workflows": (),
+    "problems": (),
+    "gammas": (2,),
+    "kinds": ("set",),
+    "solvers": ("auto",),
+    "seeds": (0,),
+}
+
+
+def grid_axes(grid: Any) -> dict[str, tuple[Any, ...]]:
+    """The six axes of a JSON sweep grid, checked, with defaults filled in.
+
+    The one rule ``repro sweep`` grid files and the service's inline
+    ``/v1/sweep`` grids share.  An absent or ``null`` axis takes its
+    default.  Otherwise every axis must be a JSON array; ``gammas``,
+    ``kinds``, ``solvers`` and ``seeds`` must be non-empty; ``workflows``
+    and ``problems`` may each be empty, but together they must name an
+    instance.  Raises :class:`ValueError`.
+    """
+    if not isinstance(grid, Mapping):
+        raise ValueError("sweep grid must be a JSON object")
+    axes: dict[str, tuple[Any, ...]] = {}
+    for axis, default in _GRID_DEFAULTS.items():
+        value = grid.get(axis)
+        if value is None:
+            value = default
+        elif not isinstance(value, (list, tuple)):
+            raise ValueError(f"grid key {axis!r} must be a JSON array")
+        elif not value and default:
+            raise ValueError(f"grid key {axis!r} must not be empty")
+        axes[axis] = tuple(value)
+    if not (axes["workflows"] or axes["problems"]):
+        raise ValueError("sweep grid names no 'workflows' or 'problems'")
+    return axes
+
+
 def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
     """Build a :class:`SweepSpec` from a JSON grid description.
 
@@ -216,19 +255,11 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
     ``gammas``/``kinds`` axes), ``problems`` (paths to problem files used
     verbatim, with their baked Γ/kind/requirements), ``gammas``, ``kinds``,
     ``solvers``, ``seeds``, ``backend``, ``verify``.  Relative paths are
-    resolved against ``base_dir``.
+    resolved against ``base_dir``.  The axes follow :func:`grid_axes`.
     """
     import json
 
-    if not isinstance(grid, Mapping):
-        raise ValueError("sweep grid must be a JSON object")
-    for axis in ("workflows", "problems", "gammas", "kinds", "solvers", "seeds"):
-        value = grid.get(axis)
-        if value is not None and (
-            isinstance(value, str) or not isinstance(value, (list, tuple))
-        ):
-            raise ValueError(f"grid key {axis!r} must be a JSON array")
-
+    axes = grid_axes(grid)
     instances: list[SweepInstance] = []
     used_labels: set[str] = set()
 
@@ -247,23 +278,20 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
         with open(full, "r", encoding="utf-8") as handle:
             return json.load(handle)
 
-    for path in grid.get("workflows", ()):
+    for path in axes["workflows"]:
         payload = load(path)
         if "workflow" in payload:  # a problem file: use its workflow part
             payload = payload["workflow"]
         instances.append(SweepInstance(unique_label(path), "workflow", payload))
-    for path in grid.get("problems", ()):
+    for path in axes["problems"]:
         instances.append(SweepInstance(unique_label(path), "problem", load(path)))
-    if not instances:
-        raise ValueError("sweep grid names no 'workflows' or 'problems'")
 
-    seeds = tuple(grid.get("seeds", (0,)))
     return SweepSpec(
         instances=tuple(instances),
-        gammas=tuple(int(g) for g in grid.get("gammas", (2,))),
-        kinds=tuple(grid.get("kinds", ("set",))),
-        solvers=tuple(grid.get("solvers", ("auto",))),
-        seeds=tuple(None if s is None else int(s) for s in seeds),
+        gammas=tuple(int(g) for g in axes["gammas"]),
+        kinds=axes["kinds"],
+        solvers=axes["solvers"],
+        seeds=tuple(None if s is None else int(s) for s in axes["seeds"]),
         backend=grid.get("backend"),
         verify=bool(grid.get("verify", False)),
     )

@@ -31,9 +31,10 @@ from ..core.view import SecureViewSolution
 from ..core.workflow import Workflow
 from ..exceptions import RequirementError, WorkflowError
 from ..kernel import resolve_backend
+from ..optim.local_search import improve_solution
 from .cache import DerivationCache
 from .registry import SolverRegistry, SolverSpec, default_registry
-from .result import PrivacyCertificate, SolveRequest, SolveResult
+from .result import PrivacyCertificate, SolveResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DerivationStore
@@ -275,59 +276,51 @@ class Planner:
         verify: bool = False,
         **options: object,
     ) -> SolveResult:
-        """Solve the instance with one registered algorithm; see ``execute``."""
-        return self.execute(
-            SolveRequest(
-                solver=solver,
-                seed=seed,
-                rng=rng,
-                costs=costs,
-                local_search=local_search,
-                verify=verify,
-                options=dict(options),
-            )
-        )
+        """Solve the instance with one registered algorithm.
 
-    def execute(self, request: SolveRequest) -> SolveResult:
-        """Run one :class:`SolveRequest` end to end.
+        The one place a solver name becomes a call: derivation (cached) →
+        solver dispatch (timed) → optional local-search post-processing →
+        feasibility validation → optional Γ-privacy certificate (cached
+        out-set enumeration).
 
-        Derivation (cached) → solver dispatch (timed) → optional local-search
-        post-processing → feasibility validation → optional Γ-privacy
-        certificate (cached out-set enumeration).
+        ``solver`` is a registry name, or ``"auto"`` for the cheapest
+        applicable algorithm on the instance being solved (cost overrides
+        included).  ``seed``/``rng`` feed randomized solvers (``rng`` wins)
+        and are ignored by deterministic ones.  ``costs`` overrides
+        per-attribute hiding costs.  ``local_search`` is ``True`` (both
+        passes) or a sequence of :mod:`repro.optim.local_search` pass names.
+        ``verify`` attaches a :class:`PrivacyCertificate` (possible-worlds
+        enumeration; small instances only).  Other ``options`` go to the
+        solver, which rejects any it does not take with
+        :class:`~repro.exceptions.SolverError`.
         """
-        problem = self.problem(costs=request.costs)
-        if request.solver == "auto":
+        problem = self.problem(costs=costs)
+        if solver == "auto":
             spec = self.registry.select(problem)
         else:
-            spec = self.registry.get(request.solver)
+            spec = self.registry.get(solver)
 
-        kwargs = dict(request.options)
-        if request.seed is not None:
-            kwargs.setdefault("seed", request.seed)
-        if request.rng is not None:
-            kwargs.setdefault("rng", request.rng)
+        kwargs = dict(options)
+        if seed is not None:
+            kwargs.setdefault("seed", seed)
+        if rng is not None:
+            kwargs.setdefault("rng", rng)
         kwargs = spec.accepted_kwargs(kwargs)
 
         start = time.perf_counter()
         solution = spec.fn(problem, **kwargs)
-        if request.local_search:
-            from ..optim.local_search import improve_solution
-
-            passes = (
-                ("prune", "swap")
-                if request.local_search is True
-                else tuple(request.local_search)
-            )
+        if local_search:
+            passes = ("prune", "swap") if local_search is True else tuple(local_search)
             solution = improve_solution(problem, solution, passes=passes)
         seconds = time.perf_counter() - start
         problem.validate_solution(solution)
 
         certificate = None
-        if request.verify:
+        if verify:
             certificate = self.verify(solution, problem=problem)
         return SolveResult(
             solver=spec.name,
-            requested=request.solver,
+            requested=solver,
             solution=solution,
             cost=problem.solution_cost(
                 solution.hidden_attributes, solution.privatized_modules

@@ -13,8 +13,8 @@ decorator::
 
 The default registry is populated by :mod:`repro.engine.adapters` with every
 algorithm exported from :mod:`repro.optim` plus the exhaustive and baseline
-solvers, so ``Planner.solve(solver=<name>)`` reaches each of them through
-one uniform entry point.
+solvers.  It is the only map from names to algorithms:
+``Planner.solve(solver=<name>)`` reaches each of them through it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = [
 
 CONSTRAINT_KINDS = ("set", "cardinality", "any")
 SCOPES = ("all-private", "general", "any")
+# Randomness options, dropped silently for a solver that does not take them.
+_AMBIENT = frozenset({"seed", "rng"})
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,7 @@ class SolverSpec:
             return self.guarantee(problem)
         return self.guarantee
 
-    def accepted_kwargs(
-        self, kwargs: dict[str, object], ambient: Sequence[str] = ("seed", "rng")
-    ) -> dict[str, object]:
+    def accepted_kwargs(self, kwargs: dict[str, object]) -> dict[str, object]:
         """Filter keyword arguments down to what the callable accepts.
 
         Ambient parameters (randomness) are dropped silently when the solver
@@ -97,7 +97,7 @@ class SolverSpec:
         for key, value in kwargs.items():
             if key in self.accepts:
                 kept[key] = value
-            elif key not in ambient:
+            elif key not in _AMBIENT:
                 raise SolverError(
                     f"solver {self.name!r} does not accept option {key!r}; "
                     f"accepted: {sorted(self.accepts)}"

@@ -1,9 +1,9 @@
-"""Uniform request/result types for the Secure-View engine.
+"""Uniform result types for the Secure-View engine.
 
 Every solver in the registry — exact, LP roundings, greedy, baselines — is
-invoked through the same :class:`SolveRequest` and answers with the same
-:class:`SolveResult`, so callers (CLI, experiment harness, benchmarks) no
-longer depend on per-algorithm signatures.  A result optionally carries a
+invoked through ``Planner.solve`` and answers with the same
+:class:`SolveResult`, so callers (CLI, experiment harness, benchmarks) do
+not depend on per-algorithm signatures.  A result optionally carries a
 :class:`PrivacyCertificate`: a brute-force possible-worlds check that the
 returned view really is Γ-private, computed through the planner's shared
 :class:`~repro.engine.cache.DerivationCache`.
@@ -11,14 +11,13 @@ returned view really is Γ-private, computed through the planner's shared
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..core.view import SecureViewSolution
 from .cache import CacheStats
 
-__all__ = ["PrivacyCertificate", "SolveRequest", "SolveResult"]
+__all__ = ["PrivacyCertificate", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -46,42 +45,6 @@ class PrivacyCertificate:
             "ok": self.ok,
             "module_levels": dict(self.module_levels),
         }
-
-
-@dataclass
-class SolveRequest:
-    """One solve invocation, independent of which algorithm runs it.
-
-    Attributes
-    ----------
-    solver:
-        Registry name of the algorithm, or ``"auto"`` to let the planner
-        pick the cheapest applicable one from registry metadata.
-    seed, rng:
-        Randomness for randomized solvers (``rng`` wins when both are set);
-        silently ignored by deterministic ones.
-    costs:
-        Optional per-attribute hiding-cost overrides; attributes not named
-        keep their workflow-declared cost.
-    local_search:
-        ``True`` (default passes) or a sequence of pass names to post-process
-        the solution with :mod:`repro.optim.local_search`.
-    verify:
-        Attach a :class:`PrivacyCertificate` to the result (possible-worlds
-        enumeration; small instances only).
-    options:
-        Extra solver-specific keyword arguments (``scale``, ``strength``,
-        ``passes``, ...); rejected with :class:`~repro.exceptions.SolverError`
-        if the chosen solver does not accept them.
-    """
-
-    solver: str = "auto"
-    seed: int | None = None
-    rng: random.Random | None = None
-    costs: Mapping[str, float] | None = None
-    local_search: bool | Sequence[str] = False
-    verify: bool = False
-    options: dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

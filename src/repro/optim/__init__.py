@@ -3,28 +3,25 @@
 The solvers mirror Sections 4–5 of the paper:
 
 =====================  =============================================  ==========================
-method name            algorithm                                      guarantee
+registry name          algorithm                                      guarantee
 =====================  =============================================  ==========================
 ``exact`` / ``exact_ip``  integral Figure-3 / (15)–(17) / (19)–(23)   optimal
 ``exact_enum``         enumeration over requirement options           optimal
 ``lp_rounding``        Algorithm 1 on the Figure-3 LP                 O(log n) (Theorem 5)
 ``set_lp``             ℓ_max threshold rounding                       ℓ_max (Theorem 6)
 ``greedy``             per-module cheapest option                     γ+1 (Theorem 7)
+``union_standalone``   union of standalone optima (Example 5)         γ+1 (Theorem 7)
 ``general_lp``         LP (19)–(23) with privatization                ℓ_max (Section 5.2)
 ``hide_everything``    baseline                                        —
 ``hide_intermediate``  baseline                                        —
 ``random``             baseline                                        —
 =====================  =============================================  ==========================
 
-The ``SOLVERS`` table and :func:`solve_secure_view` remain as the stable
-low-level dispatch; new code should go through :class:`repro.engine.Planner`,
-which reaches every solver listed here by registry name while sharing the
-expensive requirement derivation across invocations.
+The names are the :mod:`repro.engine` registry's: ``Planner.solve`` turns
+them into calls.  The :mod:`.local_search` passes post-process any
+solver's answer (``Planner.solve(local_search=...)``).
 """
 
-from ..core.secure_view import SecureViewProblem
-from ..core.view import SecureViewSolution
-from ..exceptions import SolverError
 from .baselines import hide_all_intermediate, hide_everything, random_feasible
 from .cardinality_ip import (
     STRENGTH_FULL,
@@ -41,12 +38,7 @@ from .cardinality_rounding import (
 from .exact import exact_optimum_cost, solve_exact_enumeration, solve_exact_ip
 from .general_lp import GeneralProgram, build_general_set_program, solve_general_lp
 from .greedy import greedy_guarantee, solve_greedy, union_of_standalone_optima
-from .local_search import (
-    improve_solution,
-    prune_solution,
-    solve_with_local_search,
-    swap_options,
-)
+from .local_search import improve_solution, prune_solution, swap_options
 from .lp import Constraint, LinearProgram, LPSolution, Variable
 from .set_lp import SetConstraintProgram, build_set_program, solve_set_lp
 
@@ -78,79 +70,8 @@ __all__ = [
     "hide_everything",
     "hide_all_intermediate",
     "random_feasible",
-    "solve_secure_view",
-    "filter_solver_kwargs",
-    "SOLVERS",
     "improve_solution",
     "prune_solution",
     "swap_options",
-    "solve_with_local_search",
 ]
 
-
-def filter_solver_kwargs(target, kwargs, ambient=("seed", "rng")):
-    """Restrict ``kwargs`` to what a solver callable's signature accepts.
-
-    Ambient randomness parameters are dropped silently when the target does
-    not take them (so one seed can be threaded through heterogeneous
-    solvers); any other unsupported option raises :class:`SolverError`
-    rather than degrading into a silent no-op.  Targets with ``**kwargs``
-    accept everything.
-    """
-    import inspect
-
-    params = inspect.signature(target).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return dict(kwargs)
-    kept = {}
-    for key, value in kwargs.items():
-        if key in params:
-            kept[key] = value
-        elif key not in ambient:
-            raise SolverError(
-                f"solver {getattr(target, '__name__', target)!r} does not "
-                f"accept option {key!r}"
-            )
-    return kept
-
-
-def _solve_auto(problem: SecureViewProblem, **kwargs) -> SecureViewSolution:
-    """Pick a sensible solver for the instance shape."""
-    has_public = bool(problem.workflow.public_modules) and problem.allow_privatization
-    if problem.constraint_kind == "cardinality":
-        target = solve_cardinality_rounding
-    elif has_public:
-        target = solve_general_lp
-    else:
-        target = solve_set_lp
-    return target(problem, **filter_solver_kwargs(target, kwargs))
-
-
-SOLVERS = {
-    "auto": _solve_auto,
-    "exact": solve_exact_ip,
-    "exact_ip": solve_exact_ip,
-    "exact_enum": solve_exact_enumeration,
-    "lp_rounding": solve_cardinality_rounding,
-    "set_lp": solve_set_lp,
-    "general_lp": solve_general_lp,
-    "greedy": solve_greedy,
-    "union_standalone": union_of_standalone_optima,
-    "hide_everything": hide_everything,
-    "hide_intermediate": hide_all_intermediate,
-    "random": random_feasible,
-    "local_search": solve_with_local_search,
-}
-
-
-def solve_secure_view(
-    problem: SecureViewProblem, method: str = "auto", **kwargs
-) -> SecureViewSolution:
-    """Solve a Secure-View instance with the named method (see ``SOLVERS``)."""
-    try:
-        solver = SOLVERS[method]
-    except KeyError as exc:
-        raise SolverError(
-            f"unknown solver {method!r}; available: {sorted(SOLVERS)}"
-        ) from exc
-    return solver(problem, **kwargs)

@@ -15,23 +15,19 @@ that preserve feasibility:
 
 Neither pass can worsen a solution, so all approximation guarantees carry
 over; the ablation benchmark measures how much they help each base solver.
+``Planner.solve(local_search=...)`` (``repro solve --local-search``) runs
+them on the answer of whichever solver it dispatched.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 from ..core.requirements import CardinalityRequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 
-__all__ = [
-    "prune_solution",
-    "swap_options",
-    "improve_solution",
-    "solve_with_local_search",
-]
+__all__ = ["prune_solution", "swap_options", "improve_solution"]
 
 
 def _cost(problem: SecureViewProblem, hidden: set[str]) -> float:
@@ -152,33 +148,3 @@ def improve_solution(
         return solution
     return current
 
-
-def solve_with_local_search(
-    problem: SecureViewProblem,
-    method: str = "auto",
-    passes: Iterable[str] = ("prune", "swap"),
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    **kwargs,
-) -> SecureViewSolution:
-    """Run a base solver and post-process its solution with local search.
-
-    ``seed``/``rng`` are forwarded to the base solver only when it takes
-    them, so a deterministic base (e.g. ``greedy``) can still be combined
-    with an engine-supplied seed.
-    """
-    # Local imports to avoid a cycle with the package __init__.
-    from . import SOLVERS, filter_solver_kwargs, solve_secure_view
-
-    target = SOLVERS.get(method, solve_secure_view)
-    if seed is not None:
-        kwargs.setdefault("seed", seed)
-    if rng is not None:
-        kwargs.setdefault("rng", rng)
-    kwargs = filter_solver_kwargs(target, kwargs)
-    base = solve_secure_view(problem, method=method, **kwargs)
-    improved = improve_solution(problem, base, passes=passes)
-    improved.meta.setdefault("base_method", method)
-    improved.meta["base_cost"] = base.cost()
-    problem.validate_solution(improved)
-    return improved

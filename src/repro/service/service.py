@@ -58,7 +58,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping
 
-from ..engine.executor import SolveRunner, error_record
+from ..engine.executor import SolveRunner, error_record, grid_axes
 from ..engine.store import DerivationStore
 from .background import JobManager, MaintenanceScheduler
 from .coalescer import RequestCoalescer
@@ -423,10 +423,14 @@ class SolveService:
         """
         try:
             if isinstance(admitted, dict):
-                return admitted
-            leader, entry = admitted
-            record = dict(self.coalescer.wait(entry, timeout))
-            record["coalesced"] = not leader
+                record = admitted
+            else:
+                leader, entry = admitted
+                record = dict(self.coalescer.wait(entry, timeout))
+                record["coalesced"] = not leader
+            # A result-cache hit or a follower holds the record of the
+            # request that computed it: give it this request's label.
+            record["workflow"] = job.label
             return record
         except BaseException as exc:
             if not isolate:
@@ -514,25 +518,12 @@ class SolveService:
         }
 
     def _expand_sweep(self, body: Any) -> list[SolveJob]:
-        if not isinstance(body, Mapping):
-            raise ServiceError("request body must be a JSON object")
-        for axis in ("workflows", "problems", "gammas", "kinds", "solvers", "seeds"):
-            value = body.get(axis)
-            if value is not None and (
-                isinstance(value, (str, Mapping))
-                or not isinstance(value, (list, tuple))
-            ):
-                raise ServiceError(f"sweep key {axis!r} must be a JSON array")
-        # An explicit JSON null is treated like an absent axis (the
-        # validation above admits it, so it must not reach tuple(None)).
-        sources = [("workflow", payload) for payload in body.get("workflows") or ()]
-        sources += [("problem", payload) for payload in body.get("problems") or ()]
-        if not sources:
-            raise ServiceError("sweep names no 'workflows' or 'problems'")
-        gammas = tuple(body.get("gammas") or (2,))
-        kinds = tuple(body.get("kinds") or ("set",))
-        solvers = tuple(body.get("solvers") or ("auto",))
-        seeds = tuple(body.get("seeds") or (0,))
+        try:
+            axes = grid_axes(body)
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from exc
+        sources = [("workflow", payload) for payload in axes["workflows"]]
+        sources += [("problem", payload) for payload in axes["problems"]]
         shared = {
             key: body[key]
             for key in ("verify", "backend", "timeout")
@@ -543,11 +534,13 @@ class SolveService:
             points = (
                 [(None, None)]
                 if source == "problem"
-                else [(gamma, kind) for gamma in gammas for kind in kinds]
+                else [
+                    (gamma, kind) for gamma in axes["gammas"] for kind in axes["kinds"]
+                ]
             )
             for gamma, kind in points:
-                for solver in solvers:
-                    for seed in seeds:
+                for solver in axes["solvers"]:
+                    for seed in axes["seeds"]:
                         cell: dict[str, Any] = {
                             source: payload,
                             "solver": solver,

@@ -148,14 +148,9 @@ class TestFeasibility:
         with pytest.raises(RequirementError):
             problem.validate_solution(bad)
 
-    def test_solve_dispatcher_unknown_method(self, figure1):
-        problem = self.make_problem(figure1)
-        from repro.exceptions import SolverError
-
-        with pytest.raises(SolverError):
-            problem.solve(method="does_not_exist")
-
     def test_solve_auto_produces_feasible_solution(self, figure1):
+        from repro.engine import Planner
+
         problem = self.make_problem(figure1)
-        solution = problem.solve(method="auto")
+        solution = Planner.from_problem(problem).solve("auto").solution
         problem.validate_solution(solution)

@@ -7,9 +7,8 @@ import random
 import pytest
 
 from repro.core import SecureViewProblem
-from repro.engine import DerivationCache, Planner
+from repro.engine import DerivationCache, Planner, default_registry
 from repro.exceptions import SolverError
-from repro.optim import SOLVERS
 from repro.workloads import figure1_workflow, random_problem
 
 
@@ -22,7 +21,7 @@ class TestSolve:
     def test_auto_solves_figure1_with_valid_solver(self, figure1_planner):
         result = figure1_planner.solve()
         assert result.requested == "auto"
-        assert result.solver in SOLVERS
+        assert result.solver in default_registry()
         assert result.cost > 0
         figure1_planner.problem().validate_solution(result.solution)
 
@@ -120,6 +119,16 @@ class TestCostOverrides:
         )
         assert expensive not in steered.hidden_attributes
         assert figure1_planner.cache.stats().derivation_misses == derivations
+
+    def test_auto_resolves_on_the_cost_overridden_problem_only(self):
+        # ``auto`` is chosen on the instance being solved; building the
+        # base problem first would derive once and then hit the cache.
+        planner = Planner(figure1_workflow(), 2, kind="set")
+        result = planner.solve(costs={"a3": 10.0})
+        assert result.requested == "auto"
+        stats = planner.cache.stats()
+        assert stats.derivation_misses == 1
+        assert stats.derivation_hits == 0
 
     def test_unknown_cost_attribute_raises(self, figure1_planner):
         with pytest.raises(Exception, match="unknown attributes"):

@@ -6,15 +6,27 @@ import pytest
 
 from repro.engine import SolverRegistry, default_registry
 from repro.exceptions import SolverError
-from repro.optim import SOLVERS
 from repro.workloads import random_problem
 
 
 class TestDefaultRegistry:
     def test_every_optim_solver_is_registered(self):
-        registry = default_registry()
-        expected = set(SOLVERS) - {"auto"}
-        assert expected <= set(registry.names())
+        # The registry is the only name table: the 10 algorithms of
+        # repro.optim plus the exact_ip alias, and nothing else.
+        expected = {
+            "lp_rounding",
+            "set_lp",
+            "general_lp",
+            "greedy",
+            "union_standalone",
+            "exact",
+            "exact_ip",
+            "exact_enum",
+            "hide_everything",
+            "hide_intermediate",
+            "random",
+        }
+        assert set(default_registry().names()) == expected
 
     def test_aliases_resolve_to_same_spec(self):
         registry = default_registry()

@@ -10,7 +10,6 @@ from repro.optim import (
     prune_solution,
     solve_exact_ip,
     solve_greedy,
-    solve_with_local_search,
     swap_options,
 )
 from repro.workloads import example5_problem, random_problem
@@ -62,21 +61,6 @@ class TestImproveAndSolver:
         base = solve_greedy(small_set_problem)
         with pytest.raises(ValueError):
             improve_solution(small_set_problem, base, passes=("polish",))
-
-    def test_solver_entry_point(self, small_cardinality_problem):
-        solution = solve_with_local_search(
-            small_cardinality_problem, method="greedy"
-        )
-        small_cardinality_problem.validate_solution(solution)
-        assert solution.meta["base_method"] == "greedy"
-        assert solution.cost() <= solution.meta["base_cost"] + 1e-9
-
-    def test_dispatcher_name(self, small_cardinality_problem):
-        # The dispatcher accepts the registered name directly.
-        from repro.optim import solve_secure_view
-
-        solution = solve_secure_view(small_cardinality_problem, method="local_search")
-        small_cardinality_problem.validate_solution(solution)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_local_search_closes_part_of_the_greedy_gap(self, seed):

@@ -15,7 +15,7 @@ from repro.service import (
     ServiceServer,
     SolveService,
 )
-from repro.workloads import figure1_workflow
+from repro.workloads import figure1_workflow, workflow_to_dict
 from repro.workloads.serialization import problem_to_dict
 from repro.core import SecureViewProblem
 
@@ -188,6 +188,20 @@ class TestErrorMapping:
             )
         assert excinfo.value.status == 400
         assert "gamma" in str(excinfo.value)
+
+    @pytest.mark.parametrize("route", ["/sweep", "/jobs/sweep"])
+    def test_empty_sweep_axis_is_400(self, served, route):
+        """An empty axis names no cells: a 400, not a grid of defaults."""
+        service, _, client = served
+        grid = {
+            "workflows": [workflow_to_dict(figure1_workflow())],
+            "solvers": [],
+        }
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.request("POST", route, grid)
+        assert excinfo.value.status == 400
+        assert "'solvers' must not be empty" in str(excinfo.value)
+        assert service.jobs.metrics()["submitted"] == 0
 
     def test_unknown_solver_is_422(self, served):
         _, _, client = served

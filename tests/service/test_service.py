@@ -7,7 +7,12 @@ import threading
 
 import pytest
 
-from repro.service import ServiceError, ServiceTimeout, SolveService
+from repro.service import (
+    ServiceError,
+    ServiceTimeout,
+    SolveService,
+    parse_solve_payload,
+)
 from repro.workloads import figure1_workflow
 from repro.workloads.serialization import problem_to_dict
 from repro.core import SecureViewProblem
@@ -33,6 +38,57 @@ class TestInstanceKeying:
         finally:
             assert service.drain(timeout=30)
         assert "error" not in record and record["from_store"] is False
+
+
+class TestRecordLabels:
+    """A record carries the label of the request it answers, even when
+    another request with the same content computed it."""
+
+    def test_result_cache_hit_carries_its_own_label(self, figure1_payload):
+        service = SolveService(workers=1, default_timeout=30)
+        body = {"workflow": figure1_payload, "gamma": 2, "kind": "set"}
+        try:
+            alice = service.solve_payload(dict(body, label="alice"))
+            bob = service.solve_payload(dict(body, label="bob"))
+            assert service.metrics()["result_hits"]["memory"] == 1
+        finally:
+            assert service.drain(timeout=30)
+        assert alice["workflow"] == "alice"
+        assert bob["workflow"] == "bob"
+        assert bob["cost"] == alice["cost"]
+
+    def test_coalesced_follower_carries_its_own_label(self, blocker, figure1_payload):
+        service = SolveService(workers=2, registry=blocker.registry, default_timeout=30)
+        body = {
+            "workflow": figure1_payload,
+            "gamma": 2,
+            "kind": "set",
+            "solver": "blocker",
+        }
+        key = parse_solve_payload(dict(body), service.instances).key
+        records: dict[str, dict] = {}
+
+        def call(label: str) -> None:
+            records[label] = service.solve_payload(dict(body, label=label))
+
+        leader = threading.Thread(target=call, args=("alice",))
+        follower = threading.Thread(target=call, args=("bob",))
+        try:
+            leader.start()
+            # "alice" leads: its computation is blocked in the solver
+            # before "bob" attaches to it.
+            assert blocker.started.wait(30)
+            follower.start()
+            assert service.coalescer.await_waiters(key, 2, timeout=30)
+        finally:
+            blocker.release.set()
+            leader.join(timeout=30)
+            follower.join(timeout=30)
+            assert service.drain(timeout=30)
+        assert blocker.calls == 1
+        assert records["bob"]["coalesced"] is True
+        assert records["alice"]["workflow"] == "alice"
+        assert records["bob"]["workflow"] == "bob"
 
 
 class TestModuleTierReuse:

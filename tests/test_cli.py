@@ -56,11 +56,17 @@ class TestInfoAndSolve:
         assert payload["hidden_attributes"]
 
     def test_solve_with_local_search(self, problem_file, capsys):
+        assert main(["solve", problem_file, "--solver", "greedy"]) == 0
+        plain = json.loads(capsys.readouterr().out)
         assert (
             main(["solve", problem_file, "--solver", "greedy", "--local-search"]) == 0
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["hidden_attributes"]
+        # Local search post-processes the named solver's answer; it is not
+        # a solver of its own.
+        assert payload["solver"] == "greedy"
+        assert payload["cost"] <= plain["cost"] + 1e-9
 
     def test_solve_payload_surfaces_cache_stats(self, problem_file, capsys):
         assert main(["solve", problem_file, "--solver", "exact"]) == 0
@@ -300,6 +306,29 @@ class TestSweep:
         empty.write_text("{}")
         assert main(["sweep", str(empty)]) == 1
         assert "error: invalid grid file" in capsys.readouterr().err
+
+    def test_sweep_null_axis_takes_its_default(self, grid_file, tmp_path, capsys):
+        grid = json.loads(open(grid_file).read())
+        grid["seeds"] = None
+        null_grid = tmp_path / "null-grid.json"
+        null_grid.write_text(json.dumps(grid))
+        assert main(["sweep", str(null_grid)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cells"] == 4 and report["errors"] == 0
+        assert {record["seed"] for record in report["records"]} == {0}
+
+    def test_sweep_empty_solver_axis_is_an_invalid_grid(
+        self, grid_file, tmp_path, capsys
+    ):
+        grid = json.loads(open(grid_file).read())
+        grid["solvers"] = []
+        empty_axis = tmp_path / "no-solvers.json"
+        empty_axis.write_text(json.dumps(grid))
+        assert main(["sweep", str(empty_axis)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: invalid grid file" in captured.err
+        assert "'solvers' must not be empty" in captured.err
 
 
 class TestServeAndSubmit:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import CardinalityRequirementList, SetRequirementList
 from repro.exceptions import WorkflowError
+from repro.optim import solve_greedy
 from repro.workloads import (
     chain_workflow,
     layered_workflow,
@@ -114,7 +115,7 @@ class TestProblemGenerator:
 
     def test_problem_is_solvable(self):
         problem = random_problem(n_modules=8, kind="cardinality", seed=2)
-        solution = problem.solve(method="greedy")
+        solution = solve_greedy(problem)
         problem.validate_solution(solution)
 
     def test_problem_respects_max_sharing(self):

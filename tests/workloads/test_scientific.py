@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-
+from repro.optim import solve_greedy
 from repro.workloads import (
     ScientificWorkflowConfig,
     scientific_problem,
@@ -55,7 +55,7 @@ class TestScientificProblems:
         problem = scientific_problem(
             ScientificWorkflowConfig(n_modules=15, seed=7, public_fraction=0.0)
         )
-        solution = problem.solve(method="greedy")
+        solution = solve_greedy(problem)
         problem.validate_solution(solution)
 
     def test_suite_sizes(self):
