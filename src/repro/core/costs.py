@@ -8,6 +8,7 @@ here build and manipulate such cost assignments and compute solution costs.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Mapping
 
@@ -69,7 +70,10 @@ def solution_cost(
 
     Costs default to those declared on the workflow's attributes and modules
     but can be overridden, which the optimization benchmarks use to sweep
-    cost distributions without rebuilding workflows.
+    cost distributions without rebuilding workflows.  Summed exactly
+    (``math.fsum``), like :meth:`SecureViewProblem.solution_cost`: set order
+    follows the per-process string hash, so a plain float sum could differ
+    in the last bit between processes.
     """
     attr_costs = (
         attribute_cost_map(workflow) if attribute_costs is None else attribute_costs
@@ -77,15 +81,15 @@ def solution_cost(
     mod_costs = (
         privatization_cost_map(workflow) if module_costs is None else module_costs
     )
-    total = 0.0
+    terms = []
     for name in set(hidden_attributes):
         try:
-            total += attr_costs[name]
+            terms.append(attr_costs[name])
         except KeyError as exc:
             raise SchemaError(f"no cost for attribute {name!r}") from exc
     for name in set(privatized_modules):
         module = workflow.module(name)
         if module.private:
             continue
-        total += mod_costs.get(name, module.privatization_cost)
-    return total
+        terms.append(mod_costs.get(name, module.privatization_cost))
+    return math.fsum(terms)

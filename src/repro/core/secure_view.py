@@ -66,6 +66,12 @@ class SecureViewProblem:
     hidable_attributes: frozenset[str] | None = None
     allow_privatization: bool = True
     meta: dict = field(default_factory=dict)
+    #: LP relaxations solved for this problem, keyed by program (see
+    #: ``repro.optim.lp.problem_relaxation``).  A relaxation depends on the
+    #: problem only, never on a seed, so every seed rounds one solve.
+    _relaxations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.requirements:

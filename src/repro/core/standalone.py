@@ -16,10 +16,11 @@ the matching upper bounds of Section 3.2:
   — the "output all safe attribute sets" variant mentioned at the end of
   Section 3.2, which Sections 4–5 reuse as requirement lists.
 
-With ``backend="kernel"`` (the default) the safe-subset sweeps behind
-these entry points are batched: the compiled kernel evaluates many
-candidate masks per vectorized pass over the packed relation instead of
-one subset at a time (see :mod:`repro.kernel.module_kernel`).
+With ``backend="kernel"`` (the default) the compiled kernel finds the
+minimal safe sets levelwise, testing a set only when every subset one
+element smaller is unsafe, one vectorized pass over the packed relation
+per level; the full safe list is their upward closure (see
+:mod:`repro.kernel.module_kernel`).
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def enumerate_safe_hidden_subsets(
 
     The list is sorted by (size, lexicographic) order.  This is the
     exhaustive enumeration mentioned at the end of Section 3.2; Sections 4–5
-    use it to build requirement lists.  The kernel backend runs the sweep on
-    the module's packed relation with monotonicity pruning; the reference
-    backend probes the Safe-View oracle subset by subset.
+    use it to build requirement lists.  The kernel backend returns the
+    upward closure of the kernel's minimal sets, with no sweep of its own;
+    the reference backend probes the Safe-View oracle subset by subset.
     """
     from ..kernel import compile_module, resolve_backend
 
@@ -226,7 +227,9 @@ def minimal_safe_hidden_subsets(
     By Proposition 1 safety is monotone in the hidden set (hiding more never
     hurts), so the minimal hidden sets form an antichain that fully describes
     all safe choices.  These are exactly the pairs ``(I_i^j, O_i^j)`` a
-    set-constraint requirement list enumerates.
+    set-constraint requirement list enumerates.  The kernel backend finds
+    them by a levelwise search over the negative border; the reference
+    backend filters the full enumeration.
     """
     from ..kernel import compile_module, resolve_backend
 

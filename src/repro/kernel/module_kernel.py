@@ -15,11 +15,13 @@ executions sharing ``x``'s *visible-input* value.  On packed codes both
 projections are single AND-masks, so ``D_x`` reduces to distinct-counting
 masked integers — on numpy-eligible relations one ``np.unique`` call.
 
-Privacy levels are Γ-independent, so they are memoized per visible bitmask:
-a subset sweep (requirement derivation probes up to ``2^k`` hidden sets)
-evaluates each distinct visible mask once, and safety monotonicity
-(Proposition 1) prunes every superset of an already-found minimal safe set
-without touching the relation at all.
+Privacy levels are Γ-independent, so they are memoized per visible bitmask
+and each distinct mask is evaluated once.  Safety is upward closed
+(Proposition 1), so requirement derivation searches levelwise over the
+negative border: a hidden set is evaluated only when every subset one
+element smaller is unsafe.  The evaluated sets are the unsafe ones plus the
+minimal safe ones, and the full safe list is the minimal sets' upward
+closure, built without touching the relation.
 
 Since PR 8 the sweep itself is **batched**: instead of one ``np.unique``
 pass over the packed rows per candidate mask,
@@ -27,8 +29,8 @@ pass over the packed rows per candidate mask,
 ``codes[:, None] & masks[None, :]`` (tiled to
 :data:`~repro.kernel.packing.BATCH_MEMORY_BUDGET`), sorts every projected
 column in one C-level call, and recovers per-group distinct-pair counts by
-run-length segmentation — so an exponential safe-subset sweep costs
-``O(batches)`` relation passes instead of ``O(masks)``.  The pure-int
+run-length segmentation — so each level of the search costs one relation
+pass per tile instead of one per mask.  The pure-int
 scalar path remains the automatic fallback for no-numpy installs, >63-bit
 layouts and small relations (the :data:`~repro.kernel.packing.NUMPY_MIN_ROWS`
 family of heuristics), and both paths share one privacy-level memo, so
@@ -396,61 +398,69 @@ class CompiledModule:
         }
 
     # -- safe-subset sweeps ---------------------------------------------------
+    def minimal_safe_hidden_subsets(
+        self, gamma: int, hidable: Iterable[str] | None = None
+    ) -> list[frozenset[str]]:
+        """The inclusion-minimal safe hidden subsets, sorted by size, then names.
+
+        A levelwise search over the negative border (Mannila and Toivonen,
+        1997): safety is upward closed (Proposition 1), so a set is tested
+        only when every subset one element smaller is unsafe, and the safe
+        sets found are exactly the minimal ones.  Each level is one
+        :meth:`is_safe_hidden_batch` call whose unsafe sets seed the next.
+        Sets are bitmasks over positions in the de-duplicated ``hidable``
+        tuple, so names outside the layout (attribute mask 0) behave as in
+        the reference enumerator.
+        """
+        _check_gamma(gamma)
+        if hidable is None:
+            hidable = self.module.attribute_names
+        names = tuple(dict.fromkeys(hidable))
+        masks = [self.layout.field_masks.get(name, 0) for name in names]
+        minimal: list[frozenset[str]] = []
+        level = {0: 0}  # position bitmask -> hidden attribute bitmask
+        while level:
+            verdicts = self.is_safe_hidden_batch(list(level.values()), gamma)
+            unsafe: dict[int, int] = {}
+            for (positions, bits), safe in zip(level.items(), verdicts):
+                if safe:
+                    minimal.append(
+                        frozenset(n for i, n in enumerate(names) if positions >> i & 1)
+                    )
+                else:
+                    unsafe[positions] = bits
+            level = {}
+            for positions, bits in unsafe.items():
+                for top in range(positions.bit_length(), len(names)):
+                    candidate = positions | 1 << top
+                    rest = positions  # is each other (k-1)-subset unsafe?
+                    while rest and candidate ^ (rest & -rest) in unsafe:
+                        rest &= rest - 1
+                    if not rest:
+                        level[candidate] = bits | masks[top]
+        return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
+
     def enumerate_safe_hidden_subsets(
         self, gamma: int, hidable: Iterable[str] | None = None
     ) -> list[frozenset[str]]:
         """All safe hidden subsets of the hidable attributes, sorted.
 
-        Sweeps size by size, dispatching each level's unpruned candidates as
-        one batched evaluation: candidates covering a minimal safe mask from
-        an earlier level are safe by monotonicity (Proposition 1) and never
-        reach the relation; the rest share one vectorized pass (or the
-        scalar fallback) through :meth:`is_safe_hidden_batch`.  Verdicts —
-        and therefore the returned list — are identical to the one-mask-at-
-        a-time sweep, which only differed in evaluating same-size supersets
-        of freshly-found minimal masks that monotonicity already decides.
+        The upward closure of :meth:`minimal_safe_hidden_subsets`: the
+        combinations of the given names (repeats kept, as the reference
+        enumerator does) that contain some minimal safe set.  It makes no
+        relation pass of its own.
         """
-        _check_gamma(gamma)
         names = (
             tuple(hidable) if hidable is not None else self.module.attribute_names
         )
-        masks = [self.layout.field_masks.get(name, 0) for name in names]
-        safe: list[frozenset[str]] = []
-        minimal_masks: list[int] = []
-        for size in range(len(names) + 1):
-            level: list[tuple[tuple[int, ...], int, bool]] = []
-            batch: list[int] = []
-            for combo in itertools.combinations(range(len(names)), size):
-                bits = 0
-                for index in combo:
-                    bits |= masks[index]
-                pruned = any(m & bits == m for m in minimal_masks)
-                level.append((combo, bits, pruned))
-                if not pruned:
-                    batch.append(bits)
-            verdicts: dict[int, bool] = (
-                dict(zip(batch, self.is_safe_hidden_batch(batch, gamma)))
-                if batch
-                else {}
-            )
-            for combo, bits, pruned in level:
-                if pruned:
-                    safe.append(frozenset(names[index] for index in combo))
-                elif verdicts[bits]:
-                    safe.append(frozenset(names[index] for index in combo))
-                    if not any(m & bits == m for m in minimal_masks):
-                        minimal_masks.append(bits)
+        minimal = self.minimal_safe_hidden_subsets(gamma, hidable=names)
+        safe = [
+            hidden
+            for size in range(len(names) + 1)
+            for hidden in map(frozenset, itertools.combinations(names, size))
+            if any(subset <= hidden for subset in minimal)
+        ]
         return sorted(safe, key=lambda s: (len(s), tuple(sorted(s))))
-
-    def minimal_safe_hidden_subsets(
-        self, gamma: int, hidable: Iterable[str] | None = None
-    ) -> list[frozenset[str]]:
-        """The inclusion-minimal safe hidden subsets (an antichain)."""
-        minimal: list[frozenset[str]] = []
-        for candidate in self.enumerate_safe_hidden_subsets(gamma, hidable=hidable):
-            if not any(other <= candidate for other in minimal):
-                minimal.append(candidate)
-        return minimal
 
     def _all_hidden_choices_safe(
         self,

@@ -33,6 +33,7 @@ from .cardinality_ip import (
     build_cardinality_program,
     x_var,
 )
+from .lp import problem_relaxation
 
 __all__ = ["cheapest_fallback_set", "solve_cardinality_rounding"]
 
@@ -107,8 +108,9 @@ def solve_cardinality_rounding(
         raise RequirementError(
             "solve_cardinality_rounding requires cardinality constraints"
         )
-    built = build_cardinality_program(problem, integral=False, strength=strength)
-    lp_solution = built.solve_relaxation()
+    lp_solution = problem_relaxation(
+        problem, ("cardinality", strength), build_cardinality_program, strength=strength
+    )
     if not lp_solution.optimal:
         raise SolverError("the LP relaxation is infeasible")
 

@@ -31,7 +31,7 @@ from ..core.view import SecureViewSolution
 from ..exceptions import RequirementError, SolverError
 from .cardinality_ip import w_var, x_var, r_var
 from .cardinality_rounding import solve_cardinality_rounding
-from .lp import LinearProgram, LPSolution
+from .lp import LinearProgram, LPSolution, problem_relaxation
 
 __all__ = [
     "GeneralProgram",
@@ -131,8 +131,7 @@ def solve_general_lp(
     if problem.constraint_kind == "cardinality":
         return solve_cardinality_rounding(problem, seed=seed, rng=rng)
 
-    built = build_general_set_program(problem, integral=False)
-    lp_solution = built.solve_relaxation()
+    lp_solution = problem_relaxation(problem, "general", build_general_set_program)
     if not lp_solution.optimal:
         raise SolverError("the general LP relaxation is infeasible")
 

@@ -11,7 +11,7 @@ minimization objective — and solves either the continuous relaxation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -24,6 +24,9 @@ except ImportError:  # modelling still works; solving raises SolverError
     HAVE_SCIPY = False
 
 from ..exceptions import SolverError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.secure_view import SecureViewProblem
 
 __all__ = ["Variable", "Constraint", "LPSolution", "LinearProgram"]
 
@@ -264,6 +267,25 @@ class LinearProgram:
                 f"  {constraint.name}: {terms} {constraint.sense} {constraint.rhs:g}"
             )
         return "\n".join(lines)
+
+
+def problem_relaxation(
+    problem: "SecureViewProblem", key: Hashable, build: Callable, **options
+) -> LPSolution:
+    """The relaxation of ``build(problem, **options)``, solved once per problem.
+
+    ``key`` names the program: ``"set"``, ``("cardinality", strength)`` or
+    ``"general"``.  A relaxation depends on the problem only (the set LP
+    takes no seed; Algorithm 1 uses its seed only to round), and no field
+    of a problem changes after construction, so the solution is memoized on
+    the problem and every later seed reuses it.  Callers only read it.  No
+    lock: two threads racing on one problem both solve and store equal values.
+    """
+    memo = problem._relaxations
+    solution = memo.get(key)
+    if solution is None:
+        solution = memo[key] = build(problem, **options).solve_relaxation()
+    return solution
 
 
 def round_threshold(

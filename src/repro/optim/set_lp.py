@@ -21,7 +21,7 @@ from ..core.requirements import SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..exceptions import RequirementError, SolverError
-from .lp import LinearProgram, LPSolution
+from .lp import LinearProgram, LPSolution, problem_relaxation
 from .cardinality_ip import r_var, x_var
 
 __all__ = ["SetConstraintProgram", "build_set_program", "solve_set_lp"]
@@ -88,8 +88,7 @@ def build_set_program(
 
 def solve_set_lp(problem: SecureViewProblem) -> SecureViewSolution:
     """ℓ_max-approximation by LP rounding for set constraints (Theorem 6)."""
-    built = build_set_program(problem, integral=False)
-    lp_solution = built.solve_relaxation()
+    lp_solution = problem_relaxation(problem, "set", build_set_program)
     if not lp_solution.optimal:
         raise SolverError("the set-constraint LP relaxation is infeasible")
 

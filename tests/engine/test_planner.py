@@ -9,6 +9,7 @@ import pytest
 from repro.core import SecureViewProblem
 from repro.engine import DerivationCache, Planner, default_registry
 from repro.exceptions import SolverError
+from repro.optim.lp import LinearProgram
 from repro.workloads import figure1_workflow, random_problem
 
 
@@ -73,6 +74,53 @@ class TestRandomness:
     def test_seed_silently_ignored_by_deterministic_solver(self, figure1_planner):
         result = figure1_planner.solve(solver="exact", seed=5)
         assert result.solver == "exact"
+
+
+class TestRelaxationReuse:
+    """A relaxation depends on the problem only; every seed reuses it."""
+
+    @staticmethod
+    def _count_relaxations(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        original = LinearProgram.solve_relaxation
+
+        def counting(program):
+            calls.append(program.name)
+            return original(program)
+
+        monkeypatch.setattr(LinearProgram, "solve_relaxation", counting)
+        return calls
+
+    @staticmethod
+    def _outcome(result):
+        return (
+            result.hidden_attributes,
+            result.privatized_modules,
+            result.cost,
+            result.guarantee,
+            result.solution.meta,
+        )
+
+    @pytest.mark.parametrize(
+        "kind, solver", [("cardinality", "lp_rounding"), ("set", "set_lp")]
+    )
+    def test_seeds_share_one_relaxation(self, monkeypatch, kind, solver):
+        calls = self._count_relaxations(monkeypatch)
+        planner = Planner(figure1_workflow(), 2, kind=kind)
+        results = [planner.solve(solver, seed=seed) for seed in (0, 1)]
+        assert len(calls) == 1
+        for seed, result in zip((0, 1), results):
+            fresh = Planner(figure1_workflow(), 2, kind=kind)
+            assert self._outcome(result) == self._outcome(
+                fresh.solve(solver, seed=seed)
+            )
+
+    def test_cost_override_solves_its_own_relaxation(self, monkeypatch):
+        calls = self._count_relaxations(monkeypatch)
+        planner = Planner(figure1_workflow(), 2, kind="set")
+        planner.solve("set_lp")
+        planner.solve("set_lp", costs={"a3": 10.0})
+        assert len(calls) == 2
 
 
 class TestDerivationSharing:

@@ -12,7 +12,10 @@ from repro.core import (
     standalone_privacy_level,
 )
 from repro.core.attributes import integer_domain
-from repro.core.standalone import minimal_safe_hidden_subsets
+from repro.core.standalone import (
+    enumerate_safe_hidden_subsets,
+    minimal_safe_hidden_subsets,
+)
 from repro.exceptions import PrivacyError
 from repro.kernel import (
     CompiledModule,
@@ -223,6 +226,34 @@ class TestBatchedSweep:
             assert batched_levels[masks.index(mask)] == (
                 standalone_privacy_level(module, visible, backend="reference")
             )
+
+    def test_sweep_evaluates_only_unsafe_and_minimal_sets(self):
+        """Each evaluated mask is an unsafe set or a minimal safe one.
+
+        With every attribute hidable, the count is ``2**n - |safe| +
+        |minimal|``: the evaluated set never grows past the negative border
+        plus the minimal sets, on the scalar path and the batched one.
+        """
+        for module, gamma in (
+            (figure1_m1_module(), 2),
+            (figure1_m1_module(), 4),
+            (self._big_module(), 2),
+        ):
+            compiled = CompiledModule(module)
+            compiled.minimal_safe_hidden_subsets(gamma)
+            safe = enumerate_safe_hidden_subsets(
+                module, gamma, backend="reference"
+            )
+            minimal = minimal_safe_hidden_subsets(
+                module, gamma, backend="reference"
+            )
+            stats = compiled.sweep_stats
+            n = len(module.attribute_names)
+            assert stats["scalar_masks"] + stats["batched_masks"] == (
+                2**n - len(safe) + len(minimal)
+            )
+            if compiled.packed.use_numpy:
+                assert stats["batched_passes"] >= 1
 
     def test_empty_batch_is_a_no_op(self):
         compiled = CompiledModule(figure1_m1_module())

@@ -9,12 +9,14 @@ original enumerators remain the ground truth.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Attribute,
     Module,
     Workflow,
     boolean_attributes,
@@ -23,6 +25,7 @@ from repro.core import (
     standalone_privacy_level,
     workflow_out_sets,
 )
+from repro.core.attributes import integer_domain
 from repro.core.requirements import (
     derive_cardinality_requirements,
     derive_set_requirements,
@@ -426,3 +429,68 @@ def test_workflow_privacy_verdicts_agree(seed, gamma, data):
     assert is_gamma_private_workflow(
         workflow, visible, gamma, backend="kernel"
     ) == is_gamma_private_workflow(workflow, visible, gamma, backend="reference")
+
+
+# ---------------------------------------------------------------------------
+# Levelwise minimal safe subsets and their upward closure
+# ---------------------------------------------------------------------------
+
+
+def random_quaternary_module(seed: int, n_outputs: int) -> Module:
+    """Four 4-valued inputs: 256 rows (numpy-eligible), few attributes."""
+    rng = random.Random(seed)
+    inputs = [Attribute(f"q{k}", integer_domain(4)) for k in range(4)]
+    output_names = [f"p{k}" for k in range(n_outputs)]
+    table = {
+        key: tuple(rng.randint(0, 1) for _ in output_names)
+        for key in itertools.product(range(4), repeat=len(inputs))
+    }
+
+    def function(values):
+        key = tuple(values[attribute.name] for attribute in inputs)
+        return dict(zip(output_names, table[key]))
+
+    return Module("quad", inputs, boolean_attributes(output_names), function)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        module_shapes.map(lambda shape: random_boolean_module(*shape)),
+        st.builds(
+            random_quaternary_module,
+            st.integers(min_value=0, max_value=2**31 - 1),
+            st.integers(min_value=1, max_value=2),
+        ),
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_levelwise_subsets_match_reference(module, gamma, data):
+    """Minimal and enumerated lists equal the reference's, order included.
+
+    ``hidable`` may repeat names and name attributes outside the layout
+    (attribute mask 0); the reference keeps repeats in its enumeration and
+    lists each minimal set once.
+    """
+    names = list(module.attribute_names)
+    hidable = None
+    if data.draw(st.booleans(), label="explicit hidable"):
+        drawn = names + data.draw(st.lists(st.sampled_from(names), max_size=2))
+        drawn += data.draw(
+            st.lists(st.sampled_from(["zz", "yy"]), max_size=2, unique=True)
+        )
+        hidable = data.draw(st.permutations(drawn), label="hidable")
+    compiled = CompiledModule(module)
+    if module.name == "quad":
+        assert len(compiled.packed) >= NUMPY_MIN_ROWS
+    assert compiled.minimal_safe_hidden_subsets(gamma, hidable=hidable) == (
+        minimal_safe_hidden_subsets(
+            module, gamma, hidable=hidable, backend="reference"
+        )
+    )
+    assert compiled.enumerate_safe_hidden_subsets(gamma, hidable=hidable) == (
+        enumerate_safe_hidden_subsets(
+            module, gamma, hidable=hidable, backend="reference"
+        )
+    )

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import SecureViewProblem
 from repro.workloads import dump_problem, figure1_workflow
@@ -67,6 +72,32 @@ class TestInfoAndSolve:
         # a solver of its own.
         assert payload["solver"] == "greedy"
         assert payload["cost"] <= plain["cost"] + 1e-9
+
+    def test_solve_cost_does_not_depend_on_the_hash_seed(self, tmp_path, capsys):
+        # Set order follows PYTHONHASHSEED; a plain float sum over the
+        # hidden set printed 25.986999999999995 under seed 1 and
+        # 25.987000000000002 under seed 2 on this instance.
+        path = tmp_path / "smoke.json"
+        argv = ["generate", str(path), "--modules", "5", "--kind", "set"]
+        assert main(argv + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        costs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src_root, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "solve", str(path)]
+                + ["--solver", "greedy"],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            costs.append(json.loads(completed.stdout)["cost"])
+        assert costs[0] == costs[1]
 
     def test_solve_payload_surfaces_cache_stats(self, problem_file, capsys):
         assert main(["solve", problem_file, "--solver", "exact"]) == 0
