@@ -1,24 +1,29 @@
-"""Store format v2: binary mmap-backed packs vs the v1 all-JSON layout.
+"""Binary mmap-backed store packs vs all-JSON pack documents.
 
-PR 9 moves the code arrays of the pack and relation tiers out of the JSON
-documents into little-endian binary sidecar files that readers memory-map
-(:mod:`repro.kernel.binpack`).  This benchmark measures the three wins on
-a derivation-heavy workflow (thousands of packed rows) and records them in
-``BENCH_store.json``:
+The derivation store keeps each pack's code array in a little-endian
+binary sidecar file that readers memory-map (:mod:`repro.kernel.binpack`);
+the store's first format (``v1`` below) wrote the same pack as one JSON
+document, ``compiled.to_payload()`` dumped with sorted keys, with every
+code in base-10 digits.  The store no longer reads or writes that format, so this
+benchmark keeps it as a local file and loads it the way the old store
+did.  It measures three wins on a derivation-heavy workflow (thousands of
+packed rows) and records them in ``BENCH_store.json``:
 
-* **pack-load latency** — repeated ``load_pack`` against a v1 store
-  (JSON-parse every code on every load) vs a v2 store (parse a small
-  document, map the sidecar, decode nothing).  The v2 path must beat v1
-  by at least :data:`SPEEDUP_FLOOR`; this is the gated metric.
-* **per-worker resident memory** — 4 forked workers concurrently attach
-  the same store and load the same pack; each reports its USS-style
-  private-memory delta (``Private_Clean + Private_Dirty`` from
-  ``/proc/self/smaps_rollup``).  v1 workers each hold a parsed Python
-  int list; v2 workers share one set of page-cached read-only pages.
-  Skipped gracefully (recorded as unmeasured) where ``smaps_rollup`` or
-  the ``fork`` start method is unavailable.
-* **on-disk bytes** — ``disk_stats()['bytes']`` of the two stores: base-10
-  JSON digits vs 8-byte binary records.
+* **pack-load latency** — repeated loads of the JSON document
+  (``json.load``, touch, ``CompiledWorkflow.from_payload``: parse every
+  code on every load) vs repeated ``DerivationStore.load_pack`` (``v2``:
+  parse a small document, map the sidecar, decode nothing).  The store
+  path must beat the JSON path by at least :data:`SPEEDUP_FLOOR`; this is
+  the gated metric.
+* **per-worker resident memory** — 4 spawned workers concurrently load
+  the same pack; each reports its USS-style private memory
+  (``Private_Clean + Private_Dirty`` from ``/proc/self/smaps_rollup``).
+  JSON workers each hold a parsed Python int list; store workers share
+  one set of page-cached read-only pages.  Recorded as unmeasured where
+  ``smaps_rollup`` is unavailable.
+* **on-disk bytes** — the JSON document vs the store's pack files
+  (``disk_stats()['bytes']``): base-10 JSON digits vs 8-byte binary
+  records.
 
 Run standalone (used by the CI regression gate) with::
 
@@ -29,14 +34,17 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.core import Workflow
 from repro.engine import DerivationCache, DerivationStore
+from repro.kernel import CompiledWorkflow
 from repro.workloads import (
     random_total_module,
     workflow_fingerprint,
@@ -46,7 +54,7 @@ from repro.workloads import (
 
 RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
 
-#: Acceptance floor: v2 mmap pack loads must beat v1 JSON-parse loads.
+#: Acceptance floor: mmap store pack loads must beat JSON-parse loads.
 SPEEDUP_FLOOR = 2.0
 
 WORKERS = 4
@@ -62,25 +70,43 @@ def _bench_workflow(tiny: bool) -> Workflow:
     return Workflow(modules, name="store-bench")
 
 
-def _build_store(directory: Path, workflow: Workflow, format_version: int) -> int:
-    """Persist the workflow's pack + relation; returns the packed row count."""
-    store = DerivationStore(directory, format_version=format_version)
-    fingerprint = workflow_fingerprint(workflow)
+def _write_packs(json_path: Path, store_dir: Path, workflow: Workflow) -> int:
+    """Persist the workflow's pack both ways; returns the packed row count."""
     compiled = DerivationCache().compiled_workflow(workflow)
-    store.save_pack(fingerprint, compiled)
-    store.save_relation(fingerprint, compiled.base_relation, workflow=workflow)
+    json_path.write_text(json.dumps(compiled.to_payload(), sort_keys=True))
+    DerivationStore(store_dir).save_pack(workflow_fingerprint(workflow), compiled)
     return len(compiled.packed)
 
 
-def _time_pack_loads(directory: Path, workflow: Workflow, iterations: int) -> float:
-    """Mean seconds per ``load_pack`` against a warm OS page cache."""
-    store = DerivationStore(directory)
+def _pack_loader(
+    kind: str, path: Path, workflow: Workflow
+) -> Callable[[], CompiledWorkflow | None]:
+    """A zero-argument pack load of one ``kind``: ``"v1"`` or ``"v2"``.
+
+    ``"v1"`` reads the JSON document at ``path`` the way the store read
+    it; ``"v2"`` is ``load_pack`` on the store at ``path``, with the
+    handle and fingerprint built here, once, outside any timed loop.
+    """
+    if kind == "v1":
+
+        def load() -> CompiledWorkflow:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            os.utime(path, None)
+            return CompiledWorkflow.from_payload(workflow, payload)
+
+        return load
+    store = DerivationStore(path)
     fingerprint = workflow_fingerprint(workflow)
-    relation = workflow.provenance_relation()
-    assert store.load_pack(fingerprint, workflow, relation) is not None  # warm-up
+    return lambda: store.load_pack(fingerprint, workflow)
+
+
+def _time_pack_loads(load: Callable[[], object], iterations: int) -> float:
+    """Mean seconds per pack load against a warm OS page cache."""
+    assert load() is not None  # warm-up
     start = time.perf_counter()
     for _ in range(iterations):
-        pack = store.load_pack(fingerprint, workflow, relation)
+        pack = load()
         assert pack is not None
     return (time.perf_counter() - start) / iterations
 
@@ -90,7 +116,7 @@ def _uss_bytes() -> int | None:
 
     ``Private_Clean + Private_Dirty``, not ``VmRSS``: mmap'd file pages
     shared across workers inflate RSS identically for every mapper, which
-    is exactly the accounting v2 is supposed to beat.
+    is exactly the accounting the mapped sidecars are supposed to beat.
     """
     try:
         text = Path("/proc/self/smaps_rollup").read_text()
@@ -111,26 +137,23 @@ def _uss_bytes() -> int | None:
 HELD_PACKS = 8
 
 
-def _memory_worker(directory: str, payload: dict, conn) -> None:
+def _memory_worker(kind: str, path: str, payload: dict, conn) -> None:
     """Hold :data:`HELD_PACKS` loaded packs, report absolute private memory.
 
     Spawned fresh (no copy-on-write noise) and measured only after *every*
-    worker has mapped (parent barrier), so v2's file-backed pages are
-    accounted as shared — the state a real 4-worker sweep holds them in.
-    Absolute USS, not a before/after delta: allocator page reuse makes
+    worker has mapped (parent barrier), so the sidecar's file-backed pages
+    are accounted as shared — the state a real 4-worker sweep holds them
+    in.  Absolute USS, not a before/after delta: allocator page reuse makes
     small deltas meaningless, while identical bootstrap work on both sides
     cancels out of the v1 − v2 comparison.
     """
     import gc
 
-    workflow = workflow_from_dict(payload)
-    fingerprint = workflow_fingerprint(workflow)
-    relation = workflow.provenance_relation()
-    store = DerivationStore(directory)
+    load = _pack_loader(kind, Path(path), workflow_from_dict(payload))
     held = []
     checksum = 0
     for _ in range(HELD_PACKS):
-        pack = store.load_pack(fingerprint, workflow, relation)
+        pack = load()
         assert pack is not None
         array = pack.packed.array
         if array is not None:
@@ -146,7 +169,9 @@ def _memory_worker(directory: str, payload: dict, conn) -> None:
     assert len(held) == HELD_PACKS
 
 
-def _worker_memory_uss(directory: Path, workflow: Workflow) -> list[int] | None:
+def _worker_memory_uss(
+    kind: str, path: Path, workflow: Workflow
+) -> list[int] | None:
     """Absolute per-worker private memory at ``WORKERS`` concurrent holders."""
     if _uss_bytes() is None:  # pragma: no cover - no smaps_rollup
         return None
@@ -156,7 +181,7 @@ def _worker_memory_uss(directory: Path, workflow: Workflow) -> list[int] | None:
     for _ in range(WORKERS):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_memory_worker, args=(str(directory), payload, child_conn)
+            target=_memory_worker, args=(kind, str(path), payload, child_conn)
         )
         proc.start()
         child_conn.close()
@@ -189,22 +214,20 @@ def _worker_memory_uss(directory: Path, workflow: Workflow) -> list[int] | None:
 def run_benchmark(tiny: bool = False) -> dict:
     workflow = _bench_workflow(tiny)
     iterations = 10 if tiny else 30
-    v1_dir = Path(tempfile.mkdtemp(prefix="repro-bench-store-v1-"))
-    v2_dir = Path(tempfile.mkdtemp(prefix="repro-bench-store-v2-"))
+    root = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
+    v1_path, v2_dir = root / "pack-v1.json", root / "store"
     try:
-        rows = _build_store(v1_dir, workflow, format_version=1)
-        _build_store(v2_dir, workflow, format_version=2)
-        v1_bytes = DerivationStore(v1_dir, format_version=1).disk_stats()["bytes"]
+        rows = _write_packs(v1_path, v2_dir, workflow)
+        v1_bytes = v1_path.stat().st_size
         v2_bytes = DerivationStore(v2_dir).disk_stats()["bytes"]
 
-        v1_seconds = _time_pack_loads(v1_dir, workflow, iterations)
-        v2_seconds = _time_pack_loads(v2_dir, workflow, iterations)
+        v1_seconds = _time_pack_loads(_pack_loader("v1", v1_path, workflow), iterations)
+        v2_seconds = _time_pack_loads(_pack_loader("v2", v2_dir, workflow), iterations)
 
-        v1_uss = _worker_memory_uss(v1_dir, workflow)
-        v2_uss = _worker_memory_uss(v2_dir, workflow)
+        v1_uss = _worker_memory_uss("v1", v1_path, workflow)
+        v2_uss = _worker_memory_uss("v2", v2_dir, workflow)
     finally:
-        shutil.rmtree(v1_dir, ignore_errors=True)
-        shutil.rmtree(v2_dir, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
 
     measured = v1_uss is not None and v2_uss is not None
     if measured:
@@ -261,8 +284,8 @@ if pytest is not None:
 
     @pytest.mark.experiment("store")
     def test_bench_binary_store_pack_loads(report_sink):
-        """v2 mmap pack loads beat v1 JSON-parse loads >= 2x; workers at a
-        shared v2 store hold less private memory than at a v1 store."""
+        """Mmap store pack loads beat JSON-parse loads >= 2x; workers sharing
+        a store's mapped pack hold less private memory than JSON readers."""
         from repro.analysis import format_table
 
         record = run_benchmark(tiny=False)
@@ -277,7 +300,7 @@ if pytest is not None:
         )
         report_sink.append(
             (
-                "Store format v2: binary mmap packs vs v1 JSON "
+                "Store packs: binary mmap sidecars vs all-JSON documents "
                 f"(record: {RECORD_PATH.name})",
                 format_table(
                     ["metric", "v1 (JSON)", "v2 (binary mmap)"],
@@ -304,13 +327,13 @@ if pytest is not None:
             )
         )
         assert record["pack_load"]["speedup"] >= SPEEDUP_FLOOR, (
-            f"v2 pack-load speedup {record['pack_load']['speedup']:.2f}x is "
+            f"mmap pack-load speedup {record['pack_load']['speedup']:.2f}x is "
             f"below the {SPEEDUP_FLOOR}x floor"
         )
         assert record["disk"]["v2_bytes"] < record["disk"]["v1_bytes"]
         if memory["measured"]:
             assert memory["reduction_bytes"] > 0, (
-                "v2 workers hold no less private memory than v1 workers"
+                "store workers hold no less private memory than JSON workers"
             )
 
 
@@ -339,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"record written to {RECORD_PATH}")
     if not tiny and pack["speedup"] < SPEEDUP_FLOOR:
-        print(f"FAIL: v2 pack-load speedup below {SPEEDUP_FLOOR}x floor")
+        print(f"FAIL: mmap pack-load speedup below {SPEEDUP_FLOOR}x floor")
         return 1
     return 0
 

@@ -97,14 +97,14 @@ def main() -> None:
     )
 
     # 4. Persist the derivations.  A store-backed Planner writes every
-    #    derived artifact to a content-addressed on-disk store — since
-    #    store format v2 the pack and relation tiers are *binary*: JSON
-    #    metadata pointing at little-endian `.npy` code sidecars that
-    #    warm loads memory-map back zero-copy, so co-located processes
-    #    share one page-cache copy of every hot pack.  `meta.json`
-    #    carries a `format_version` stamp; a pre-v2 store upgrades in
-    #    place with `repro store migrate DIR` (atomic, idempotent),
-    #    and `repro store stats DIR` reports versions and per-tier sizes.
+    #    derived artifact to a content-addressed on-disk store.  Packs
+    #    are *binary*: JSON metadata pointing at little-endian `.npy`
+    #    code sidecars that warm loads memory-map back zero-copy, so
+    #    co-located processes share one page-cache copy of every hot
+    #    pack — and the workflow pack is the only stored copy of the
+    #    provenance relation.  Documents carry a `format` stamp; one in
+    #    any other format is simply recomputed, and
+    #    `repro store stats DIR` reports per-kind and per-tier sizes.
     import shutil
     import tempfile
     from pathlib import Path

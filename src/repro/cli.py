@@ -289,22 +289,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    store = _open_store(args.dir)
-    if store is None:
-        return 1
-    summary = store.migrate()
-    summary["root"] = args.dir
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if summary["failed"]:
-        print(
-            f"warning: {summary['failed']} artifact(s) could not be migrated "
-            "(left in place; they degrade to misses)",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
@@ -870,13 +854,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or prune a persistent derivation store directory",
         description=(
             "Maintenance for long-lived .repro-store/ directories: 'stats' "
-            "summarizes bytes/files per artifact kind, per tier (workflow "
-            "vs shared module tier) and per on-disk format version; 'gc' "
-            "prunes least-recently-used artifacts down to a byte budget, "
-            "never touching in-flight temp files; 'migrate' upgrades a v1 "
-            "(all-JSON) store to format v2 with binary memory-mappable "
-            "pack/relation sidecars, atomically per artifact.  Artifacts "
-            "are re-derivable caches, so gc never loses information."
+            "summarizes bytes/files per artifact kind and per tier (workflow "
+            "vs shared module tier); 'gc' prunes least-recently-used "
+            "artifacts down to a byte budget, never touching in-flight temp "
+            "files.  Artifacts are re-derivable caches, so gc never loses "
+            "information, and a document in any other on-disk format is "
+            "simply recomputed."
         ),
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
@@ -885,12 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_stats.add_argument("dir")
     store_stats.set_defaults(func=_cmd_store_stats)
-    store_migrate = store_sub.add_parser(
-        "migrate",
-        help="upgrade a v1 store to format v2 (binary sidecars) in place",
-    )
-    store_migrate.add_argument("dir")
-    store_migrate.set_defaults(func=_cmd_store_migrate)
     store_gc = store_sub.add_parser(
         "gc", help="prune a store to a byte budget (LRU by mtime)"
     )

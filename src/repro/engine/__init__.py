@@ -27,10 +27,10 @@ Components
 :class:`SolveResult`
     The uniform result every solver answers with.
 :class:`DerivationCache`
-    Two-tier memoization of requirement derivation, provenance relations,
-    compiled kernel packs and verification out-sets: a bounded in-memory
-    front plus an optional persistent :class:`DerivationStore` back, with
-    hit/miss counters for both tiers.  Requirement derivation is
+    Two-tier memoization of requirement derivation, compiled kernel packs
+    and verification out-sets: a bounded in-memory front plus an optional
+    persistent :class:`DerivationStore` back, with hit/miss counters for
+    both tiers.  Requirement derivation is
     module-granular: per-module lists and packs are keyed by module content
     fingerprint and shared across workflows, cost variants and edit-chains.
 :class:`DerivationStore`

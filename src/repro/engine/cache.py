@@ -6,8 +6,9 @@ Everything expensive about a Secure-View instance happens *before* and
 * **requirement derivation** — ``derive_workflow_requirements`` enumerates,
   per private module, every hidden subset (exponential in the module arity)
   and, for cardinality lists, every (α, β) combination of attribute choices;
-* **provenance materialization** — the joint relation over all executions;
-* **kernel compilation** — packing that relation into integer bitmask tables;
+* **kernel compilation** — materializing the provenance relation (the
+  joint relation over all executions) and packing it into integer bitmask
+  tables;
 * **out-set verification** — the possible-worlds enumeration behind the
   Γ-privacy certificate (Definitions 5/6).
 
@@ -62,7 +63,6 @@ from typing import TYPE_CHECKING, Mapping
 from ..core.module import Module
 from ..core.possible_worlds import workflow_out_sets
 from ..core.requirements import RequirementList, derive_module_requirement
-from ..core.relation import Relation
 from ..core.workflow import Workflow
 from ..kernel import (
     KERNEL,
@@ -96,8 +96,8 @@ def _locked(method):
     """Run a cache method under the instance's reentrant lock.
 
     Reentrancy matters: ``requirements`` calls ``module_requirement``,
-    ``compiled_workflow`` calls ``relation`` and ``fingerprint``, and all of
-    them update shared tables and counters.
+    ``compiled_workflow`` calls ``fingerprint``, and all of them update
+    shared tables and counters.
     """
 
     def wrapper(self, *args, **kwargs):
@@ -116,8 +116,6 @@ class CacheStats:
 
     derivation_hits: int = 0
     derivation_misses: int = 0
-    relation_hits: int = 0
-    relation_misses: int = 0
     out_set_hits: int = 0
     out_set_misses: int = 0
     compile_hits: int = 0
@@ -135,36 +133,24 @@ class CacheStats:
     batched_masks: int = 0
     batched_passes: int = 0
     scalar_masks: int = 0
-    #: Store-format-v2 accounting: packs served from the store whose code
-    #: arrays are memory-mapped sidecars (shared, page-cached, zero-copy)
-    #: rather than parsed copies, and the bytes mapped in total.
+    #: Packs served from the store whose code arrays are memory-mapped
+    #: sidecars (shared, page-cached, zero-copy) rather than parsed copies,
+    #: and the bytes mapped in total.
     mmap_packs: int = 0
     mmap_bytes: int = 0
 
     @property
     def hits(self) -> int:
-        return (
-            self.derivation_hits
-            + self.relation_hits
-            + self.out_set_hits
-            + self.compile_hits
-        )
+        return self.derivation_hits + self.out_set_hits + self.compile_hits
 
     @property
     def misses(self) -> int:
-        return (
-            self.derivation_misses
-            + self.relation_misses
-            + self.out_set_misses
-            + self.compile_misses
-        )
+        return self.derivation_misses + self.out_set_misses + self.compile_misses
 
     def as_dict(self) -> dict[str, int]:
         return {
             "derivation_hits": self.derivation_hits,
             "derivation_misses": self.derivation_misses,
-            "relation_hits": self.relation_hits,
-            "relation_misses": self.relation_misses,
             "out_set_hits": self.out_set_hits,
             "out_set_misses": self.out_set_misses,
             "compile_hits": self.compile_hits,
@@ -219,7 +205,6 @@ class DerivationCache:
     _seeded_requirements: dict[tuple, Mapping[str, RequirementList]] = field(
         default_factory=dict
     )
-    _relations: dict[int, Relation] = field(default_factory=dict)
     _out_sets: dict[tuple, dict] = field(default_factory=dict)
     _compiled: dict[int, CompiledWorkflow] = field(default_factory=dict)
     #: Shared module tier: keyed by module *content* fingerprint, so any two
@@ -230,8 +215,6 @@ class DerivationCache:
     _compiled_modules: dict[str, CompiledModule] = field(default_factory=dict)
     derivation_hits: int = 0
     derivation_misses: int = 0
-    relation_hits: int = 0
-    relation_misses: int = 0
     out_set_hits: int = 0
     out_set_misses: int = 0
     compile_hits: int = 0
@@ -250,7 +233,6 @@ class DerivationCache:
         """Drop one pinned workflow and every id-keyed entry it anchors."""
         self._workflows.pop(key, None)
         self._fingerprints.pop(key, None)
-        self._relations.pop(key, None)
         self._compiled.pop(key, None)
         for table in (self._requirements, self._out_sets):
             for entry_key in [k for k in table if k[0] == key]:
@@ -350,7 +332,10 @@ class DerivationCache:
         The packed tables (relation codes, per-module bitmasks, public
         functionality tables) are shared by every kernel-backed derivation
         and verification pass that goes through this cache, and round-trip
-        through the persistent store when one is attached.
+        through the persistent store when one is attached.  The stored pack
+        is the only persisted copy of the provenance relation: a store hit
+        never computes it, and only a true miss compiles from
+        ``workflow.provenance_relation()``.
         """
         key = self._pin(workflow)
         cached = self._compiled.get(key)
@@ -358,9 +343,7 @@ class DerivationCache:
             self.compile_hits += 1
             return cached
         if self.store is not None:
-            loaded = self.store.load_pack(
-                self.fingerprint(workflow), workflow, self.relation(workflow)
-            )
+            loaded = self.store.load_pack(self.fingerprint(workflow), workflow)
             if loaded is not None:
                 self.store_hits += 1
                 self.compile_hits += 1
@@ -369,7 +352,7 @@ class DerivationCache:
                 return loaded
             self.store_misses += 1
         self.compile_misses += 1
-        compiled = compile_workflow(workflow, self.relation(workflow))
+        compiled = compile_workflow(workflow, workflow.provenance_relation())
         self._remember(self._compiled, key, compiled)
         if self.store is not None:
             self.store.save_pack(self.fingerprint(workflow), compiled)
@@ -531,32 +514,6 @@ class DerivationCache:
                 (pin, gamma, kind, backend), requirements
             )
 
-    # -- provenance relation ----------------------------------------------------
-    @_locked
-    def relation(self, workflow: Workflow) -> Relation:
-        """The workflow's provenance relation, materialized at most once."""
-        key = self._pin(workflow)
-        cached = self._relations.get(key)
-        if cached is not None:
-            self.relation_hits += 1
-            return cached
-        if self.store is not None:
-            loaded = self.store.load_relation(self.fingerprint(workflow), workflow)
-            if loaded is not None:
-                self.store_hits += 1
-                self.relation_hits += 1
-                self._remember(self._relations, key, loaded)
-                return loaded
-            self.store_misses += 1
-        self.relation_misses += 1
-        relation = workflow.provenance_relation()
-        self._remember(self._relations, key, relation)
-        if self.store is not None:
-            self.store.save_relation(
-                self.fingerprint(workflow), relation, workflow=workflow
-            )
-        return relation
-
     # -- out-set enumeration (verification) -------------------------------------
     @_locked
     def module_out_sets(
@@ -612,7 +569,7 @@ class DerivationCache:
                 module_name,
                 visible,
                 hidden_public_modules=hidden_public_modules,
-                relation=self.relation(workflow),
+                relation=workflow.provenance_relation(),
                 stop_at=stop_at,
                 backend=backend,
             )
@@ -638,8 +595,6 @@ class DerivationCache:
         return CacheStats(
             derivation_hits=self.derivation_hits,
             derivation_misses=self.derivation_misses,
-            relation_hits=self.relation_hits,
-            relation_misses=self.relation_misses,
             out_set_hits=self.out_set_hits,
             out_set_misses=self.out_set_misses,
             compile_hits=self.compile_hits,
@@ -667,7 +622,6 @@ class DerivationCache:
         self._fingerprints.clear()
         self._requirements.clear()
         self._seeded_requirements.clear()
-        self._relations.clear()
         self._out_sets.clear()
         self._compiled.clear()
         self._modules.clear()
@@ -675,7 +629,6 @@ class DerivationCache:
         self._module_requirements.clear()
         self._compiled_modules.clear()
         self.derivation_hits = self.derivation_misses = 0
-        self.relation_hits = self.relation_misses = 0
         self.out_set_hits = self.out_set_misses = 0
         self.compile_hits = self.compile_misses = 0
         self.store_hits = self.store_misses = 0

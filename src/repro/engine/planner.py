@@ -2,7 +2,7 @@
 
 A planner owns a workflow, the privacy target Γ, and a shared
 :class:`~repro.engine.cache.DerivationCache`.  It derives requirement lists
-**once**, memoizes them (and the provenance relation and verification
+**once**, memoizes them (and the packed workflow tables and verification
 out-sets) in the cache, and dispatches any registered algorithm through a
 uniform interface::
 
@@ -163,9 +163,9 @@ class Planner:
         content fingerprint, the new planner's first solve re-derives
         exactly the modules whose content changed and reuses everything else
         (``CacheStats.reused_modules`` / ``rederived_modules`` show the
-        split).  Workflow-level artifacts — the provenance relation, packed
-        workflow tables and verification out-sets — are re-keyed by the new
-        workflow fingerprint and recomputed when verification asks for them.
+        split).  Workflow-level artifacts — the packed workflow tables and
+        verification out-sets — are re-keyed by the new workflow fingerprint
+        and recomputed when verification asks for them.
 
         ``gamma`` / ``kind`` evolve the privacy target instead of (or along
         with) the topology; ``costs`` applies a what-if cost override, which
@@ -196,8 +196,8 @@ class Planner:
             raise WorkflowError("evolve: the edited workflow has no modules left")
         if not (removed or replacements or added):
             # A pure Γ/kind/cost evolution keeps the same workflow object,
-            # so identity-keyed workflow-level entries (provenance relation,
-            # packed tables, out-sets) stay warm in the shared cache.
+            # so identity-keyed workflow-level entries (packed tables,
+            # out-sets) stay warm in the shared cache.
             workflow = self.workflow
         else:
             workflow = Workflow(modules, name=self.workflow.name)

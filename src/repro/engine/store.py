@@ -9,34 +9,33 @@ under::
 
     <root>/<fp[:2]>/<fingerprint>/
         meta.json                      # instance summary + format_version
-        relation.json                  # provenance relation
-        relation.codes.npy|.bin        # (v2) binary relation codes
         pack.json                      # packed kernel tables
-        pack.codes.npy|.bin            # (v2) binary pack codes
+        pack.codes.npy|.bin            # binary pack codes
         req-g<gamma>-<kind>-<backend>.json
         outsets-<keydigest>.json       # one per (module, view, stop_at, backend)
         result-<keydigest>.json        # one per (backend, gamma, kind, solver,
                                        #          seed, verify) solve cell
 
-**Store format v2.**  Format v1 serialized packed relations as base-10 int
-lists inside the JSON documents; v2 (the default) moves the code arrays of
-the pack and relation tiers into compact little-endian binary **sidecar
-files** (:mod:`repro.kernel.binpack`): a standard ``.npy`` ``uint64``
-array when the bit layout fits 63 bits, fixed-width raw records otherwise,
-so the pure-Python no-numpy path reads the same bytes.  Readers
-memory-map sidecars, and :class:`~repro.kernel.packing.PackedRelation`
-keeps the mapping as its backing — co-located sweep workers and
-``ProcessExecTier`` workers share one set of page-cached read-only pages
-per hot pack instead of holding N parsed copies.  Readers accept both
-formats (a half-migrated store just works); ``format_version`` selects
-what *writes* produce, and :meth:`DerivationStore.migrate` upgrades a v1
-store in place, atomically per artifact.  The ``repro store migrate``
-CLI wraps it.
+The pack is the only stored copy of the workflow's provenance relation:
+its codes *are* the relation's rows under the workflow's bit layout.
 
-so a warm store lets a *different process* — a sweep worker, tomorrow's CLI
-invocation, a CI re-run — skip requirement derivation, provenance
-materialization, kernel packing, out-set enumeration, and even whole solver
-runs.  The store is the persistent back tier of the two-tier
+**Store format.**  Every pack document (workflow and module tier) is
+stamped ``"format": FORMAT_VERSION`` and keeps its code array in a compact
+little-endian binary **sidecar file** (:mod:`repro.kernel.binpack`): a
+standard ``.npy`` ``uint64`` array when the bit layout fits 63 bits,
+fixed-width raw records otherwise, so the pure-Python no-numpy path reads
+the same bytes.  Readers memory-map sidecars, and
+:class:`~repro.kernel.packing.PackedRelation` keeps the mapping as its
+backing — co-located sweep workers and ``ProcessExecTier`` workers share
+one set of page-cached read-only pages per hot pack instead of holding N
+parsed copies.  A document with any other stamp (an unstamped all-JSON
+document from an earlier format, or a newer one) is a miss, recomputed
+and rewritten like any corrupt entry: the store is a cache.
+
+A warm store therefore lets a *different process* — a sweep worker,
+tomorrow's CLI invocation, a CI re-run — skip requirement derivation,
+provenance materialization, kernel packing, out-set enumeration, and even
+whole solver runs.  The store is the persistent back tier of the two-tier
 :class:`~repro.engine.cache.DerivationCache`; the cache owns the bounded
 in-memory front and probes the store on every memory miss.
 
@@ -78,35 +77,24 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..kernel import BitLayout, CompiledModule, CompiledWorkflow, PackedRelation
+from ..kernel import CompiledModule, CompiledWorkflow
 from ..kernel import binpack
-from ..workloads.serialization import (
-    relation_from_dict,
-    relation_to_dict,
-    requirement_from_dict,
-    requirement_to_dict,
-)
+from ..workloads.serialization import requirement_from_dict, requirement_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.module import Module
-    from ..core.relation import Relation
     from ..core.requirements import RequirementList
     from ..core.workflow import Workflow
 
 __all__ = ["DerivationStore", "ResultKey", "OutSetKey", "FORMAT_VERSION"]
 
-#: The on-disk format new stores write.  v1: every artifact is one JSON
-#: document.  v2: pack/relation code arrays live in binary sidecar files.
+#: The on-disk format: pack code arrays live in binary sidecar files.  The
+#: one format this build reads and writes; any other stamp is a miss.
 FORMAT_VERSION = 2
-
-#: Formats this build can *read* (readers are version-agnostic so a store
-#: can be migrated while live); anything newer degrades to a miss.
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
 #: Categories the store tracks hit/miss/write counters for.
 _CATEGORIES = (
     "requirements",
-    "relation",
     "pack",
     "out_sets",
     "result",
@@ -129,6 +117,17 @@ def _decode_row(domains: list, row: list) -> tuple:
             raise ValueError(f"stored domain index {index} out of range")
         values.append(domain[index])
     return tuple(values)
+
+
+def _popularity_count(meta: Mapping[str, Any]) -> int:
+    """A meta document's request count; 0 unless it is a genuine ``int``.
+
+    The count is hand-editable JSON, so a string, list or bool there must
+    read as "never requested" rather than raise — the next bump rewrites
+    the field.
+    """
+    count = meta.get("popularity", 0)
+    return count if isinstance(count, int) and not isinstance(count, bool) else 0
 
 
 def _key_digest(parts: tuple) -> str:
@@ -174,28 +173,15 @@ class DerivationStore:
     ----------
     root:
         Directory to persist under; created (with parents) if absent.
-    format_version:
-        The format *writes* produce (default :data:`FORMAT_VERSION`).
-        Readers accept every supported format regardless, so handles with
-        different write versions interoperate over one directory; passing
-        ``1`` keeps the legacy all-JSON writer alive for migration tests
-        and fixtures.
 
-    The store never loads anything it cannot validate: relations are decoded
-    against the live workflow schema, packs are checked for bit-layout
-    compatibility (v2 additionally for sidecar size/header consistency),
-    and any JSON, binary or structural error degrades to a miss.
+    The store never loads anything it cannot validate: documents must carry
+    the :data:`FORMAT_VERSION` stamp, packs are checked for bit-layout
+    compatibility with the live schema and for sidecar size/header
+    consistency, out-sets are decoded against the live module domains, and
+    any JSON, binary or structural error degrades to a miss.
     """
 
-    def __init__(
-        self, root: str | os.PathLike, format_version: int = FORMAT_VERSION
-    ) -> None:
-        if format_version not in SUPPORTED_FORMAT_VERSIONS:
-            raise ValueError(
-                f"unsupported store format_version {format_version!r} "
-                f"(supported: {SUPPORTED_FORMAT_VERSIONS})"
-            )
-        self.format_version = int(format_version)
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.hits: dict[str, int] = {category: 0 for category in _CATEGORIES}
@@ -263,55 +249,43 @@ class DerivationStore:
 
     @staticmethod
     def _check_version(payload: Any) -> None:
-        """Raise on documents from a format this build cannot read.
+        """Raise unless ``payload`` is stamped ``"format": FORMAT_VERSION``.
 
-        v1 documents carry no ``format`` key; anything newer than
-        :data:`SUPPORTED_FORMAT_VERSIONS` degrades to a miss through the
-        loaders' normal corrupt-entry path.
+        Unstamped documents (an earlier all-JSON format) and newer ones
+        degrade to a miss through the loaders' normal corrupt-entry path.
         """
-        if isinstance(payload, dict):
-            version = int(payload.get("format", 1) or 1)
-            if version not in SUPPORTED_FORMAT_VERSIONS:
-                raise ValueError(f"unsupported store format {version}")
+        version = payload.get("format") if isinstance(payload, dict) else None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported store format {version!r}")
 
     @staticmethod
-    def _touch_sidecar(directory: Path, payload: Any) -> None:
-        """Refresh a v2 sidecar's LRU position alongside its JSON document.
+    def _touch_sidecar(directory: Path, payload: dict) -> None:
+        """Refresh a sidecar's LRU position alongside its JSON document.
 
         GC evicts by file mtime; touching only ``pack.json`` would let the
         sidecar age out from under a hot document.
         """
-        if not isinstance(payload, dict):
-            return
-        codes = payload.get("pack", {}).get("codes")
-        if isinstance(codes, dict):
-            try:
-                os.utime(directory / str(codes.get("file", "")), None)
-            except (OSError, ValueError):
-                pass
+        try:
+            os.utime(directory / str(payload["pack"]["codes"]["file"]), None)
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
 
-    def _write_code_sidecar(
-        self, directory: Path, descriptor: dict, blob: bytes, stem: str
+    def _pack_document(
+        self, directory: Path, compiled: CompiledWorkflow | CompiledModule
     ) -> dict:
-        """Publish one binary code array; returns the named descriptor."""
-        name = f"{stem}.codes{binpack.FILE_SUFFIXES[descriptor['encoding']]}"
-        descriptor["file"] = name
-        self._write_bytes(directory / name, blob)
-        return descriptor
-
-    def _binary_payload(
-        self, directory: Path, payload: dict, packed: PackedRelation, stem: str
-    ) -> dict:
-        """The v2 document for ``payload`` (a v1 ``to_payload`` dict).
+        """The stored document for ``compiled`` (its ``to_payload`` dict).
 
         Writes the code sidecar and swaps the in-document code list for
         its descriptor; every other key (e.g. a module pack's ``levels``
         memo) rides along unchanged.
         """
-        pack_doc, blob = packed.to_binary()
-        self._write_code_sidecar(directory, pack_doc["codes"], blob, stem)
+        pack_doc, blob = compiled.packed.to_binary()
+        descriptor = pack_doc["codes"]
+        name = f"pack.codes{binpack.FILE_SUFFIXES[descriptor['encoding']]}"
+        descriptor["file"] = name
+        self._write_bytes(directory / name, blob)
         doc: dict[str, Any] = {"format": FORMAT_VERSION, "pack": pack_doc}
-        for key, value in payload.items():
+        for key, value in compiled.to_payload().items():
             if key != "pack":
                 doc[key] = value
         return doc
@@ -345,7 +319,7 @@ class DerivationStore:
         payload.update(
             {
                 "fingerprint": fingerprint,
-                "format_version": self.format_version,
+                "format_version": FORMAT_VERSION,
                 "workflow": workflow.name,
                 "modules": len(workflow),
                 "attributes": len(workflow.attribute_names),
@@ -411,69 +385,9 @@ class DerivationStore:
         if workflow is not None:
             self._write_meta(fingerprint, workflow)
 
-    # -- provenance relation ----------------------------------------------------
-    def _relation_from_binary(
-        self, schema, payload: Mapping[str, Any], directory: Path
-    ) -> "Relation":
-        """Decode a v2 binary relation document against a live schema.
-
-        The stored bit layout is validated structurally against
-        ``BitLayout(schema)`` (names, widths, domain sizes), then every
-        code is unpacked by domain index — an out-of-range field raises,
-        so corruption degrades to a miss exactly like a bad v1 row.
-        """
-        from ..core.relation import Relation
-
-        layout = BitLayout(schema)
-        packed = PackedRelation.from_dict(
-            layout, payload["pack"], base_dir=str(directory)
-        )
-        names = layout.names
-        return Relation.from_tuples(
-            schema,
-            [layout.unpack(code, names) for code in packed.codes],
-            check_domains=False,
-        )
-
-    def load_relation(
-        self, fingerprint: str, workflow: "Workflow"
-    ) -> "Relation | None":
-        directory = self._dir(fingerprint)
-        payload = self._read("relation", directory / "relation.json")
-        if payload is None:
-            return None
-        try:
-            self._check_version(payload)
-            if isinstance(payload, dict) and "pack" in payload:
-                loaded = self._relation_from_binary(
-                    workflow.schema, payload, directory
-                )
-            else:
-                loaded = relation_from_dict(workflow.schema, payload)
-        except Exception:
-            self.hits["relation"] -= 1
-            self.misses["relation"] += 1
-            return None
-        self._touch_sidecar(directory, payload)
-        return loaded
-
-    def save_relation(
-        self, fingerprint: str, relation: "Relation", workflow: "Workflow | None" = None
-    ) -> None:
-        directory = self._dir(fingerprint)
-        if self.format_version >= 2:
-            payload = self._binary_payload(
-                directory, {}, PackedRelation.from_relation(relation), "relation"
-            )
-        else:
-            payload = relation_to_dict(relation)
-        self._write("relation", directory / "relation.json", payload)
-        if workflow is not None:
-            self._write_meta(fingerprint, workflow)
-
     # -- compiled kernel packs --------------------------------------------------
     def load_pack(
-        self, fingerprint: str, workflow: "Workflow", relation: "Relation"
+        self, fingerprint: str, workflow: "Workflow"
     ) -> CompiledWorkflow | None:
         directory = self._dir(fingerprint)
         payload = self._read("pack", directory / "pack.json")
@@ -482,7 +396,7 @@ class DerivationStore:
         try:
             self._check_version(payload)
             loaded = CompiledWorkflow.from_payload(
-                workflow, relation, payload, base_dir=str(directory)
+                workflow, payload, base_dir=str(directory)
             )
         except Exception:
             self.hits["pack"] -= 1
@@ -493,9 +407,7 @@ class DerivationStore:
 
     def save_pack(self, fingerprint: str, compiled: CompiledWorkflow) -> None:
         directory = self._dir(fingerprint)
-        payload = compiled.to_payload()
-        if self.format_version >= 2:
-            payload = self._binary_payload(directory, payload, compiled.packed, "pack")
+        payload = self._pack_document(directory, compiled)
         self._write("pack", directory / "pack.json", payload)
 
     # -- shared module tier -----------------------------------------------------
@@ -508,7 +420,7 @@ class DerivationStore:
             meta_path,
             {
                 "fingerprint": module_fingerprint,
-                "format_version": self.format_version,
+                "format_version": FORMAT_VERSION,
                 "module": module.name,
                 "inputs": list(module.input_names),
                 "outputs": list(module.output_names),
@@ -587,9 +499,7 @@ class DerivationStore:
         module: "Module | None" = None,
     ) -> None:
         directory = self._module_dir(module_fingerprint)
-        payload = compiled.to_payload()
-        if self.format_version >= 2:
-            payload = self._binary_payload(directory, payload, compiled.packed, "pack")
+        payload = self._pack_document(directory, compiled)
         self._write("module_pack", directory / "pack.json", payload)
         if module is not None:
             self._write_module_meta(module_fingerprint, module)
@@ -675,14 +585,13 @@ class DerivationStore:
         meta_path = self._dir(fingerprint) / "meta.json"
         meta = self._read_raw(meta_path)
         meta.setdefault("fingerprint", fingerprint)
-        meta["popularity"] = int(meta.get("popularity", 0) or 0) + int(by)
+        meta["popularity"] = _popularity_count(meta) + int(by)
         self._write(None, meta_path, meta)
         return meta["popularity"]
 
     def popularity(self, fingerprint: str) -> int:
         """The persisted request count for one workflow entry (0 if none)."""
-        meta = self._read_raw(self._dir(fingerprint) / "meta.json")
-        return int(meta.get("popularity", 0) or 0)
+        return _popularity_count(self._read_raw(self._dir(fingerprint) / "meta.json"))
 
     def popular_workflows(self, k: int) -> list[tuple[str, int, dict]]:
         """The ``k`` most-requested workflow entries that can be rebuilt.
@@ -698,7 +607,7 @@ class DerivationStore:
         for meta_path in self.root.glob("??/*/meta.json"):
             meta = self._read_raw(meta_path)
             payload = meta.get("workflow_payload")
-            count = int(meta.get("popularity", 0) or 0)
+            count = _popularity_count(meta)
             if not isinstance(payload, dict) or count <= 0:
                 continue
             fingerprint = str(meta.get("fingerprint") or meta_path.parent.name)
@@ -735,9 +644,9 @@ class DerivationStore:
     def _artifact_files(self) -> list[Path]:
         """Every persisted artifact under the root, temp files excluded.
 
-        Since format v2 this includes the binary ``*.codes.*`` sidecars —
-        they must ride the same GC, stats and LRU accounting as the JSON
-        documents that reference them.
+        This includes the binary ``*.codes.*`` sidecars — they must ride
+        the same GC, stats and LRU accounting as the JSON documents that
+        reference them.
         """
         return [
             path
@@ -748,13 +657,14 @@ class DerivationStore:
     def disk_stats(self) -> dict[str, Any]:
         """What the store directory holds on disk (for ``repro store stats``).
 
-        Counts bytes and files per artifact kind, per tier (workflow
-        entries vs the shared ``modules/`` tier), and per on-disk entry
-        format version.  Purely observational — no counters move.
+        Counts bytes and files per artifact kind and per tier (workflow
+        entries vs the shared ``modules/`` tier).  Files no artifact kind
+        claims — e.g. ``relation.*`` documents earlier formats wrote, which
+        nothing reads and gc evicts first — count as ``"other"``.  Purely
+        observational — no counters move.
         """
         kinds = {
             "meta": 0,
-            "relation": 0,
             "pack": 0,
             "requirements": 0,
             "out_sets": 0,
@@ -789,8 +699,6 @@ class DerivationStore:
             name = path.name
             if name == "meta.json":
                 kinds["meta"] += 1
-            elif name == "relation.json" or name.startswith("relation.codes"):
-                kinds["relation"] += 1
             elif name == "pack.json" or name.startswith("pack.codes"):
                 kinds["pack"] += 1
             elif name.startswith("req-"):
@@ -803,15 +711,9 @@ class DerivationStore:
                 kinds["other"] += 1
         tiers["workflow"]["entries"] = len(workflow_entries)
         tiers["modules"]["entries"] = len(module_entries)
-        format_versions: dict[str, int] = {}
-        for entry in workflow_entries | module_entries:
-            meta = self._read_raw(entry / "meta.json")
-            version = str(int(meta.get("format_version", 1) or 1))
-            format_versions[version] = format_versions.get(version, 0) + 1
         return {
             "root": str(self.root),
-            "format_version": self.format_version,
-            "format_versions": format_versions,
+            "format_version": FORMAT_VERSION,
             "bytes": total_bytes,
             "files": files,
             "workflow_entries": len(workflow_entries),
@@ -871,105 +773,6 @@ class DerivationStore:
             "kept_bytes": total - freed,
             "max_bytes": max_bytes,
         }
-
-    # -- migration --------------------------------------------------------------
-    def _migrate_pack_doc(self, directory: Path, doc: dict) -> dict:
-        """The v2 form of one v1 pack document (sidecar written as a side
-        effect).  Purely structural — codes and layout come from the stored
-        document, so the rewritten entry decodes to byte-identical payloads
-        without needing the live workflow or module."""
-        pack = doc["pack"]
-        codes = pack["codes"]
-        if not isinstance(codes, list):
-            raise ValueError("not a v1 pack document")
-        descriptor, blob = binpack.encode_codes(
-            [int(code) for code in codes], int(pack["layout"]["total_bits"])
-        )
-        self._write_code_sidecar(directory, descriptor, blob, "pack")
-        new_doc: dict[str, Any] = {
-            "format": FORMAT_VERSION,
-            "pack": {"layout": pack["layout"], "codes": descriptor},
-        }
-        for key, value in doc.items():
-            if key not in ("pack", "format"):
-                new_doc[key] = value
-        return new_doc
-
-    def _migrate_entry(
-        self, entry: Path, workflow_tier: bool, summary: dict[str, int]
-    ) -> None:
-        pack_path = entry / "pack.json"
-        doc = self._read_raw(pack_path)
-        if doc:
-            if int(doc.get("format", 1) or 1) >= FORMAT_VERSION:
-                summary["already_current"] += 1
-            else:
-                try:
-                    new_doc = self._migrate_pack_doc(entry, doc)
-                except Exception:
-                    summary["failed"] += 1
-                else:
-                    self._write(None, pack_path, new_doc)
-                    summary["packs_migrated"] += 1
-        if workflow_tier:
-            relation_path = entry / "relation.json"
-            relation_doc = self._read_raw(relation_path)
-            if relation_doc and "rows" in relation_doc:
-                # A v1 relation document carries domain *indices* only; the
-                # bit layout needs the schema, which the entry's meta can
-                # rebuild.  Entries without a serialized workflow stay v1 —
-                # readers accept both, so nothing is lost.
-                meta = self._read_raw(entry / "meta.json")
-                workflow_payload = meta.get("workflow_payload")
-                if isinstance(workflow_payload, dict):
-                    try:
-                        from ..workloads.serialization import workflow_from_dict
-
-                        schema = workflow_from_dict(workflow_payload).schema
-                        relation = relation_from_dict(schema, relation_doc)
-                        payload = self._binary_payload(
-                            entry, {}, PackedRelation.from_relation(relation),
-                            "relation",
-                        )
-                    except Exception:
-                        summary["failed"] += 1
-                    else:
-                        self._write(None, relation_path, payload)
-                        summary["relations_migrated"] += 1
-                else:
-                    summary["skipped"] += 1
-        meta_path = entry / "meta.json"
-        meta = self._read_raw(meta_path)
-        if meta and int(meta.get("format_version", 1) or 1) != FORMAT_VERSION:
-            meta["format_version"] = FORMAT_VERSION
-            self._write(None, meta_path, meta)
-
-    def migrate(self) -> dict[str, int]:
-        """Upgrade every v1 artifact under the root to format v2, in place.
-
-        Per-artifact atomic (the same tmp-file + ``os.replace`` protocol as
-        normal writes), so readers racing the migration see either the old
-        or the new complete document — and since readers accept both
-        formats, a half-migrated store serves hits throughout.  Idempotent:
-        already-v2 entries are counted and left untouched.  Corrupt
-        documents are skipped (``failed``), never deleted — they were
-        misses before and stay misses.  Returns a summary of what moved.
-        """
-        summary = {
-            "entries": 0,
-            "packs_migrated": 0,
-            "relations_migrated": 0,
-            "already_current": 0,
-            "skipped": 0,
-            "failed": 0,
-        }
-        for entry in sorted(p for p in self.root.glob("??/*") if p.is_dir()):
-            summary["entries"] += 1
-            self._migrate_entry(entry, True, summary)
-        for entry in sorted(p for p in self.root.glob("modules/??/*") if p.is_dir()):
-            summary["entries"] += 1
-            self._migrate_entry(entry, False, summary)
-        return summary
 
     # -- bookkeeping ------------------------------------------------------------
     def stats(self) -> dict[str, int]:

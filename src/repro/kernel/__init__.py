@@ -67,26 +67,28 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Bounded compile memos.  Keys are ``(id(source), id(relation) or -1)``;
-#: every live entry holds strong references to its sources, so an id cannot
-#: be recycled while its entry is alive.
+#: Bounded compile memos.  Keys are ``(id(source), id(relation))``; every
+#: live entry holds strong references to its sources (the compiled object
+#: need not keep the relation it packed), so an id cannot be recycled while
+#: its entry is alive.
 _COMPILE_CACHE_LIMIT = 256
-_modules: "OrderedDict[tuple[int, int], CompiledModule]" = OrderedDict()
-_workflows: "OrderedDict[tuple[int, int], CompiledWorkflow]" = OrderedDict()
+_modules: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
+_workflows: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
 _hits = 0
 _misses = 0
 
 
-def _memoize(cache: OrderedDict, key: tuple[int, int], factory):
+def _memoize(cache: OrderedDict, sources: tuple, factory):
     global _hits, _misses
-    cached = cache.get(key)
-    if cached is not None:
+    key = (id(sources[0]), id(sources[1]))
+    entry = cache.get(key)
+    if entry is not None:
         _hits += 1
         cache.move_to_end(key)
-        return cached
+        return entry[1]
     _misses += 1
     compiled = factory()
-    cache[key] = compiled
+    cache[key] = (sources, compiled)
     while len(cache) > _COMPILE_CACHE_LIMIT:
         cache.popitem(last=False)
     return compiled
@@ -96,16 +98,18 @@ def compile_module(
     module: "Module", relation: "Relation | None" = None
 ) -> CompiledModule:
     """The compiled form of a module's (possibly restricted) relation."""
-    key = (id(module), id(relation) if relation is not None else -1)
-    return _memoize(_modules, key, lambda: CompiledModule(module, relation))
+    return _memoize(
+        _modules, (module, relation), lambda: CompiledModule(module, relation)
+    )
 
 
 def compile_workflow(
     workflow: "Workflow", relation: "Relation | None" = None
 ) -> CompiledWorkflow:
     """The compiled form of a workflow's provenance relation."""
-    key = (id(workflow), id(relation) if relation is not None else -1)
-    return _memoize(_workflows, key, lambda: CompiledWorkflow(workflow, relation))
+    return _memoize(
+        _workflows, (workflow, relation), lambda: CompiledWorkflow(workflow, relation)
+    )
 
 
 def clear_compile_cache() -> None:

@@ -1,10 +1,10 @@
-"""Binary code-array codecs behind store format v2.
+"""Binary code-array codecs behind the derivation store's pack sidecars.
 
-Store format v1 persists packed kernel relations as base-10 int lists
-inside ``pack.json``; every reader re-parses and re-materializes a private
-copy of the same hot pack.  Format v2 moves the code array into a compact
-little-endian binary **sidecar file** next to the JSON document, described
-by a small descriptor dict that rides where the list used to be:
+The store keeps each packed kernel relation's code array out of
+``pack.json``, in a compact little-endian binary **sidecar file** next to
+the JSON document, described by a small descriptor dict that rides where
+an inline code list would (so no reader re-parses a private copy of a hot
+pack from base-10 digits):
 
 * ``npy-u64le`` — a standard numpy ``.npy`` v1.0 file holding a 1-D
   ``<u8`` (little-endian ``uint64``) array, used whenever the layout fits
@@ -22,7 +22,7 @@ file when the platform allows (falling back to a plain read) and returns a
 :class:`CodeBacking` — a lazy handle that validates sizes up front but
 decodes nothing until asked.  Co-located processes mapping the same
 sidecar share one set of page-cached, read-only pages instead of N parsed
-copies; that sharing is the point of format v2.
+copies; that sharing is the point of the binary format.
 
 Corruption never crashes a caller: a truncated file, a malformed header or
 a descriptor/size mismatch raises :class:`ValueError` from
@@ -123,9 +123,8 @@ def encode_codes(codes: Sequence[int], total_bits: int) -> tuple[dict, bytes]:
 
     The descriptor is JSON-safe and, once a ``"file"`` name is attached by
     the writer, is exactly what :func:`open_codes` consumes.  Encoding is
-    chosen from ``total_bits`` alone so migration (which only has the
-    stored layout description, not a live schema) picks the same bytes a
-    fresh write would.
+    chosen from ``total_bits`` alone, so the same codes always encode to
+    the same bytes.
     """
     rows = len(codes)
     if total_bits < 0:
@@ -145,7 +144,7 @@ class CodeBacking:
 
     Holds the raw buffer (an ``mmap`` when the platform granted one, plain
     ``bytes`` otherwise) and decodes on demand: :meth:`materialize` yields
-    the exact Python ints the JSON list would have carried, while
+    the exact Python ints an inline JSON code list carries, while
     :meth:`array` returns a zero-copy numpy ``uint64`` view for the
     vectorized kernel paths — mapped pages stay shared and read-only.
     """

@@ -238,7 +238,7 @@ class PackedRelation:
     included); a numpy ``uint64`` mirror is materialized lazily for layouts
     that fit and relations big enough for vectorization to pay off.
 
-    Since store format v2 a pack can also be **buffer-backed**
+    A pack can also be **buffer-backed**
     (:meth:`from_backing`): the codes live in a memory-mapped binary
     sidecar (:mod:`repro.kernel.binpack`) and are decoded lazily — the
     numpy mirror is a zero-copy view over the mapping, and the Python-int
@@ -292,13 +292,13 @@ class PackedRelation:
 
         Codes are arbitrary-precision Python ints, which JSON carries
         exactly, so packs wider than 64 bits round-trip unchanged —
-        including packs loaded back from a binary v2 sidecar, whose
-        payload must be byte-identical to the v1 JSON it migrated from.
+        including packs loaded back from a binary sidecar, whose payload
+        is byte-identical to the one the pack had before it was stored.
         """
         return {"layout": self.layout.to_dict(), "codes": list(self.codes)}
 
     def to_binary(self) -> tuple[dict, bytes]:
-        """Store-format-v2 form: a descriptor document plus sidecar bytes.
+        """The stored form: a descriptor document plus sidecar bytes.
 
         The returned dict mirrors :meth:`to_dict` with the code list
         replaced by a :mod:`~repro.kernel.binpack` descriptor (the caller
@@ -323,10 +323,10 @@ class PackedRelation:
         Raises :class:`ValueError` when the stored layout description is
         structurally incompatible with ``layout`` (field order, widths or
         domain sizes drifted), which turns a silently-corrupt cache read
-        into a recompile.  A v2 payload carries a binary-sidecar
-        descriptor where v1 carried the code list; resolving it requires
-        ``base_dir`` (the artifact's directory), and a v1-era caller that
-        passes none fails the same validation path instead of crashing.
+        into a recompile.  A stored payload carries a binary-sidecar
+        descriptor where :meth:`to_dict` carries the code list; resolving
+        it requires ``base_dir`` (the artifact's directory), and a caller
+        that passes none gets the same :class:`ValueError`, not garbage.
         """
         stored_layout = payload.get("layout", {})
         if not layout.compatible_with(stored_layout):

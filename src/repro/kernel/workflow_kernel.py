@@ -50,24 +50,16 @@ def _default_work_limit() -> int:
 class CompiledWorkflow:
     """Bit-compiled form of a workflow's provenance relation."""
 
-    __slots__ = (
-        "workflow",
-        "base_relation",
-        "layout",
-        "packed",
-        "_module_bits",
-        "_public_tables",
-    )
+    __slots__ = ("workflow", "layout", "packed", "_module_bits", "_public_tables")
 
     def __init__(
         self, workflow: "Workflow", relation: "Relation | None" = None
     ) -> None:
         self.workflow = workflow
-        self.base_relation = (
-            relation if relation is not None else workflow.provenance_relation()
-        )
+        if relation is None:
+            relation = workflow.provenance_relation()
         self.layout = BitLayout(workflow.schema)
-        self.packed = PackedRelation.from_relation(self.base_relation, self.layout)
+        self.packed = PackedRelation.from_relation(relation, self.layout)
         self._module_bits: dict[str, tuple[int, int]] = {
             module.name: (
                 self.layout.mask_for(module.input_names),
@@ -90,23 +82,19 @@ class CompiledWorkflow:
 
     @classmethod
     def from_payload(
-        cls,
-        workflow: "Workflow",
-        relation: "Relation",
-        payload: dict,
-        base_dir: "str | None" = None,
+        cls, workflow: "Workflow", payload: dict, base_dir: "str | None" = None
     ) -> "CompiledWorkflow":
         """Rebuild a compiled workflow from :meth:`to_payload` output.
 
-        ``workflow`` and ``relation`` must be the live objects the payload
-        was compiled from (the store guarantees this by keying payloads on
-        the workflow's content fingerprint); the packed codes are validated
-        structurally against the schema's layout and a mismatch raises
+        ``workflow`` must be the live workflow the payload was compiled
+        from (the store guarantees this by keying payloads on the
+        workflow's content fingerprint), so its provenance relation is
+        never computed; the packed codes are validated structurally
+        against the schema's layout and a mismatch raises
         :class:`ValueError` so callers fall back to recompiling.
         """
         compiled = cls.__new__(cls)
         compiled.workflow = workflow
-        compiled.base_relation = relation
         compiled.layout = BitLayout(workflow.schema)
         compiled.packed = PackedRelation.from_dict(
             compiled.layout, payload["pack"], base_dir=base_dir

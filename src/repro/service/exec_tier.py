@@ -124,7 +124,7 @@ def _worker_main(
     runner = SolveRunner(store_path, reuse_results=reuse_results)
     try:
         warmed, _ = runner.warm(warmup)
-        # Format-v2 stores serve pre-warmed packs as memory-mapped sidecars;
+        # The store serves pre-warmed packs as memory-mapped sidecars;
         # report how much of this worker's warm set is shared mappings so
         # the parent's /metrics can show the per-worker memory win.
         stats = runner.cache.stats()

@@ -23,7 +23,7 @@ any path outside it answers the enveloped 404.
     hit/miss delta since start (see ``SolveService.metrics``).
 ``GET /v1/version``
     Package version, API version, replica identity and the attached
-    store's on-disk format versions — what a rolling upgrade checks
+    store's on-disk format version — what a rolling upgrade checks
     before readmitting a replica.
 ``POST /v1/solve``
     One solve request (see :mod:`repro.service.jobs` for the body schema).

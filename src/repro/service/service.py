@@ -582,23 +582,19 @@ class SolveService:
             }
 
     def version(self) -> dict[str, Any]:
-        """``GET /v1/version``: package + API version, store formats.
+        """``GET /v1/version``: package + API version, store format.
 
         A fleet operator rolling replicas forward reads this per replica to
         confirm which code and which on-disk store format each process
         speaks before readmitting it to rotation.
         """
         from .. import __version__
-        from ..engine.store import FORMAT_VERSION, SUPPORTED_FORMAT_VERSIONS
+        from ..engine.store import FORMAT_VERSION
 
         store = self.cache.store
         store_block = None
         if store is not None:
-            store_block = {
-                "root": str(store.root),
-                "format_version": store.format_version,
-                "supported_format_versions": list(SUPPORTED_FORMAT_VERSIONS),
-            }
+            store_block = {"root": str(store.root), "format_version": FORMAT_VERSION}
         return {
             "package": __version__,
             "api": "v1",

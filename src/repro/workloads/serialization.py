@@ -29,9 +29,8 @@ import itertools
 import json
 from typing import Any, Mapping
 
-from ..core.attributes import Attribute, Domain, Schema
+from ..core.attributes import Attribute, Domain
 from ..core.module import Module, tabulate_function
-from ..core.relation import Relation
 from ..core.requirements import (
     CardinalityRequirement,
     CardinalityRequirementList,
@@ -53,8 +52,6 @@ __all__ = [
     "solution_from_dict",
     "requirement_to_dict",
     "requirement_from_dict",
-    "relation_to_dict",
-    "relation_from_dict",
     "dump_workflow",
     "load_workflow",
     "dump_problem",
@@ -265,54 +262,6 @@ def requirement_from_dict(payload: Mapping[str, Any]) -> RequirementList:
             ],
         )
     raise SchemaError(f"unknown requirement kind {payload['kind']!r}")
-
-
-def relation_to_dict(relation: Relation) -> dict[str, Any]:
-    """Serialize a relation as domain-index rows (exact for any domain).
-
-    Rows are encoded positionally as indices into each attribute's canonical
-    domain order, so arbitrary hashable domain values (not just JSON types)
-    round-trip exactly through :func:`relation_from_dict` given the same
-    schema.  Used by the persistent derivation store.
-    """
-    indexers = [
-        {value: idx for idx, value in enumerate(attribute.domain.values)}
-        for attribute in relation.schema
-    ]
-    return {
-        "attributes": list(relation.attribute_names),
-        "rows": [
-            [indexer[value] for indexer, value in zip(indexers, tup)]
-            for tup in relation.tuples
-        ],
-    }
-
-
-def relation_from_dict(schema: Schema, payload: Mapping[str, Any]) -> Relation:
-    """Rebuild a relation from :func:`relation_to_dict` against a schema.
-
-    The schema must carry the same attributes (name, domain order) the
-    relation was serialized under; a mismatch raises :class:`SchemaError`.
-    """
-    names = tuple(payload["attributes"])
-    if names != schema.names:
-        raise SchemaError(
-            f"stored relation attributes {names!r} do not match schema "
-            f"{schema.names!r}"
-        )
-    domains = [schema[name].domain.values for name in names]
-    tuples = []
-    for row in payload["rows"]:
-        values = []
-        for domain, index in zip(domains, row):
-            index = int(index)
-            # Explicit bounds check: negative indexing would silently map a
-            # corrupt -1 to the last domain value instead of failing.
-            if not 0 <= index < len(domain):
-                raise SchemaError(f"stored relation index {index} out of range")
-            values.append(domain[index])
-        tuples.append(tuple(values))
-    return Relation.from_tuples(schema, tuples, check_domains=False)
 
 
 def problem_to_dict(problem: SecureViewProblem) -> dict[str, Any]:

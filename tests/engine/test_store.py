@@ -7,12 +7,14 @@ import os
 
 import pytest
 
+from repro.core import Workflow
 from repro.engine import DerivationCache, DerivationStore, Planner
 from repro.engine.store import FORMAT_VERSION, OutSetKey, ResultKey, _key_digest
 from repro.kernel import CompiledWorkflow
 from repro.optim.lp import HAVE_SCIPY
 from repro.workloads import (
     figure1_workflow,
+    module_fingerprint,
     random_workflow,
     workflow_fingerprint,
     workflow_to_dict,
@@ -36,23 +38,13 @@ class TestArtifactRoundTrips:
         for name in derived:
             assert list(loaded[name]) == list(derived[name])
 
-    def test_relation_round_trip(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        relation = workflow.provenance_relation()
-        store.save_relation(fingerprint, relation, workflow=workflow)
-        loaded = store.load_relation(fingerprint, workflow)
-        assert loaded == relation
-
     def test_pack_round_trip_produces_identical_out_sets(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
         cache = DerivationCache()
         compiled = cache.compiled_workflow(workflow)
         store.save_pack(fingerprint, compiled)
-        loaded = store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        )
+        loaded = store.load_pack(fingerprint, workflow)
         visible = frozenset({"a1", "a3", "a5"})
         for module in workflow.module_names:
             assert loaded.module_out_sets(module, visible) == compiled.module_out_sets(
@@ -81,7 +73,7 @@ class TestArtifactRoundTrips:
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
         assert store.load_requirements(fingerprint, 2, "set", "kernel") is None
-        assert store.load_relation(fingerprint, workflow) is None
+        assert store.load_pack(fingerprint, workflow) is None
         assert (
             store.load_result(fingerprint, ResultKey("kernel", 2, "set", "a", 0))
             is None
@@ -92,32 +84,36 @@ class TestArtifactRoundTrips:
     def test_corrupt_entry_degrades_to_miss(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        relation = workflow.provenance_relation()
-        store.save_relation(fingerprint, relation)
-        path = store._dir(fingerprint) / "relation.json"
+        store.save_pack(fingerprint, DerivationCache().compiled_workflow(workflow))
+        path = store._dir(fingerprint) / "pack.json"
         path.write_text("{not json")
-        assert store.load_relation(fingerprint, workflow) is None
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_corrupt_pack_degrades_to_miss(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        relation = workflow.provenance_relation()
         for payload in ('{"layout": "x", "codes": []}', '{"pack": {"layout": "x"}}'):
             path = store._dir(fingerprint) / "pack.json"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(payload)
-            assert store.load_pack(fingerprint, workflow, relation) is None
+            assert store.load_pack(fingerprint, workflow) is None
 
-    def test_negative_domain_index_degrades_to_miss(self, tmp_path):
-        store = DerivationStore(tmp_path / "store", format_version=1)
+    def test_negative_out_set_index_degrades_to_miss(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        store.save_relation(fingerprint, workflow.provenance_relation())
-        path = store._dir(fingerprint) / "relation.json"
+        visible = frozenset({"a1", "a3", "a5"})
+        out_sets = DerivationCache().module_out_sets(
+            workflow, "m1", visible, frozenset(), stop_at=None, backend="kernel"
+        )
+        key = OutSetKey("m1", visible, frozenset(), None, "kernel")
+        store.save_out_sets(fingerprint, workflow, key, "m1", out_sets)
+        path = store._dir(fingerprint) / f"outsets-{_key_digest(key)}.json"
         payload = json.loads(path.read_text())
-        payload["rows"][0][0] = -1  # would silently wrap via domain[-1]
+        payload["entries"][0][0][0] = -1  # would silently wrap via domain[-1]
         path.write_text(json.dumps(payload))
-        assert store.load_relation(fingerprint, workflow) is None
+        assert store.load_out_sets(fingerprint, workflow, key) is None
+        stats = store.stats()
+        assert stats["out_sets_hits"] == 0 and stats["out_sets_misses"] == 1
 
     def test_requirements_round_trip_preserves_order(self, store):
         workflow = figure1_workflow()
@@ -133,34 +129,36 @@ class TestArtifactRoundTrips:
         workflow = figure1_workflow()
         other = random_workflow(4, seed=5)
         fingerprint = workflow_fingerprint(workflow)
-        store.save_relation(fingerprint, other.provenance_relation())
+        store.save_pack(fingerprint, DerivationCache().compiled_workflow(other))
         # Decoding against the wrong schema must fail safe, not misdecode.
-        assert store.load_relation(fingerprint, workflow) is None
+        assert store.load_pack(fingerprint, workflow) is None
 
 
 class TestStoreFormatV2:
-    """The binary, memory-mapped v2 layout and its failure modes."""
+    """The binary, memory-mapped store format and its failure modes."""
 
     @staticmethod
     def _saved_entry(store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        compiled = DerivationCache().compiled_workflow(workflow)
+        cache = DerivationCache()
+        compiled = cache.compiled_workflow(workflow)
         store.save_pack(fingerprint, compiled)
-        store.save_relation(fingerprint, workflow.provenance_relation(),
-                            workflow=workflow)
+        store.save_requirements(
+            fingerprint, 2, "set", "kernel", cache.requirements(workflow, 2, "set"),
+            workflow=workflow,
+        )
         return workflow, fingerprint, compiled
 
     def test_v2_writes_binary_sidecars_and_stamped_docs(self, store):
         workflow, fingerprint, _ = self._saved_entry(store)
         entry = store._dir(fingerprint)
-        for stem in ("pack", "relation"):
-            doc = json.loads((entry / f"{stem}.json").read_text())
-            assert doc["format"] == FORMAT_VERSION
-            descriptor = doc["pack"]["codes"]
-            assert isinstance(descriptor, dict)
-            sidecar = entry / descriptor["file"]
-            assert sidecar.is_file() and sidecar.stat().st_size > 0
+        doc = json.loads((entry / "pack.json").read_text())
+        assert doc["format"] == FORMAT_VERSION
+        descriptor = doc["pack"]["codes"]
+        assert isinstance(descriptor, dict)
+        sidecar = entry / descriptor["file"]
+        assert sidecar.is_file() and sidecar.stat().st_size > 0
         meta = json.loads((entry / "meta.json").read_text())
         assert meta["format_version"] == FORMAT_VERSION
 
@@ -169,23 +167,19 @@ class TestStoreFormatV2:
         entry = store._dir(fingerprint)
         sidecar = next(entry.glob("pack.codes.*"))
         sidecar.write_bytes(sidecar.read_bytes()[:-3])
-        assert store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        ) is None
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_garbage_sidecar_degrades_to_miss(self, store):
         workflow, fingerprint, _ = self._saved_entry(store)
         entry = store._dir(fingerprint)
-        next(entry.glob("relation.codes.*")).write_bytes(b"\x00garbage\xff" * 7)
-        assert store.load_relation(fingerprint, workflow) is None
+        next(entry.glob("pack.codes.*")).write_bytes(b"\x00garbage\xff" * 7)
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_missing_sidecar_degrades_to_miss(self, store):
         workflow, fingerprint, _ = self._saved_entry(store)
         entry = store._dir(fingerprint)
         next(entry.glob("pack.codes.*")).unlink()
-        assert store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        ) is None
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_sidecar_path_traversal_is_rejected(self, store, tmp_path):
         workflow, fingerprint, _ = self._saved_entry(store)
@@ -195,51 +189,26 @@ class TestStoreFormatV2:
         doc = json.loads((entry / "pack.json").read_text())
         doc["pack"]["codes"]["file"] = os.path.relpath(outside, entry)
         (entry / "pack.json").write_text(json.dumps(doc))
-        assert store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        ) is None
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_v2_document_without_base_dir_raises_for_v1_readers(self, store):
-        """Code expecting inline v1 codes fails loudly, not with garbage."""
+        """Code expecting inline codes fails loudly, not with garbage."""
         workflow, fingerprint, _ = self._saved_entry(store)
         doc = json.loads((store._dir(fingerprint) / "pack.json").read_text())
         with pytest.raises(ValueError):
-            CompiledWorkflow.from_payload(
-                workflow, workflow.provenance_relation(), doc
-            )
+            CompiledWorkflow.from_payload(workflow, doc)
 
     def test_future_format_degrades_to_miss(self, store):
         workflow, fingerprint, _ = self._saved_entry(store)
         entry = store._dir(fingerprint)
-        for stem in ("pack", "relation"):
-            doc = json.loads((entry / f"{stem}.json").read_text())
-            doc["format"] = FORMAT_VERSION + 1
-            (entry / f"{stem}.json").write_text(json.dumps(doc))
-        assert store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        ) is None
-        assert store.load_relation(fingerprint, workflow) is None
-
-    def test_mixed_version_store_serves_both_formats(self, tmp_path):
-        """A half-migrated directory keeps serving hits from both tiers."""
-        root = tmp_path / "store"
-        old = DerivationStore(root, format_version=1)
-        new = DerivationStore(root)
-        v1_wf = figure1_workflow()
-        v1_fp = workflow_fingerprint(v1_wf)
-        old.save_relation(v1_fp, v1_wf.provenance_relation(), workflow=v1_wf)
-        v2_wf = random_workflow(4, seed=11)
-        v2_fp = workflow_fingerprint(v2_wf)
-        new.save_relation(v2_fp, v2_wf.provenance_relation(), workflow=v2_wf)
-        reader = DerivationStore(root)
-        assert reader.load_relation(v1_fp, v1_wf) == v1_wf.provenance_relation()
-        assert reader.load_relation(v2_fp, v2_wf) == v2_wf.provenance_relation()
+        doc = json.loads((entry / "pack.json").read_text())
+        doc["format"] = FORMAT_VERSION + 1
+        (entry / "pack.json").write_text(json.dumps(doc))
+        assert store.load_pack(fingerprint, workflow) is None
 
     def test_loaded_pack_reports_mapped_bytes(self, store):
         workflow, fingerprint, compiled = self._saved_entry(store)
-        loaded = store.load_pack(
-            fingerprint, workflow, workflow.provenance_relation()
-        )
+        loaded = store.load_pack(fingerprint, workflow)
         assert loaded is not None
         mapped = getattr(loaded.packed, "mapped_bytes", 0)
         # mmap may legitimately be unavailable (exotic filesystems); the
@@ -259,7 +228,6 @@ class TestDiskStatsSurface:
         cache.compiled_workflow(workflow)
         stats = store.disk_stats()
         assert stats["format_version"] == FORMAT_VERSION
-        assert stats["format_versions"].get(str(FORMAT_VERSION), 0) > 0
         tiers = stats["tiers"]
         assert tiers["workflow"]["entries"] >= 1
         assert tiers["modules"]["entries"] >= 1
@@ -270,73 +238,67 @@ class TestDiskStatsSurface:
         )
 
 
-class TestStoreMigration:
-    """``DerivationStore.migrate``: v1 -> v2, in place, idempotent."""
+class TestPackIsTheStoredRelation:
+    """The workflow pack is the one persisted copy of the provenance relation."""
 
     @staticmethod
-    def _v1_store_with_solve(tmp_path):
+    def _verified_store(tmp_path) -> DerivationStore:
         directory = tmp_path / "store"
-        store = DerivationStore(directory, format_version=1)
-        planner = Planner(figure1_workflow(), 2, kind="set", store=store)
-        planner.solve(solver="greedy", verify=True)
-        return directory
+        planner = Planner(figure1_workflow(), 2, store=str(directory))
+        planner.solve("greedy", verify=True)
+        return DerivationStore(directory)
 
-    def test_migrate_rewrites_packs_and_relations(self, tmp_path):
-        directory = self._v1_store_with_solve(tmp_path)
-        store = DerivationStore(directory)
-        before = store.disk_stats()
-        assert before["format_versions"].get("1", 0) > 0
-        summary = store.migrate()
-        assert summary["packs_migrated"] > 0
-        assert summary["relations_migrated"] > 0
-        assert summary["failed"] == 0
-        after = store.disk_stats()
-        assert "1" not in after["format_versions"]
-        assert after["format_versions"].get("2", 0) == summary["entries"]
+    def test_verify_solve_stores_the_pack_and_no_relation(self, tmp_path):
+        store = self._verified_store(tmp_path)
+        entry = store._dir(workflow_fingerprint(figure1_workflow()))
+        assert (entry / "pack.json").is_file()
+        assert len(list(entry.glob("pack.codes.*"))) == 1
+        assert not list(entry.glob("relation.*"))
+        assert "relation" not in store.disk_stats()["by_kind"]
 
-    def test_migrate_is_idempotent(self, tmp_path):
-        directory = self._v1_store_with_solve(tmp_path)
-        store = DerivationStore(directory)
-        first = store.migrate()
-        second = store.migrate()
-        assert second["packs_migrated"] == 0
-        assert second["relations_migrated"] == 0
-        assert second["already_current"] > 0
-        assert second["entries"] == first["entries"]
-
-    def test_warm_solve_on_migrated_store_skips_derivation(self, tmp_path):
-        directory = self._v1_store_with_solve(tmp_path)
-        cold = Planner(figure1_workflow(), 2, kind="set", store=str(directory))
-        expected = cold.solve(solver="greedy", verify=True)
-        DerivationStore(directory).migrate()
-        warm = Planner(figure1_workflow(), 2, kind="set", store=str(directory))
-        result = warm.solve(solver="greedy", verify=True)
-        assert result.cost == expected.cost
-        assert sorted(result.hidden_attributes) == sorted(
-            expected.hidden_attributes
-        )
-        assert result.cache_stats.derivation_misses == 0
-        assert result.cache_stats.store_hits > 0
-
-    def test_migrated_module_pack_payload_is_byte_identical(self, tmp_path):
-        directory = self._v1_store_with_solve(tmp_path)
-        store = DerivationStore(directory)
+    def test_warm_compile_is_one_store_hit_and_never_computes_the_relation(
+        self, tmp_path, monkeypatch
+    ):
+        store = self._verified_store(tmp_path)
         workflow = figure1_workflow()
-        from repro.workloads import module_fingerprint
 
-        originals = {}
-        for module in workflow.private_modules:
-            mfp = module_fingerprint(module)
-            loaded = store.load_module_pack(mfp, module)
-            assert loaded is not None, "fixture store must hold module packs"
-            originals[mfp] = json.dumps(loaded.to_payload(), sort_keys=True)
-        store.migrate()
-        for module in workflow.private_modules:
-            mfp = module_fingerprint(module)
-            migrated = store.load_module_pack(mfp, module)
-            assert json.dumps(
-                migrated.to_payload(), sort_keys=True
-            ) == originals[mfp]
+        def refuse(self):
+            raise AssertionError("a warm pack load computed the relation")
+
+        monkeypatch.setattr(Workflow, "provenance_relation", refuse)
+        cache = DerivationCache(store=store)
+        assert len(cache.compiled_workflow(workflow).packed) > 0
+        stats = cache.stats()
+        assert stats.store_hits == 1 and stats.store_misses == 0
+        assert stats.compile_hits == 1 and stats.compile_misses == 0
+
+    def test_unstamped_pack_documents_are_misses(self, store):
+        """A ``to_payload()`` document without a ``"format"`` stamp — the
+        all-JSON shape an earlier format wrote — is never served; the
+        workflow pack is recompiled and rewritten in the current format."""
+        workflow = figure1_workflow()
+        fingerprint = workflow_fingerprint(workflow)
+        cache = DerivationCache()
+        pack_path = store._dir(fingerprint) / "pack.json"
+        pack_path.parent.mkdir(parents=True)
+        pack_path.write_text(
+            json.dumps(cache.compiled_workflow(workflow).to_payload())
+        )
+        module = workflow.private_modules[0]
+        mfp = module_fingerprint(module)
+        module_path = store._module_dir(mfp) / "pack.json"
+        module_path.parent.mkdir(parents=True)
+        module_path.write_text(json.dumps(cache.compiled_module(module).to_payload()))
+
+        assert store.load_module_pack(mfp, module) is None
+        warm = DerivationCache(store=store)
+        warm.compiled_workflow(workflow)
+        assert warm.compile_hits == 0 and warm.compile_misses == 1
+        stats = store.stats()
+        assert stats["pack_misses"] == 1 and stats["module_pack_misses"] == 1
+        doc = json.loads(pack_path.read_text())
+        assert doc["format"] == FORMAT_VERSION
+        assert (pack_path.parent / doc["pack"]["codes"]["file"]).is_file()
 
 
 class TestTwoTierCache:
@@ -357,25 +319,23 @@ class TestTwoTierCache:
         workflow = figure1_workflow()
         cold = DerivationCache(store=store)
         visible = frozenset({"a1", "a3", "a5"})
-        cold.relation(workflow)
-        cold.compiled_workflow(workflow)
+        packed = cold.compiled_workflow(workflow).packed
         expected = cold.module_out_sets(
             workflow, "m1", visible, frozenset(), stop_at=None, backend="kernel"
         )
 
         warm = DerivationCache(store=store)
         rebuilt = figure1_workflow()
-        assert warm.relation(rebuilt) == cold.relation(workflow)
-        warm.compiled_workflow(rebuilt)
+        # The stored pack is the relation: the same rows, in the same order.
+        assert warm.compiled_workflow(rebuilt).packed.codes == packed.codes
         got = warm.module_out_sets(
             rebuilt, "m1", visible, frozenset(), stop_at=None, backend="kernel"
         )
         assert got == expected
-        assert warm.relation_misses == 0
         assert warm.compile_misses == 0  # served from the store, not compiled
         assert warm.compile_hits == 1
         assert warm.out_set_misses == 0
-        assert warm.store_hits >= 3
+        assert warm.store_hits == 2
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="exact solver needs scipy")
     def test_planner_store_path_round_trip(self, tmp_path):
@@ -394,8 +354,8 @@ class TestTwoTierCache:
     def test_memory_front_is_bounded(self):
         cache = DerivationCache(max_entries=2)
         for seed in range(4):
-            cache.relation(random_workflow(3, seed=seed))
-        assert len(cache._relations) <= 2
+            cache.compiled_workflow(random_workflow(3, seed=seed))
+        assert len(cache._compiled) <= 2
         # Pins survive eviction so id() reuse can never alias an entry.
         assert len(cache._workflows) == 4
 
@@ -429,7 +389,7 @@ class TestClearRegression:
         cache.clear()
         assert not cache._compiled
         assert not cache._workflows and not cache._fingerprints
-        assert not cache._requirements and not cache._relations
+        assert not cache._requirements
         assert not cache._out_sets
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
@@ -464,13 +424,9 @@ class TestCacheStatsSurface:
 
     def test_warm_v2_pack_load_counts_mapped_bytes(self, store):
         workflow = figure1_workflow()
-        cold = DerivationCache(store=store)
-        cold.relation(workflow)
-        cold.compiled_workflow(workflow)
+        DerivationCache(store=store).compiled_workflow(workflow)
         warm = DerivationCache(store=store)
-        rebuilt = figure1_workflow()
-        warm.relation(rebuilt)
-        warm.compiled_workflow(rebuilt)
+        warm.compiled_workflow(figure1_workflow())
         stats = warm.stats()
         assert stats.mmap_packs >= 1
         assert stats.mmap_bytes > 0
@@ -548,9 +504,7 @@ class TestStoreGC:
     def test_gc_evicts_binary_sidecars_with_their_documents(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache(store=store)
-        cache.relation(workflow)
-        cache.compiled_workflow(workflow)
+        DerivationCache(store=store).compiled_workflow(workflow)
         entry = store._dir(fingerprint)
         assert list(entry.glob("*.codes.*"))  # v2 wrote sidecars
         summary = store.gc(max_bytes=0)
@@ -576,11 +530,9 @@ class TestPopularityMeta:
 
     def test_popularity_survives_artifact_writes(self, store):
         """Bump-before-save must not be clobbered by the meta write."""
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
+        fingerprint = workflow_fingerprint(figure1_workflow())
         store.bump_popularity(fingerprint, 2)
-        store.save_relation(fingerprint, workflow.provenance_relation(),
-                            workflow=workflow)
+        assert self._save_with_meta(store, figure1_workflow()) == fingerprint
         assert store.popularity(fingerprint) == 2
         popular = store.popular_workflows(1)
         assert popular[0][0] == fingerprint and popular[0][1] == 2
@@ -620,16 +572,21 @@ class TestPopularityMeta:
         )
         assert [fp for fp, _, _ in store.popular_workflows(1)] == [fingerprint]
 
+    @staticmethod
+    def _save_with_meta(store, workflow) -> str:
+        """Persist one requirement document and the entry's meta."""
+        fingerprint = workflow_fingerprint(workflow)
+        derived = DerivationCache().requirements(workflow, 2, "set", backend="kernel")
+        store.save_requirements(
+            fingerprint, 2, "set", "kernel", derived, workflow=workflow
+        )
+        return fingerprint
+
     def test_popular_workflows_ranks_and_skips_unwarmables(self, store):
-        ranked_wf = figure1_workflow()
-        ranked = workflow_fingerprint(ranked_wf)
-        store.save_relation(ranked, ranked_wf.provenance_relation(),
-                            workflow=ranked_wf)
+        ranked = self._save_with_meta(store, figure1_workflow())
         store.bump_popularity(ranked, 3)
         other_wf = random_workflow(3, seed=7)
-        other = workflow_fingerprint(other_wf)
-        store.save_relation(other, other_wf.provenance_relation(),
-                            workflow=other_wf)
+        other = self._save_with_meta(store, other_wf)
         store.bump_popularity(other, 9)
         # Popular but payload-less: bumped yet never saved — unwarmable.
         store.bump_popularity("99" * 32, 50)
@@ -639,6 +596,20 @@ class TestPopularityMeta:
         ]
         assert ranking[0][2]["name"] == other_wf.name
         assert store.popular_workflows(1) == ranking[:1]
+
+    @pytest.mark.parametrize("count", ["lots", [1], True])
+    def test_non_integer_popularity_reads_zero_and_is_rewritten(self, store, count):
+        fingerprint = self._save_with_meta(store, figure1_workflow())
+        meta_path = store._dir(fingerprint) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["popularity"] = count
+        meta_path.write_text(json.dumps(meta))
+        assert store.popularity(fingerprint) == 0
+        assert store.popular_workflows(5) == []  # unrequested: skipped
+        assert store.bump_popularity(fingerprint) == 1
+        assert [(fp, n) for fp, n, _ in store.popular_workflows(5)] == [
+            (fingerprint, 1)
+        ]
 
     def test_stored_requirement_points_parse_filenames(self, store):
         workflow = figure1_workflow()

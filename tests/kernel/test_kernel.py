@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import (
@@ -296,6 +298,20 @@ class TestCompileMemo:
             check_domains=False,
         )
         assert compile_module(module) is not compile_module(module, restricted)
+
+    def test_memo_pins_the_relation_it_compiled(self):
+        """Entries are keyed by ``id(relation)``; the compiled workflow does
+        not keep its relation, so the memo must, or a recycled id could
+        alias another relation's pack."""
+        workflow = figure1_workflow()
+        restricted = Relation(
+            workflow.schema,
+            [row for row in workflow.provenance_relation() if row["a1"] == 1],
+            check_domains=False,
+        )
+        before = sys.getrefcount(restricted)
+        compile_workflow(workflow, restricted)
+        assert sys.getrefcount(restricted) > before
 
 
 class TestCompiledWorkflow:

@@ -8,6 +8,7 @@ blocking solvers gate on events, progress is sequenced through
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -381,6 +382,33 @@ class TestPopularityAndWarmup:
         assert record["cache"]["compile_misses"] == 0
         assert record["cache"]["derivation_misses"] == 0
         assert second.drain(timeout=30)
+
+    def test_non_integer_popularity_stops_neither_drain_nor_warm_up(
+        self, tmp_path, figure1_payload
+    ):
+        store_dir = str(tmp_path / "store")
+        store = DerivationStore(store_dir)
+
+        def corrupt_count(fingerprint: str) -> None:
+            meta_path = store._dir(fingerprint) / "meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["popularity"] = "lots"
+            meta_path.write_text(json.dumps(meta))
+
+        service = make_service(store=store_dir)
+        record = service.solve_payload(
+            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
+             "solver": "exact"}
+        )
+        fingerprint = record["fingerprint"]
+        corrupt_count(fingerprint)
+        assert service.drain(timeout=30)  # flushes the pending bump
+        assert store.popularity(fingerprint) == 1
+
+        corrupt_count(fingerprint)
+        restarted = make_service(store=store_dir, warmup=1)
+        assert restarted.maintenance.metrics()["warmed_packs"] == 0
+        assert restarted.drain(timeout=30)
 
     def test_warmup_without_store_or_popularity_is_a_noop(self, tmp_path):
         assert make_service().maintenance.warm_up(5) == 0

@@ -84,7 +84,6 @@ class TestV1Surface:
             stored_version = ServiceClient(server.url, timeout=30).version()
             block = stored_version["store"]
             assert block["format_version"] == 2
-            assert 2 in block["supported_format_versions"]
         finally:
             server.stop(drain_timeout=30)
 
