@@ -25,8 +25,9 @@ Since PR 3 the cache is **two-tier**:
   :data:`MEMORY_LIMIT` entries per category), exactly as fast as before;
 * the **back** is an optional persistent
   :class:`~repro.engine.store.DerivationStore`: on a front miss the cache
-  probes the store by the workflow's content fingerprint, and on a true
-  miss it derives and writes through.  A warm store therefore makes
+  probes the store by content fingerprint (the workflow's, or each
+  module's for requirement lists), and on a true miss it derives and
+  writes through.  A warm store therefore makes
   ``Planner.solve`` skip derivation entirely *across process boundaries* —
   sweep workers, repeated CLI runs, CI re-runs.
 
@@ -38,8 +39,9 @@ compiled module packs — are shared by every workflow the cache has seen and
 by the store's ``modules/`` tier, so two workflows sharing nine of ten
 modules derive the tenth only, and editing one module of a pipeline
 re-derives exactly that module (``reused_modules`` / ``rederived_modules``
-count it).  The workflow-level requirement entry is kept as a fast path on
-top: a fully warm repeat is one lookup, not one per module.
+count it).  The ``modules/`` tier is the only stored copy of each list;
+a workflow's mapping is memoized in memory per workflow object, so a
+repeat within one process is one lookup, not one per module.
 
 Hit/miss counters are kept per category (including ``store_hits`` /
 ``store_misses`` for the back tier) so benchmarks and tests can assert the
@@ -69,8 +71,6 @@ from ..kernel import (
     VALID_BACKENDS,
     CompiledModule,
     CompiledWorkflow,
-    compile_module,
-    compile_workflow,
     resolve_backend,
 )
 
@@ -114,6 +114,9 @@ def _locked(method):
 class CacheStats:
     """Immutable snapshot of a :class:`DerivationCache`'s counters."""
 
+    #: ``requirements`` calls that derived no module list (a seeded list,
+    #: the memo, or every module served by the module tier) vs calls that
+    #: derived at least one.
     derivation_hits: int = 0
     derivation_misses: int = 0
     out_set_hits: int = 0
@@ -335,7 +338,9 @@ class DerivationCache:
         through the persistent store when one is attached.  The stored pack
         is the only persisted copy of the provenance relation: a store hit
         never computes it, and only a true miss compiles from
-        ``workflow.provenance_relation()``.
+        ``workflow.provenance_relation()``.  This cache is the pack's memo:
+        it compiles outside the kernel's global compile memo, so
+        :meth:`clear` releases every pack it built.
         """
         key = self._pin(workflow)
         cached = self._compiled.get(key)
@@ -352,7 +357,7 @@ class DerivationCache:
                 return loaded
             self.store_misses += 1
         self.compile_misses += 1
-        compiled = compile_workflow(workflow, workflow.provenance_relation())
+        compiled = CompiledWorkflow(workflow)
         self._remember(self._compiled, key, compiled)
         if self.store is not None:
             self.store.save_pack(self.fingerprint(workflow), compiled)
@@ -379,7 +384,7 @@ class DerivationCache:
                 self._remember(self._compiled_modules, fingerprint, loaded)
                 return loaded
             self.store_misses += 1
-        compiled = compile_module(module)
+        compiled = CompiledModule(module)
         self._remember(self._compiled_modules, fingerprint, compiled)
         return compiled
 
@@ -430,7 +435,7 @@ class DerivationCache:
             if self.store is not None:
                 # Export the pack *after* the sweep so the privacy-level
                 # memos it populated ride along for future Γ/kind sweeps.
-                self.store.save_module_pack(fingerprint, compiled, module=module)
+                self.store.save_module_pack(fingerprint, compiled)
         else:
             derived = derive_module_requirement(
                 module, gamma, kind=kind, backend=backend
@@ -438,7 +443,7 @@ class DerivationCache:
         self._remember(self._module_requirements, key, derived)
         if self.store is not None:
             self.store.save_module_requirement(
-                fingerprint, gamma, kind, backend, derived, module=module
+                fingerprint, gamma, kind, backend, derived
             )
         return derived
 
@@ -452,10 +457,13 @@ class DerivationCache:
     ) -> Mapping[str, RequirementList]:
         """Requirement lists for every private module, derived at most once.
 
-        The workflow-level entry (memory, then store) is the fast path; on a
-        true workflow-level miss the mapping is *assembled* from per-module
-        lookups in workflow module order, so only modules this cache (or the
-        store) has never seen by content are actually derived.
+        A seeded list or this workflow's in-memory memo answers first.
+        Otherwise the mapping is *assembled* in workflow module order from
+        :meth:`module_requirement` lookups (memory, then the store's
+        ``modules/`` tier, then derivation), so only modules this cache and
+        the store have never seen by content are derived.  The call counts
+        one ``derivation_misses`` when it derived at least one module list,
+        and one ``derivation_hits`` otherwise.
         """
         backend = resolve_backend(backend)
         key = (self._pin(workflow), gamma, kind, backend)
@@ -465,28 +473,17 @@ class DerivationCache:
         if cached is not None:
             self.derivation_hits += 1
             return cached
-        if self.store is not None:
-            loaded = self.store.load_requirements(
-                self.fingerprint(workflow), gamma, kind, backend
-            )
-            if loaded is not None:
-                self.store_hits += 1
-                self.derivation_hits += 1
-                self._remember(self._requirements, key, loaded)
-                return loaded
-            self.store_misses += 1
-        self.derivation_misses += 1
-        derived = {
+        rederived = self.rederived_modules
+        assembled = {
             module.name: self.module_requirement(module, gamma, kind, backend=backend)
             for module in workflow.private_modules
         }
-        self._remember(self._requirements, key, derived)
-        if self.store is not None:
-            self.store.save_requirements(
-                self.fingerprint(workflow), gamma, kind, backend, derived,
-                workflow=workflow,
-            )
-        return derived
+        self._remember(self._requirements, key, assembled)
+        if self.rederived_modules > rederived:
+            self.derivation_misses += 1
+        else:
+            self.derivation_hits += 1
+        return assembled
 
     @_locked
     def seed_requirements(

@@ -434,17 +434,18 @@ class SolveRunner:
     def warm(self, k: int) -> tuple[int, int]:
         """Preload the ``k`` most-requested stored workflows; ``(warmed, failed)``.
 
-        For each: rebuild the instance from the meta tier's serialized
-        payload (through :meth:`resolve`, so requests for the same content
-        map onto the *same object*), compile its kernel pack, and load every
-        stored requirement point.  A fingerprint this runner already warmed
-        is skipped.  Failures are isolated per workflow and counted.
+        For each entry of the store's popularity record: rebuild the
+        instance from its payload (through :meth:`resolve`, so requests for
+        the same content map onto the *same object*), compile its kernel
+        pack, and load every recorded ``(gamma, kind, backend)`` point.  A
+        fingerprint this runner already warmed is skipped.  Failures are
+        isolated per workflow and counted.
         """
         store = self.cache.store
         if store is None or k <= 0:
             return 0, 0
         warmed = failed = 0
-        for fingerprint, _count, payload in store.popular_workflows(k):
+        for fingerprint, _count, payload, points in store.popular_workflows(k):
             if fingerprint in self._warmed:
                 continue
             try:
@@ -452,9 +453,7 @@ class SolveRunner:
                 if resolved != fingerprint:
                     raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
                 self.cache.compiled_workflow(workflow)
-                for gamma, kind, backend in store.stored_requirement_points(
-                    fingerprint
-                ):
+                for gamma, kind, backend in points:
                     self.cache.requirements(workflow, gamma, kind, backend=backend)
             except Exception:  # noqa: BLE001 - warm-up is best-effort
                 failed += 1

@@ -8,10 +8,9 @@ fingerprint (:func:`repro.workloads.workflow_fingerprint`) and persists it
 under::
 
     <root>/<fp[:2]>/<fingerprint>/
-        meta.json                      # instance summary + format_version
+        meta.json                      # the service's popularity record
         pack.json                      # packed kernel tables
         pack.codes.npy|.bin            # binary pack codes
-        req-g<gamma>-<kind>-<backend>.json
         outsets-<keydigest>.json       # one per (module, view, stop_at, backend)
         result-<keydigest>.json        # one per (backend, gamma, kind, solver,
                                        #          seed, verify) solve cell
@@ -46,15 +45,27 @@ that module's own relation.  Module-level artifacts therefore live in a
 content only, costs and privacy flags excluded)::
 
     <root>/modules/<mfp[:2]>/<module-fingerprint>/
-        meta.json                      # module name / schema summary
         pack.json                      # packed module relation + privacy-level
                                        # memos (CompiledModule.to_payload)
+        pack.codes.npy|.bin            # binary pack codes
         req-g<gamma>-<kind>-<backend>.json   # one requirement list
 
 Any workflow containing the module — a what-if cost variant, an edited
 member of a workflow family, an entirely different pipeline reusing one
 step — hits the same entries, so editing one module of a ten-module
-workflow re-derives one module, not ten.
+workflow re-derives one module, not ten.  This tier is the only stored
+copy of each requirement list: a workflow's mapping is its private
+modules' lists, which the cache assembles in workflow module order.
+
+**Popularity.**  ``meta.json`` is the solve service's popularity record,
+and :meth:`DerivationStore.bump_popularity` (the service's flush) is its
+only writer; sweeps and CLI runs write none.  It holds the request
+count, the requested workflow's serialized payload and the ``(gamma,
+kind, backend)`` points requests asked for, so warm-up can rebuild a
+popular instance and preload those points.  Workflow-level ``req-*.json``
+documents and module ``meta.json`` files that earlier commits wrote are
+never read; :meth:`~DerivationStore.disk_stats` counts them by file name
+and :meth:`~DerivationStore.gc` evicts them like any cold file.
 
 **Maintenance.**  :meth:`DerivationStore.disk_stats` summarizes what a
 store directory holds; :meth:`DerivationStore.gc` prunes it to a byte
@@ -75,7 +86,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..kernel import CompiledModule, CompiledWorkflow
 from ..kernel import binpack
@@ -94,7 +105,6 @@ FORMAT_VERSION = 2
 
 #: Categories the store tracks hit/miss/write counters for.
 _CATEGORIES = (
-    "requirements",
     "pack",
     "out_sets",
     "result",
@@ -128,6 +138,22 @@ def _popularity_count(meta: Mapping[str, Any]) -> int:
     """
     count = meta.get("popularity", 0)
     return count if isinstance(count, int) and not isinstance(count, bool) else 0
+
+
+def _popularity_points(meta: Mapping[str, Any]) -> list[tuple[int, str, str]]:
+    """A meta document's recorded ``(gamma, kind, backend)`` points.
+
+    Hand-editable JSON like the count: entries that are not ``[int, str,
+    str]`` are skipped (a bool is not an int here either).
+    """
+    points = meta.get("points")
+    if not isinstance(points, list):
+        return []
+    return [
+        tuple(point)
+        for point in points
+        if isinstance(point, list) and [type(v) for v in point] == [int, str, str]
+    ]
 
 
 def _key_digest(parts: tuple) -> str:
@@ -187,9 +213,6 @@ class DerivationStore:
         self.hits: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.misses: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.writes: dict[str, int] = {category: 0 for category in _CATEGORIES}
-        #: Fingerprints whose ``meta.json`` this handle knows to carry a
-        #: ``workflow_payload``, so a requirement save skips re-reading it.
-        self._meta_payloads: set[str] = set()
 
     # -- paths and raw IO -------------------------------------------------------
     def _dir(self, fingerprint: str) -> Path:
@@ -220,7 +243,9 @@ class DerivationStore:
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                # One C-encoded string: json.dump would stream through the
+                # pure-Python encoder for the same bytes.
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             # A read-only or vanished store directory must never kill a
@@ -294,9 +319,9 @@ class DerivationStore:
     def _read_raw(path: Path) -> dict[str, Any]:
         """Best-effort JSON object read: no counters, no mtime touch.
 
-        Meta documents are bookkeeping (popularity, summaries), not cached
-        artifacts — reading one must neither count as a store hit nor
-        refresh its LRU position.
+        Meta documents are the popularity record, not cached artifacts —
+        reading one must neither count as a store hit nor refresh its LRU
+        position.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -304,86 +329,6 @@ class DerivationStore:
         except (OSError, ValueError):
             return {}
         return payload if isinstance(payload, dict) else {}
-
-    def _write_meta(self, fingerprint: str, workflow: "Workflow") -> None:
-        if fingerprint in self._meta_payloads:
-            return
-        meta_path = self._dir(fingerprint) / "meta.json"
-        existing = self._read_raw(meta_path)
-        if existing.get("workflow_payload") is not None:
-            self._meta_payloads.add(fingerprint)
-            return
-        from ..workloads.serialization import workflow_to_dict
-
-        payload = dict(existing)  # preserve popularity bumped before save
-        payload.update(
-            {
-                "fingerprint": fingerprint,
-                "format_version": FORMAT_VERSION,
-                "workflow": workflow.name,
-                "modules": len(workflow),
-                "attributes": len(workflow.attribute_names),
-                # The canonical serialization rides along so maintenance
-                # (service warm-up) can rebuild the instance without the
-                # original submitter — meta is the only tier that knows
-                # what a fingerprint *is*.
-                "workflow_payload": workflow_to_dict(workflow),
-            },
-        )
-        self._write(
-            None,  # meta is bookkeeping, not a counted artifact
-            meta_path,
-            payload,
-        )
-        self._meta_payloads.add(fingerprint)
-
-    # -- requirements -----------------------------------------------------------
-    def load_requirements(
-        self, fingerprint: str, gamma: int, kind: str, backend: str
-    ) -> dict[str, "RequirementList"] | None:
-        path = self._dir(fingerprint) / f"req-g{gamma}-{kind}-{backend}.json"
-        payload = self._read("requirements", path)
-        if payload is None:
-            return None
-        try:
-            return {
-                item["module"]: requirement_from_dict(item)
-                for item in payload["requirements"]
-            }
-        except Exception:  # corrupt entries degrade to misses, never crash
-            self.hits["requirements"] -= 1
-            self.misses["requirements"] += 1
-            return None
-
-    def save_requirements(
-        self,
-        fingerprint: str,
-        gamma: int,
-        kind: str,
-        backend: str,
-        requirements: Mapping[str, "RequirementList"],
-        workflow: "Workflow | None" = None,
-    ) -> None:
-        path = self._dir(fingerprint) / f"req-g{gamma}-{kind}-{backend}.json"
-        self._write(
-            "requirements",
-            path,
-            {
-                "gamma": gamma,
-                "kind": kind,
-                "backend": backend,
-                # Insertion order (workflow module order) is preserved so a
-                # store-served mapping is indistinguishable from a freshly
-                # derived one — LP/IP constraint ordering, and therefore
-                # tie-breaking among equal-cost optima, must not change.
-                "requirements": [
-                    requirement_to_dict(requirement)
-                    for requirement in requirements.values()
-                ],
-            },
-        )
-        if workflow is not None:
-            self._write_meta(fingerprint, workflow)
 
     # -- compiled kernel packs --------------------------------------------------
     def load_pack(
@@ -411,22 +356,6 @@ class DerivationStore:
         self._write("pack", directory / "pack.json", payload)
 
     # -- shared module tier -----------------------------------------------------
-    def _write_module_meta(self, module_fingerprint: str, module: "Module") -> None:
-        meta_path = self._module_dir(module_fingerprint) / "meta.json"
-        if meta_path.exists():
-            return
-        self._write(
-            None,  # meta is bookkeeping, not a counted artifact
-            meta_path,
-            {
-                "fingerprint": module_fingerprint,
-                "format_version": FORMAT_VERSION,
-                "module": module.name,
-                "inputs": list(module.input_names),
-                "outputs": list(module.output_names),
-            },
-        )
-
     def load_module_requirement(
         self, module_fingerprint: str, gamma: int, kind: str, backend: str
     ) -> "RequirementList | None":
@@ -454,7 +383,6 @@ class DerivationStore:
         kind: str,
         backend: str,
         requirement: "RequirementList",
-        module: "Module | None" = None,
     ) -> None:
         path = (
             self._module_dir(module_fingerprint)
@@ -470,8 +398,6 @@ class DerivationStore:
                 "requirement": requirement_to_dict(requirement),
             },
         )
-        if module is not None:
-            self._write_module_meta(module_fingerprint, module)
 
     def load_module_pack(
         self, module_fingerprint: str, module: "Module"
@@ -493,16 +419,11 @@ class DerivationStore:
         return loaded
 
     def save_module_pack(
-        self,
-        module_fingerprint: str,
-        compiled: CompiledModule,
-        module: "Module | None" = None,
+        self, module_fingerprint: str, compiled: CompiledModule
     ) -> None:
         directory = self._module_dir(module_fingerprint)
         payload = self._pack_document(directory, compiled)
         self._write("module_pack", directory / "pack.json", payload)
-        if module is not None:
-            self._write_module_meta(module_fingerprint, module)
 
     # -- verification out-sets --------------------------------------------------
     def load_out_sets(
@@ -573,19 +494,33 @@ class DerivationStore:
         self._write("result", path, dict(record))
 
     # -- popularity (meta tier) -------------------------------------------------
-    def bump_popularity(self, fingerprint: str, by: int = 1) -> int:
-        """Add ``by`` requests to a workflow entry's persistent popularity.
+    def bump_popularity(
+        self,
+        fingerprint: str,
+        by: int = 1,
+        payload: Mapping[str, Any] | None = None,
+        points: Iterable[tuple[int, str, str]] = (),
+    ) -> int:
+        """Record ``by`` more requests for a workflow entry; the new count.
 
-        The counter lives in the entry's ``meta.json`` so it survives
-        restarts and rides the same GC policy as the artifacts it ranks.
-        Read-modify-write without a cross-process lock: concurrent bumpers
-        may lose increments, which ranking tolerates (popularity is a
-        heuristic, not an invariant).  Returns the new count.
+        The entry's ``meta.json`` is the service's popularity record, so it
+        survives restarts and rides the same GC policy as the artifacts it
+        ranks.  Besides the count it keeps what warm-up needs: the
+        requested workflow's serialized ``payload`` (written only when the
+        meta has none) and the sorted union of the ``(gamma, kind,
+        backend)`` points requests asked for.  Read-modify-write without a
+        cross-process lock: concurrent bumpers may lose increments, which
+        ranking tolerates (popularity is a heuristic, not an invariant).
         """
         meta_path = self._dir(fingerprint) / "meta.json"
         meta = self._read_raw(meta_path)
         meta.setdefault("fingerprint", fingerprint)
         meta["popularity"] = _popularity_count(meta) + int(by)
+        if payload is not None and not isinstance(meta.get("workflow_payload"), dict):
+            meta["workflow_payload"] = dict(payload)
+        merged = set(_popularity_points(meta)) | {tuple(point) for point in points}
+        if merged:
+            meta["points"] = sorted(merged)
         self._write(None, meta_path, meta)
         return meta["popularity"]
 
@@ -593,15 +528,19 @@ class DerivationStore:
         """The persisted request count for one workflow entry (0 if none)."""
         return _popularity_count(self._read_raw(self._dir(fingerprint) / "meta.json"))
 
-    def popular_workflows(self, k: int) -> list[tuple[str, int, dict]]:
+    def popular_workflows(
+        self, k: int
+    ) -> list[tuple[str, int, dict, list[tuple[int, str, str]]]]:
         """The ``k`` most-requested workflow entries that can be rebuilt.
 
-        ``(fingerprint, popularity, workflow_payload)`` tuples, most
-        popular first (fingerprint breaks ties deterministically).  Entries
-        without a serialized payload or without any recorded popularity are
-        skipped — they cannot be warmed, or nobody asked for them.
+        ``(fingerprint, popularity, workflow_payload, points)`` tuples,
+        most popular first (fingerprint breaks ties deterministically);
+        ``points`` are the recorded ``(gamma, kind, backend)`` points.
+        Entries without a serialized payload or without any recorded
+        popularity are skipped — they cannot be warmed, or nobody asked
+        for them.
         """
-        ranked: list[tuple[int, str, dict]] = []
+        ranked: list[tuple[int, str, dict, list[tuple[int, str, str]]]] = []
         # Workflow shards are two hex characters, so the glob can never
         # descend into the "modules" tier.
         for meta_path in self.root.glob("??/*/meta.json"):
@@ -611,29 +550,9 @@ class DerivationStore:
             if not isinstance(payload, dict) or count <= 0:
                 continue
             fingerprint = str(meta.get("fingerprint") or meta_path.parent.name)
-            ranked.append((count, fingerprint, payload))
+            ranked.append((count, fingerprint, payload, _popularity_points(meta)))
         ranked.sort(key=lambda item: (-item[0], item[1]))
-        return [(fp, count, payload) for count, fp, payload in ranked[: max(0, k)]]
-
-    def stored_requirement_points(self, fingerprint: str) -> list[tuple[int, str, str]]:
-        """Every ``(gamma, kind, backend)`` with a stored requirement doc.
-
-        Parsed from the entry's ``req-g<gamma>-<kind>-<backend>.json``
-        filenames; lets warm-up preload exactly the points past traffic
-        actually asked for instead of guessing a grid.
-        """
-        points: list[tuple[int, str, str]] = []
-        for path in self._dir(fingerprint).glob("req-g*.json"):
-            stem = path.name[len("req-g") : -len(".json")]
-            gamma_text, _, rest = stem.partition("-")
-            kind, _, backend = rest.partition("-")
-            try:
-                gamma = int(gamma_text)
-            except ValueError:
-                continue
-            if kind and backend:
-                points.append((gamma, kind, backend))
-        return sorted(points)
+        return [(fp, count, *rest) for count, fp, *rest in ranked[: max(0, k)]]
 
     # -- maintenance ------------------------------------------------------------
     @staticmethod
@@ -764,9 +683,6 @@ class DerivationStore:
                 directory.rmdir()  # only succeeds when empty
             except OSError:
                 pass
-        # Forget which meta documents carry a payload only now, after the
-        # deletions, so a save racing this gc re-checks its entry.
-        self._meta_payloads.clear()
         return {
             "deleted_files": deleted_files,
             "freed_bytes": freed,

@@ -30,11 +30,11 @@ facilities a long-lived process needs:
     The result, instance and planner tables need no pass: each is bounded
     by size.  At start-up it also performs **warm-up**: after a restart
     over a warm store, re-compile the K most-requested workflow
-    fingerprints (ranked by a popularity counter persisted in the store's
-    meta tier) and preload their stored requirement points, so the first
-    solve of a popular instance hits the hot cache instead of paying
-    compilation.  Execution-tier workers run the same warm-up when they
-    spawn.
+    fingerprints and preload the (Γ, kind, backend) points their requests
+    asked for — the popularity record the flush task writes to the
+    store's meta tier — so the first solve of a popular instance hits the
+    hot cache instead of paying compilation.  Execution-tier workers run
+    the same warm-up when they spawn.
 
 Everything is observable through ``GET /metrics``: job gauges/counters
 under ``jobs``, and ``maintenance.{gc_runs, gc_deleted_bytes,

@@ -113,10 +113,11 @@ class SolveService:
         ``None`` disables the GC task.
     warmup:
         Re-compile this many of the store's most-requested workflow
-        fingerprints at construction (popularity persists in the store's
-        meta tier), so a restarted service answers its first solves of
-        popular instances from the hot cache.  Each execution-tier worker
-        runs the same warm-up when it spawns.
+        fingerprints at construction and preload the (Γ, kind, backend)
+        points their requests asked for — the popularity record this
+        service flushes to the store — so a restarted service answers its
+        first popular solves from the hot cache.  Each execution-tier
+        worker runs the same warm-up when it spawns.
     maintenance_interval:
         Seconds between background maintenance passes (jittered ±10%);
         ``0`` or ``None`` disables the thread (tasks still run on demand
@@ -204,9 +205,9 @@ class SolveService:
         self._idle = threading.Condition(self._state)
         self._in_flight = 0
         self._draining = False
-        #: Pending popularity bumps (fingerprint -> requests), flushed to
-        #: the store's meta tier by the maintenance pass and on drain.
-        self._popularity: dict[str, int] = {}
+        #: Pending popularity, fingerprint -> [requests, payload, points],
+        #: flushed to the store's meta tier by maintenance and on drain.
+        self._popularity: dict[str, list] = {}
         #: Set the moment a drain begins (before it waits) — lets callers
         #: and tests sequence "no new work admitted" without polling.
         self.drain_started = threading.Event()
@@ -290,16 +291,19 @@ class SolveService:
         if job.source != "workflow":
             return
         with self._state:
-            self._popularity[job.fingerprint] = (
-                self._popularity.get(job.fingerprint, 0) + 1
-            )
+            pending = self._popularity.get(job.fingerprint)
+            if pending is None:
+                pending = self._popularity[job.fingerprint] = [0, job.payload, set()]
+            pending[0] += 1
+            pending[2].add((job.gamma, job.kind, job.backend))
 
     def flush_popularity(self) -> int:
-        """Persist pending popularity bumps to the store's meta tier.
+        """Persist pending popularity through ``store.bump_popularity``.
 
-        Returns the number of requests flushed.  Without a store the
-        pending counts are discarded (nowhere durable to put them), so the
-        table cannot grow without bound.
+        Hands each fingerprint's count, payload and points to the only
+        writer of ``meta.json``; returns the number of requests flushed.
+        Without a store the pending records are discarded (nowhere durable
+        to put them), so the table cannot grow without bound.
         """
         with self._state:
             pending, self._popularity = self._popularity, {}
@@ -307,8 +311,8 @@ class SolveService:
         if store is None or not pending:
             return 0
         flushed = 0
-        for fingerprint, count in pending.items():
-            store.bump_popularity(fingerprint, count)
+        for fingerprint, (count, payload, points) in pending.items():
+            store.bump_popularity(fingerprint, count, payload, points)
             flushed += count
         return flushed
 

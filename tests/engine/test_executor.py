@@ -277,6 +277,8 @@ class TestContentKeying:
         report = run_sweep(spec, n_jobs=n_jobs)
         assert report.errors == 0
         assert report.stats["derivation_misses"] == 1
+        # The second label reuses the first one's mapping, not its modules.
+        assert report.stats["reused_modules"] == 0
         first, second = (
             {k: v for k, v in scrub_record(r).items() if k not in ("workflow", "index")}
             for r in report.records

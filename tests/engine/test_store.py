@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 from repro.core import Workflow
-from repro.engine import DerivationCache, DerivationStore, Planner
+from repro.engine import (
+    DerivationCache,
+    DerivationStore,
+    Planner,
+    SweepInstance,
+    SweepSpec,
+    run_sweep,
+)
 from repro.engine.store import FORMAT_VERSION, OutSetKey, ResultKey, _key_digest
 from repro.kernel import CompiledWorkflow
 from repro.optim.lp import HAVE_SCIPY
@@ -19,6 +28,7 @@ from repro.workloads import (
     workflow_fingerprint,
     workflow_to_dict,
 )
+from repro.workloads.serialization import requirement_to_dict
 
 
 @pytest.fixture
@@ -27,17 +37,6 @@ def store(tmp_path) -> DerivationStore:
 
 
 class TestArtifactRoundTrips:
-    def test_requirements_round_trip(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        derived = cache.requirements(workflow, 2, "set", backend="kernel")
-        store.save_requirements(fingerprint, 2, "set", "kernel", derived)
-        loaded = store.load_requirements(fingerprint, 2, "set", "kernel")
-        assert set(loaded) == set(derived)
-        for name in derived:
-            assert list(loaded[name]) == list(derived[name])
-
     def test_pack_round_trip_produces_identical_out_sets(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
@@ -72,7 +71,8 @@ class TestArtifactRoundTrips:
     def test_missing_entries_are_misses(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        assert store.load_requirements(fingerprint, 2, "set", "kernel") is None
+        mfp = module_fingerprint(workflow.private_modules[0])
+        assert store.load_module_requirement(mfp, 2, "set", "kernel") is None
         assert store.load_pack(fingerprint, workflow) is None
         assert (
             store.load_result(fingerprint, ResultKey("kernel", 2, "set", "a", 0))
@@ -117,13 +117,16 @@ class TestArtifactRoundTrips:
 
     def test_requirements_round_trip_preserves_order(self, store):
         workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
         derived = DerivationCache().requirements(workflow, 2, "set")
-        store.save_requirements(fingerprint, 2, "set", "kernel", derived)
-        loaded = store.load_requirements(fingerprint, 2, "set", "kernel")
+        DerivationCache(store=store).requirements(workflow, 2, "set")
+        warm = DerivationCache(store=store)
+        loaded = warm.requirements(figure1_workflow(), 2, "set")
+        assert warm.rederived_modules == 0
         # Same mapping order as fresh derivation: constraint ordering (and
         # thus LP/IP tie-breaking among equal optima) must not change.
         assert list(loaded) == list(derived)
+        for name in derived:
+            assert list(loaded[name]) == list(derived[name])
 
     def test_structurally_wrong_entry_degrades_to_miss(self, store):
         workflow = figure1_workflow()
@@ -141,13 +144,9 @@ class TestStoreFormatV2:
     def _saved_entry(store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        compiled = cache.compiled_workflow(workflow)
-        store.save_pack(fingerprint, compiled)
-        store.save_requirements(
-            fingerprint, 2, "set", "kernel", cache.requirements(workflow, 2, "set"),
-            workflow=workflow,
-        )
+        cache = DerivationCache(store=store)
+        compiled = cache.compiled_workflow(workflow)  # saves the pack
+        cache.requirements(workflow, 2, "set")  # saves the module tier
         return workflow, fingerprint, compiled
 
     def test_v2_writes_binary_sidecars_and_stamped_docs(self, store):
@@ -159,8 +158,11 @@ class TestStoreFormatV2:
         assert isinstance(descriptor, dict)
         sidecar = entry / descriptor["file"]
         assert sidecar.is_file() and sidecar.stat().st_size > 0
-        meta = json.loads((entry / "meta.json").read_text())
-        assert meta["format_version"] == FORMAT_VERSION
+        module = workflow.private_modules[0]
+        module_entry = store._module_dir(module_fingerprint(module))
+        module_doc = json.loads((module_entry / "pack.json").read_text())
+        assert module_doc["format"] == FORMAT_VERSION
+        assert (module_entry / module_doc["pack"]["codes"]["file"]).is_file()
 
     def test_truncated_sidecar_degrades_to_miss(self, store):
         workflow, fingerprint, _ = self._saved_entry(store)
@@ -312,7 +314,8 @@ class TestTwoTierCache:
         rebuilt = figure1_workflow()  # a distinct object, same content
         lists = warm.requirements(rebuilt, 2, "set")
         assert warm.derivation_misses == 0
-        assert warm.store_hits == 1
+        # One module-tier document per private module, no workflow document.
+        assert warm.store_hits == len(workflow.private_modules)
         assert set(lists) == {m.name for m in workflow.private_modules}
 
     def test_warm_store_serves_relation_pack_and_out_sets(self, store):
@@ -404,8 +407,30 @@ class TestClearRegression:
         cache.clear()
         assert cache.store is store
         warm = cache.requirements(figure1_workflow(), 2, "set")
-        assert cache.derivation_misses == 0 and cache.store_hits == 1
+        assert cache.derivation_misses == 0
+        assert cache.store_hits == len(workflow.private_modules)
         assert warm
+
+    def test_clear_releases_the_workflow_and_its_packs(self):
+        """The cache compiles outside the kernel's global compile memo, so
+        nothing it built outlives ``clear()``."""
+        from repro.kernel import compile_cache_info
+
+        before = compile_cache_info()
+        cache = DerivationCache()
+        workflow = random_workflow(4, seed=1, max_inputs=1)
+        cache.compiled_workflow(workflow)
+        cache.requirements(workflow, 2, "set")
+        after = compile_cache_info()
+        assert (after["workflows"], after["modules"]) == (
+            before["workflows"],
+            before["modules"],
+        )
+        cache.clear()
+        alive = weakref.ref(workflow)
+        del workflow
+        gc.collect()
+        assert alive() is None
 
 
 class TestCacheStatsSurface:
@@ -518,7 +543,7 @@ class TestStoreGC:
 
 
 class TestPopularityMeta:
-    """The meta tier's popularity counter and warm-up queries."""
+    """The meta tier's popularity record and warm-up queries."""
 
     def test_bump_and_read_survive_reopen(self, store, tmp_path):
         fingerprint = "ab" * 32
@@ -528,70 +553,68 @@ class TestPopularityMeta:
         reopened = DerivationStore(tmp_path / "store")
         assert reopened.popularity(fingerprint) == 5
 
+    @staticmethod
+    def _bump_with_payload(store, workflow, by: int = 1) -> str:
+        """Record ``by`` requests and the workflow's payload; its fingerprint."""
+        fingerprint = workflow_fingerprint(workflow)
+        store.bump_popularity(fingerprint, by, workflow_to_dict(workflow))
+        return fingerprint
+
     def test_popularity_survives_artifact_writes(self, store):
-        """Bump-before-save must not be clobbered by the meta write."""
-        fingerprint = workflow_fingerprint(figure1_workflow())
-        store.bump_popularity(fingerprint, 2)
-        assert self._save_with_meta(store, figure1_workflow()) == fingerprint
+        """Artifact writes never touch the popularity record."""
+        workflow = figure1_workflow()
+        fingerprint = self._bump_with_payload(store, workflow, 2)
+        cache = DerivationCache(store=store)
+        cache.compiled_workflow(workflow)
+        cache.requirements(workflow, 2, "set")
         assert store.popularity(fingerprint) == 2
         popular = store.popular_workflows(1)
         assert popular[0][0] == fingerprint and popular[0][1] == 2
 
-    def test_requirement_saves_read_meta_once_per_handle(self, store, monkeypatch):
+    def test_bump_merges_payload_points_and_counts(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        reads = []
-        read_raw = store._read_raw
-        monkeypatch.setattr(
-            store, "_read_raw", lambda path: reads.append(path.name) or read_raw(path)
+        first = workflow_to_dict(workflow)
+        store.bump_popularity(fingerprint, 2, first, [(2, "set", "kernel")])
+        store.bump_popularity(
+            fingerprint,
+            3,
+            workflow_to_dict(random_workflow(3, seed=7)),
+            [(2, "set", "kernel"), (1, "cardinality", "reference")],
         )
-        store.bump_popularity(fingerprint, 2)
-        for gamma in (1, 2):
-            for kind in ("set", "cardinality"):
-                derived = cache.requirements(workflow, gamma, kind, backend="kernel")
-                store.save_requirements(
-                    fingerprint, gamma, kind, "kernel", derived, workflow=workflow
-                )
-        assert reads.count("meta.json") == 2  # the bump, then the first save
-        assert store.popular_workflows(1) == [
-            (fingerprint, 2, workflow_to_dict(workflow))
+        store.bump_popularity(fingerprint)  # a count alone keeps the rest
+        [(ranked, count, payload, points)] = store.popular_workflows(5)
+        assert (ranked, count) == (fingerprint, 6)
+        assert payload == first  # the first payload stays
+        assert points == [(1, "cardinality", "reference"), (2, "set", "kernel")]
+
+    def test_popular_workflows_skip_malformed_points(self, store):
+        fingerprint = workflow_fingerprint(figure1_workflow())
+        store.bump_popularity(
+            fingerprint, 1, workflow_to_dict(figure1_workflow()), [(2, "set", "kernel")]
+        )
+        meta_path = store._dir(fingerprint) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["points"] += [
+            ["2", "set", "kernel"],
+            [2, "set"],
+            "x",
+            [True, "set", "kernel"],
         ]
-
-    def test_gc_forgets_which_meta_carries_a_payload(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        derived = DerivationCache().requirements(workflow, 2, "set", backend="kernel")
-        store.save_requirements(
-            fingerprint, 2, "set", "kernel", derived, workflow=workflow
-        )
-        store.gc(max_bytes=0)
-        store.bump_popularity(fingerprint)
-        store.save_requirements(
-            fingerprint, 2, "set", "kernel", derived, workflow=workflow
-        )
-        assert [fp for fp, _, _ in store.popular_workflows(1)] == [fingerprint]
-
-    @staticmethod
-    def _save_with_meta(store, workflow) -> str:
-        """Persist one requirement document and the entry's meta."""
-        fingerprint = workflow_fingerprint(workflow)
-        derived = DerivationCache().requirements(workflow, 2, "set", backend="kernel")
-        store.save_requirements(
-            fingerprint, 2, "set", "kernel", derived, workflow=workflow
-        )
-        return fingerprint
+        meta_path.write_text(json.dumps(meta))
+        assert store.popular_workflows(1)[0][3] == [(2, "set", "kernel")]
+        meta["points"] = "x"
+        meta_path.write_text(json.dumps(meta))
+        assert store.popular_workflows(1)[0][3] == []
 
     def test_popular_workflows_ranks_and_skips_unwarmables(self, store):
-        ranked = self._save_with_meta(store, figure1_workflow())
-        store.bump_popularity(ranked, 3)
+        ranked = self._bump_with_payload(store, figure1_workflow(), 3)
         other_wf = random_workflow(3, seed=7)
-        other = self._save_with_meta(store, other_wf)
-        store.bump_popularity(other, 9)
-        # Popular but payload-less: bumped yet never saved — unwarmable.
+        other = self._bump_with_payload(store, other_wf, 9)
+        # Popular but payload-less: bumped without one — unwarmable.
         store.bump_popularity("99" * 32, 50)
         ranking = store.popular_workflows(10)
-        assert [(fp, count) for fp, count, _ in ranking] == [
+        assert [(fp, count) for fp, count, _, _ in ranking] == [
             (other, 9), (ranked, 3)
         ]
         assert ranking[0][2]["name"] == other_wf.name
@@ -599,7 +622,7 @@ class TestPopularityMeta:
 
     @pytest.mark.parametrize("count", ["lots", [1], True])
     def test_non_integer_popularity_reads_zero_and_is_rewritten(self, store, count):
-        fingerprint = self._save_with_meta(store, figure1_workflow())
+        fingerprint = self._bump_with_payload(store, figure1_workflow())
         meta_path = store._dir(fingerprint) / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["popularity"] = count
@@ -607,19 +630,90 @@ class TestPopularityMeta:
         assert store.popularity(fingerprint) == 0
         assert store.popular_workflows(5) == []  # unrequested: skipped
         assert store.bump_popularity(fingerprint) == 1
-        assert [(fp, n) for fp, n, _ in store.popular_workflows(5)] == [
+        assert [(fp, n) for fp, n, _, _ in store.popular_workflows(5)] == [
             (fingerprint, 1)
         ]
 
-    def test_stored_requirement_points_parse_filenames(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        for kind in ("set", "cardinality"):
-            derived = cache.requirements(workflow, 2, kind, backend="kernel")
-            store.save_requirements(fingerprint, 2, kind, "kernel", derived)
-        assert store.stored_requirement_points(fingerprint) == [
-            (2, "cardinality", "kernel"),
-            (2, "set", "kernel"),
+
+class TestOneStoredCopyOfEachList:
+    """The module tier is the only stored copy of each requirement list, and
+    only the service's popularity flush writes ``meta.json``."""
+
+    @staticmethod
+    def _assert_module_tier_only(store) -> None:
+        root = store.root
+        assert not list(root.rglob("meta.json"))
+        outside = [
+            path
+            for path in root.rglob("req-*.json")
+            if path.relative_to(root).parts[0] != "modules"
         ]
-        assert store.stored_requirement_points("00" * 32) == []
+        assert outside == []
+        assert list((root / "modules").rglob("req-*.json"))
+        assert not [key for key in store.stats() if key.startswith("requirements")]
+
+    def test_cold_planner_solve_writes_no_meta_and_no_workflow_lists(
+        self, tmp_path
+    ):
+        planner = Planner(figure1_workflow(), 2, store=str(tmp_path / "store"))
+        planner.solve("greedy", verify=True)
+        self._assert_module_tier_only(planner.cache.store)
+
+    def test_cold_sweep_writes_no_meta_and_no_workflow_lists(self, tmp_path):
+        spec = SweepSpec(
+            instances=(
+                SweepInstance(
+                    "w", "workflow", workflow_to_dict(random_workflow(4, seed=1))
+                ),
+            ),
+            kinds=("set", "cardinality"),
+            solvers=("greedy",),
+        )
+        report = run_sweep(spec, n_jobs=1, store=tmp_path / "store")
+        assert report.errors == 0
+        self._assert_module_tier_only(DerivationStore(tmp_path / "store"))
+
+    def test_workflow_level_lists_are_never_read(self, store):
+        """A workflow-level document an earlier commit wrote is ignored:
+        plant Γ=1 lists under the Γ=2 name and get the Γ=2 derivation."""
+        workflow = figure1_workflow()
+        gamma1 = DerivationCache().requirements(workflow, 1, "set")
+        gamma2 = DerivationCache().requirements(workflow, 2, "set")
+        assert [list(lists) for lists in gamma1.values()] != [
+            list(lists) for lists in gamma2.values()
+        ]
+        planted = store._dir(workflow_fingerprint(workflow)) / "req-g2-set-kernel.json"
+        planted.parent.mkdir(parents=True)
+        planted.write_text(
+            json.dumps(
+                {
+                    "gamma": 2,
+                    "kind": "set",
+                    "backend": "kernel",
+                    "requirements": [requirement_to_dict(r) for r in gamma1.values()],
+                }
+            )
+        )
+        fresh = DerivationCache(store=store)
+        served = fresh.requirements(figure1_workflow(), 2, "set", backend="kernel")
+        assert {name: list(lists) for name, lists in served.items()} == {
+            name: list(lists) for name, lists in gamma2.items()
+        }
+        assert fresh.derivation_misses == 1
+
+    def test_a_call_that_derives_no_module_list_counts_a_hit(self, store):
+        workflow = figure1_workflow()
+        variant = workflow.with_attribute_costs({"a3": 10.0})
+        cache = DerivationCache(store=store)
+        cache.requirements(workflow, 2, "set")
+        cache.requirements(variant, 2, "set")  # every list from the module tier
+        stats = cache.stats()
+        assert (stats.derivation_misses, stats.derivation_hits) == (1, 1)
+        assert (stats.rederived_modules, stats.reused_modules) == (3, 3)
+
+        fresh = DerivationCache(store=store)
+        fresh.requirements(figure1_workflow(), 2, "set")
+        stats = fresh.stats()
+        assert (stats.derivation_hits, stats.derivation_misses) == (1, 0)
+        assert stats.rederived_modules == 0
+        assert stats.store_hits == 3

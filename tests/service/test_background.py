@@ -9,6 +9,7 @@ blocking solvers gate on events, progress is sequenced through
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.service import (
     TERMINAL_JOB_STATES,
     ServiceError,
     SolveService,
+    parse_solve_payload,
 )
 
 
@@ -340,19 +342,23 @@ class TestPopularityAndWarmup:
                 "solver": "exact"}
         first = service.solve_payload(dict(body))
         service.solve_payload(dict(body))  # result-cache hit still counts
+        service.solve_payload({**body, "kind": "cardinality"})
+        store = DerivationStore(store_dir)
+        assert not list(store.root.rglob("meta.json"))  # only the flush writes
         assert service.drain(timeout=30)  # drain flushes pending popularity
 
-        store = DerivationStore(store_dir)
         fingerprint = first["fingerprint"]
-        assert store.popularity(fingerprint) == 2
+        assert store.popularity(fingerprint) == 3
         popular = store.popular_workflows(5)
         assert [entry[0] for entry in popular] == [fingerprint]
         assert popular[0][2]["name"] == figure1_payload["name"]
-        points = store.stored_requirement_points(fingerprint)
-        assert [(gamma, kind) for gamma, kind, _backend in points] == [(2, "set")]
+        points = popular[0][3]
+        assert [(gamma, kind) for gamma, kind, _backend in points] == [
+            (2, "cardinality"), (2, "set")
+        ]
         # Bumps accumulate across service lifetimes.
         store.bump_popularity(fingerprint, 3)
-        assert store.popularity(fingerprint) == 5
+        assert store.popularity(fingerprint) == 6
 
     def test_restarted_service_with_warmup_compiles_before_first_request(
         self, tmp_path, figure1_payload
@@ -383,6 +389,35 @@ class TestPopularityAndWarmup:
         assert record["cache"]["derivation_misses"] == 0
         assert second.drain(timeout=30)
 
+    def test_warmup_over_a_meta_without_points_warms_the_pack(
+        self, tmp_path, figure1_payload
+    ):
+        """A meta an earlier commit wrote (payload and count, no points) is
+        still warmed: its pack compiles, and it gains points at a flush."""
+        store_dir = str(tmp_path / "store")
+        first = make_service(store=store_dir)
+        fingerprint = first.solve_payload(
+            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
+             "solver": "exact"}
+        )["fingerprint"]
+        assert first.drain(timeout=30)
+        meta_path = DerivationStore(store_dir)._dir(fingerprint) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["points"]
+        meta_path.write_text(json.dumps(meta))
+
+        second = make_service(store=store_dir)
+        assert second.maintenance.warm_up(5) == 1
+        record = second.solve_payload(
+            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
+             "solver": "exact", "verify": True}
+        )
+        assert record["from_store"] is False
+        assert record["cache"]["compile_hits"] > 0
+        assert record["cache"]["compile_misses"] == 0
+        assert second.drain(timeout=30)
+        assert json.loads(meta_path.read_text())["points"] == [[2, "set", "kernel"]]
+
     def test_non_integer_popularity_stops_neither_drain_nor_warm_up(
         self, tmp_path, figure1_payload
     ):
@@ -396,12 +431,12 @@ class TestPopularityAndWarmup:
             meta_path.write_text(json.dumps(meta))
 
         service = make_service(store=store_dir)
-        record = service.solve_payload(
-            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-             "solver": "exact"}
-        )
-        fingerprint = record["fingerprint"]
+        body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
+                "solver": "exact"}
+        fingerprint = service.solve_payload(dict(body))["fingerprint"]
+        assert service.flush_popularity() == 1  # writes the meta
         corrupt_count(fingerprint)
+        service.solve_payload(dict(body))
         assert service.drain(timeout=30)  # flushes the pending bump
         assert store.popularity(fingerprint) == 1
 
@@ -409,6 +444,42 @@ class TestPopularityAndWarmup:
         restarted = make_service(store=store_dir, warmup=1)
         assert restarted.maintenance.metrics()["warmed_packs"] == 0
         assert restarted.drain(timeout=30)
+
+    def test_concurrent_requests_lose_no_popularity(self, tmp_path, figure1_payload):
+        """Request threads share the pending popularity record under the
+        state lock: no count or point is lost."""
+        store_dir = str(tmp_path / "store")
+        service = make_service(store=store_dir)
+        jobs = [
+            parse_solve_payload(
+                {"workflow": figure1_payload, "gamma": gamma, "kind": "set"},
+                service.instances,
+            )
+            for gamma in (1, 2)
+        ]
+
+        def note() -> None:
+            for index in range(200):
+                service._note_popularity(jobs[index % 2])
+
+        threads = [threading.Thread(target=note) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.drain(timeout=30)  # flushes the pending record
+        [(_fp, count, payload, points)] = DerivationStore(
+            store_dir
+        ).popular_workflows(5)
+        assert count == 8 * 200
+        assert payload["name"] == figure1_payload["name"]
+        assert points == [(1, "set", "kernel"), (2, "set", "kernel")]
 
     def test_warmup_without_store_or_popularity_is_a_noop(self, tmp_path):
         assert make_service().maintenance.warm_up(5) == 0
