@@ -93,8 +93,6 @@ from .kernel import (
     CompiledWorkflow,
     compile_module,
     compile_workflow,
-    get_default_backend,
-    set_default_backend,
 )
 
 __version__ = "1.10.0"
@@ -129,8 +127,6 @@ __all__ = [
     "CompiledWorkflow",
     "compile_module",
     "compile_workflow",
-    "get_default_backend",
-    "set_default_backend",
     # engine (the canonical solve surface)
     "DerivationCache",
     "Planner",

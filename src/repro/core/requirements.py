@@ -119,10 +119,6 @@ class SetRequirementList:
         hidden_set = set(hidden)
         return any(option.satisfied_by(hidden_set) for option in self.options)
 
-    def cheapest_option(self, costs: Mapping[str, float]) -> SetRequirement:
-        """The minimum-cost option (used by the greedy algorithm of Thm. 7)."""
-        return min(self.options, key=lambda option: option.cost(costs))
-
     def normalized(self) -> "SetRequirementList":
         """Remove options dominated by (i.e. supersets of) other options."""
         kept: list[SetRequirement] = []

@@ -14,16 +14,18 @@ Feasibility of a candidate solution is:
 
 The problem holds no solver: the algorithms in :mod:`repro.optim` take it
 as their first argument, and ``repro.engine.Planner.solve`` picks one by
-registry name.
+registry name.  It does hold the two steps they all share: the option rule
+(:meth:`SecureViewProblem.option_sets`) and the finisher
+(:meth:`SecureViewProblem.finish`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from ..exceptions import RequirementError
+from ..exceptions import RequirementError, SolverError
 from .requirements import (
     CardinalityRequirementList,
     RequirementList,
@@ -190,6 +192,83 @@ class SecureViewProblem:
         if not self.allow_privatization:
             return False
         return needed <= set(privatized_modules)
+
+    def option_sets(self, module_name: str) -> Iterator[frozenset[str]]:
+        """The cheapest hidable attribute set realizing each option of a module.
+
+        One set per realizable option, in list order: a set option's own
+        attributes when all of them are hidable; for an ``(α, β)`` option,
+        the α cheapest hidable inputs and the β cheapest hidable outputs
+        (equal costs keep schema order).  Options the hidable attributes
+        cannot realize are skipped.
+        """
+        requirement = self.requirements[module_name]
+        hidable = self.hidable_attributes
+        if isinstance(requirement, SetRequirementList):
+            for option in requirement:
+                if option.attributes <= hidable:
+                    yield option.attributes
+            return
+        module = self.workflow.module(module_name)
+        costs = self.attribute_costs()
+        inputs = sorted(
+            (name for name in module.input_names if name in hidable),
+            key=costs.__getitem__,
+        )
+        outputs = sorted(
+            (name for name in module.output_names if name in hidable),
+            key=costs.__getitem__,
+        )
+        for option in requirement:
+            if option.alpha <= len(inputs) and option.beta <= len(outputs):
+                yield frozenset(inputs[: option.alpha] + outputs[: option.beta])
+
+    def cheapest_option_set(self, module_name: str) -> frozenset[str]:
+        """The cheapest of :meth:`option_sets`, the first one on ties.
+
+        Theorem 7's greedy pick, Algorithm 1's fall-back ``B_i^min`` and the
+        repair of a threshold rounding.
+        """
+        costs = self.attribute_costs()
+        best = min(
+            self.option_sets(module_name),
+            key=lambda names: math.fsum(costs[name] for name in names),
+            default=None,
+        )
+        if best is None:
+            raise RequirementError(
+                f"module {module_name!r} has no option the hidable attributes realize"
+            )
+        return best
+
+    def finish(
+        self, hidden: Iterable[str], method: str, **meta: object
+    ) -> SecureViewSolution:
+        """A solver's answer: ``hidden`` and the privatizations it forces.
+
+        Raises :class:`SolverError` when those privatizations are disallowed.
+        ``meta`` records ``method``, the solver's extra entries and the cost;
+        the solution is validated before it is returned.
+        """
+        hidden = frozenset(hidden)
+        privatized = self.required_privatizations(hidden)
+        if privatized and not self.allow_privatization:
+            raise SolverError(
+                f"{method} hides attributes adjacent to public modules but "
+                "privatization is disallowed"
+            )
+        solution = SecureViewSolution(
+            self.workflow,
+            hidden,
+            privatized,
+            meta={
+                "method": method,
+                **meta,
+                "cost": self.solution_cost(hidden, privatized),
+            },
+        )
+        self.validate_solution(solution)
+        return solution
 
     def validate_solution(self, solution: SecureViewSolution) -> None:
         """Raise :class:`RequirementError` if the solution is infeasible."""

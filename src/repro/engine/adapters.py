@@ -17,9 +17,8 @@ from ..core.secure_view import SecureViewProblem
 from ..optim.baselines import hide_all_intermediate, hide_everything, random_feasible
 from ..optim.cardinality_rounding import solve_cardinality_rounding
 from ..optim.exact import solve_exact_enumeration, solve_exact_ip
-from ..optim.general_lp import solve_general_lp
 from ..optim.greedy import greedy_guarantee, solve_greedy, union_of_standalone_optima
-from ..optim.set_lp import solve_set_lp
+from ..optim.set_lp import solve_general_lp, solve_set_lp
 from .registry import register_solver
 
 __all__: list[str] = []

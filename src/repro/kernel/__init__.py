@@ -26,9 +26,7 @@ from .backend import (
     KERNEL,
     REFERENCE,
     VALID_BACKENDS,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
 )
 from .module_kernel import CompiledModule, batching_enabled, sweep_batching
 from .packing import (
@@ -62,8 +60,6 @@ __all__ = [
     "compile_workflow",
     "clear_compile_cache",
     "compile_cache_info",
-    "get_default_backend",
-    "set_default_backend",
     "resolve_backend",
 ]
 

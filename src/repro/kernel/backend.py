@@ -6,10 +6,8 @@ Two backends implement the privacy analysis and derivation hot paths:
 * ``"reference"`` — the original brute-force enumerators in
   :mod:`repro.core`, kept as the validation oracle.
 
-Core functions take ``backend=None`` meaning "the process default"; tests
-and benchmarks pin a backend explicitly.  :func:`set_default_backend` is a
-process-wide escape hatch (e.g. to run an entire suite against the
-reference oracle).
+Core functions take ``backend=None`` meaning the kernel; tests and
+benchmarks pin a backend explicitly.
 """
 
 from __future__ import annotations
@@ -19,35 +17,17 @@ __all__ = [
     "REFERENCE",
     "VALID_BACKENDS",
     "resolve_backend",
-    "get_default_backend",
-    "set_default_backend",
 ]
 
 KERNEL = "kernel"
 REFERENCE = "reference"
 VALID_BACKENDS = (KERNEL, REFERENCE)
 
-_default_backend = KERNEL
-
-
-def get_default_backend() -> str:
-    """The backend used when a function is called with ``backend=None``."""
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous default."""
-    global _default_backend
-    resolved = resolve_backend(backend)
-    previous = _default_backend
-    _default_backend = resolved
-    return previous
-
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalize a ``backend=`` argument (``None`` -> process default)."""
+    """Normalize a ``backend=`` argument (``None`` -> the kernel)."""
     if backend is None:
-        return _default_backend
+        return KERNEL
     if backend not in VALID_BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {VALID_BACKENDS}"

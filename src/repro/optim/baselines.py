@@ -20,32 +20,9 @@ import random
 
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
-from ..exceptions import InfeasibleError, SolverError
+from ..exceptions import InfeasibleError
 
 __all__ = ["hide_everything", "hide_all_intermediate", "random_feasible"]
-
-
-def _finalize(
-    problem: SecureViewProblem, hidden: set[str], method: str, **meta
-) -> SecureViewSolution:
-    privatized = problem.required_privatizations(hidden)
-    if privatized and not problem.allow_privatization:
-        raise SolverError(
-            f"{method} hides attributes adjacent to public modules but "
-            "privatization is disallowed"
-        )
-    solution = SecureViewSolution(
-        problem.workflow,
-        frozenset(hidden),
-        privatized,
-        meta={
-            "method": method,
-            "cost": problem.solution_cost(hidden, privatized),
-            **meta,
-        },
-    )
-    problem.validate_solution(solution)
-    return solution
 
 
 def hide_everything(problem: SecureViewProblem) -> SecureViewSolution:
@@ -57,7 +34,7 @@ def hide_everything(problem: SecureViewProblem) -> SecureViewSolution:
                 f"even hiding every hidable attribute does not satisfy "
                 f"module {module_name!r}"
             )
-    return _finalize(problem, hidden, "hide_everything")
+    return problem.finish(hidden, "hide_everything")
 
 
 def hide_all_intermediate(problem: SecureViewProblem) -> SecureViewSolution:
@@ -70,7 +47,7 @@ def hide_all_intermediate(problem: SecureViewProblem) -> SecureViewSolution:
                 "hiding all intermediate attributes does not satisfy module "
                 f"{module_name!r}"
             )
-    return _finalize(problem, hidden, "hide_all_intermediate")
+    return problem.finish(hidden, "hide_all_intermediate")
 
 
 def random_feasible(
@@ -111,4 +88,4 @@ def random_feasible(
             for module_name in problem.requirements
         ):
             hidden = trial
-    return _finalize(problem, hidden, "random_feasible", seed=seed)
+    return problem.finish(hidden, "random_feasible", seed=seed)

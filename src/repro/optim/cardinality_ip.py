@@ -17,22 +17,25 @@ unbounded integrality gap, and dropping the summations in (4)–(5) gives an
 
 For general workflows (Section 5.2) the builder can also add privatization
 variables ``w_m`` for public modules with the coupling constraint
-``w_m >= x_b`` for every attribute ``b`` adjacent to ``m`` — the analogue of
-constraint (21) of the set-constraint general LP.
+``w_m >= x_b`` for every attribute ``b`` adjacent to ``m`` — constraint (21)
+of the general LP (19)–(23).  :func:`hiding_program` writes those
+variables and rows once for both this program and the set program of
+:mod:`repro.optim.set_lp`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
-from ..core.requirements import CardinalityRequirementList
+from ..core.requirements import RequirementList
 from ..core.secure_view import SecureViewProblem
 from ..exceptions import RequirementError, SolverError
-from .lp import LinearProgram, LPSolution
+from .lp import LinearProgram
 
 __all__ = [
-    "CardinalityProgram",
     "build_cardinality_program",
+    "hiding_program",
+    "privatizing",
     "x_var",
     "r_var",
     "w_var",
@@ -68,42 +71,70 @@ def _z_var(module: str, option: int, attribute: str) -> str:
     return f"z::{module}::{option}::{attribute}"
 
 
-@dataclass
-class CardinalityProgram:
-    """A built Figure-3 program together with its problem instance."""
+def privatizing(problem: SecureViewProblem) -> bool:
+    """Whether a program prices privatization unless told otherwise.
 
-    problem: SecureViewProblem
-    program: LinearProgram
-    strength: str
-    with_privatization: bool
+    True exactly when the workflow has public modules and the problem
+    allows privatizing them.
+    """
+    return problem.allow_privatization and bool(problem.workflow.public_modules)
 
-    def solve_relaxation(self) -> LPSolution:
-        return self.program.solve_relaxation()
 
-    def solve_integer(self) -> LPSolution:
-        return self.program.solve_integer()
+def hiding_program(
+    problem: SecureViewProblem,
+    kind: str,
+    integral: bool,
+    with_privatization: bool | None,
+    requirement_rows: Callable[[LinearProgram, str, RequirementList], None],
+) -> LinearProgram:
+    """The variables and rows every Secure-View program shares.
 
-    def hidden_from_solution(
-        self, solution: LPSolution, threshold: float = 0.5
-    ) -> set[str]:
-        """Attributes whose ``x_b`` value is at least ``threshold``."""
-        hidden = set()
-        for name in self.problem.workflow.attribute_names:
-            if solution.values.get(x_var(name), 0.0) >= threshold - 1e-9:
-                hidden.add(name)
-        return hidden
-
-    def privatized_from_solution(
-        self, solution: LPSolution, threshold: float = 0.5
-    ) -> set[str]:
-        """Public modules whose ``w_m`` value is at least ``threshold``."""
-        if not self.with_privatization:
-            return set()
-        privatized = set()
-        for module in self.problem.workflow.public_modules:
-            if solution.values.get(w_var(module.name), 0.0) >= threshold - 1e-9:
-                privatized.add(module.name)
-        return privatized
+    Writes ``x_b`` for every workflow attribute, then ``w_i`` for every
+    public module when the program prices privatization (by default
+    :func:`privatizing`), then ``requirement_rows(program, module_name,
+    requirement)`` for every private module, then constraint (21).  ``x_b``
+    is bounded at 0 for an attribute that may not be hidden: one outside
+    ``hidable_attributes`` or, when privatization is disallowed, one of a
+    public module (the rule ``SecureViewProblem.is_feasible`` enforces).
+    """
+    if problem.constraint_kind != kind:
+        raise RequirementError(f"this program requires {kind}-constraint lists")
+    if with_privatization is None:
+        with_privatization = privatizing(problem)
+    workflow = problem.workflow
+    costs = problem.attribute_costs()
+    hidable = set(problem.hidable_attributes)
+    if not problem.allow_privatization:
+        for module in workflow.public_modules:
+            hidable -= set(module.attribute_names)
+    program = LinearProgram(name=f"{kind}-constraints")
+    for name in workflow.attribute_names:
+        program.add_variable(
+            x_var(name),
+            cost=costs[name],
+            upper=1.0 if name in hidable else 0.0,
+            integral=integral,
+        )
+    if with_privatization:
+        for module in workflow.public_modules:
+            program.add_variable(
+                w_var(module.name),
+                cost=module.privatization_cost,
+                integral=integral,
+            )
+    for module_name, requirement in problem.requirements.items():
+        requirement_rows(program, module_name, requirement)
+    if with_privatization:
+        # Constraint (21): hiding an attribute of a public module privatizes it.
+        for module in workflow.public_modules:
+            for b in module.attribute_names:
+                program.add_constraint(
+                    {w_var(module.name): 1.0, x_var(b): -1.0},
+                    ">=",
+                    0.0,
+                    name=f"privatize[{module.name},{b}]",
+                )
+    return program
 
 
 def build_cardinality_program(
@@ -111,7 +142,7 @@ def build_cardinality_program(
     integral: bool = False,
     strength: str = STRENGTH_FULL,
     with_privatization: bool | None = None,
-) -> CardinalityProgram:
+) -> LinearProgram:
     """Build the Figure-3 LP/IP for a cardinality-constraint instance.
 
     Parameters
@@ -130,40 +161,11 @@ def build_cardinality_program(
         when the workflow has public modules and the problem allows
         privatization.
     """
-    if problem.constraint_kind != "cardinality":
-        raise RequirementError(
-            "build_cardinality_program requires cardinality-constraint lists"
-        )
     if strength not in _STRENGTHS:
         raise SolverError(f"unknown LP strength {strength!r}")
 
-    workflow = problem.workflow
-    if with_privatization is None:
-        with_privatization = (
-            problem.allow_privatization and bool(workflow.public_modules)
-        )
-
-    costs = problem.attribute_costs()
-    program = LinearProgram(name=f"cardinality[{strength}]")
-
-    hidable = set(problem.hidable_attributes)
-    for name in workflow.attribute_names:
-        upper = 1.0 if name in hidable else 0.0
-        program.add_variable(
-            x_var(name), cost=costs[name], lower=0.0, upper=upper, integral=integral
-        )
-
-    if with_privatization:
-        for module in workflow.public_modules:
-            program.add_variable(
-                w_var(module.name),
-                cost=module.privatization_cost,
-                integral=integral,
-            )
-
-    for module_name, requirement in problem.requirements.items():
-        assert isinstance(requirement, CardinalityRequirementList)
-        module = workflow.module(module_name)
+    def requirement_rows(program, module_name, requirement):
+        module = problem.workflow.module(module_name)
         inputs = module.input_names
         outputs = module.output_names
         options = list(requirement)
@@ -246,21 +248,6 @@ def build_cardinality_program(
                     coeffs, "<=", 0.0, name=f"hide_out[{module_name},{b}]"
                 )
 
-    if with_privatization:
-        # Analogue of constraint (21): hiding an attribute adjacent to a
-        # public module forces that module to be privatized.
-        for module in workflow.public_modules:
-            for b in module.attribute_names:
-                program.add_constraint(
-                    {w_var(module.name): 1.0, x_var(b): -1.0},
-                    ">=",
-                    0.0,
-                    name=f"privatize[{module.name},{b}]",
-                )
-
-    return CardinalityProgram(
-        problem=problem,
-        program=program,
-        strength=strength,
-        with_privatization=with_privatization,
+    return hiding_program(
+        problem, "cardinality", integral, with_privatization, requirement_rows
     )

@@ -31,6 +31,7 @@ from ..exceptions import RequirementError, SolverError
 from .cardinality_ip import (
     STRENGTH_FULL,
     build_cardinality_program,
+    privatizing,
     x_var,
 )
 from .lp import problem_relaxation
@@ -40,42 +41,16 @@ __all__ = ["cheapest_fallback_set", "solve_cardinality_rounding"]
 
 def cheapest_fallback_set(
     problem: SecureViewProblem, module_name: str
-) -> set[str]:
+) -> frozenset[str]:
     """``B_i^min``: the cheapest attribute set satisfying one option directly.
 
     For each option ``(α, β)`` of the module's list, take the α cheapest
     input attributes and the β cheapest output attributes (restricted to the
     hidable attributes); return the cheapest such set over all options.
     """
-    requirement = problem.requirements[module_name]
-    if not isinstance(requirement, CardinalityRequirementList):
+    if not isinstance(problem.requirements[module_name], CardinalityRequirementList):
         raise RequirementError("cheapest_fallback_set needs cardinality constraints")
-    module = problem.workflow.module(module_name)
-    costs = problem.attribute_costs()
-    hidable = set(problem.hidable_attributes)
-
-    inputs = sorted(
-        (name for name in module.input_names if name in hidable),
-        key=lambda name: costs[name],
-    )
-    outputs = sorted(
-        (name for name in module.output_names if name in hidable),
-        key=lambda name: costs[name],
-    )
-
-    best: tuple[float, set[str]] | None = None
-    for option in requirement:
-        if option.alpha > len(inputs) or option.beta > len(outputs):
-            continue  # option not realizable under the hidable restriction
-        chosen = set(inputs[: option.alpha]) | set(outputs[: option.beta])
-        cost = sum(costs[name] for name in chosen)
-        if best is None or cost < best[0]:
-            best = (cost, chosen)
-    if best is None:
-        raise RequirementError(
-            f"module {module_name!r} has no realizable cardinality option"
-        )
-    return best[1]
+    return problem.cheapest_option_set(module_name)
 
 
 def solve_cardinality_rounding(
@@ -109,15 +84,17 @@ def solve_cardinality_rounding(
             "solve_cardinality_rounding requires cardinality constraints"
         )
     lp_solution = problem_relaxation(
-        problem, ("cardinality", strength), build_cardinality_program, strength=strength
+        problem,
+        build_cardinality_program,
+        strength=strength,
+        with_privatization=privatizing(problem),
     )
     if not lp_solution.optimal:
         raise SolverError("the LP relaxation is infeasible")
 
-    workflow = problem.workflow
     if rng is None:
         rng = random.Random(seed)
-    n = max(len(workflow), 2)
+    n = max(len(problem.workflow), 2)
     log_n = math.log(n)
 
     hidden: set[str] = set()
@@ -135,29 +112,15 @@ def solve_cardinality_rounding(
             hidden |= fallback
             repaired.append(module_name)
 
-    privatized = problem.required_privatizations(hidden)
-    if privatized and not problem.allow_privatization:
-        raise SolverError(
-            "rounding hid attributes adjacent to public modules but "
-            "privatization is disallowed for this instance"
-        )
-
-    solution = SecureViewSolution(
-        workflow,
-        frozenset(hidden),
-        privatized,
-        meta={
-            "method": "lp_rounding",
-            "lp_objective": lp_solution.objective,
-            "seed": seed,
-            "scale": scale,
-            "strength": strength,
-            "repaired_modules": repaired,
-            "cost": problem.solution_cost(hidden, privatized),
-        },
+    return problem.finish(
+        hidden,
+        "lp_rounding",
+        lp_objective=lp_solution.objective,
+        seed=seed,
+        scale=scale,
+        strength=strength,
+        repaired_modules=repaired,
     )
-    problem.validate_solution(solution)
-    return solution
 
 
 def expected_rounding_cost(

@@ -5,8 +5,9 @@ the benchmarks need a trustworthy (if slow) exact solver.  Two are provided:
 
 * :func:`solve_exact_ip` — solve the integral version of the same programs
   the approximation algorithms relax (Figure 3 for cardinality constraints,
-  (15)–(17) for set constraints, (19)–(23) for general workflows) with
-  scipy's HiGHS branch-and-bound.  This is the default exact baseline.
+  (15)–(17) for set constraints, each in its privatizing form in general
+  workflows) with scipy's HiGHS branch-and-bound.  This is the default
+  exact baseline.
 * :func:`solve_exact_enumeration` — enumerate feasible solutions directly
   (over requirement-option combinations, falling back to attribute subsets),
   used to cross-validate the IP encoding on small instances.
@@ -21,59 +22,27 @@ from ..core.requirements import CardinalityRequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..exceptions import InfeasibleError, SolverError
-from .cardinality_ip import build_cardinality_program, w_var, x_var
-from .general_lp import build_general_set_program
+from .cardinality_ip import build_cardinality_program, x_var
 from .set_lp import build_set_program
 
 __all__ = ["solve_exact_ip", "solve_exact_enumeration", "exact_optimum_cost"]
 
 
-def _extract_solution(
-    problem: SecureViewProblem, values: dict[str, float]
-) -> SecureViewSolution:
+def solve_exact_ip(problem: SecureViewProblem) -> SecureViewSolution:
+    """Exact optimum via the integral version of the paper's programs."""
+    if problem.constraint_kind == "set":
+        program = build_set_program(problem, integral=True)
+    else:
+        program = build_cardinality_program(problem, integral=True)
+    result = program.solve_integer()
+    if not result.optimal:
+        raise InfeasibleError("the Secure-View instance admits no feasible solution")
     hidden = {
         name
         for name in problem.workflow.attribute_names
-        if values.get(x_var(name), 0.0) >= 0.5
+        if result.values.get(x_var(name), 0.0) >= 0.5
     }
-    privatized = {
-        module.name
-        for module in problem.workflow.public_modules
-        if values.get(w_var(module.name), 0.0) >= 0.5
-    }
-    # Privatization may be implied rather than modeled (all-private programs).
-    privatized |= set(problem.required_privatizations(hidden))
-    return SecureViewSolution(
-        problem.workflow,
-        frozenset(hidden),
-        frozenset(privatized),
-        meta={
-            "method": "exact_ip",
-            "cost": problem.solution_cost(hidden, privatized),
-        },
-    )
-
-
-def solve_exact_ip(problem: SecureViewProblem) -> SecureViewSolution:
-    """Exact optimum via the integral version of the paper's programs."""
-    has_public = bool(problem.workflow.public_modules) and problem.allow_privatization
-    if problem.constraint_kind == "cardinality":
-        built = build_cardinality_program(
-            problem, integral=True, with_privatization=has_public
-        )
-        result = built.solve_integer()
-    elif has_public:
-        built = build_general_set_program(problem, integral=True)
-        result = built.solve_integer()
-    else:
-        built = build_set_program(problem, integral=True)
-        result = built.solve_integer()
-    if not result.optimal:
-        raise InfeasibleError("the Secure-View instance admits no feasible solution")
-    solution = _extract_solution(problem, result.values)
-    solution.meta["ip_objective"] = result.objective
-    problem.validate_solution(solution)
-    return solution
+    return problem.finish(hidden, "exact_ip", ip_objective=result.objective)
 
 
 def _candidate_hidden_sets(
@@ -131,25 +100,17 @@ def solve_exact_enumeration(
     :class:`SolverError` when the combination count exceeds
     ``max_combinations``.
     """
-    best: tuple[float, set[str], frozenset[str]] | None = None
+    best: tuple[float, set[str]] | None = None
     for hidden in _candidate_hidden_sets(problem, max_combinations):
         privatized = problem.required_privatizations(hidden)
         if privatized and not problem.allow_privatization:
             continue
         cost = problem.solution_cost(hidden, privatized)
         if best is None or cost < best[0]:
-            best = (cost, hidden, privatized)
+            best = (cost, hidden)
     if best is None:
         raise InfeasibleError("the Secure-View instance admits no feasible solution")
-    cost, hidden, privatized = best
-    solution = SecureViewSolution(
-        problem.workflow,
-        frozenset(hidden),
-        privatized,
-        meta={"method": "exact_enumeration", "cost": cost},
-    )
-    problem.validate_solution(solution)
-    return solution
+    return problem.finish(best[1], "exact_enumeration")
 
 
 def exact_optimum_cost(problem: SecureViewProblem) -> float:

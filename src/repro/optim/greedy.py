@@ -18,62 +18,10 @@ benchmark output reads like the paper.
 
 from __future__ import annotations
 
-from ..core.requirements import CardinalityRequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
-from ..exceptions import RequirementError, SolverError
 
 __all__ = ["solve_greedy", "union_of_standalone_optima", "greedy_guarantee"]
-
-
-def _cheapest_option_attributes(
-    problem: SecureViewProblem, module_name: str
-) -> set[str]:
-    """The cheapest hidden attribute set satisfying one module on its own."""
-    requirement = problem.requirements[module_name]
-    module = problem.workflow.module(module_name)
-    costs = problem.attribute_costs()
-    hidable = set(problem.hidable_attributes)
-
-    if isinstance(requirement, SetRequirementList):
-        best: tuple[float, set[str]] | None = None
-        for option in requirement:
-            attributes = set(option.attributes)
-            if not attributes <= hidable:
-                continue
-            cost = sum(costs[name] for name in attributes)
-            if best is None or cost < best[0]:
-                best = (cost, attributes)
-        if best is None:
-            raise RequirementError(
-                f"module {module_name!r} has no hidable set option"
-            )
-        return best[1]
-
-    if isinstance(requirement, CardinalityRequirementList):
-        inputs = sorted(
-            (name for name in module.input_names if name in hidable),
-            key=lambda name: costs[name],
-        )
-        outputs = sorted(
-            (name for name in module.output_names if name in hidable),
-            key=lambda name: costs[name],
-        )
-        best = None
-        for option in requirement:
-            if option.alpha > len(inputs) or option.beta > len(outputs):
-                continue
-            chosen = set(inputs[: option.alpha]) | set(outputs[: option.beta])
-            cost = sum(costs[name] for name in chosen)
-            if best is None or cost < best[0]:
-                best = (cost, chosen)
-        if best is None:
-            raise RequirementError(
-                f"module {module_name!r} has no realizable cardinality option"
-            )
-        return best[1]
-
-    raise RequirementError(f"unsupported requirement type {type(requirement)!r}")
 
 
 def solve_greedy(problem: SecureViewProblem) -> SecureViewSolution:
@@ -81,30 +29,16 @@ def solve_greedy(problem: SecureViewProblem) -> SecureViewSolution:
     hidden: set[str] = set()
     per_module: dict[str, list[str]] = {}
     for module_name in problem.requirements:
-        chosen = _cheapest_option_attributes(problem, module_name)
+        chosen = problem.cheapest_option_set(module_name)
         per_module[module_name] = sorted(chosen)
         hidden |= chosen
-
-    privatized = problem.required_privatizations(hidden)
-    if privatized and not problem.allow_privatization:
-        raise SolverError(
-            "the greedy choice hides attributes adjacent to public modules "
-            "but privatization is disallowed for this instance"
-        )
-    solution = SecureViewSolution(
-        problem.workflow,
-        frozenset(hidden),
-        privatized,
-        meta={
-            "method": "greedy",
-            "per_module_choice": per_module,
-            "gamma": problem.workflow.data_sharing_degree(),
-            "guarantee": greedy_guarantee(problem),
-            "cost": problem.solution_cost(hidden, privatized),
-        },
+    return problem.finish(
+        hidden,
+        "greedy",
+        per_module_choice=per_module,
+        gamma=problem.workflow.data_sharing_degree(),
+        guarantee=greedy_guarantee(problem),
     )
-    problem.validate_solution(solution)
-    return solution
 
 
 def union_of_standalone_optima(problem: SecureViewProblem) -> SecureViewSolution:

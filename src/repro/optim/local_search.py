@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..core.requirements import CardinalityRequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 
@@ -51,7 +50,9 @@ def prune_solution(
     improved = True
     while improved:
         improved = False
-        for name in sorted(hidden, key=lambda item: -costs[item]):
+        # Equal costs go by name: set order follows the per-process string
+        # hash, and one instance must prune the same way in every process.
+        for name in sorted(hidden, key=lambda item: (-costs[item], item)):
             if name in protected_set:
                 continue
             trial = hidden - {name}
@@ -73,34 +74,6 @@ def prune_solution(
     )
 
 
-def _module_option_sets(problem: SecureViewProblem, module_name: str) -> list[set[str]]:
-    """Concrete attribute sets realizing each option of a module's list."""
-    requirement = problem.requirements[module_name]
-    module = problem.workflow.module(module_name)
-    costs = problem.attribute_costs()
-    hidable = set(problem.hidable_attributes)
-    options: list[set[str]] = []
-    if isinstance(requirement, SetRequirementList):
-        for option in requirement:
-            attributes = set(option.attributes)
-            if attributes <= hidable:
-                options.append(attributes)
-    elif isinstance(requirement, CardinalityRequirementList):
-        inputs = sorted(
-            (name for name in module.input_names if name in hidable),
-            key=lambda name: costs[name],
-        )
-        outputs = sorted(
-            (name for name in module.output_names if name in hidable),
-            key=lambda name: costs[name],
-        )
-        for option in requirement:
-            if option.alpha > len(inputs) or option.beta > len(outputs):
-                continue
-            options.append(set(inputs[: option.alpha]) | set(outputs[: option.beta]))
-    return options
-
-
 def swap_options(
     problem: SecureViewProblem, solution: SecureViewSolution
 ) -> SecureViewSolution:
@@ -111,7 +84,7 @@ def swap_options(
     while improved:
         improved = False
         for module_name in problem.requirements:
-            for option_attrs in _module_option_sets(problem, module_name):
+            for option_attrs in problem.option_sets(module_name):
                 trial = hidden | option_attrs
                 # Remove anything no longer needed once this option is in,
                 # but keep the option itself so the swap can take effect.

@@ -11,7 +11,7 @@ minimization objective — and solves either the continuous relaxation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -270,26 +270,22 @@ class LinearProgram:
 
 
 def problem_relaxation(
-    problem: "SecureViewProblem", key: Hashable, build: Callable, **options
+    problem: "SecureViewProblem", build: Callable, **options
 ) -> LPSolution:
     """The relaxation of ``build(problem, **options)``, solved once per problem.
 
-    ``key`` names the program: ``"set"``, ``("cardinality", strength)`` or
-    ``"general"``.  A relaxation depends on the problem only (the set LP
-    takes no seed; Algorithm 1 uses its seed only to round), and no field
-    of a problem changes after construction, so the solution is memoized on
-    the problem and every later seed reuses it.  Callers only read it.  No
-    lock: two threads racing on one problem both solve and store equal values.
+    The memo is keyed by the program built: the builder and ``options``,
+    which callers pass resolved (``with_privatization`` as a bool, never
+    ``None``), so one program is one key and is solved once.  A relaxation
+    depends on the problem only (the set LP takes no seed; Algorithm 1 uses
+    its seed only to round), and no field of a problem changes after
+    construction, so the solution is memoized on the problem and every
+    later seed reuses it.  Callers only read it.  No lock: two threads
+    racing on one problem both solve and store equal values.
     """
     memo = problem._relaxations
+    key = (build.__name__, *sorted(options.items()))
     solution = memo.get(key)
     if solution is None:
         solution = memo[key] = build(problem, **options).solve_relaxation()
     return solution
-
-
-def round_threshold(
-    values: Mapping[str, float], threshold: float, names: Iterable[str]
-) -> set[str]:
-    """Names whose LP value is at least ``threshold`` (deterministic rounding)."""
-    return {name for name in names if values.get(name, 0.0) >= threshold - 1e-9}

@@ -1,6 +1,7 @@
-"""ℓ_max-approximation for set constraints in all-private workflows.
+"""ℓ_max-approximation for set constraints (Theorem 6 and Section 5.2).
 
 This is the algorithm of Appendix B.5.1 (Theorem 6, upper bound): the LP
+(15)–(17)
 
     minimize   Σ_b c_b x_b
     subject to Σ_j r_ij >= 1                        for every module i
@@ -11,61 +12,57 @@ hidden.  Since some option of each module has ``r_ij >= 1/ℓ_i >= 1/ℓ_max``,
 all of that option's attributes are hidden, so the rounded solution is
 feasible; its cost is at most ``ℓ_max`` times the LP value and hence at most
 ``ℓ_max`` times the optimum.
+
+In workflows that mix private and public modules, a solution may also
+*privatize* public modules (hide their identity) at cost ``c(m)``.  A public
+module must be privatized whenever one of its input or output attributes is
+hidden — otherwise its known functionality lets the adversary undo the
+hiding (Example 7).  The general LP (19)–(23) of Appendix C.4 is this same
+program in its privatizing form: it adds ``Σ_{public i} c_i w_i`` to the
+objective and the rows
+
+    w_i >= x_b                     for every public i, b in I_i ∪ O_i
+
+(constraint (21)).  Without public modules the two forms are one program.
+The same threshold rounds both; privatizing every public module adjacent
+to a hidden attribute is what ``w_i >= 1/ℓ_max`` forces.
+
+``set_lp`` rounds the program without privatization costs, ``general_lp``
+the default form, which prices privatization exactly when the workflow has
+public modules and privatization is allowed.  For cardinality constraints
+``general_lp`` falls back to Algorithm 1 on the Figure-3 LP with
+privatization variables — a heuristic, as Theorem 10 shows the problem is
+label-cover hard and rules out an approximation guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
-from ..core.requirements import SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
-from ..exceptions import RequirementError, SolverError
-from .lp import LinearProgram, LPSolution, problem_relaxation
-from .cardinality_ip import r_var, x_var
+from ..exceptions import SolverError
+from .cardinality_ip import hiding_program, privatizing, r_var, x_var
+from .cardinality_rounding import solve_cardinality_rounding
+from .lp import LinearProgram, problem_relaxation
 
-__all__ = ["SetConstraintProgram", "build_set_program", "solve_set_lp"]
-
-
-@dataclass
-class SetConstraintProgram:
-    """The LP (15)–(17) of Appendix B.5.1 and its problem instance."""
-
-    problem: SecureViewProblem
-    program: LinearProgram
-
-    def solve_relaxation(self) -> LPSolution:
-        return self.program.solve_relaxation()
-
-    def solve_integer(self) -> LPSolution:
-        return self.program.solve_integer()
+__all__ = ["build_set_program", "solve_set_lp", "solve_general_lp"]
 
 
 def build_set_program(
-    problem: SecureViewProblem, integral: bool = False
-) -> SetConstraintProgram:
-    """Build the set-constraint LP/IP for an all-private instance.
+    problem: SecureViewProblem,
+    integral: bool = False,
+    with_privatization: bool | None = None,
+) -> LinearProgram:
+    """Build the set-constraint LP/IP (15)–(17).
 
-    Public modules are allowed in the workflow, but this program ignores
-    privatization costs — use :mod:`repro.optim.general_lp` for the general
-    problem of Section 5.2.
+    With privatization it is the general LP (19)–(23): ``w_i`` for every
+    public module and constraint (21).  ``with_privatization`` defaults to
+    true exactly when the workflow has public modules and the problem
+    allows privatization.
     """
-    if problem.constraint_kind != "set":
-        raise RequirementError("build_set_program requires set-constraint lists")
 
-    workflow = problem.workflow
-    costs = problem.attribute_costs()
-    hidable = set(problem.hidable_attributes)
-    program = LinearProgram(name="set-constraints")
-
-    for name in workflow.attribute_names:
-        upper = 1.0 if name in hidable else 0.0
-        program.add_variable(
-            x_var(name), cost=costs[name], lower=0.0, upper=upper, integral=integral
-        )
-
-    for module_name, requirement in problem.requirements.items():
-        assert isinstance(requirement, SetRequirementList)
+    def requirement_rows(program, module_name, requirement):
         options = list(requirement)
         for j in range(len(options)):
             program.add_variable(r_var(module_name, j), integral=integral)
@@ -83,12 +80,19 @@ def build_set_program(
                     0.0,
                     name=f"cover[{module_name},{j},{attribute}]",
                 )
-    return SetConstraintProgram(problem=problem, program=program)
+
+    return hiding_program(
+        problem, "set", integral, with_privatization, requirement_rows
+    )
 
 
-def solve_set_lp(problem: SecureViewProblem) -> SecureViewSolution:
-    """ℓ_max-approximation by LP rounding for set constraints (Theorem 6)."""
-    lp_solution = problem_relaxation(problem, "set", build_set_program)
+def _round_threshold(
+    problem: SecureViewProblem, method: str, with_privatization: bool
+) -> SecureViewSolution:
+    """Hide every ``x_b >= 1/ℓ_max`` of the set program's relaxation."""
+    lp_solution = problem_relaxation(
+        problem, build_set_program, with_privatization=with_privatization
+    )
     if not lp_solution.optimal:
         raise SolverError("the set-constraint LP relaxation is infeasible")
 
@@ -99,35 +103,42 @@ def solve_set_lp(problem: SecureViewProblem) -> SecureViewSolution:
         for name in problem.hidable_attributes
         if lp_solution.values.get(x_var(name), 0.0) >= threshold - 1e-9
     }
-
-    # The threshold argument guarantees feasibility; assert it defensively
-    # and repair with the cheapest option if numerical noise intervenes.
-    costs = problem.attribute_costs()
+    # The threshold argument guarantees feasibility; repair with the
+    # cheapest option if numerical noise intervenes.
     repaired = []
-    for module_name, requirement in problem.requirements.items():
+    for module_name in problem.requirements:
         if not problem.requirement_satisfied(module_name, hidden):
-            assert isinstance(requirement, SetRequirementList)
-            option = requirement.cheapest_option(costs)
-            hidden |= set(option.attributes)
+            hidden |= problem.cheapest_option_set(module_name)
             repaired.append(module_name)
-
-    privatized = problem.required_privatizations(hidden)
-    if privatized and not problem.allow_privatization:
-        raise SolverError(
-            "rounding hid attributes adjacent to public modules but "
-            "privatization is disallowed for this instance"
-        )
-    solution = SecureViewSolution(
-        problem.workflow,
-        frozenset(hidden),
-        privatized,
-        meta={
-            "method": "set_lp",
-            "lp_objective": lp_solution.objective,
-            "lmax": lmax,
-            "repaired_modules": repaired,
-            "cost": problem.solution_cost(hidden, privatized),
-        },
+    return problem.finish(
+        hidden,
+        method,
+        lp_objective=lp_solution.objective,
+        lmax=lmax,
+        repaired_modules=repaired,
     )
-    problem.validate_solution(solution)
-    return solution
+
+
+def solve_set_lp(problem: SecureViewProblem) -> SecureViewSolution:
+    """ℓ_max-approximation by LP rounding for set constraints (Theorem 6)."""
+    return _round_threshold(problem, "set_lp", with_privatization=False)
+
+
+def solve_general_lp(
+    problem: SecureViewProblem,
+    seed: int | None = None,
+    rng: random.Random | None = None,
+) -> SecureViewSolution:
+    """ℓ_max-approximation (set constraints) / heuristic (cardinality).
+
+    For set constraints this is the rounding of Appendix C.4 on the general
+    LP (19)–(23).  For cardinality constraints it is Algorithm 1 on the
+    Figure-3 LP augmented with privatization variables.
+    """
+    if not problem.allow_privatization and problem.workflow.public_modules:
+        raise SolverError("the general solver requires privatization to be allowed")
+    if problem.constraint_kind == "cardinality":
+        return solve_cardinality_rounding(problem, seed=seed, rng=rng)
+    return _round_threshold(
+        problem, "general_lp", with_privatization=privatizing(problem)
+    )

@@ -5,10 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    BOOLEAN,
+    Attribute,
     CardinalityRequirement,
     CardinalityRequirementList,
+    Module,
+    SecureViewProblem,
     SetRequirement,
     SetRequirementList,
+    Workflow,
     derive_cardinality_requirements,
     derive_set_requirements,
     derive_workflow_requirements,
@@ -63,8 +68,10 @@ class TestSetRequirementList:
     def test_cheapest_option(self):
         requirement = self.make()
         costs = {"a": 10.0, "b": 1.0, "c": 1.0}
-        cheapest = requirement.cheapest_option(costs)
-        assert cheapest.attributes == {"b", "c"}
+        a, b, c = (Attribute(name, BOOLEAN, cost) for name, cost in costs.items())
+        module = Module("m", [a], [b, c], lambda x: {"b": x["a"], "c": x["a"]})
+        problem = SecureViewProblem(Workflow([module]), 2, {"m": requirement})
+        assert problem.cheapest_option_set("m") == {"b", "c"}
 
     def test_normalized_removes_dominated(self):
         requirement = self.make().normalized()

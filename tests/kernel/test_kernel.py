@@ -24,29 +24,18 @@ from repro.kernel import (
     compile_cache_info,
     compile_module,
     compile_workflow,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.workloads import figure1_m1_module, figure1_workflow
 
 
 class TestBackendSwitch:
     def test_kernel_is_the_default(self):
-        assert get_default_backend() == "kernel"
         assert resolve_backend(None) == "kernel"
 
     def test_resolve_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             resolve_backend("turbo")
-
-    def test_set_default_backend_round_trips(self):
-        previous = set_default_backend("reference")
-        try:
-            assert previous == "kernel"
-            assert resolve_backend(None) == "reference"
-        finally:
-            set_default_backend(previous)
 
 
 class TestCompiledModule:

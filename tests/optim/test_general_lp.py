@@ -7,7 +7,7 @@ import pytest
 from repro.core import SecureViewProblem, SetRequirement, SetRequirementList
 from repro.exceptions import RequirementError, SolverError
 from repro.optim import (
-    build_general_set_program,
+    build_set_program,
     solve_exact_ip,
     solve_general_lp,
 )
@@ -32,15 +32,21 @@ def example7_problem() -> SecureViewProblem:
 class TestProgram:
     def test_requires_set_constraints(self, small_cardinality_problem):
         with pytest.raises(RequirementError):
-            build_general_set_program(small_cardinality_problem)
+            build_set_program(small_cardinality_problem, with_privatization=True)
 
     def test_privatization_variables_present(self, example7_problem):
-        built = build_general_set_program(example7_problem)
-        assert built.program.has_variable("w::m_head")
-        assert built.program.has_variable("w::m_tail")
+        program = build_set_program(example7_problem)
+        assert program.has_variable("w::m_head")
+        assert program.has_variable("w::m_tail")
+        rows = [c.name for c in program.constraints if c.name.startswith("privatize[")]
+        # Constraint (21): one row per attribute of each public module.
+        assert len(rows) == 8
+        plain = build_set_program(example7_problem, with_privatization=False)
+        assert not any(v.name.startswith("w::") for v in plain.variables)
+        assert not any(c.name.startswith("privatize[") for c in plain.constraints)
 
     def test_relaxation_lower_bounds_optimum(self, example7_problem):
-        lp = build_general_set_program(example7_problem).solve_relaxation()
+        lp = build_set_program(example7_problem).solve_relaxation()
         optimum = solve_exact_ip(example7_problem).cost()
         assert lp.objective <= optimum + 1e-6
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.optim import (
     hide_everything,
     improve_solution,
@@ -32,6 +38,33 @@ class TestPrune:
         optimum = solve_exact_ip(small_set_problem)
         pruned = prune_solution(small_set_problem, optimum)
         assert pruned.cost() == pytest.approx(optimum.cost())
+
+    def test_answer_does_not_depend_on_the_hash_seed(self):
+        # Equal costs used to be pruned in set order, which follows
+        # PYTHONHASHSEED: Example 5 kept a2 with b3, b2 or b1.
+        script = (
+            "from repro import Planner\n"
+            "from repro.workloads import example5_problem\n"
+            "planner = Planner.from_problem(example5_problem(6))\n"
+            "result = planner.solve('greedy', local_search=True)\n"
+            "print(sorted(result.hidden_attributes), result.cost)\n"
+        )
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        answers = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src_root, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            answers.add(completed.stdout)
+        assert len(answers) == 1, answers
 
 
 class TestSwap:

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import Planner
 from repro.exceptions import RequirementError
-from repro.optim import build_set_program, solve_exact_ip, solve_set_lp
+from repro.optim import (
+    LinearProgram,
+    build_set_program,
+    solve_exact_ip,
+    solve_general_lp,
+    solve_set_lp,
+)
 from repro.workloads import example5_problem, random_problem
 
 
@@ -54,3 +61,29 @@ class TestRounding:
             problem = random_problem(n_modules=10, kind="set", seed=seed)
             solution = solve_set_lp(problem)
             problem.validate_solution(solution)
+
+
+class TestOneProgram:
+    """LP (19)–(23) without public modules is LP (15)–(17): one program."""
+
+    def test_set_lp_and_general_lp_solve_one_relaxation(self, monkeypatch):
+        calls = []
+        original = LinearProgram.solve_relaxation
+
+        def counting(program):
+            calls.append(program.name)
+            return original(program)
+
+        monkeypatch.setattr(LinearProgram, "solve_relaxation", counting)
+        planner = Planner.from_problem(random_problem(n_modules=7, kind="set", seed=1))
+        for solver in ("set_lp", "general_lp", "set_lp", "general_lp"):
+            planner.solve(solver)
+        assert len(calls) == 1
+
+    def test_mixed_workflow_keeps_two_programs(self):
+        # set_lp's program carries no privatization costs; general_lp's does.
+        problem = random_problem(n_modules=10, kind="set", seed=0, private_fraction=0.5)
+        plain = solve_set_lp(problem).meta["lp_objective"]
+        priced = solve_general_lp(problem).meta["lp_objective"]
+        assert plain == pytest.approx(13.0525)
+        assert priced == pytest.approx(15.432)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from repro.core import SecureViewProblem
+from repro.exceptions import InfeasibleError, RequirementError
 from repro.optim import (
     solve_cardinality_rounding,
     solve_exact_ip,
@@ -53,12 +55,33 @@ def test_greedy_respects_gamma_plus_one_on_bounded_sharing(seed):
     assert greedy.cost() <= (gamma + 1) * optimum.cost() + 1e-6
 
 
-@settings(max_examples=10, deadline=None)
-@given(seeds)
-def test_exact_ip_matches_enumeration(seed):
+def _cost_or_infeasible(solver, problem):
+    try:
+        return solver(problem).cost()
+    except InfeasibleError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from([(1.0, True), (0.5, True), (0.5, False)]))
+def test_exact_ip_matches_enumeration(seed, mix):
     from repro.optim import solve_exact_enumeration
 
-    problem = random_problem(n_modules=6, kind="set", seed=seed)
-    assert abs(
-        solve_exact_ip(problem).cost() - solve_exact_enumeration(problem).cost()
-    ) < 1e-6
+    private_fraction, allow_privatization = mix
+    try:
+        generated = random_problem(
+            n_modules=6, kind="set", seed=seed, private_fraction=private_fraction
+        )
+    except RequirementError:  # no module was drawn private
+        reject()
+    problem = SecureViewProblem(
+        generated.workflow,
+        generated.gamma,
+        generated.requirements,
+        allow_privatization=allow_privatization,
+    )
+    ip = _cost_or_infeasible(solve_exact_ip, problem)
+    enumerated = _cost_or_infeasible(solve_exact_enumeration, problem)
+    assert (ip is None) == (enumerated is None)
+    if ip is not None:
+        assert abs(ip - enumerated) < 1e-6
