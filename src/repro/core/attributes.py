@@ -137,10 +137,12 @@ class Schema:
 
     A :class:`Schema` behaves like an ordered mapping from attribute name to
     :class:`Attribute`.  Relations, modules and workflows all carry schemas;
-    the order is the column order used when tuples are materialized.
+    the order is the column order used when tuples are materialized.  A
+    schema is immutable: it has no mutators, and :attr:`names` (the
+    attribute names in column order) is stored once at construction.
     """
 
-    __slots__ = ("_attributes", "_by_name")
+    __slots__ = ("_attributes", "_by_name", "names")
 
     def __init__(self, attributes: Iterable[Attribute]) -> None:
         attrs = tuple(attributes)
@@ -151,6 +153,7 @@ class Schema:
             by_name[attr.name] = attr
         self._attributes = attrs
         self._by_name = by_name
+        self.names: tuple[str, ...] = tuple(by_name)
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -183,11 +186,6 @@ class Schema:
         return f"Schema({names})"
 
     # -- accessors ----------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Attribute names in column order."""
-        return tuple(attr.name for attr in self._attributes)
-
     @property
     def attributes(self) -> tuple[Attribute, ...]:
         return self._attributes

@@ -24,7 +24,7 @@ only the monotone (α, β) safety frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..exceptions import RequirementError
 from .module import Module
@@ -64,9 +64,6 @@ class SetRequirement:
         """Does the candidate hidden set cover this option?"""
         hidden_set = set(hidden)
         return self.attributes <= hidden_set
-
-    def cost(self, costs: Mapping[str, float]) -> float:
-        return sum(costs[name] for name in self.attributes)
 
     def dominates(self, other: "SetRequirement") -> bool:
         """A requirement dominates another if it asks for a subset of it."""

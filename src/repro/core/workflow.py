@@ -19,6 +19,7 @@ relations, and computes the data-sharing degree γ of Definition 3.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -56,6 +57,7 @@ class Workflow:
         self._check_acyclic()
         self._order = tuple(nx.topological_sort(self._graph))
         self._schema = self._build_schema()
+        self._data_sharing_degree = self._count_data_sharing()
         self._relation_cache: Relation | None = None
 
     # -- construction & validation --------------------------------------------
@@ -102,6 +104,13 @@ class Workflow:
         for name in self._order:
             schema = schema.union(self._modules[name].schema)
         return schema
+
+    def _count_data_sharing(self) -> int:
+        """γ of Definition 3, in one pass over the module inputs."""
+        consumers = Counter(
+            name for module in self._modules.values() for name in module.input_names
+        )
+        return max(consumers.values(), default=0)
 
     # -- basic accessors --------------------------------------------------------
     @property
@@ -224,11 +233,11 @@ class Workflow:
         )
 
     def data_sharing_degree(self) -> int:
-        """γ of Definition 3: max #modules any single attribute feeds into."""
-        return max(
-            (len(self.consumers_of(name)) for name in self._schema.names),
-            default=0,
-        )
+        """γ of Definition 3: max #modules any single attribute feeds into.
+
+        Computed once, when the workflow is built (a workflow is immutable).
+        """
+        return self._data_sharing_degree
 
     def has_bounded_data_sharing(self, gamma: int) -> bool:
         """True iff the workflow has γ-bounded data sharing."""

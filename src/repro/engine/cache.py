@@ -216,6 +216,9 @@ class DerivationCache:
     _module_fingerprints: dict[int, str] = field(default_factory=dict)
     _module_requirements: dict[tuple, RequirementList] = field(default_factory=dict)
     _compiled_modules: dict[str, CompiledModule] = field(default_factory=dict)
+    #: Fingerprints of module packs this cache compiled and has not yet
+    #: written to the store.
+    _unsaved_packs: set[str] = field(default_factory=set)
     derivation_hits: int = 0
     derivation_misses: int = 0
     out_set_hits: int = 0
@@ -299,20 +302,24 @@ class DerivationCache:
         return cached
 
     @_locked
-    def module_fingerprint(self, module: Module) -> str:
+    def module_fingerprint(self, module: Module, known: str | None = None) -> str:
         """The module's content hash (shared-tier key), computed at most once.
 
         Costs and privacy flags are excluded (see
         :func:`repro.workloads.module_fingerprint`), so a what-if cost
-        override or a privatization maps to the same entry.
+        override or a privatization maps to the same entry.  ``known`` is
+        the hash of the payload the caller rebuilt ``module`` from
+        (:meth:`~repro.workloads.fingerprint.InstanceKeys.modules`); it is
+        recorded instead of tabulating the module to hash it.
         """
         key = self._pin_module(module)
         cached = self._module_fingerprints.get(key)
         if cached is None:
-            from ..workloads.fingerprint import module_fingerprint
+            if known is None:
+                from ..workloads.fingerprint import module_fingerprint
 
-            cached = module_fingerprint(module)
-            self._module_fingerprints[key] = cached
+                known = module_fingerprint(module)
+            cached = self._module_fingerprints[key] = known
         return cached
 
     @_locked
@@ -386,6 +393,8 @@ class DerivationCache:
             self.store_misses += 1
         compiled = CompiledModule(module)
         self._remember(self._compiled_modules, fingerprint, compiled)
+        if self.store is not None:
+            self._unsaved_packs.add(fingerprint)
         return compiled
 
     # -- requirement derivation -------------------------------------------------
@@ -429,13 +438,19 @@ class DerivationCache:
             derived = derive_module_requirement(
                 module, gamma, kind=kind, compiled=compiled
             )
+            evaluated = 0
             for counter, value in compiled.sweep_stats.items():
                 delta = value - sweep_before[counter]
+                evaluated += delta
                 setattr(self, counter, getattr(self, counter) + delta)
-            if self.store is not None:
+            if self.store is not None and (
+                evaluated or fingerprint in self._unsaved_packs
+            ):
                 # Export the pack *after* the sweep so the privacy-level
                 # memos it populated ride along for future Γ/kind sweeps.
+                # A pack that gained no level is already stored as it is.
                 self.store.save_module_pack(fingerprint, compiled)
+                self._unsaved_packs.discard(fingerprint)
         else:
             derived = derive_module_requirement(
                 module, gamma, kind=kind, backend=backend
@@ -625,6 +640,7 @@ class DerivationCache:
         self._module_fingerprints.clear()
         self._module_requirements.clear()
         self._compiled_modules.clear()
+        self._unsaved_packs.clear()
         self.derivation_hits = self.derivation_misses = 0
         self.out_set_hits = self.out_set_misses = 0
         self.compile_hits = self.compile_misses = 0

@@ -14,13 +14,14 @@ guarantee the serial path had:
 * **failure isolation** — a solver error (or a crashed chunk) yields an
   error record for the affected cells, never a dead sweep;
 * **shared derivation** — cells are chunked by *shared-module overlap*:
-  instances are grouped into families (union-find over their module content
-  fingerprints, computed straight from the serialized payloads), and all
-  cells of one family at one (Γ, kind) point are dispatched to one worker,
-  whose module-granular cache pays each *distinct* module derivation once
-  across the whole family — a grid over ``workflow_family`` edit-chain
-  variants derives each edited module once, not once per variant (unrelated
-  instances, and distinct Γ/kind points, still fan out as before);
+  workflow instances are grouped into families (union-find over their
+  module content fingerprints), and all cells of one family at one
+  (Γ, kind) point are dispatched to one worker, whose module-granular
+  cache pays each *distinct* module derivation once across the whole
+  family — a grid over ``workflow_family`` edit-chain variants derives
+  each edited module once, not once per variant (unrelated instances,
+  problem instances, whose requirement lists come baked in, and distinct
+  Γ/kind points still fan out as before);
 * **per-worker store attachment** — with a ``store`` directory, every
   worker attaches a persistent :class:`~repro.engine.store.DerivationStore`
   as its cache's back tier, so derivations (and whole solve results) are
@@ -31,7 +32,13 @@ guarantee the serial path had:
   (:func:`~repro.workloads.fingerprint.instance_fingerprint`), answers
   every workflow cell the store's result tier already holds, and groups
   and dispatches only the rest, so a warm re-run of a grid is a store read
-  that starts no workers.
+  that starts no workers;
+* **keys computed once** — the same reserialization of a payload yields
+  its modules' fingerprints
+  (:class:`~repro.workloads.fingerprint.InstanceKeys`), hashed only for
+  instances with dispatched cells.  They group instances into families and
+  travel with each chunk to :meth:`SolveRunner.resolve`, which hands them
+  to the cache, so no worker tabulates a module just to key it.
 
 Workflows carry arbitrary Python callables and cannot be pickled, so cells
 ship the *serialized* instance (the tabulated-functionality JSON payload of
@@ -54,13 +61,16 @@ import time
 from collections import Counter, OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..exceptions import RequirementError
 from ..kernel import resolve_backend
 from .cache import CacheStats, DerivationCache
 from .planner import Planner
 from .store import DerivationStore, ResultKey
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..workloads.fingerprint import InstanceKeys
 
 __all__ = [
     "SolveRunner",
@@ -354,19 +364,22 @@ class SolveRunner:
         source: str,
         payload: Mapping[str, Any],
         fingerprint: str | None = None,
+        module_fingerprints: Mapping[str, str] | None = None,
     ) -> tuple[Any, str]:
         """``(instance, fingerprint)`` for one serialized instance.
 
-        ``fingerprint`` is the payload's store key when the caller already
-        hashed it (:func:`run_sweep` does); otherwise a digest of the raw
-        payload short-circuits repeats, and a new payload is hashed with
-        :func:`~repro.workloads.fingerprint.instance_fingerprint` (its
-        error raised to the caller).  A new workflow's fingerprint is handed
-        to the cache, so it is never tabulated to be hashed again.
-        Serialized under one lock: rebuilding under it costs a few ms once
-        per new instance, and repeats are dictionary hits.
+        ``fingerprint`` is the payload's store key, and
+        ``module_fingerprints`` its modules' keys by name, when the caller
+        already hashed it (:func:`run_sweep` does); otherwise a digest of
+        the raw payload short-circuits repeats, and a new payload is hashed
+        with :class:`~repro.workloads.fingerprint.InstanceKeys` (its error
+        raised to the caller).  A new workflow's fingerprint and its
+        modules' are handed to the cache, so none of them is tabulated to
+        be hashed again.  Serialized under one lock: rebuilding under it
+        costs a few ms once per new instance, and repeats are dictionary
+        hits.
         """
-        from ..workloads.fingerprint import instance_fingerprint, payload_fingerprint
+        from ..workloads.fingerprint import InstanceKeys, payload_fingerprint
         from ..workloads.serialization import problem_from_dict, workflow_from_dict
 
         with self._lock:
@@ -386,14 +399,20 @@ class SolveRunner:
                 instance = workflow_from_dict(payload)
             else:
                 instance = problem_from_dict(payload)
+            keys = None
             if fingerprint is None:
-                fingerprint = instance_fingerprint(source, payload)
+                keys = InstanceKeys(source, payload)
+                fingerprint = keys.fingerprint
             existing = self._by_fingerprint.get(fingerprint)
             if existing is not None:
                 instance = existing
             else:
                 if source == "workflow":
                     self.cache.fingerprint(instance, fingerprint)
+                    if keys is not None:
+                        module_fingerprints = keys.modules()
+                    for name, known in (module_fingerprints or {}).items():
+                        self.cache.module_fingerprint(instance.module(name), known)
                 _bounded_put(
                     self._by_fingerprint, self.max_instances, fingerprint, instance
                 )
@@ -597,6 +616,7 @@ def _run_chunk_in(
     """Run one chunk of cells (one family's worth) and report stat deltas."""
     instances: Mapping[str, SweepInstance] = chunk["instances"]
     fingerprints: Mapping[str, str | None] = chunk["fingerprints"]
+    module_fingerprints: Mapping[str, Mapping[str, str]] = chunk["module_fingerprints"]
     cells: Sequence[SweepCell] = chunk["cells"]
     records: list[dict[str, Any]] = []
     before_chunk = runner.cache.stats()
@@ -605,7 +625,10 @@ def _run_chunk_in(
         try:
             source = instances[cell.label].source
             instance, fingerprint = runner.resolve(
-                source, instances[cell.label].payload, fingerprints[cell.label]
+                source,
+                instances[cell.label].payload,
+                fingerprints[cell.label],
+                module_fingerprints[cell.label],
             )
             planner = runner.planner(
                 source, instance, fingerprint, cell.gamma, cell.kind, chunk["backend"]
@@ -665,36 +688,16 @@ class SweepReport:
         }
 
 
-def _instance_module_fingerprints(instance: SweepInstance) -> frozenset[str]:
-    """Module content fingerprints of a serialized instance (best-effort).
-
-    Computed straight from the JSON payload — no workflow objects are built
-    on the driver side.  A malformed payload yields the empty set, which
-    simply makes the instance its own family (the worker will surface the
-    real error per cell).
-    """
-    from ..workloads.fingerprint import module_payload_fingerprint
-
-    try:
-        payload = instance.payload
-        if instance.source == "problem":
-            payload = payload["workflow"]
-        return frozenset(
-            module_payload_fingerprint(module) for module in payload["modules"]
-        )
-    except Exception:  # noqa: BLE001 - grouping is an optimization only
-        return frozenset()
-
-
-def _families(instances: Sequence[SweepInstance]) -> list[list[str]]:
+def _families(modules: Mapping[str, Mapping[str, str]]) -> list[list[str]]:
     """Group instance labels into families by shared-module overlap.
 
-    Union-find over module fingerprints: two instances sharing *any* module
-    (by content) land in one family.  Families are returned in first-
+    ``modules`` maps each label, in instance order, to its modules'
+    fingerprints by name.  Union-find over them: two instances sharing
+    *any* module (by content) land in one family.  Families are returned in first-
     appearance order, members in instance order, so chunk expansion stays
     deterministic.
     """
-    parent: dict[str, str] = {instance.label: instance.label for instance in instances}
+    parent: dict[str, str] = {label: label for label in modules}
 
     def find(label: str) -> str:
         while parent[label] != label:
@@ -703,43 +706,42 @@ def _families(instances: Sequence[SweepInstance]) -> list[list[str]]:
         return label
 
     owner: dict[str, str] = {}
-    for instance in instances:
-        for fingerprint in _instance_module_fingerprints(instance):
-            seen = owner.setdefault(fingerprint, instance.label)
-            if seen != instance.label:
-                parent[find(instance.label)] = find(seen)
+    for label, fingerprints in modules.items():
+        for fingerprint in fingerprints.values():
+            seen = owner.setdefault(fingerprint, label)
+            if seen != label:
+                parent[find(label)] = find(seen)
     families: dict[str, list[str]] = {}
-    for instance in instances:
-        families.setdefault(find(instance.label), []).append(instance.label)
+    for label in modules:
+        families.setdefault(find(label), []).append(label)
     return list(families.values())
 
 
-def _instance_fingerprints(
-    instances: Sequence[SweepInstance],
-) -> dict[str, str | None]:
-    """Each instance's store key, hashed once from its payload.
+def _instance_keys(
+    instances: Iterable[SweepInstance],
+) -> dict[str, "InstanceKeys | None"]:
+    """Each instance's :class:`~repro.workloads.fingerprint.InstanceKeys`,
+    from one reserialization of its payload.
 
     ``None`` marks a payload that does not fingerprint: its cells skip
     the store probe and dispatch, and the worker reports the error per
     cell.
     """
-    from ..workloads.fingerprint import instance_fingerprint
+    from ..workloads.fingerprint import InstanceKeys
 
-    fingerprints: dict[str, str | None] = {}
+    keys: dict[str, InstanceKeys | None] = {}
     for instance in instances:
         try:
-            fingerprints[instance.label] = instance_fingerprint(
-                instance.source, instance.payload
-            )
+            keys[instance.label] = InstanceKeys(instance.source, instance.payload)
         except Exception:  # noqa: BLE001 - the worker reports it per cell
-            fingerprints[instance.label] = None
-    return fingerprints
+            keys[instance.label] = None
+    return keys
 
 
 def _answer_stored(
     spec: SweepSpec,
     cells: Sequence[SweepCell],
-    fingerprints: Mapping[str, str | None],
+    keys: Mapping[str, "InstanceKeys | None"],
     store: DerivationStore,
 ) -> tuple[list[dict[str, Any]], list[SweepCell]]:
     """Answer every workflow cell the result tier holds.
@@ -757,13 +759,13 @@ def _answer_stored(
     workflows = {i.label for i in spec.instances if i.source == "workflow"}
     remaining: list[SweepCell] = []
     for cell in cells:
-        fingerprint = fingerprints.get(cell.label)
+        instance_keys = keys[cell.label]
         record = None
-        if fingerprint is not None and cell.label in workflows:
+        if instance_keys is not None and cell.label in workflows:
             key = ResultKey(
                 backend, cell.gamma, cell.kind, cell.solver, cell.seed, verify
             )
-            record = _stored_record(store, fingerprint, key, cell.label)
+            record = _stored_record(store, instance_keys.fingerprint, key, cell.label)
         if record is None:
             remaining.append(cell)
         else:
@@ -775,7 +777,7 @@ def _answer_stored(
 def _chunks_for(
     spec: SweepSpec,
     cells: Sequence[SweepCell] | None = None,
-    fingerprints: Mapping[str, str | None] | None = None,
+    keys: Mapping[str, "InstanceKeys | None"] | None = None,
 ) -> list[dict[str, Any]]:
     """Group cells by (shared-module family, Γ, kind) to share derivations.
 
@@ -786,21 +788,30 @@ def _chunks_for(
     are per-(Γ, kind) anyway, so splitting there keeps a single-instance
     multi-Γ grid parallel instead of collapsing it into one serial chunk.
     ``cells`` (default: the whole grid) are the cells to dispatch; only
-    their instances are grouped.  Each chunk carries its instances'
-    ``fingerprints`` (a missing one is computed by the worker).
+    their instances are grouped, and only their workflow payloads' module
+    fingerprints are computed, from ``keys`` (:func:`_instance_keys`,
+    computed here when omitted).  A problem instance, or a payload that
+    does not fingerprint, is its own family.  Each chunk carries its
+    instances' fingerprints and module fingerprints (a missing one is
+    computed by the worker).
     """
     if cells is None:
         cells = spec.cells()
-    fingerprints = fingerprints or {}
     pending = {cell.label for cell in cells}
     by_instance = {
         instance.label: instance
         for instance in spec.instances
         if instance.label in pending
     }
+    if keys is None:
+        keys = _instance_keys(by_instance.values())
+    modules = {
+        label: keys[label].modules() if keys[label] is not None else {}
+        for label in by_instance
+    }
     family_of = {
         label: index
-        for index, family in enumerate(_families(list(by_instance.values())))
+        for index, family in enumerate(_families(modules))
         for label in family
     }
     grouped: dict[tuple, list[SweepCell]] = {}
@@ -816,7 +827,11 @@ def _chunks_for(
         chunks.append(
             {
                 "instances": {label: by_instance[label] for label in labels},
-                "fingerprints": {label: fingerprints.get(label) for label in labels},
+                "fingerprints": {
+                    label: None if keys[label] is None else keys[label].fingerprint
+                    for label in labels
+                },
+                "module_fingerprints": {label: modules[label] for label in labels},
                 "cells": group,
                 "backend": spec.backend,
                 "verify": spec.verify,
@@ -872,13 +887,13 @@ def run_sweep(
         store_handle = DerivationStore(store)
     store_path = str(store_handle.root) if store_handle is not None else None
 
-    fingerprints = _instance_fingerprints(spec.instances)
+    keys = _instance_keys(spec.instances)
     records: list[dict[str, Any]] = []
     cells = spec.cells()
     if store_handle is not None and reuse_results:
-        records, cells = _answer_stored(spec, cells, fingerprints, store_handle)
+        records, cells = _answer_stored(spec, cells, keys, store_handle)
     totals: dict[str, int] = {"result_store_hits": len(records)}
-    chunks = _chunks_for(spec, cells, fingerprints)
+    chunks = _chunks_for(spec, cells, keys)
     totals["chunks"] = len(chunks)
     # Runner table bounds: one slot per dispatched instance and point.
     sizes = (

@@ -27,9 +27,12 @@ the same bytes.  Readers memory-map sidecars, and
 :class:`~repro.kernel.packing.PackedRelation` keeps the mapping as its
 backing — co-located sweep workers and ``ProcessExecTier`` workers share
 one set of page-cached read-only pages per hot pack instead of holding N
-parsed copies.  A document with any other stamp (an unstamped all-JSON
-document from an earlier format, or a newer one) is a miss, recomputed
-and rewritten like any corrupt entry: the store is a cache.
+parsed copies.  A sidecar is a pure function of the content that names
+its directory, so it is written only when the file does not already hold
+its bytes; otherwise its mtime is refreshed.  A document with any other
+stamp (an unstamped all-JSON document from an earlier format, or a newer
+one) is a miss, recomputed and rewritten like any corrupt entry: the
+store is a cache.
 
 A warm store therefore lets a *different process* — a sweep worker,
 tomorrow's CLI invocation, a CI re-run — skip requirement derivation,
@@ -295,20 +298,38 @@ class DerivationStore:
         except (OSError, ValueError, KeyError, TypeError):
             pass
 
+    @staticmethod
+    def _holds(path: Path, data: bytes) -> bool:
+        """Does ``path`` hold exactly ``data``?  If so, refresh its mtime.
+
+        GC evicts each file by its own mtime, so a sidecar that is not
+        rewritten is touched instead, like its document.
+        """
+        try:
+            if path.stat().st_size != len(data) or path.read_bytes() != data:
+                return False
+            os.utime(path, None)
+        except OSError:
+            return False
+        return True
+
     def _pack_document(
         self, directory: Path, compiled: CompiledWorkflow | CompiledModule
     ) -> dict:
         """The stored document for ``compiled`` (its ``to_payload`` dict).
 
-        Writes the code sidecar and swaps the in-document code list for
-        its descriptor; every other key (e.g. a module pack's ``levels``
-        memo) rides along unchanged.
+        Writes the code sidecar, unless the file already holds exactly
+        those bytes (a sidecar is a pure function of the content that names
+        its directory), and swaps the in-document code list for its
+        descriptor; every other key (e.g. a module pack's ``levels`` memo)
+        rides along unchanged.
         """
         pack_doc, blob = compiled.packed.to_binary()
         descriptor = pack_doc["codes"]
         name = f"pack.codes{binpack.FILE_SUFFIXES[descriptor['encoding']]}"
         descriptor["file"] = name
-        self._write_bytes(directory / name, blob)
+        if not self._holds(directory / name, blob):
+            self._write_bytes(directory / name, blob)
         doc: dict[str, Any] = {"format": FORMAT_VERSION, "pack": pack_doc}
         for key, value in compiled.to_payload().items():
             if key != "pack":

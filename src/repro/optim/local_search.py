@@ -21,6 +21,7 @@ them on the answer of whichever solver it dispatched.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from ..core.secure_view import SecureViewProblem
@@ -30,7 +31,12 @@ __all__ = ["prune_solution", "swap_options", "improve_solution"]
 
 
 def _cost(problem: SecureViewProblem, hidden: set[str]) -> float:
-    return problem.solution_cost(hidden, problem.required_privatizations(hidden))
+    """``hidden``'s cost with the privatizations it forces; infinite when
+    those are disallowed, so neither pass accepts such a set."""
+    privatized = problem.required_privatizations(hidden)
+    if privatized and not problem.allow_privatization:
+        return math.inf
+    return problem.solution_cost(hidden, privatized)
 
 
 def prune_solution(

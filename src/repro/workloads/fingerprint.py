@@ -51,6 +51,16 @@ private/public flag — none of them enter requirement derivation, privacy
 levels, or the module's packed relation — so a what-if cost override or a
 privatization never invalidates the module tier, and any two workflows
 containing the same module (by content) share its artifacts.
+
+The payload reserialization behind :func:`instance_fingerprint` yields
+each module's store key too: :class:`InstanceKeys` holds a payload's
+instance fingerprint and, on demand, the :func:`module_fingerprint` of
+every module of a workflow payload, read off the reserialized module
+dicts (never the raw payload entries, whose duplicate domain values and
+out-of-domain rows the rebuilt module drops).  The sweep driver hands
+both down with each chunk, and a
+:class:`~repro.engine.executor.SolveRunner` that hashes a payload itself
+records both, so no rebuilt module is tabulated just to be hashed.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.workflow import Workflow
 
 __all__ = [
+    "InstanceKeys",
     "canonical_module_payload",
     "canonical_workflow_payload",
     "instance_fingerprint",
@@ -86,6 +97,12 @@ def canonical_workflow_payload(workflow: "Workflow") -> dict[str, Any]:
     return _by_module_name(workflow_to_dict(workflow))
 
 
+#: ``json.dumps`` builds a new encoder for every call with non-default
+#: options; these two encode the same bytes without that cost.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+_ROW_KEY = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def payload_fingerprint(payload: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON encoding of an arbitrary payload.
 
@@ -93,9 +110,10 @@ def payload_fingerprint(payload: Mapping[str, Any]) -> str:
     compact separators make it independent of formatting.  Values must be
     JSON-serializable (workflow payloads are by construction).
     """
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
+    return _digest(_CANONICAL.encode(payload))
+
+
+def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -111,12 +129,51 @@ def instance_fingerprint(source: str, payload: Mapping[str, Any]) -> str:
     being rebuilt (see module docstring); a problem payload to the digest
     of ``{"problem": payload}``.
     """
-    if source == "workflow":
-        canonical = _by_module_name(_reserialized_workflow_dict(payload))
-        return payload_fingerprint(canonical)
-    if source == "problem":
-        return payload_fingerprint({"problem": payload})
-    raise ValueError(f"unknown instance source {source!r}")
+    return InstanceKeys(source, payload).fingerprint
+
+
+class InstanceKeys:
+    """The store keys of one serialized instance, from one reserialization.
+
+    ``fingerprint`` is :func:`instance_fingerprint` (the constructor raises
+    what it raises).  :meth:`modules` maps each module name of a workflow
+    payload to :func:`module_fingerprint` of the module
+    :func:`~repro.workloads.serialization.workflow_from_dict` would build,
+    hashed on first call from the module dicts the fingerprint pass
+    already reserialized.  Until then they are kept as the canonical JSON
+    the fingerprint hashed: one string instead of thousands of live
+    containers for the garbage collector to traverse during a pass.  A
+    decoded value encodes to the same bytes again (one the encoder wrote
+    with ``str`` decodes to that string), so the keys are unchanged.  A
+    problem payload maps no module: its requirement lists are baked in, so
+    no module is derived from it.
+    """
+
+    __slots__ = ("fingerprint", "_canonical", "_module_keys")
+
+    def __init__(self, source: str, payload: Mapping[str, Any]) -> None:
+        self._canonical: str | None = None
+        self._module_keys: dict[str, str] | None = None
+        if source == "workflow":
+            self._canonical = _CANONICAL.encode(
+                _by_module_name(_reserialized_workflow_dict(payload))
+            )
+            self.fingerprint = _digest(self._canonical)
+        elif source == "problem":
+            self.fingerprint = payload_fingerprint({"problem": payload})
+            self._module_keys = {}
+        else:
+            raise ValueError(f"unknown instance source {source!r}")
+
+    def modules(self) -> dict[str, str]:
+        """Module name -> module fingerprint (hashed once, then memoized)."""
+        if self._module_keys is None:
+            self._module_keys = {
+                module["name"]: module_payload_fingerprint(module)
+                for module in json.loads(self._canonical)["modules"]
+            }
+            self._canonical = None
+        return self._module_keys
 
 
 def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -143,7 +200,7 @@ def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:
         # not the listing order.
         "table": sorted(
             ([list(key), list(value)] for key, value in payload["table"]),
-            key=lambda entry: json.dumps(entry, sort_keys=True, default=str),
+            key=_ROW_KEY.encode,
         ),
     }
 

@@ -33,10 +33,6 @@ class TestSetRequirement:
         assert option.satisfied_by({"a", "b", "c"})
         assert not option.satisfied_by({"a"})
 
-    def test_cost(self):
-        option = SetRequirement(frozenset({"a"}), frozenset({"b"}))
-        assert option.cost({"a": 2.0, "b": 3.0, "c": 9.0}) == pytest.approx(5.0)
-
     def test_dominates(self):
         small = SetRequirement(frozenset({"a"}), frozenset())
         big = SetRequirement(frozenset({"a"}), frozenset({"b"}))

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core import Module, Workflow, boolean_attributes
 from repro.exceptions import CycleError, SchemaError, WiringError, WorkflowError
-from repro.workloads import identity_module
+from repro.workloads import (
+    chain_workflow,
+    example5_workflow,
+    identity_module,
+    layered_workflow,
+    random_workflow,
+)
 
 
 def make_copy_module(name, in_names, out_names, private=True):
@@ -91,6 +97,26 @@ class TestAttributeRoles:
         assert figure1.data_sharing_degree() == 2
         assert figure1.has_bounded_data_sharing(2)
         assert not figure1.has_bounded_data_sharing(1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda s=s: random_workflow(8, seed=s) for s in range(4)),
+            lambda: random_workflow(8, seed=3, max_sharing=2),
+            lambda: chain_workflow(5, width=3, seed=1),
+            *(lambda s=s: layered_workflow(3, 3, seed=s) for s in range(3)),
+            lambda: layered_workflow(3, 4, seed=2, max_sharing=1),
+            lambda: example5_workflow(5),
+        ],
+    )
+    def test_data_sharing_degree_counts_consumers(self, build):
+        """γ, counted once when the workflow is built, is Definition 3's
+        largest number of modules one attribute feeds."""
+        workflow = build()
+        expected = max(
+            len(workflow.consumers_of(name)) for name in workflow.attribute_names
+        )
+        assert workflow.data_sharing_degree() == expected
 
     def test_functional_dependencies(self, figure1):
         fds = dict(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.engine import (
 )
 from repro.workloads import (
     figure1_workflow,
+    module_fingerprint,
     problem_to_dict,
     random_problem,
     random_workflow,
@@ -312,6 +314,115 @@ class TestContentKeying:
         assert report.stats["chunks"] == 2  # one family at each Γ point
         assert len(family) == 70
         assert sorted(rebuilt) == sorted(w.name for w in family)
+
+
+class TestColdPassBookkeeping:
+    """A cold pass hashes each module once, from its payload, evaluates γ
+    once per workflow and writes each module's code sidecar once; a warm
+    pass hashes no module at all."""
+
+    def _grid(self):
+        family = workflow_family(n_variants=3, seed=5, n_modules=4)
+        spec = SweepSpec(
+            instances=tuple(
+                SweepInstance(w.name, "workflow", workflow_to_dict(w)) for w in family
+            ),
+            gammas=(1, 2),
+            kinds=("set", "cardinality"),
+            solvers=("greedy",),
+        )
+        return family, spec
+
+    def test_cold_pass_takes_module_keys_from_payloads(self, tmp_path, monkeypatch):
+        import repro.workloads.fingerprint as fingerprint
+        from repro.engine import DerivationStore
+
+        family, spec = self._grid()
+        distinct = {module_fingerprint(m) for w in family for m in w.private_modules}
+        calls: Counter = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in (
+            (fingerprint, "module_fingerprint"),
+            (DerivationStore, "_write_bytes"),
+        ):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        memos: dict[str, list] = {}
+        write = DerivationStore._write
+
+        def recorded(store, category, path, payload):
+            if category == "module_pack":
+                memos.setdefault(str(path), []).append(payload["levels"])
+            return write(store, category, path, payload)
+
+        monkeypatch.setattr(DerivationStore, "_write", recorded)
+        cold = run_sweep(spec, n_jobs=1, store=tmp_path / "store")
+        assert cold.errors == 0
+        # Every module's key came down from its payload: none was tabulated.
+        assert calls["module_fingerprint"] == 0
+        # A module is derived at every (Γ, kind) point, but its code sidecar
+        # is written once, and its pack document again only when the
+        # derivation added privacy levels to the memo.
+        assert cold.stats["rederived_modules"] > len(distinct)
+        assert calls["_write_bytes"] == len(distinct)
+        assert len(memos) == len(distinct)
+        for levels in memos.values():
+            assert all(len(a) < len(b) for a, b in zip(levels, levels[1:]))
+        # The last documents hold every level the pass evaluated.
+        evaluated = cold.stats["scalar_masks"] + cold.stats["batched_masks"]
+        assert sum(len(levels[-1]) for levels in memos.values()) == evaluated
+
+    def test_cold_pass_counts_gamma_once_per_workflow(self, tmp_path, monkeypatch):
+        from repro.core import Workflow
+
+        _, spec = self._grid()
+        consumers_of = Workflow.consumers_of
+        looked_up: list[str] = []
+
+        def counted_consumers(workflow, name):
+            looked_up.append(name)
+            return consumers_of(workflow, name)
+
+        monkeypatch.setattr(Workflow, "consumers_of", counted_consumers)
+        run_sweep(spec, n_jobs=1, store=tmp_path / "first")
+        # Greedy's guarantee reads γ; nothing recounts it attribute by attribute.
+        assert looked_up == []
+
+        count_sharing = Workflow._count_data_sharing
+        counted: list[Workflow] = []  # held, so no id is reused
+
+        def counted_sharing(workflow):
+            counted.append(workflow)
+            return count_sharing(workflow)
+
+        monkeypatch.setattr(Workflow, "_count_data_sharing", counted_sharing)
+        report = run_sweep(spec, n_jobs=1, store=tmp_path / "second")
+        assert report.errors == 0
+        assert counted and len({id(w) for w in counted}) == len(counted)
+
+    def test_warm_pass_hashes_no_module(self, tmp_path, monkeypatch):
+        import repro.workloads.fingerprint as fingerprint
+
+        _, spec = self._grid()
+        run_sweep(spec, n_jobs=1, store=tmp_path / "store")
+        hashed: list[str] = []
+        canonical = fingerprint._canonical_module_dict
+
+        def counted(payload):
+            hashed.append(payload["name"])
+            return canonical(payload)
+
+        monkeypatch.setattr(fingerprint, "_canonical_module_dict", counted)
+        warm = run_sweep(spec, n_jobs=1, store=tmp_path / "store")
+        assert warm.stats["chunks"] == 0
+        assert warm.result_store_hits == len(spec.cells())
+        assert hashed == []
 
 
 class TestVerification:

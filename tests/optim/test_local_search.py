@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import Planner
+from repro.core import SecureViewProblem
 from repro.optim import (
     hide_everything,
     improve_solution,
@@ -102,3 +104,26 @@ class TestImproveAndSolver:
         improved = improve_solution(problem, greedy)
         optimum = solve_exact_ip(problem).cost()
         assert optimum - 1e-6 <= improved.cost() <= greedy.cost() + 1e-9
+
+
+class TestDisallowedPrivatization:
+    """A hidden set that forces a disallowed privatization is never accepted."""
+
+    @pytest.mark.parametrize("solver", ["exact", "exact_enum", "set_lp"])
+    def test_local_search_keeps_a_valid_answer(self, solver):
+        generated = random_problem(
+            n_modules=7, kind="set", seed=0, private_fraction=0.5
+        )
+        problem = SecureViewProblem(
+            generated.workflow,
+            generated.gamma,
+            generated.requirements,
+            hidable_attributes=generated.hidable_attributes,
+            allow_privatization=False,
+        )
+        plain = Planner.from_problem(problem).solve(solver)
+        improved = Planner.from_problem(problem).solve(solver, local_search=True)
+        problem.validate_solution(improved.solution)
+        assert improved.cost == pytest.approx(15.961)
+        assert improved.hidden_attributes == plain.hidden_attributes
+        assert not improved.privatized_modules

@@ -10,7 +10,10 @@ Two contracts back the persistent derivation store:
 * ``instance_fingerprint`` hashes a serialized workflow without rebuilding
   it, and must equal ``workflow_fingerprint`` of the rebuilt workflow bit
   for bit — and raise what it raises — or a sweep driver, a sweep worker
-  and the solve service would key one instance differently;
+  and the solve service would key one instance differently; the module
+  fingerprints the same pass yields (``InstanceKeys.modules``) must equal
+  ``module_fingerprint`` of each rebuilt module, or the ``modules/`` tier
+  would file one module under two keys;
 * artifacts that pass through the store (requirement lists, packed kernel
   tables) must produce verdicts *identical* to freshly computed ones, on
   both backends — a store hit may never change an answer.
@@ -29,7 +32,9 @@ from repro.engine import DerivationCache, DerivationStore
 from repro.exceptions import DomainError, SchemaError
 from repro.kernel import CompiledWorkflow
 from repro.workloads import (
+    InstanceKeys,
     instance_fingerprint,
+    module_fingerprint,
     random_workflow,
     workflow_family,
     workflow_fingerprint,
@@ -140,13 +145,19 @@ def _rewritten(payload: dict, rng: random.Random) -> dict:
 @settings(max_examples=40, deadline=None)
 @given(seeds, seeds)
 def test_payload_fingerprint_matches_rebuilt_workflow(seed, rewrite_seed):
-    """The payload path keys an instance exactly as its rebuilt workflow."""
+    """The payload path keys an instance, and each of its modules, exactly
+    as its rebuilt workflow."""
     payload = _family_payload(seed)
     rewritten = _rewritten(payload, random.Random(rewrite_seed))
     expected = workflow_fingerprint(workflow_from_dict(payload))
     assert workflow_fingerprint(workflow_from_dict(rewritten)) == expected
     assert instance_fingerprint("workflow", rewritten) == expected
     assert instance_fingerprint("workflow", payload) == expected
+    rebuilt = workflow_from_dict(rewritten)
+    modules = {module.name: module_fingerprint(module) for module in rebuilt}
+    keys = InstanceKeys("workflow", rewritten)
+    assert keys.fingerprint == expected
+    assert keys.modules() == modules
 
 
 @settings(max_examples=30, deadline=None)
