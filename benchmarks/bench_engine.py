@@ -6,13 +6,10 @@ standalone enumeration of every private module — once per solver.  The
 :class:`~repro.engine.Planner` memoizes that derivation in its
 :class:`~repro.engine.DerivationCache`, so an N-solver sweep derives once.
 
-Two measurements:
-
-* **sweep sharing** — a two-solver sweep through one planner performs
-  exactly one requirement derivation (counted by the cache) and is
-  severalfold faster than the same sweep re-deriving per solver;
-* **verification sharing** — verifying several solutions with the same
-  optimal view enumerates possible worlds once.
+The measurement, **sweep sharing**: a two-solver sweep through one
+planner performs exactly one requirement derivation (counted by the
+cache) and is severalfold faster than the same sweep re-deriving per
+solver.
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import SecureViewProblem
-from repro.engine import DerivationCache, Planner
-from repro.workloads import figure1_workflow, random_workflow
+from repro.engine import Planner
+from repro.workloads import random_workflow
 
 SWEEP_SOLVERS = ("set_lp", "greedy")
 
@@ -87,33 +84,3 @@ def test_bench_shared_derivation_sweep(benchmark, report_sink):
     # The derivation-count assertion above is the deterministic proof of
     # sharing; the timing rows are reported rather than asserted because a
     # single-round wall-clock comparison is scheduler-noise territory.
-
-
-@pytest.mark.experiment("engine")
-def test_bench_shared_verification_out_sets(benchmark, report_sink):
-    """Verifying N solutions with one view enumerates worlds once."""
-    planner = Planner(figure1_workflow(), 2, kind="set")
-    optimal = planner.solve(solver="exact").solution
-
-    def verify_twice():
-        cache = DerivationCache()
-        fresh = Planner(
-            planner.workflow, planner.gamma, kind="set", cache=cache
-        )
-        first = fresh.verify(optimal)
-        second = fresh.verify(optimal)
-        return first, second, cache.stats()
-
-    first, second, stats = benchmark.pedantic(verify_twice, rounds=1, iterations=1)
-    assert first.ok and second.ok
-    assert stats.out_set_misses == len(planner.workflow.private_modules)
-    assert stats.out_set_hits == len(planner.workflow.private_modules)
-    report_sink.append(
-        (
-            "Engine: repeated Γ-verification of one view (out-set cache)",
-            format_table(
-                ["verifications", "out-set enumerations", "cache hits"],
-                [[2, stats.out_set_misses, stats.out_set_hits]],
-            ),
-        )
-    )

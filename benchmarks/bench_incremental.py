@@ -18,6 +18,10 @@ shared) and records it in ``BENCH_incremental.json``:
 The acceptance criterion is :data:`SPEEDUP_FLOOR`: the mean edit-one-module
 re-solve must beat the mean cold variant solve at least 2x (with one edited
 module out of :data:`N_MODULES`, the ideal factor is ~``N_MODULES``x).
+Each edit and cold solve takes ~10–40 ms, so one pass reads scheduler
+noise: both phases run :data:`REPEATS` times, each over a freshly built
+family with fresh caches, and the record keeps the median ratio with its
+min and max.
 
 A second phase sweeps the whole family through ``run_sweep`` and asserts
 the shared-module chunking pays each *distinct* module derivation exactly
@@ -31,6 +35,7 @@ Run standalone (used by the CI smoke step) with::
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -47,6 +52,8 @@ SPEEDUP_FLOOR = 2.0
 #: Modules per workflow; an edit touches one, so ~N_MODULES is the ideal win.
 N_MODULES = 4
 
+#: Timed repetitions of the cold and evolve phases; the record is their median.
+REPEATS = 5
 
 
 def build_family(tiny: bool, n_edits: int) -> tuple[list[Workflow], list[str]]:
@@ -77,10 +84,16 @@ def build_family(tiny: bool, n_edits: int) -> tuple[list[Workflow], list[str]]:
     return family, edited
 
 
-def run_benchmark(tiny: bool = False) -> dict:
-    n_edits = 2 if tiny else 4
+def _timed_phases(
+    tiny: bool, n_edits: int, gamma: int, kind: str
+) -> tuple[float, float]:
+    """One cold and one evolve phase over a fresh family: the mean seconds
+    of a cold variant solve and of an edit re-solve.
+
+    Building the family anew gives each repetition fresh module objects,
+    so no relation tabulated by an earlier repetition is reused.
+    """
     family, edited = build_family(tiny, n_edits)
-    gamma, kind = 2, "cardinality"
 
     # -- cold: every variant pays full derivation in a fresh cache ----------
     cold_seconds: list[float] = []
@@ -114,7 +127,15 @@ def run_benchmark(tiny: bool = False) -> dict:
 
     cold_mean = sum(cold_seconds[1:]) / len(cold_seconds[1:])
     evolve_mean = sum(evolve_seconds) / len(evolve_seconds)
-    speedup = cold_mean / evolve_mean if evolve_mean > 0 else float("inf")
+    return cold_mean, evolve_mean
+
+
+def run_benchmark(tiny: bool = False) -> dict:
+    n_edits = 2 if tiny else 4
+    gamma, kind = 2, "cardinality"
+    runs = [_timed_phases(tiny, n_edits, gamma, kind) for _ in range(REPEATS)]
+    ratios = [cold / evolve if evolve > 0 else float("inf") for cold, evolve in runs]
+    family, _ = build_family(tiny, n_edits)
 
     # -- family sweep: each distinct module derived once across the grid ----
     spec = SweepSpec(
@@ -139,9 +160,12 @@ def run_benchmark(tiny: bool = False) -> dict:
         "speedup_floor": SPEEDUP_FLOOR,
         "modules_per_workflow": N_MODULES,
         "edits": n_edits,
-        "cold_seconds_per_variant": cold_mean,
-        "evolve_seconds_per_edit": evolve_mean,
-        "speedup_incremental": speedup,
+        "repeats": REPEATS,
+        "cold_seconds_per_variant": statistics.median(cold for cold, _ in runs),
+        "evolve_seconds_per_edit": statistics.median(evolve for _, evolve in runs),
+        "speedup_incremental": statistics.median(ratios),
+        "speedup_min": min(ratios),
+        "speedup_max": max(ratios),
         "sweep_distinct_module_derivations": report.stats["rederived_modules"],
         "sweep_reused_module_lookups": report.stats["reused_modules"],
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -203,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"incremental: {record['evolve_seconds_per_edit']:.3f}s per edit "
-        f"({record['speedup_incremental']:.1f}x)"
+        f"({record['speedup_incremental']:.1f}x median of {record['repeats']}, "
+        f"{record['speedup_min']:.1f}-{record['speedup_max']:.1f}x)"
     )
     print(
         f"family sweep: {record['sweep_distinct_module_derivations']} distinct "

@@ -1,20 +1,21 @@
 """Binary mmap-backed store packs vs all-JSON pack documents.
 
-The derivation store keeps each pack's code array in a little-endian
-binary sidecar file that readers memory-map (:mod:`repro.kernel.binpack`);
-the store's first format (``v1`` below) wrote the same pack as one JSON
-document, ``compiled.to_payload()`` dumped with sorted keys, with every
-code in base-10 digits.  The store no longer reads or writes that format, so this
-benchmark keeps it as a local file and loads it the way the old store
-did.  It measures three wins on a derivation-heavy workflow (thousands of
-packed rows) and records them in ``BENCH_store.json``:
+The derivation store keeps each module pack's code array in a
+little-endian binary sidecar file that readers memory-map
+(:mod:`repro.kernel.binpack`); the store's first format (``v1`` below)
+wrote the same pack as one JSON document, ``compiled.to_payload()``
+dumped with sorted keys, with every code in base-10 digits.  The store no
+longer reads or writes that format, so this benchmark keeps it as a local
+file and loads it the way the old store did.  It measures three wins on
+one dense module (thousands of packed rows) and records them in
+``BENCH_store.json``:
 
 * **pack-load latency** — repeated loads of the JSON document
-  (``json.load``, touch, ``CompiledWorkflow.from_payload``: parse every
-  code on every load) vs repeated ``DerivationStore.load_pack`` (``v2``:
-  parse a small document, map the sidecar, decode nothing).  The store
-  path must beat the JSON path by at least :data:`SPEEDUP_FLOOR`; this is
-  the gated metric.
+  (``json.load``, touch, ``CompiledModule.from_payload``: parse every
+  code on every load) vs repeated ``DerivationStore.load_module_pack``
+  (``v2``: parse a small document, map the sidecar, decode nothing).  The
+  store path must beat the JSON path by at least :data:`SPEEDUP_FLOOR`;
+  this is the gated metric.
 * **per-worker resident memory** — 4 spawned workers concurrently load
   the same pack; each reports its USS-style private memory
   (``Private_Clean + Private_Dirty`` from ``/proc/self/smaps_rollup``).
@@ -42,12 +43,12 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.core import Workflow
-from repro.engine import DerivationCache, DerivationStore
-from repro.kernel import CompiledWorkflow
+from repro.core import Module, Workflow
+from repro.engine import DerivationStore
+from repro.kernel import CompiledModule
 from repro.workloads import (
+    module_fingerprint,
     random_total_module,
-    workflow_fingerprint,
     workflow_from_dict,
     workflow_to_dict,
 )
@@ -60,45 +61,44 @@ SPEEDUP_FLOOR = 2.0
 WORKERS = 4
 
 
-def _bench_workflow(tiny: bool) -> Workflow:
-    """Disjoint total modules whose provenance relation has many rows."""
-    shapes = [(6, 5), (5, 6)] if tiny else [(7, 6), (6, 7)]
-    modules = [
-        random_total_module(9 * 100 + index, n_in, n_out, f"m{index}", f"s{index}_")
-        for index, (n_in, n_out) in enumerate(shapes)
-    ]
-    return Workflow(modules, name="store-bench")
+def _bench_module(tiny: bool) -> Module:
+    """One dense total module: 2,048 packed rows tiny, 8,192 full size."""
+    width = 11 if tiny else 13
+    return random_total_module(900, width, width, "m0", "s0_")
 
 
-def _write_packs(json_path: Path, store_dir: Path, workflow: Workflow) -> int:
-    """Persist the workflow's pack both ways; returns the packed row count."""
-    compiled = DerivationCache().compiled_workflow(workflow)
+def _write_packs(
+    json_path: Path, store_dir: Path, module: Module, fingerprint: str
+) -> int:
+    """Persist the module's pack both ways; returns the packed row count."""
+    compiled = CompiledModule(module)
     json_path.write_text(json.dumps(compiled.to_payload(), sort_keys=True))
-    DerivationStore(store_dir).save_pack(workflow_fingerprint(workflow), compiled)
+    DerivationStore(store_dir).save_module_pack(fingerprint, compiled)
     return len(compiled.packed)
 
 
 def _pack_loader(
-    kind: str, path: Path, workflow: Workflow
-) -> Callable[[], CompiledWorkflow | None]:
+    kind: str, path: Path, module: Module, fingerprint: str
+) -> Callable[[], CompiledModule | None]:
     """A zero-argument pack load of one ``kind``: ``"v1"`` or ``"v2"``.
 
     ``"v1"`` reads the JSON document at ``path`` the way the store read
-    it; ``"v2"`` is ``load_pack`` on the store at ``path``, with the
-    handle and fingerprint built here, once, outside any timed loop.
+    it; ``"v2"`` is ``load_module_pack`` on the store at ``path``, under
+    the module's ``fingerprint``, with the handle built here, once,
+    outside any timed loop.  The fingerprint is passed in because hashing
+    tabulates the module, which a memory worker must not hold.
     """
     if kind == "v1":
 
-        def load() -> CompiledWorkflow:
+        def load() -> CompiledModule:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             os.utime(path, None)
-            return CompiledWorkflow.from_payload(workflow, payload)
+            return CompiledModule.from_payload(module, payload)
 
         return load
     store = DerivationStore(path)
-    fingerprint = workflow_fingerprint(workflow)
-    return lambda: store.load_pack(fingerprint, workflow)
+    return lambda: store.load_module_pack(fingerprint, module)
 
 
 def _time_pack_loads(load: Callable[[], object], iterations: int) -> float:
@@ -137,7 +137,7 @@ def _uss_bytes() -> int | None:
 HELD_PACKS = 8
 
 
-def _memory_worker(kind: str, path: str, payload: dict, conn) -> None:
+def _memory_worker(kind: str, path: str, payload: dict, fingerprint: str, conn) -> None:
     """Hold :data:`HELD_PACKS` loaded packs, report absolute private memory.
 
     Spawned fresh (no copy-on-write noise) and measured only after *every*
@@ -149,7 +149,8 @@ def _memory_worker(kind: str, path: str, payload: dict, conn) -> None:
     """
     import gc
 
-    load = _pack_loader(kind, Path(path), workflow_from_dict(payload))
+    module = workflow_from_dict(payload).modules[0]
+    load = _pack_loader(kind, Path(path), module, fingerprint)
     held = []
     checksum = 0
     for _ in range(HELD_PACKS):
@@ -170,18 +171,20 @@ def _memory_worker(kind: str, path: str, payload: dict, conn) -> None:
 
 
 def _worker_memory_uss(
-    kind: str, path: Path, workflow: Workflow
+    kind: str, path: Path, module: Module, fingerprint: str
 ) -> list[int] | None:
     """Absolute per-worker private memory at ``WORKERS`` concurrent holders."""
     if _uss_bytes() is None:  # pragma: no cover - no smaps_rollup
         return None
     ctx = multiprocessing.get_context("spawn")
-    payload = workflow_to_dict(workflow)
+    # Workers rebuild the module from its one-module workflow payload.
+    payload = workflow_to_dict(Workflow([module], name="store-bench"))
     procs = []
     for _ in range(WORKERS):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_memory_worker, args=(kind, str(path), payload, child_conn)
+            target=_memory_worker,
+            args=(kind, str(path), payload, fingerprint, child_conn),
         )
         proc.start()
         child_conn.close()
@@ -212,20 +215,25 @@ def _worker_memory_uss(
 
 
 def run_benchmark(tiny: bool = False) -> dict:
-    workflow = _bench_workflow(tiny)
+    module = _bench_module(tiny)
+    fingerprint = module_fingerprint(module)
     iterations = 10 if tiny else 30
     root = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
     v1_path, v2_dir = root / "pack-v1.json", root / "store"
     try:
-        rows = _write_packs(v1_path, v2_dir, workflow)
+        rows = _write_packs(v1_path, v2_dir, module, fingerprint)
         v1_bytes = v1_path.stat().st_size
         v2_bytes = DerivationStore(v2_dir).disk_stats()["bytes"]
 
-        v1_seconds = _time_pack_loads(_pack_loader("v1", v1_path, workflow), iterations)
-        v2_seconds = _time_pack_loads(_pack_loader("v2", v2_dir, workflow), iterations)
+        loaders = {
+            kind: _pack_loader(kind, path, module, fingerprint)
+            for kind, path in (("v1", v1_path), ("v2", v2_dir))
+        }
+        v1_seconds = _time_pack_loads(loaders["v1"], iterations)
+        v2_seconds = _time_pack_loads(loaders["v2"], iterations)
 
-        v1_uss = _worker_memory_uss("v1", v1_path, workflow)
-        v2_uss = _worker_memory_uss("v2", v2_dir, workflow)
+        v1_uss = _worker_memory_uss("v1", v1_path, module, fingerprint)
+        v2_uss = _worker_memory_uss("v2", v2_dir, module, fingerprint)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

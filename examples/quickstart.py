@@ -97,13 +97,12 @@ def main() -> None:
     )
 
     # 4. Persist the derivations.  A store-backed Planner writes every
-    #    derived artifact to a content-addressed on-disk store.  Packs
-    #    are *binary*: JSON metadata pointing at little-endian `.npy`
-    #    code sidecars that warm loads memory-map back zero-copy, so
-    #    co-located processes share one page-cache copy of every hot
-    #    pack — and the workflow pack is the only stored copy of the
-    #    provenance relation.  Documents carry a `format` stamp; one in
-    #    any other format is simply recomputed, and
+    #    derived artifact to a content-addressed on-disk store, keyed by
+    #    module content.  Module packs are *binary*: JSON metadata
+    #    pointing at little-endian `.npy` code sidecars that warm loads
+    #    memory-map back zero-copy, so co-located processes share one
+    #    page-cache copy of every hot pack.  Documents carry a `format`
+    #    stamp; one in any other format is simply recomputed, and
     #    `repro store stats DIR` reports per-kind and per-tier sizes.
     import shutil
     import tempfile
@@ -117,10 +116,9 @@ def main() -> None:
             solver="exact", verify=True
         )
         warm = Planner(workflow, gamma, kind="set", store=DerivationStore(store_dir))
+        # The certificate reads each private module's stored pack, so the
+        # zero-copy loads show in the counters.
         warm.solve(solver="exact", verify=True)
-        # The stored result satisfied the solve outright; touch the packed
-        # kernel tables too so the zero-copy load shows in the counters.
-        warm.cache.compiled_workflow(workflow)
         warm_stats = warm.cache.stats()
         disk = DerivationStore(store_dir).disk_stats()
         report.add_text(
@@ -198,7 +196,9 @@ def main() -> None:
     # result tier — service_demo.py walks a two-replica fleet live.
 
     # 6. Verify the optimal view really is Γ-private, both through the
-    #    engine's certificate and by the brute-force possible-worlds check.
+    #    engine's certificate (Theorems 4 and 8: each private module's
+    #    standalone level, read from its pack) and by the brute-force
+    #    possible-worlds check of Definitions 5/6.
     optimal = planner.solve(solver="exact", verify=True)
     verified = is_gamma_private_workflow(
         workflow, optimal.solution.visible_attributes, gamma

@@ -11,9 +11,8 @@ to fan the grid out over worker processes and ``store=`` to persist (and
 reuse) derivations and solve results across runs.  ``n_jobs=1`` runs the
 *same* cell runner in-process, so serial and parallel invocations produce
 identical records (modulo timings).  Within one instance all solver runs
-share one planner, so requirement derivation, provenance materialization
-and verification out-sets are computed once per instance rather than once
-per solver run.
+share one planner, so requirement derivation and module compilation are
+computed once per instance rather than once per solver run.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ The CLI exposes the everyday operations a workflow owner would run:
 * ``engine``    — inspect the solver engine (``engine list-solvers``).
 
 ``solve``, ``compare`` and ``sweep`` all accept ``--store DIR``: a warm
-store serves requirement derivations (module-granular), packed relations,
-out-sets and whole solve results across runs and processes.
+store serves requirement derivations and packed module relations
+(module-granular) and whole solve results across runs and processes.
 
 Solving goes through :mod:`repro.engine`; ``--solver`` accepts any name in
 the registry (``repro engine list-solvers``).  All files are the JSON
@@ -781,7 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--verify",
         action="store_true",
-        help="attach a brute-force Γ-privacy certificate (small instances)",
+        help=(
+            "attach a Γ-privacy certificate (Theorems 4 and 8; possible-worlds "
+            "enumeration only for a module they cannot certify)"
+        ),
     )
     solve.add_argument(
         "--store",

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from ..exceptions import RequirementError, SolverError
+from .composition import privatization_closure
 from .requirements import (
     CardinalityRequirementList,
     RequirementList,
@@ -166,13 +167,11 @@ class SecureViewProblem:
         raise RequirementError(f"unsupported requirement type {type(requirement)!r}")
 
     def required_privatizations(self, hidden: Iterable[str]) -> frozenset[str]:
-        """Public modules forced into ``P̄`` by hiding these attributes."""
-        hidden_set = set(hidden)
-        return frozenset(
-            module.name
-            for module in self.workflow.public_modules
-            if hidden_set & set(module.attribute_names)
-        )
+        """Public modules forced into ``P̄`` by hiding these attributes.
+
+        Theorem 8's rule, :func:`~repro.core.composition.privatization_closure`.
+        """
+        return privatization_closure(self.workflow, hidden)
 
     def is_feasible(
         self,

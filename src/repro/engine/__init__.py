@@ -27,8 +27,8 @@ Components
 :class:`SolveResult`
     The uniform result every solver answers with.
 :class:`DerivationCache`
-    Two-tier memoization of requirement derivation, compiled kernel packs
-    and verification out-sets: a bounded in-memory front plus an optional
+    Two-tier memoization of requirement derivation and compiled module
+    packs: a bounded in-memory front plus an optional
     persistent :class:`DerivationStore` back, with hit/miss counters for
     both tiers.  Requirement derivation is
     module-granular: per-module lists and packs are keyed by module content

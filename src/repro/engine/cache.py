@@ -6,18 +6,16 @@ Everything expensive about a Secure-View instance happens *before* and
 * **requirement derivation** — ``derive_workflow_requirements`` enumerates,
   per private module, every hidden subset (exponential in the module arity)
   and, for cardinality lists, every (α, β) combination of attribute choices;
-* **kernel compilation** — materializing the provenance relation (the
-  joint relation over all executions) and packing it into integer bitmask
-  tables;
-* **out-set verification** — the possible-worlds enumeration behind the
-  Γ-privacy certificate (Definitions 5/6).
+* **kernel compilation** — tabulating each module's relation and packing
+  it into integer bitmask tables, which derivation and the Γ-privacy
+  certificate (standalone levels, Theorems 4 and 8) both read.
 
-All of these depend only on the workflow structure, Γ, and the requirement
-kind — never on attribute costs or on which solver runs.  A
-:class:`DerivationCache` therefore memoizes them once per (workflow, Γ,
-kind) so a multi-solver sweep (``repro compare``, ``repro sweep``, the
-engine benchmarks, :mod:`repro.analysis.experiments`) pays the exponential
-enumeration a single time instead of once per solver.
+Both depend only on module content, Γ, and the requirement kind — never on
+attribute costs or on which solver runs.  A :class:`DerivationCache`
+therefore memoizes them once per (workflow, Γ, kind) so a multi-solver
+sweep (``repro compare``, ``repro sweep``, the engine benchmarks,
+:mod:`repro.analysis.experiments`) pays the exponential enumeration a
+single time instead of once per solver.
 
 Since PR 3 the cache is **two-tier**:
 
@@ -25,9 +23,8 @@ Since PR 3 the cache is **two-tier**:
   :data:`MEMORY_LIMIT` entries per category), exactly as fast as before;
 * the **back** is an optional persistent
   :class:`~repro.engine.store.DerivationStore`: on a front miss the cache
-  probes the store by content fingerprint (the workflow's, or each
-  module's for requirement lists), and on a true miss it derives and
-  writes through.  A warm store therefore makes
+  probes the store by each module's content fingerprint, and on a true
+  miss it derives and writes through.  A warm store therefore makes
   ``Planner.solve`` skip derivation entirely *across process boundaries* —
   sweep workers, repeated CLI runs, CI re-runs.
 
@@ -63,16 +60,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.module import Module
-from ..core.possible_worlds import workflow_out_sets
 from ..core.requirements import RequirementList, derive_module_requirement
 from ..core.workflow import Workflow
-from ..kernel import (
-    KERNEL,
-    VALID_BACKENDS,
-    CompiledModule,
-    CompiledWorkflow,
-    resolve_backend,
-)
+from ..kernel import KERNEL, VALID_BACKENDS, CompiledModule, resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DerivationStore
@@ -96,8 +86,8 @@ def _locked(method):
     """Run a cache method under the instance's reentrant lock.
 
     Reentrancy matters: ``requirements`` calls ``module_requirement``,
-    ``compiled_workflow`` calls ``fingerprint``, and all of them update
-    shared tables and counters.
+    which calls ``compiled_module``, and all of them update shared tables
+    and counters.
     """
 
     def wrapper(self, *args, **kwargs):
@@ -119,10 +109,6 @@ class CacheStats:
     #: derived at least one.
     derivation_hits: int = 0
     derivation_misses: int = 0
-    out_set_hits: int = 0
-    out_set_misses: int = 0
-    compile_hits: int = 0
-    compile_misses: int = 0
     store_hits: int = 0
     store_misses: int = 0
     #: Module-granular accounting: per-module requirement lookups served
@@ -142,22 +128,10 @@ class CacheStats:
     mmap_packs: int = 0
     mmap_bytes: int = 0
 
-    @property
-    def hits(self) -> int:
-        return self.derivation_hits + self.out_set_hits + self.compile_hits
-
-    @property
-    def misses(self) -> int:
-        return self.derivation_misses + self.out_set_misses + self.compile_misses
-
     def as_dict(self) -> dict[str, int]:
         return {
             "derivation_hits": self.derivation_hits,
             "derivation_misses": self.derivation_misses,
-            "out_set_hits": self.out_set_hits,
-            "out_set_misses": self.out_set_misses,
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "reused_modules": self.reused_modules,
@@ -201,15 +175,12 @@ class DerivationCache:
         default_factory=threading.RLock, repr=False, compare=False
     )
     _workflows: dict[int, Workflow] = field(default_factory=dict)
-    _fingerprints: dict[int, str] = field(default_factory=dict)
     _requirements: dict[tuple, Mapping[str, RequirementList]] = field(
         default_factory=dict
     )
     _seeded_requirements: dict[tuple, Mapping[str, RequirementList]] = field(
         default_factory=dict
     )
-    _out_sets: dict[tuple, dict] = field(default_factory=dict)
-    _compiled: dict[int, CompiledWorkflow] = field(default_factory=dict)
     #: Shared module tier: keyed by module *content* fingerprint, so any two
     #: workflows containing the same module hit the same entries.
     _modules: dict[int, Module] = field(default_factory=dict)
@@ -221,10 +192,6 @@ class DerivationCache:
     _unsaved_packs: set[str] = field(default_factory=set)
     derivation_hits: int = 0
     derivation_misses: int = 0
-    out_set_hits: int = 0
-    out_set_misses: int = 0
-    compile_hits: int = 0
-    compile_misses: int = 0
     store_hits: int = 0
     store_misses: int = 0
     reused_modules: int = 0
@@ -238,11 +205,8 @@ class DerivationCache:
     def _evict_pin(self, key: int) -> None:
         """Drop one pinned workflow and every id-keyed entry it anchors."""
         self._workflows.pop(key, None)
-        self._fingerprints.pop(key, None)
-        self._compiled.pop(key, None)
-        for table in (self._requirements, self._out_sets):
-            for entry_key in [k for k in table if k[0] == key]:
-                del table[entry_key]
+        for entry_key in [k for k in self._requirements if k[0] == key]:
+            del self._requirements[entry_key]
 
     def _pin(self, workflow: Workflow) -> int:
         key = id(workflow)
@@ -284,24 +248,6 @@ class DerivationCache:
 
     # -- content fingerprints -----------------------------------------------------
     @_locked
-    def fingerprint(self, workflow: Workflow, known: str | None = None) -> str:
-        """The workflow's content hash (store key), computed at most once.
-
-        ``known`` is the hash of the payload the caller rebuilt ``workflow``
-        from (:func:`~repro.workloads.fingerprint.instance_fingerprint`);
-        it is recorded instead of tabulating the workflow to hash it.
-        """
-        key = self._pin(workflow)
-        cached = self._fingerprints.get(key)
-        if cached is None:
-            if known is None:
-                from ..workloads.fingerprint import workflow_fingerprint
-
-                known = workflow_fingerprint(workflow)
-            cached = self._fingerprints[key] = known
-        return cached
-
-    @_locked
     def module_fingerprint(self, module: Module, known: str | None = None) -> str:
         """The module's content hash (shared-tier key), computed at most once.
 
@@ -327,49 +273,7 @@ class DerivationCache:
         """Attach (or detach, with ``None``) the persistent back tier."""
         self.store = store
 
-    def _count_mapped(self, loaded) -> None:
-        """Account a store-served pack whose codes came back memory-mapped."""
-        mapped = getattr(loaded.packed, "mapped_bytes", 0)
-        if mapped:
-            self.mmap_packs += 1
-            self.mmap_bytes += mapped
-
     # -- kernel compilation -------------------------------------------------------
-    @_locked
-    def compiled_workflow(self, workflow: Workflow) -> CompiledWorkflow:
-        """The bit-compiled form of the workflow, packed at most once.
-
-        The packed tables (relation codes, per-module bitmasks, public
-        functionality tables) are shared by every kernel-backed derivation
-        and verification pass that goes through this cache, and round-trip
-        through the persistent store when one is attached.  The stored pack
-        is the only persisted copy of the provenance relation: a store hit
-        never computes it, and only a true miss compiles from
-        ``workflow.provenance_relation()``.  This cache is the pack's memo:
-        it compiles outside the kernel's global compile memo, so
-        :meth:`clear` releases every pack it built.
-        """
-        key = self._pin(workflow)
-        cached = self._compiled.get(key)
-        if cached is not None:
-            self.compile_hits += 1
-            return cached
-        if self.store is not None:
-            loaded = self.store.load_pack(self.fingerprint(workflow), workflow)
-            if loaded is not None:
-                self.store_hits += 1
-                self.compile_hits += 1
-                self._count_mapped(loaded)
-                self._remember(self._compiled, key, loaded)
-                return loaded
-            self.store_misses += 1
-        self.compile_misses += 1
-        compiled = CompiledWorkflow(workflow)
-        self._remember(self._compiled, key, compiled)
-        if self.store is not None:
-            self.store.save_pack(self.fingerprint(workflow), compiled)
-        return compiled
-
     @_locked
     def compiled_module(self, module: Module) -> CompiledModule:
         """The bit-compiled form of one module, packed at most once per content.
@@ -387,7 +291,10 @@ class DerivationCache:
             loaded = self.store.load_module_pack(fingerprint, module)
             if loaded is not None:
                 self.store_hits += 1
-                self._count_mapped(loaded)
+                mapped = getattr(loaded.packed, "mapped_bytes", 0)
+                if mapped:
+                    self.mmap_packs += 1
+                    self.mmap_bytes += mapped
                 self._remember(self._compiled_modules, fingerprint, loaded)
                 return loaded
             self.store_misses += 1
@@ -396,6 +303,23 @@ class DerivationCache:
         if self.store is not None:
             self._unsaved_packs.add(fingerprint)
         return compiled
+
+    @_locked
+    def module_privacy_level(self, module: Module, visible: frozenset[str]) -> int:
+        """The module's standalone privacy level w.r.t. ``visible``.
+
+        Read from its compiled pack under the cache lock, because
+        derivations and store exports share the pack's level memo.  A pack
+        no derivation has written yet (a module with seeded lists) is
+        written through here.
+        """
+        compiled = self.compiled_module(module)
+        level = compiled.privacy_level(visible)
+        fingerprint = self.module_fingerprint(module)
+        if self.store is not None and fingerprint in self._unsaved_packs:
+            self.store.save_module_pack(fingerprint, compiled)
+            self._unsaved_packs.discard(fingerprint)
+        return level
 
     # -- requirement derivation -------------------------------------------------
     @_locked
@@ -526,72 +450,6 @@ class DerivationCache:
                 (pin, gamma, kind, backend), requirements
             )
 
-    # -- out-set enumeration (verification) -------------------------------------
-    @_locked
-    def module_out_sets(
-        self,
-        workflow: Workflow,
-        module_name: str,
-        visible: frozenset[str],
-        hidden_public_modules: frozenset[str],
-        stop_at: int | None,
-        backend: str | None = None,
-    ) -> dict:
-        """``OUT_{x,W}`` for every input of one module, enumerated at most once."""
-        backend = resolve_backend(backend)
-        key = (
-            self._pin(workflow),
-            module_name,
-            visible,
-            hidden_public_modules,
-            stop_at,
-            backend,
-        )
-        cached = self._out_sets.get(key)
-        if cached is not None:
-            self.out_set_hits += 1
-            return cached
-        store_key = None
-        if self.store is not None:
-            from .store import OutSetKey
-
-            store_key = OutSetKey(
-                module_name, visible, hidden_public_modules, stop_at, backend
-            )
-            loaded = self.store.load_out_sets(
-                self.fingerprint(workflow), workflow, store_key
-            )
-            if loaded is not None:
-                self.store_hits += 1
-                self.out_set_hits += 1
-                self._remember(self._out_sets, key, loaded)
-                return loaded
-            self.store_misses += 1
-        self.out_set_misses += 1
-        if backend == "kernel":
-            out_sets = self.compiled_workflow(workflow).module_out_sets(
-                module_name,
-                visible,
-                hidden_public_modules=hidden_public_modules,
-                stop_at=stop_at,
-            )
-        else:
-            out_sets = workflow_out_sets(
-                workflow,
-                module_name,
-                visible,
-                hidden_public_modules=hidden_public_modules,
-                relation=workflow.provenance_relation(),
-                stop_at=stop_at,
-                backend=backend,
-            )
-        self._remember(self._out_sets, key, out_sets)
-        if self.store is not None and store_key is not None:
-            self.store.save_out_sets(
-                self.fingerprint(workflow), workflow, store_key, module_name, out_sets
-            )
-        return out_sets
-
     # -- bookkeeping ------------------------------------------------------------
     def stats(self) -> CacheStats:
         """Snapshot of the hit/miss counters (front and store tiers).
@@ -607,10 +465,6 @@ class DerivationCache:
         return CacheStats(
             derivation_hits=self.derivation_hits,
             derivation_misses=self.derivation_misses,
-            out_set_hits=self.out_set_hits,
-            out_set_misses=self.out_set_misses,
-            compile_hits=self.compile_hits,
-            compile_misses=self.compile_misses,
             store_hits=self.store_hits,
             store_misses=self.store_misses,
             reused_modules=self.reused_modules,
@@ -624,26 +478,22 @@ class DerivationCache:
 
     @_locked
     def clear(self) -> None:
-        """Drop every in-memory entry (including pinned workflows, their
-        fingerprints and pinned compiled packs) and reset all counters.
+        """Drop every in-memory entry (including pinned workflows and
+        modules, module fingerprints and compiled packs) and reset all
+        counters.
 
         The persistent store, when attached, keeps its on-disk artifacts —
         ``clear`` empties the memory front, never the disk back.
         """
         self._workflows.clear()
-        self._fingerprints.clear()
         self._requirements.clear()
         self._seeded_requirements.clear()
-        self._out_sets.clear()
-        self._compiled.clear()
         self._modules.clear()
         self._module_fingerprints.clear()
         self._module_requirements.clear()
         self._compiled_modules.clear()
         self._unsaved_packs.clear()
         self.derivation_hits = self.derivation_misses = 0
-        self.out_set_hits = self.out_set_misses = 0
-        self.compile_hits = self.compile_misses = 0
         self.store_hits = self.store_misses = 0
         self.reused_modules = self.rederived_modules = 0
         self.batched_masks = self.batched_passes = self.scalar_masks = 0

@@ -373,11 +373,10 @@ class SolveRunner:
         already hashed it (:func:`run_sweep` does); otherwise a digest of
         the raw payload short-circuits repeats, and a new payload is hashed
         with :class:`~repro.workloads.fingerprint.InstanceKeys` (its error
-        raised to the caller).  A new workflow's fingerprint and its
-        modules' are handed to the cache, so none of them is tabulated to
-        be hashed again.  Serialized under one lock: rebuilding under it
-        costs a few ms once per new instance, and repeats are dictionary
-        hits.
+        raised to the caller).  A new workflow's module fingerprints are
+        handed to the cache, so no module is tabulated to be hashed again.
+        Serialized under one lock: rebuilding under it costs a few ms once
+        per new instance, and repeats are dictionary hits.
         """
         from ..workloads.fingerprint import InstanceKeys, payload_fingerprint
         from ..workloads.serialization import problem_from_dict, workflow_from_dict
@@ -408,7 +407,6 @@ class SolveRunner:
                 instance = existing
             else:
                 if source == "workflow":
-                    self.cache.fingerprint(instance, fingerprint)
                     if keys is not None:
                         module_fingerprints = keys.modules()
                     for name, known in (module_fingerprints or {}).items():
@@ -455,10 +453,11 @@ class SolveRunner:
 
         For each entry of the store's popularity record: rebuild the
         instance from its payload (through :meth:`resolve`, so requests for
-        the same content map onto the *same object*), compile its kernel
-        pack, and load every recorded ``(gamma, kind, backend)`` point.  A
-        fingerprint this runner already warmed is skipped.  Failures are
-        isolated per workflow and counted.
+        the same content map onto the *same object*), load its private
+        modules' packs (which Γ-privacy certificates read), and load every
+        recorded ``(gamma, kind, backend)`` point.  A fingerprint this
+        runner already warmed is skipped.  Failures are isolated per
+        workflow and counted.
         """
         store = self.cache.store
         if store is None or k <= 0:
@@ -471,7 +470,8 @@ class SolveRunner:
                 workflow, resolved = self.resolve("workflow", payload)
                 if resolved != fingerprint:
                     raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
-                self.cache.compiled_workflow(workflow)
+                for module in workflow.private_modules:
+                    self.cache.compiled_module(module)
                 for gamma, kind, backend in points:
                     self.cache.requirements(workflow, gamma, kind, backend=backend)
             except Exception:  # noqa: BLE001 - warm-up is best-effort

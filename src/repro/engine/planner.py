@@ -2,9 +2,9 @@
 
 A planner owns a workflow, the privacy target Γ, and a shared
 :class:`~repro.engine.cache.DerivationCache`.  It derives requirement lists
-**once**, memoizes them (and the packed workflow tables and verification
-out-sets) in the cache, and dispatches any registered algorithm through a
-uniform interface::
+**once**, memoizes them (and the packed module tables its privacy
+certificates read) in the cache, and dispatches any registered algorithm
+through a uniform interface::
 
     planner = Planner(workflow, gamma=2, kind="set")
     result = planner.solve()                        # auto-selected solver
@@ -25,6 +25,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..core.module import Module
+from ..core.privacy import workflow_privacy_level
 from ..core.requirements import RequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
@@ -163,9 +164,7 @@ class Planner:
         content fingerprint, the new planner's first solve re-derives
         exactly the modules whose content changed and reuses everything else
         (``CacheStats.reused_modules`` / ``rederived_modules`` show the
-        split).  Workflow-level artifacts — the packed workflow tables and
-        verification out-sets — are re-keyed by the new workflow fingerprint
-        and recomputed when verification asks for them.
+        split); verification reads the same content-keyed module packs.
 
         ``gamma`` / ``kind`` evolve the privacy target instead of (or along
         with) the topology; ``costs`` applies a what-if cost override, which
@@ -196,8 +195,8 @@ class Planner:
             raise WorkflowError("evolve: the edited workflow has no modules left")
         if not (removed or replacements or added):
             # A pure Γ/kind/cost evolution keeps the same workflow object,
-            # so identity-keyed workflow-level entries (packed tables,
-            # out-sets) stay warm in the shared cache.
+            # so its identity-keyed requirement memo stays warm in the
+            # shared cache.
             workflow = self.workflow
         else:
             workflow = Workflow(modules, name=self.workflow.name)
@@ -280,8 +279,8 @@ class Planner:
 
         The one place a solver name becomes a call: derivation (cached) →
         solver dispatch (timed) → optional local-search post-processing →
-        feasibility validation → optional Γ-privacy certificate (cached
-        out-set enumeration).
+        feasibility validation → optional Γ-privacy certificate
+        (:meth:`verify`).
 
         ``solver`` is a registry name, or ``"auto"`` for the cheapest
         applicable algorithm on the instance being solved (cost overrides
@@ -289,8 +288,8 @@ class Planner:
         and are ignored by deterministic ones.  ``costs`` overrides
         per-attribute hiding costs.  ``local_search`` is ``True`` (both
         passes) or a sequence of :mod:`repro.optim.local_search` pass names.
-        ``verify`` attaches a :class:`PrivacyCertificate` (possible-worlds
-        enumeration; small instances only).  Other ``options`` go to the
+        ``verify`` attaches a :class:`PrivacyCertificate` (Theorems 4 and
+        8, see :meth:`verify`).  Other ``options`` go to the
         solver, which rejects any it does not take with
         :class:`~repro.exceptions.SolverError`.
         """
@@ -337,30 +336,44 @@ class Planner:
         solution: SecureViewSolution,
         problem: SecureViewProblem | None = None,
     ) -> PrivacyCertificate:
-        """Brute-force Γ-privacy certificate for a solution's view.
+        """Γ-privacy certificate for a solution's view, by Theorems 4 and 8.
 
-        Enumerates, per private module, the out-sets of Definition 5/6 under
-        the solution's visible attributes (with early termination at Γ) and
-        reports the weakest observed level.  Out-sets are memoized in the
-        shared cache, so verifying several solutions with the same view —
-        common in solver comparisons — enumerates worlds once.
+        Theorem 4: if hiding ``V̄ ∩ A_i`` makes a private module ``m_i``
+        Γ-standalone-private, ``m_i`` is Γ-workflow-private; Theorem 8 adds
+        one condition for general workflows, that every public module with
+        a hidden attribute is privatized.  When that condition holds, a
+        module whose standalone level (one lookup on its compiled pack,
+        the module tier's artifact) reaches Γ is certified at Γ without
+        building the workflow relation.
+
+        A standalone level only bounds the workflow level from below
+        (Lemma 1), so any other module falls back to possible-worlds
+        enumeration (Definitions 5/6) with early termination at Γ and the
+        usual work limit.  Levels are capped at Γ, so a reported level of
+        Γ means "at least Γ".
         """
         problem = problem if problem is not None else self.problem()
+        hidden = solution.hidden_attributes
         visible = frozenset(solution.visible_attributes)
         privatized = frozenset(solution.privatized_modules)
+        composes = problem.required_privatizations(hidden) <= privatized
         levels: dict[str, int] = {}
-        for module in problem.workflow.private_modules:
-            out_sets = self.cache.module_out_sets(
-                problem.workflow,
+        for module in self.workflow.private_modules:
+            if (
+                composes
+                and self.cache.module_privacy_level(module, visible) >= self.gamma
+            ):
+                levels[module.name] = self.gamma
+                continue
+            level = workflow_privacy_level(
+                self.workflow,
                 module.name,
                 visible,
-                privatized,
+                hidden_public_modules=privatized,
                 stop_at=self.gamma,
                 backend=self.backend,
             )
-            levels[module.name] = (
-                min(len(out) for out in out_sets.values()) if out_sets else 0
-            )
+            levels[module.name] = min(level, self.gamma)
         return PrivacyCertificate(
             gamma=self.gamma,
             ok=all(level >= self.gamma for level in levels.values()),

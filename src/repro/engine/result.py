@@ -4,9 +4,11 @@ Every solver in the registry — exact, LP roundings, greedy, baselines — is
 invoked through ``Planner.solve`` and answers with the same
 :class:`SolveResult`, so callers (CLI, experiment harness, benchmarks) do
 not depend on per-algorithm signatures.  A result optionally carries a
-:class:`PrivacyCertificate`: a brute-force possible-worlds check that the
-returned view really is Γ-private, computed through the planner's shared
-:class:`~repro.engine.cache.DerivationCache`.
+:class:`PrivacyCertificate`: evidence that the returned view really is
+Γ-private, by Theorems 4 and 8 from the module packs in the planner's
+shared :class:`~repro.engine.cache.DerivationCache`, or by possible-worlds
+enumeration for a module the theorems cannot certify
+(:meth:`~repro.engine.planner.Planner.verify`).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ __all__ = ["PrivacyCertificate", "SolveResult"]
 class PrivacyCertificate:
     """Evidence that a solution's view is Γ-private (Definition 6).
 
-    ``module_levels`` maps each private module to the smallest out-set size
-    observed over its inputs.  Levels are computed with early termination at
-    Γ, so a reported level of Γ means "at least Γ".
+    ``module_levels`` maps each private module to its Γ-workflow-privacy
+    level, the smallest out-set size over its inputs, capped at Γ: a
+    reported level of Γ means "at least Γ".
     """
 
     gamma: int

@@ -1,26 +1,28 @@
 """Persistent, content-addressed store for derived Secure-View artifacts.
 
-Everything expensive about a Secure-View instance is a pure function of the
-workflow's *content* plus a handful of small parameters (Γ, requirement
-kind, backend, visible set, solver, seed).  A :class:`DerivationStore`
-therefore keys every artifact by the workflow's canonical-serialization
-fingerprint (:func:`repro.workloads.workflow_fingerprint`) and persists it
-under::
+Everything expensive about a Secure-View instance is a pure function of
+*content* plus a handful of small parameters (Γ, requirement kind,
+backend, solver, seed).  A :class:`DerivationStore` therefore keys every
+artifact by a canonical-serialization fingerprint.  Whole solve results
+and the popularity record are keyed by the workflow's
+(:func:`repro.workloads.workflow_fingerprint`) and persisted under::
 
     <root>/<fp[:2]>/<fingerprint>/
         meta.json                      # the service's popularity record
-        pack.json                      # packed kernel tables
-        pack.codes.npy|.bin            # binary pack codes
-        outsets-<keydigest>.json       # one per (module, view, stop_at, backend)
         result-<keydigest>.json        # one per (backend, gamma, kind, solver,
                                        #          seed, verify) solve cell
 
-The pack is the only stored copy of the workflow's provenance relation:
-its codes *are* the relation's rows under the workflow's bit layout.
+Everything derived per module is keyed by the module's, in the module
+tier below.  No stored artifact holds the workflow's provenance relation:
+the Γ-privacy certificate reads module packs (Theorems 4 and 8), so
+serving never builds it.  Workflow-level ``pack.json``, ``pack.codes.*`` and
+``outsets-*.json`` files an earlier commit wrote are never read;
+:meth:`~DerivationStore.disk_stats` counts them as ``"other"`` and
+:meth:`~DerivationStore.gc` evicts them like any cold file.
 
-**Store format.**  Every pack document (workflow and module tier) is
-stamped ``"format": FORMAT_VERSION`` and keeps its code array in a compact
-little-endian binary **sidecar file** (:mod:`repro.kernel.binpack`): a
+**Store format.**  Every module pack document is stamped ``"format":
+FORMAT_VERSION`` and keeps its code array in a compact little-endian
+binary **sidecar file** (:mod:`repro.kernel.binpack`): a
 standard ``.npy`` ``uint64`` array when the bit layout fits 63 bits,
 fixed-width raw records otherwise, so the pure-Python no-numpy path reads
 the same bytes.  Readers memory-map sidecars, and
@@ -36,8 +38,8 @@ store is a cache.
 
 A warm store therefore lets a *different process* — a sweep worker,
 tomorrow's CLI invocation, a CI re-run — skip requirement derivation,
-provenance materialization, kernel packing, out-set enumeration, and even
-whole solver runs.  The store is the persistent back tier of the two-tier
+module tabulation, kernel packing, and even whole solver runs.  The store
+is the persistent back tier of the two-tier
 :class:`~repro.engine.cache.DerivationCache`; the cache owns the bounded
 in-memory front and probes the store on every memory miss.
 
@@ -65,9 +67,10 @@ and :meth:`DerivationStore.bump_popularity` (the service's flush) is its
 only writer; sweeps and CLI runs write none.  It holds the request
 count, the requested workflow's serialized payload and the ``(gamma,
 kind, backend)`` points requests asked for, so warm-up can rebuild a
-popular instance and preload those points.  Workflow-level ``req-*.json``
-documents and module ``meta.json`` files that earlier commits wrote are
-never read; :meth:`~DerivationStore.disk_stats` counts them by file name
+popular instance, load its module packs and preload those points.
+Workflow-level ``req-*.json`` documents and module ``meta.json`` files
+that earlier commits wrote are never read;
+:meth:`~DerivationStore.disk_stats` counts them by file name
 and :meth:`~DerivationStore.gc` evicts them like any cold file.
 
 **Maintenance.**  :meth:`DerivationStore.disk_stats` summarizes what a
@@ -91,45 +94,22 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from ..kernel import CompiledModule, CompiledWorkflow
+from ..kernel import CompiledModule
 from ..kernel import binpack
 from ..workloads.serialization import requirement_from_dict, requirement_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.module import Module
     from ..core.requirements import RequirementList
-    from ..core.workflow import Workflow
 
-__all__ = ["DerivationStore", "ResultKey", "OutSetKey", "FORMAT_VERSION"]
+__all__ = ["DerivationStore", "ResultKey", "FORMAT_VERSION"]
 
 #: The on-disk format: pack code arrays live in binary sidecar files.  The
 #: one format this build reads and writes; any other stamp is a miss.
 FORMAT_VERSION = 2
 
 #: Categories the store tracks hit/miss/write counters for.
-_CATEGORIES = (
-    "pack",
-    "out_sets",
-    "result",
-    "module_requirement",
-    "module_pack",
-)
-
-
-def _decode_row(domains: list, row: list) -> tuple:
-    """Map stored domain indices back to values, rejecting out-of-range ones.
-
-    Explicit bounds check: Python's negative indexing would otherwise make a
-    corrupt ``-1`` silently decode to the last domain value instead of
-    degrading to a store miss.
-    """
-    values = []
-    for domain, index in zip(domains, row):
-        index = int(index)
-        if not 0 <= index < len(domain):
-            raise ValueError(f"stored domain index {index} out of range")
-        values.append(domain[index])
-    return tuple(values)
+_CATEGORIES = ("result", "module_requirement", "module_pack")
 
 
 def _popularity_count(meta: Mapping[str, Any]) -> int:
@@ -177,24 +157,6 @@ def ResultKey(
     return ("result", backend, gamma, kind, solver, seed, verify)
 
 
-def OutSetKey(
-    module_name: str,
-    visible: frozenset[str],
-    hidden_public_modules: frozenset[str],
-    stop_at: int | None,
-    backend: str,
-) -> tuple:
-    """The parameters identifying one out-set enumeration."""
-    return (
-        "outsets",
-        module_name,
-        sorted(visible),
-        sorted(hidden_public_modules),
-        stop_at,
-        backend,
-    )
-
-
 class DerivationStore:
     """Disk-backed persistence for derived artifacts, keyed by content.
 
@@ -203,11 +165,11 @@ class DerivationStore:
     root:
         Directory to persist under; created (with parents) if absent.
 
-    The store never loads anything it cannot validate: documents must carry
-    the :data:`FORMAT_VERSION` stamp, packs are checked for bit-layout
+    The store never loads anything it cannot validate: pack documents must
+    carry the :data:`FORMAT_VERSION` stamp and are checked for bit-layout
     compatibility with the live schema and for sidecar size/header
-    consistency, out-sets are decoded against the live module domains, and
-    any JSON, binary or structural error degrades to a miss.
+    consistency, and any JSON, binary or structural error degrades to a
+    miss.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -313,9 +275,7 @@ class DerivationStore:
             return False
         return True
 
-    def _pack_document(
-        self, directory: Path, compiled: CompiledWorkflow | CompiledModule
-    ) -> dict:
+    def _pack_document(self, directory: Path, compiled: CompiledModule) -> dict:
         """The stored document for ``compiled`` (its ``to_payload`` dict).
 
         Writes the code sidecar, unless the file already holds exactly
@@ -350,31 +310,6 @@ class DerivationStore:
         except (OSError, ValueError):
             return {}
         return payload if isinstance(payload, dict) else {}
-
-    # -- compiled kernel packs --------------------------------------------------
-    def load_pack(
-        self, fingerprint: str, workflow: "Workflow"
-    ) -> CompiledWorkflow | None:
-        directory = self._dir(fingerprint)
-        payload = self._read("pack", directory / "pack.json")
-        if payload is None:
-            return None
-        try:
-            self._check_version(payload)
-            loaded = CompiledWorkflow.from_payload(
-                workflow, payload, base_dir=str(directory)
-            )
-        except Exception:
-            self.hits["pack"] -= 1
-            self.misses["pack"] += 1
-            return None
-        self._touch_sidecar(directory, payload)
-        return loaded
-
-    def save_pack(self, fingerprint: str, compiled: CompiledWorkflow) -> None:
-        directory = self._dir(fingerprint)
-        payload = self._pack_document(directory, compiled)
-        self._write("pack", directory / "pack.json", payload)
 
     # -- shared module tier -----------------------------------------------------
     def load_module_requirement(
@@ -445,59 +380,6 @@ class DerivationStore:
         directory = self._module_dir(module_fingerprint)
         payload = self._pack_document(directory, compiled)
         self._write("module_pack", directory / "pack.json", payload)
-
-    # -- verification out-sets --------------------------------------------------
-    def load_out_sets(
-        self, fingerprint: str, workflow: "Workflow", key: tuple
-    ) -> dict | None:
-        path = self._dir(fingerprint) / f"outsets-{_key_digest(key)}.json"
-        payload = self._read("out_sets", path)
-        if payload is None:
-            return None
-        try:
-            module = workflow.module(payload["module"])
-            in_domains = [a.domain.values for a in module.input_schema]
-            out_domains = [a.domain.values for a in module.output_schema]
-            return {
-                _decode_row(in_domains, key_row): {
-                    _decode_row(out_domains, out_row) for out_row in out_rows
-                }
-                for key_row, out_rows in payload["entries"]
-            }
-        except Exception:
-            self.hits["out_sets"] -= 1
-            self.misses["out_sets"] += 1
-            return None
-
-    def save_out_sets(
-        self,
-        fingerprint: str,
-        workflow: "Workflow",
-        key: tuple,
-        module_name: str,
-        out_sets: Mapping[tuple, set],
-    ) -> None:
-        module = workflow.module(module_name)
-        in_indexers = [
-            {value: idx for idx, value in enumerate(a.domain.values)}
-            for a in module.input_schema
-        ]
-        out_indexers = [
-            {value: idx for idx, value in enumerate(a.domain.values)}
-            for a in module.output_schema
-        ]
-        entries = sorted(
-            [
-                [indexer[v] for indexer, v in zip(in_indexers, key_row)],
-                sorted(
-                    [indexer[v] for indexer, v in zip(out_indexers, out_row)]
-                    for out_row in out_rows
-                ),
-            ]
-            for key_row, out_rows in out_sets.items()
-        )
-        path = self._dir(fingerprint) / f"outsets-{_key_digest(key)}.json"
-        self._write("out_sets", path, {"module": module_name, "entries": entries})
 
     # -- solve results ----------------------------------------------------------
     def load_result(self, fingerprint: str, key: tuple) -> dict | None:
@@ -599,18 +481,12 @@ class DerivationStore:
 
         Counts bytes and files per artifact kind and per tier (workflow
         entries vs the shared ``modules/`` tier).  Files no artifact kind
-        claims — e.g. ``relation.*`` documents earlier formats wrote, which
-        nothing reads and gc evicts first — count as ``"other"``.  Purely
-        observational — no counters move.
+        claims — e.g. the workflow-level ``pack.*``, ``outsets-*`` and
+        ``relation.*`` files earlier commits wrote, which nothing reads and
+        gc evicts first — count as ``"other"``.  Purely observational — no
+        counters move.
         """
-        kinds = {
-            "meta": 0,
-            "pack": 0,
-            "requirements": 0,
-            "out_sets": 0,
-            "results": 0,
-            "other": 0,
-        }
+        kinds = {"meta": 0, "pack": 0, "requirements": 0, "results": 0, "other": 0}
         tiers = {
             tier: {"entries": 0, "files": 0, "bytes": 0}
             for tier in ("workflow", "modules")
@@ -628,7 +504,8 @@ class DerivationStore:
                 continue
             total_bytes += size
             entry = path.parent
-            if module_root in entry.parents or entry == module_root:
+            in_modules = module_root in entry.parents or entry == module_root
+            if in_modules:
                 module_entries.add(entry)
                 tier = tiers["modules"]
             else:
@@ -639,12 +516,10 @@ class DerivationStore:
             name = path.name
             if name == "meta.json":
                 kinds["meta"] += 1
-            elif name == "pack.json" or name.startswith("pack.codes"):
+            elif in_modules and name.startswith("pack."):
                 kinds["pack"] += 1
             elif name.startswith("req-"):
                 kinds["requirements"] += 1
-            elif name.startswith("outsets-"):
-                kinds["out_sets"] += 1
             elif name.startswith("result-"):
                 kinds["results"] += 1
             else:

@@ -19,6 +19,7 @@ entry.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -66,10 +67,13 @@ __all__ = [
 #: Bounded compile memos.  Keys are ``(id(source), id(relation))``; every
 #: live entry holds strong references to its sources (the compiled object
 #: need not keep the relation it packed), so an id cannot be recycled while
-#: its entry is alive.
+#: its entry is alive.  Service threads share them (a certificate's
+#: enumeration fallback), so lookups and evictions hold ``_memo_lock``;
+#: compilation itself runs outside it.
 _COMPILE_CACHE_LIMIT = 256
 _modules: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
 _workflows: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
+_memo_lock = threading.Lock()
 _hits = 0
 _misses = 0
 
@@ -77,16 +81,18 @@ _misses = 0
 def _memoize(cache: OrderedDict, sources: tuple, factory):
     global _hits, _misses
     key = (id(sources[0]), id(sources[1]))
-    entry = cache.get(key)
-    if entry is not None:
-        _hits += 1
-        cache.move_to_end(key)
-        return entry[1]
-    _misses += 1
+    with _memo_lock:
+        entry = cache.get(key)
+        if entry is not None:
+            _hits += 1
+            cache.move_to_end(key)
+            return entry[1]
+        _misses += 1
     compiled = factory()
-    cache[key] = (sources, compiled)
-    while len(cache) > _COMPILE_CACHE_LIMIT:
-        cache.popitem(last=False)
+    with _memo_lock:
+        cache[key] = (sources, compiled)
+        while len(cache) > _COMPILE_CACHE_LIMIT:
+            cache.popitem(last=False)
     return compiled
 
 
@@ -111,9 +117,10 @@ def compile_workflow(
 def clear_compile_cache() -> None:
     """Drop every memoized compilation (mainly for tests and benchmarks)."""
     global _hits, _misses
-    _modules.clear()
-    _workflows.clear()
-    _hits = _misses = 0
+    with _memo_lock:
+        _modules.clear()
+        _workflows.clear()
+        _hits = _misses = 0
 
 
 def compile_cache_info() -> dict[str, int]:

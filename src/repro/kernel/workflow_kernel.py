@@ -69,46 +69,6 @@ class CompiledWorkflow:
         }
         self._public_tables: dict[str, dict[int, int]] = {}
 
-    # -- stable serialization ----------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-safe form of the packed tables for the derivation store.
-
-        Only the packed relation is persisted: module bitmasks are derived
-        from the schema in microseconds and public functionality tables are
-        lazy, so shipping the codes is what saves the expensive pass
-        (row-by-row packing of a potentially large provenance relation).
-        """
-        return {"pack": self.packed.to_dict()}
-
-    @classmethod
-    def from_payload(
-        cls, workflow: "Workflow", payload: dict, base_dir: "str | None" = None
-    ) -> "CompiledWorkflow":
-        """Rebuild a compiled workflow from :meth:`to_payload` output.
-
-        ``workflow`` must be the live workflow the payload was compiled
-        from (the store guarantees this by keying payloads on the
-        workflow's content fingerprint), so its provenance relation is
-        never computed; the packed codes are validated structurally
-        against the schema's layout and a mismatch raises
-        :class:`ValueError` so callers fall back to recompiling.
-        """
-        compiled = cls.__new__(cls)
-        compiled.workflow = workflow
-        compiled.layout = BitLayout(workflow.schema)
-        compiled.packed = PackedRelation.from_dict(
-            compiled.layout, payload["pack"], base_dir=base_dir
-        )
-        compiled._module_bits = {
-            module.name: (
-                compiled.layout.mask_for(module.input_names),
-                compiled.layout.mask_for(module.output_names),
-            )
-            for module in workflow.modules
-        }
-        compiled._public_tables = {}
-        return compiled
-
     # -- precompiled public functionality --------------------------------------
     def _public_table(self, module_name: str) -> dict[int, int]:
         """``input_code -> output_code`` over a public module's full domain."""

@@ -29,12 +29,12 @@ facilities a long-lived process needs:
     job-table expiry, popularity flushing, and store GC to a byte budget.
     The result, instance and planner tables need no pass: each is bounded
     by size.  At start-up it also performs **warm-up**: after a restart
-    over a warm store, re-compile the K most-requested workflow
-    fingerprints and preload the (Γ, kind, backend) points their requests
-    asked for — the popularity record the flush task writes to the
-    store's meta tier — so the first solve of a popular instance hits the
-    hot cache instead of paying compilation.  Execution-tier workers run
-    the same warm-up when they spawn.
+    over a warm store, load the private-module packs of the K
+    most-requested workflow fingerprints and preload the (Γ, kind,
+    backend) points their requests asked for — the popularity record the
+    flush task writes to the store's meta tier — so the first solve of a
+    popular instance hits the hot cache instead of the store.
+    Execution-tier workers run the same warm-up when they spawn.
 
 Everything is observable through ``GET /metrics``: job gauges/counters
 under ``jobs``, and ``maintenance.{gc_runs, gc_deleted_bytes,
@@ -537,10 +537,11 @@ class MaintenanceScheduler:
 
         Runs the service runner's :meth:`~repro.engine.executor.SolveRunner.warm`
         (the same warm-up every execution-tier worker runs at spawn), so
-        after a restart the first solve of a popular fingerprint reports
-        ``compile_hits > 0`` instead of paying compilation on the request
-        path.  Returns the number of workflows warmed; per-workflow
-        failures count under ``task_failures["warm_up"]``.
+        after a restart the first solve of a popular fingerprint, verified
+        or not, reports no store hit and no derivation: its module packs
+        and requirement lists are already in memory.  Returns the number
+        of workflows warmed; per-workflow failures count under
+        ``task_failures["warm_up"]``.
         """
         warmed, failed = self.service.runner.warm(k)
         with self._lock:

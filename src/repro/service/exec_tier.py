@@ -20,8 +20,8 @@ Design
   instance and planner tables.  The store result-tier probe, the solve and
   the record all come from one implementation.  Before it announces ready,
   a worker (a respawned one too) runs the runner's warm-up of the store's
-  most popular workflow packs, so its first request pays a solve, not a
-  recompilation.
+  most popular workflows' module packs and requirement lists, so its
+  first request pays a solve, not a store load.
 * **Requests cross the boundary as JSON-shaped bodies.**  Parsed jobs hold
   rebuilt workflows whose callables do not pickle; the tier re-encodes each
   job via :meth:`~repro.service.jobs.SolveJob.to_wire` and the worker

@@ -1,11 +1,10 @@
 """Content-addressed workflow and module fingerprints.
 
 The persistent derivation store (:mod:`repro.engine.store`) keys every
-artifact — requirement lists, provenance relations, compiled kernel packs,
-verification out-sets, solve results — by the *content* of the workflow it
-was derived from, so two processes (or two runs weeks apart) that analyze
-the same workflow share one store entry regardless of how the workflow
-object was built.
+artifact — requirement lists and compiled kernel packs per module, solve
+results per workflow — by the *content* it was derived from, so two
+processes (or two runs weeks apart) that analyze the same workflow share
+one store entry regardless of how the workflow object was built.
 
 A fingerprint is the SHA-256 digest of the workflow's canonical
 serialization: the :func:`~repro.workloads.serialization.workflow_to_dict`

@@ -21,6 +21,7 @@ from repro.workloads import (
     random_problem,
     random_workflow,
     workflow_family,
+    workflow_fingerprint,
     workflow_to_dict,
 )
 
@@ -205,7 +206,7 @@ class TestDriverProbe:
             workflow = workflows[cell.label]
             planner = Planner(workflow, cell.gamma, kind=cell.kind, cache=cache)
             # The live-object key: the workflow tabulated and hashed.
-            fingerprint = cache.fingerprint(workflow)
+            fingerprint = workflow_fingerprint(workflow)
             solve_cell(planner, fingerprint, cell.label, cell.solver, cell.seed)
         warm = run_sweep(spec, n_jobs=2, store=tmp_path / "store")
         assert warm.stats["chunks"] == 0

@@ -323,7 +323,8 @@ class TestGeneralWorkflowStorePath:
 
         warm = Planner(_mixed_workflow(), 2, kind="set", store=directory)
         warm_result = warm.solve(solver="auto", verify=True)
-        assert warm.cache.stats().out_set_misses == 0
+        # Lists and packs alike come from the store's module tier.
+        assert warm.cache.stats().store_misses == 0
         assert warm_result.certificate.ok == cold_result.certificate.ok
         assert (
             warm_result.certificate.module_levels

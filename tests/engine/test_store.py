@@ -18,8 +18,8 @@ from repro.engine import (
     SweepSpec,
     run_sweep,
 )
-from repro.engine.store import FORMAT_VERSION, OutSetKey, ResultKey, _key_digest
-from repro.kernel import CompiledWorkflow
+from repro.engine.store import FORMAT_VERSION, ResultKey, _key_digest
+from repro.kernel import CompiledModule
 from repro.optim.lp import HAVE_SCIPY
 from repro.workloads import (
     figure1_workflow,
@@ -36,32 +36,23 @@ def store(tmp_path) -> DerivationStore:
     return DerivationStore(tmp_path / "store")
 
 
+def _module_entry(workflow):
+    """``(module, fingerprint)`` for the workflow's first private module."""
+    module = workflow.private_modules[0]
+    return module, module_fingerprint(module)
+
+
+#: Visible sets the pack tests compare levels on (figure 1's m1 is a1, a2
+#: -> a3, a4, a5; names outside the module are ignored).
+VISIBLE_SETS = (
+    frozenset(),
+    frozenset({"a1", "a3", "a5"}),
+    frozenset({"a2", "a4"}),
+    frozenset({"a1", "a2", "a3", "a4", "a5"}),
+)
+
+
 class TestArtifactRoundTrips:
-    def test_pack_round_trip_produces_identical_out_sets(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        compiled = cache.compiled_workflow(workflow)
-        store.save_pack(fingerprint, compiled)
-        loaded = store.load_pack(fingerprint, workflow)
-        visible = frozenset({"a1", "a3", "a5"})
-        for module in workflow.module_names:
-            assert loaded.module_out_sets(module, visible) == compiled.module_out_sets(
-                module, visible
-            )
-
-    def test_out_sets_round_trip(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        visible = frozenset({"a1", "a3", "a5"})
-        out_sets = cache.module_out_sets(
-            workflow, "m1", visible, frozenset(), stop_at=None, backend="kernel"
-        )
-        key = OutSetKey("m1", visible, frozenset(), None, "kernel")
-        store.save_out_sets(fingerprint, workflow, key, "m1", out_sets)
-        assert store.load_out_sets(fingerprint, workflow, key) == out_sets
-
     def test_result_round_trip(self, store):
         key = ResultKey("kernel", 2, "set", "exact", None, False)
         record = {"cost": 3.0, "solver": "exact", "hidden_attributes": ["a2"]}
@@ -71,9 +62,9 @@ class TestArtifactRoundTrips:
     def test_missing_entries_are_misses(self, store):
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
-        mfp = module_fingerprint(workflow.private_modules[0])
+        module, mfp = _module_entry(workflow)
         assert store.load_module_requirement(mfp, 2, "set", "kernel") is None
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
         assert (
             store.load_result(fingerprint, ResultKey("kernel", 2, "set", "a", 0))
             is None
@@ -82,38 +73,19 @@ class TestArtifactRoundTrips:
         assert stats["hits"] == 0 and stats["misses"] == 3
 
     def test_corrupt_entry_degrades_to_miss(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        store.save_pack(fingerprint, DerivationCache().compiled_workflow(workflow))
-        path = store._dir(fingerprint) / "pack.json"
+        module, mfp = _module_entry(figure1_workflow())
+        store.save_module_pack(mfp, CompiledModule(module))
+        path = store._module_dir(mfp) / "pack.json"
         path.write_text("{not json")
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
 
     def test_corrupt_pack_degrades_to_miss(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
+        module, mfp = _module_entry(figure1_workflow())
         for payload in ('{"layout": "x", "codes": []}', '{"pack": {"layout": "x"}}'):
-            path = store._dir(fingerprint) / "pack.json"
+            path = store._module_dir(mfp) / "pack.json"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(payload)
-            assert store.load_pack(fingerprint, workflow) is None
-
-    def test_negative_out_set_index_degrades_to_miss(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        visible = frozenset({"a1", "a3", "a5"})
-        out_sets = DerivationCache().module_out_sets(
-            workflow, "m1", visible, frozenset(), stop_at=None, backend="kernel"
-        )
-        key = OutSetKey("m1", visible, frozenset(), None, "kernel")
-        store.save_out_sets(fingerprint, workflow, key, "m1", out_sets)
-        path = store._dir(fingerprint) / f"outsets-{_key_digest(key)}.json"
-        payload = json.loads(path.read_text())
-        payload["entries"][0][0][0] = -1  # would silently wrap via domain[-1]
-        path.write_text(json.dumps(payload))
-        assert store.load_out_sets(fingerprint, workflow, key) is None
-        stats = store.stats()
-        assert stats["out_sets_hits"] == 0 and stats["out_sets_misses"] == 1
+            assert store.load_module_pack(mfp, module) is None
 
     def test_requirements_round_trip_preserves_order(self, store):
         workflow = figure1_workflow()
@@ -129,12 +101,11 @@ class TestArtifactRoundTrips:
             assert list(loaded[name]) == list(derived[name])
 
     def test_structurally_wrong_entry_degrades_to_miss(self, store):
-        workflow = figure1_workflow()
-        other = random_workflow(4, seed=5)
-        fingerprint = workflow_fingerprint(workflow)
-        store.save_pack(fingerprint, DerivationCache().compiled_workflow(other))
+        module, mfp = _module_entry(figure1_workflow())
+        other = random_workflow(4, seed=5).modules[0]
+        store.save_module_pack(mfp, CompiledModule(other))
         # Decoding against the wrong schema must fail safe, not misdecode.
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
 
 
 class TestStoreFormatV2:
@@ -143,91 +114,89 @@ class TestStoreFormatV2:
     @staticmethod
     def _saved_entry(store):
         workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
         cache = DerivationCache(store=store)
-        compiled = cache.compiled_workflow(workflow)  # saves the pack
         cache.requirements(workflow, 2, "set")  # saves the module tier
-        return workflow, fingerprint, compiled
+        module, mfp = _module_entry(workflow)
+        return module, mfp, cache.compiled_module(module)
 
     def test_v2_writes_binary_sidecars_and_stamped_docs(self, store):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
+        module, mfp, _ = self._saved_entry(store)
+        entry = store._module_dir(mfp)
         doc = json.loads((entry / "pack.json").read_text())
         assert doc["format"] == FORMAT_VERSION
         descriptor = doc["pack"]["codes"]
         assert isinstance(descriptor, dict)
         sidecar = entry / descriptor["file"]
         assert sidecar.is_file() and sidecar.stat().st_size > 0
-        module = workflow.private_modules[0]
-        module_entry = store._module_dir(module_fingerprint(module))
-        module_doc = json.loads((module_entry / "pack.json").read_text())
-        assert module_doc["format"] == FORMAT_VERSION
-        assert (module_entry / module_doc["pack"]["codes"]["file"]).is_file()
+        # No workflow-level pack: the module tier holds every pack.
+        assert not store._dir(workflow_fingerprint(figure1_workflow())).exists()
 
     def test_truncated_sidecar_degrades_to_miss(self, store):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
-        sidecar = next(entry.glob("pack.codes.*"))
+        module, mfp, _ = self._saved_entry(store)
+        sidecar = next(store._module_dir(mfp).glob("pack.codes.*"))
         sidecar.write_bytes(sidecar.read_bytes()[:-3])
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
 
     def test_garbage_sidecar_degrades_to_miss(self, store):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
-        next(entry.glob("pack.codes.*")).write_bytes(b"\x00garbage\xff" * 7)
-        assert store.load_pack(fingerprint, workflow) is None
+        module, mfp, _ = self._saved_entry(store)
+        sidecar = next(store._module_dir(mfp).glob("pack.codes.*"))
+        sidecar.write_bytes(b"\x00garbage\xff" * 7)
+        assert store.load_module_pack(mfp, module) is None
 
     def test_missing_sidecar_degrades_to_miss(self, store):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
-        next(entry.glob("pack.codes.*")).unlink()
-        assert store.load_pack(fingerprint, workflow) is None
+        module, mfp, _ = self._saved_entry(store)
+        next(store._module_dir(mfp).glob("pack.codes.*")).unlink()
+        assert store.load_module_pack(mfp, module) is None
 
     def test_sidecar_path_traversal_is_rejected(self, store, tmp_path):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
+        module, mfp, _ = self._saved_entry(store)
+        entry = store._module_dir(mfp)
         outside = tmp_path / "outside.npy"
         outside.write_bytes(next(entry.glob("pack.codes.*")).read_bytes())
         doc = json.loads((entry / "pack.json").read_text())
         doc["pack"]["codes"]["file"] = os.path.relpath(outside, entry)
         (entry / "pack.json").write_text(json.dumps(doc))
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
 
     def test_v2_document_without_base_dir_raises_for_v1_readers(self, store):
         """Code expecting inline codes fails loudly, not with garbage."""
-        workflow, fingerprint, _ = self._saved_entry(store)
-        doc = json.loads((store._dir(fingerprint) / "pack.json").read_text())
+        module, mfp, _ = self._saved_entry(store)
+        doc = json.loads((store._module_dir(mfp) / "pack.json").read_text())
         with pytest.raises(ValueError):
-            CompiledWorkflow.from_payload(workflow, doc)
+            CompiledModule.from_payload(module, doc)
 
     def test_future_format_degrades_to_miss(self, store):
-        workflow, fingerprint, _ = self._saved_entry(store)
-        entry = store._dir(fingerprint)
+        module, mfp, _ = self._saved_entry(store)
+        entry = store._module_dir(mfp)
         doc = json.loads((entry / "pack.json").read_text())
         doc["format"] = FORMAT_VERSION + 1
         (entry / "pack.json").write_text(json.dumps(doc))
-        assert store.load_pack(fingerprint, workflow) is None
+        assert store.load_module_pack(mfp, module) is None
 
     def test_loaded_pack_reports_mapped_bytes(self, store):
-        workflow, fingerprint, compiled = self._saved_entry(store)
-        loaded = store.load_pack(fingerprint, workflow)
+        module, mfp, compiled = self._saved_entry(store)
+        loaded = store.load_module_pack(mfp, module)
         assert loaded is not None
         mapped = getattr(loaded.packed, "mapped_bytes", 0)
         # mmap may legitimately be unavailable (exotic filesystems); the
         # pack must still round-trip either way.
         assert mapped >= 0
-        visible = frozenset({"a1", "a3", "a5"})
-        assert loaded.module_out_sets("m1", visible) == compiled.module_out_sets(
-            "m1", visible
-        )
+        assert loaded.packed.codes == compiled.packed.codes
+        fresh = CompiledModule(module)
+        for visible in VISIBLE_SETS:
+            assert loaded.privacy_level(visible) == fresh.privacy_level(visible)
 
 
 class TestDiskStatsSurface:
     def test_disk_stats_reports_tiers_and_format_versions(self, store):
         workflow = figure1_workflow()
         cache = DerivationCache(store=store)
-        cache.requirements(workflow, 2, "set")  # fills both tiers
-        cache.compiled_workflow(workflow)
+        cache.requirements(workflow, 2, "set")  # fills the module tier
+        store.save_result(  # and a workflow entry
+            workflow_fingerprint(workflow),
+            ResultKey("kernel", 2, "set", "exact", None, False),
+            {"cost": 1.0},
+        )
         stats = store.disk_stats()
         assert stats["format_version"] == FORMAT_VERSION
         tiers = stats["tiers"]
@@ -239,23 +208,42 @@ class TestDiskStatsSurface:
             stats["bytes"]
         )
 
+    def test_workflow_level_packs_and_out_sets_count_as_other(self, store):
+        """Files the workflow-pack and out-set tiers of earlier commits
+        wrote are nobody's artifact kind: ``"other"``, evicted by gc."""
+        entry = store._dir(workflow_fingerprint(figure1_workflow()))
+        entry.mkdir(parents=True)
+        for name in ("pack.json", "pack.codes.npy", "outsets-0123456789abcdef.json"):
+            (entry / name).write_text("{}")
+        stats = store.disk_stats()
+        assert stats["by_kind"]["other"] == 3
+        assert stats["by_kind"]["pack"] == 0
+        assert "out_sets" not in stats["by_kind"]
+        assert store.gc(max_bytes=0)["deleted_files"] == 3
+
 
 class TestPackIsTheStoredRelation:
-    """The workflow pack is the one persisted copy of the provenance relation."""
+    """Module packs are the one persisted copy of each module's relation;
+    no workflow relation, pack or out-set is stored or read."""
 
     @staticmethod
     def _verified_store(tmp_path) -> DerivationStore:
         directory = tmp_path / "store"
         planner = Planner(figure1_workflow(), 2, store=str(directory))
-        planner.solve("greedy", verify=True)
+        assert planner.solve("greedy", verify=True).certificate.ok
         return DerivationStore(directory)
 
     def test_verify_solve_stores_the_pack_and_no_relation(self, tmp_path):
         store = self._verified_store(tmp_path)
-        entry = store._dir(workflow_fingerprint(figure1_workflow()))
-        assert (entry / "pack.json").is_file()
-        assert len(list(entry.glob("pack.codes.*"))) == 1
-        assert not list(entry.glob("relation.*"))
+        workflow = figure1_workflow()
+        for module in workflow.private_modules:
+            entry = store._module_dir(module_fingerprint(module))
+            assert (entry / "pack.json").is_file()
+            assert len(list(entry.glob("pack.codes.*"))) == 1
+        # A Planner writes no workflow-level file at all.
+        assert not store._dir(workflow_fingerprint(workflow)).exists()
+        assert not list(store.root.rglob("relation.*"))
+        assert not list(store.root.rglob("outsets-*"))
         assert "relation" not in store.disk_stats()["by_kind"]
 
     def test_warm_compile_is_one_store_hit_and_never_computes_the_relation(
@@ -265,42 +253,38 @@ class TestPackIsTheStoredRelation:
         workflow = figure1_workflow()
 
         def refuse(self):
-            raise AssertionError("a warm pack load computed the relation")
+            raise AssertionError("a warm verify computed the workflow relation")
 
         monkeypatch.setattr(Workflow, "provenance_relation", refuse)
-        cache = DerivationCache(store=store)
-        assert len(cache.compiled_workflow(workflow).packed) > 0
-        stats = cache.stats()
-        assert stats.store_hits == 1 and stats.store_misses == 0
-        assert stats.compile_hits == 1 and stats.compile_misses == 0
+        planner = Planner(workflow, 2, cache=DerivationCache(store=store))
+        assert planner.solve("greedy", verify=True).certificate.ok
+        stats = planner.cache.stats()
+        # One list and one pack per private module, each one store hit.
+        assert stats.store_hits == 2 * len(workflow.private_modules)
+        assert stats.store_misses == 0
+        assert stats.derivation_misses == 0
 
     def test_unstamped_pack_documents_are_misses(self, store):
         """A ``to_payload()`` document without a ``"format"`` stamp — the
         all-JSON shape an earlier format wrote — is never served; the
-        workflow pack is recompiled and rewritten in the current format."""
+        module pack is recompiled and rewritten in the current format."""
         workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        cache = DerivationCache()
-        pack_path = store._dir(fingerprint) / "pack.json"
-        pack_path.parent.mkdir(parents=True)
-        pack_path.write_text(
-            json.dumps(cache.compiled_workflow(workflow).to_payload())
-        )
-        module = workflow.private_modules[0]
-        mfp = module_fingerprint(module)
+        module, mfp = _module_entry(workflow)
         module_path = store._module_dir(mfp) / "pack.json"
         module_path.parent.mkdir(parents=True)
-        module_path.write_text(json.dumps(cache.compiled_module(module).to_payload()))
+        module_path.write_text(json.dumps(CompiledModule(module).to_payload()))
 
         assert store.load_module_pack(mfp, module) is None
         warm = DerivationCache(store=store)
-        warm.compiled_workflow(workflow)
-        assert warm.compile_hits == 0 and warm.compile_misses == 1
-        stats = store.stats()
-        assert stats["pack_misses"] == 1 and stats["module_pack_misses"] == 1
-        doc = json.loads(pack_path.read_text())
+        warm.requirements(workflow, 2, "set")
+        # The probe above, then one per private module while deriving.
+        assert store.stats()["module_pack_misses"] == 1 + len(
+            workflow.private_modules
+        )
+        doc = json.loads(module_path.read_text())
         assert doc["format"] == FORMAT_VERSION
-        assert (pack_path.parent / doc["pack"]["codes"]["file"]).is_file()
+        assert (module_path.parent / doc["pack"]["codes"]["file"]).is_file()
+        assert store.load_module_pack(mfp, module) is not None
 
 
 class TestTwoTierCache:
@@ -318,27 +302,27 @@ class TestTwoTierCache:
         assert warm.store_hits == len(workflow.private_modules)
         assert set(lists) == {m.name for m in workflow.private_modules}
 
-    def test_warm_store_serves_relation_pack_and_out_sets(self, store):
+    def test_warm_store_serves_module_packs(self, store):
         workflow = figure1_workflow()
         cold = DerivationCache(store=store)
-        visible = frozenset({"a1", "a3", "a5"})
-        packed = cold.compiled_workflow(workflow).packed
-        expected = cold.module_out_sets(
-            workflow, "m1", visible, frozenset(), stop_at=None, backend="kernel"
-        )
+        cold.requirements(workflow, 2, "set")  # compiles and saves each pack
+        expected = {
+            module.name: cold.compiled_module(module)
+            for module in workflow.private_modules
+        }
 
         warm = DerivationCache(store=store)
         rebuilt = figure1_workflow()
-        # The stored pack is the relation: the same rows, in the same order.
-        assert warm.compiled_workflow(rebuilt).packed.codes == packed.codes
-        got = warm.module_out_sets(
-            rebuilt, "m1", visible, frozenset(), stop_at=None, backend="kernel"
-        )
-        assert got == expected
-        assert warm.compile_misses == 0  # served from the store, not compiled
-        assert warm.compile_hits == 1
-        assert warm.out_set_misses == 0
-        assert warm.store_hits == 2
+        for module in rebuilt.private_modules:
+            loaded = warm.compiled_module(module)
+            cold_pack = expected[module.name]
+            # The stored pack is the module's relation: the same rows, in
+            # the same order, and the same levels.
+            assert loaded.packed.codes == cold_pack.packed.codes
+            for visible in VISIBLE_SETS:
+                assert loaded.privacy_level(visible) == cold_pack.privacy_level(visible)
+        assert warm.store_hits == len(workflow.private_modules)
+        assert warm.store_misses == 0
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="exact solver needs scipy")
     def test_planner_store_path_round_trip(self, tmp_path):
@@ -349,18 +333,19 @@ class TestTwoTierCache:
         second = Planner(figure1_workflow(), 2, kind="set", store=directory)
         again = second.solve(solver="exact", verify=True)
         assert again.cost == result.cost
-        assert again.certificate.ok == result.certificate.ok
+        assert again.certificate == result.certificate
         assert again.cache_stats.derivation_misses == 0
-        assert again.cache_stats.out_set_misses == 0
+        assert again.cache_stats.store_misses == 0
         assert again.cache_stats.store_hits > 0
 
     def test_memory_front_is_bounded(self):
         cache = DerivationCache(max_entries=2)
-        for seed in range(4):
-            cache.compiled_workflow(random_workflow(3, seed=seed))
-        assert len(cache._compiled) <= 2
+        workflows = [random_workflow(3, seed=seed) for seed in range(4)]
+        for workflow in workflows:
+            cache.compiled_module(workflow.modules[0])
+        assert len(cache._compiled_modules) <= 2
         # Pins survive eviction so id() reuse can never alias an entry.
-        assert len(cache._workflows) == 4
+        assert len(cache._modules) == 4
 
     def test_seeded_requirements_are_never_evicted(self):
         # Caller-provided lists may not be re-derivable (generators attach
@@ -379,24 +364,21 @@ class TestTwoTierCache:
 
 
 class TestClearRegression:
-    """DerivationCache.clear() drops everything, including pinned packs."""
+    """DerivationCache.clear() drops everything, including compiled packs."""
 
     def test_clear_drops_pinned_compiled_and_resets_counters(self):
         cache = DerivationCache()
         workflow = figure1_workflow()
-        cache.compiled_workflow(workflow)
-        cache.compiled_workflow(workflow)
         cache.requirements(workflow, 2, "set")
-        assert cache._compiled and cache.compile_hits == 1
+        cache.requirements(workflow, 2, "set")
+        assert cache._compiled_modules and cache.derivation_hits == 1
 
         cache.clear()
-        assert not cache._compiled
-        assert not cache._workflows and not cache._fingerprints
+        assert not cache._compiled_modules and not cache._modules
+        assert not cache._workflows and not cache._module_fingerprints
         assert not cache._requirements
-        assert not cache._out_sets
         stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
-        assert stats.compile_hits == stats.compile_misses == 0
+        assert stats.derivation_hits == stats.derivation_misses == 0
         assert stats.store_hits == stats.store_misses == 0
 
     def test_clear_keeps_disk_artifacts(self, tmp_path):
@@ -419,13 +401,15 @@ class TestClearRegression:
         before = compile_cache_info()
         cache = DerivationCache()
         workflow = random_workflow(4, seed=1, max_inputs=1)
-        cache.compiled_workflow(workflow)
         cache.requirements(workflow, 2, "set")
+        planner = Planner(workflow, 2, cache=cache)
+        assert planner.verify(planner.solve("greedy").solution).ok
         after = compile_cache_info()
         assert (after["workflows"], after["modules"]) == (
             before["workflows"],
             before["modules"],
         )
+        del planner
         cache.clear()
         alive = weakref.ref(workflow)
         del workflow
@@ -438,20 +422,23 @@ class TestCacheStatsSurface:
         cache = DerivationCache()
         payload = cache.stats().as_dict()
         for key in (
-            "compile_hits",
-            "compile_misses",
+            "derivation_hits",
+            "derivation_misses",
             "store_hits",
             "store_misses",
             "mmap_packs",
             "mmap_bytes",
         ):
             assert key in payload
+        for gone in ("out_set_hits", "out_set_misses", "compile_hits"):
+            assert gone not in payload
 
     def test_warm_v2_pack_load_counts_mapped_bytes(self, store):
         workflow = figure1_workflow()
-        DerivationCache(store=store).compiled_workflow(workflow)
+        DerivationCache(store=store).requirements(workflow, 2, "set")
         warm = DerivationCache(store=store)
-        warm.compiled_workflow(figure1_workflow())
+        for module in figure1_workflow().private_modules:
+            warm.compiled_module(module)
         stats = warm.stats()
         assert stats.mmap_packs >= 1
         assert stats.mmap_bytes > 0
@@ -528,9 +515,8 @@ class TestStoreGC:
 
     def test_gc_evicts_binary_sidecars_with_their_documents(self, store):
         workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        DerivationCache(store=store).compiled_workflow(workflow)
-        entry = store._dir(fingerprint)
+        DerivationCache(store=store).requirements(workflow, 2, "set")
+        entry = store._module_dir(module_fingerprint(workflow.private_modules[0]))
         assert list(entry.glob("*.codes.*"))  # v2 wrote sidecars
         summary = store.gc(max_bytes=0)
         assert summary["kept_bytes"] == 0
@@ -565,7 +551,6 @@ class TestPopularityMeta:
         workflow = figure1_workflow()
         fingerprint = self._bump_with_payload(store, workflow, 2)
         cache = DerivationCache(store=store)
-        cache.compiled_workflow(workflow)
         cache.requirements(workflow, 2, "set")
         assert store.popularity(fingerprint) == 2
         popular = store.popular_workflows(1)

@@ -14,7 +14,7 @@ Two contracts back the persistent derivation store:
   fingerprints the same pass yields (``InstanceKeys.modules``) must equal
   ``module_fingerprint`` of each rebuilt module, or the ``modules/`` tier
   would file one module under two keys;
-* artifacts that pass through the store (requirement lists, packed kernel
+* artifacts that pass through the store (requirement lists, packed module
   tables) must produce verdicts *identical* to freshly computed ones, on
   both backends — a store hit may never change an answer.
 """
@@ -22,15 +22,22 @@ Two contracts back the persistent derivation store:
 from __future__ import annotations
 
 import random
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Module, Workflow, boolean_attributes, workflow_out_sets
+from repro.core import (
+    Module,
+    Workflow,
+    boolean_attributes,
+    standalone_out_counts,
+    standalone_privacy_level,
+)
 from repro.engine import DerivationCache, DerivationStore
 from repro.exceptions import DomainError, SchemaError
-from repro.kernel import CompiledWorkflow
+from repro.kernel import CompiledModule
 from repro.workloads import (
     InstanceKeys,
     instance_fingerprint,
@@ -185,27 +192,28 @@ def test_payload_fingerprint_raises_where_tabulation_does(seed, defect_seed, err
 @settings(max_examples=15, deadline=None)
 @given(seeds, st.data())
 def test_store_persisted_packs_match_fresh_compilation_and_reference(seed, data):
-    """Out-set verdicts from a store round-tripped pack are identical to a
-    freshly compiled pack's — and to the brute-force reference backend's."""
+    """Privacy levels and out-counts from a store round-tripped module pack
+    are identical to a freshly compiled pack's — and to the brute-force
+    reference backend's."""
     workflow = small_chain(seed)
-    relation = workflow.provenance_relation()
-    fresh = CompiledWorkflow(workflow, relation)
-    loaded = CompiledWorkflow.from_payload(workflow, fresh.to_payload())
-
-    names = list(workflow.attribute_names)
+    module = data.draw(st.sampled_from(list(workflow.modules)))
+    names = list(module.attribute_names)
     visible = frozenset(
-        data.draw(
-            st.lists(
-                st.sampled_from(names), min_size=2, max_size=len(names), unique=True
-            )
-        )
+        data.draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
     )
-    module_name = data.draw(st.sampled_from(list(workflow.module_names)))
-    from_loaded = loaded.module_out_sets(module_name, visible)
-    assert from_loaded == fresh.module_out_sets(module_name, visible)
-    assert from_loaded == workflow_out_sets(
-        workflow, module_name, visible, backend="reference"
-    )
+    fresh = CompiledModule(module)
+    with tempfile.TemporaryDirectory() as root:
+        store = DerivationStore(root)
+        fingerprint = module_fingerprint(module)
+        store.save_module_pack(fingerprint, fresh)
+        loaded = store.load_module_pack(fingerprint, module)
+        assert loaded is not None
+        level = loaded.privacy_level(visible)
+        counts = loaded.out_counts(visible)
+    assert level == fresh.privacy_level(visible)
+    assert level == standalone_privacy_level(module, visible, backend="reference")
+    assert counts == fresh.out_counts(visible)
+    assert counts == standalone_out_counts(module, visible, backend="reference")
 
 
 @settings(max_examples=10, deadline=None)
@@ -238,8 +246,6 @@ def test_store_round_tripped_requirements_match_both_backends(seed, gamma, kind)
                     )
             out[name] = sorted(options)
         return out
-
-    import tempfile
 
     from repro.exceptions import RequirementError
 

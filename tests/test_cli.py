@@ -106,8 +106,6 @@ class TestInfoAndSolve:
         for key in (
             "derivation_hits",
             "derivation_misses",
-            "compile_hits",
-            "compile_misses",
             "store_hits",
             "store_misses",
         ):
@@ -522,8 +520,10 @@ class TestStoreMaintenance:
         assert main(["store", "stats", warm_store]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["files"] > 0 and stats["bytes"] > 0
-        assert stats["workflow_entries"] >= 1
-        assert stats["by_kind"]["out_sets"] >= 1
+        # The verify solve stored module packs, and no workflow entry.
+        assert stats["module_entries"] >= 1
+        assert stats["by_kind"]["pack"] >= 1
+        assert stats["workflow_entries"] == 0
 
     def test_store_gc_prunes_to_budget_lru(self, warm_store, tmp_path, capsys):
         import os
