@@ -15,13 +15,14 @@ entry point.
 All privacy checks and derivations below run on the default
 ``backend="kernel"`` — the bit-compiled privacy kernel of
 :mod:`repro.kernel`, which packs relations into integer bitmask tables.
-Pass ``backend="reference"`` (to the check functions or to ``Planner``) to
-run the original brute-force enumerators instead; both backends are
-property-tested to agree, the kernel is just much faster.  On
-numpy-sized relations the kernel additionally batches its safe-subset
-sweeps — many candidate masks are levelled per pass over the packed
-rows — which is fully transparent here: nothing in this script changes,
-the Planner's derivations simply run faster.
+Pass ``backend="reference"`` to the check functions of :mod:`repro.core`
+to run the original brute-force enumerators instead; both backends are
+property-tested to agree, the kernel is just much faster.  ``Planner``
+always runs on the kernel.  On numpy-sized relations the kernel
+additionally batches its safe-subset sweeps — many candidate masks are
+levelled per pass over the packed rows — which is fully transparent here:
+nothing in this script changes, the Planner's derivations simply run
+faster.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ The CLI exposes the everyday operations a workflow owner would run:
 * ``serve``     — run the long-lived solve service (threaded HTTP/JSON
   server speaking the versioned ``/v1`` API with one hot derivation
   cache, request coalescing, async jobs, background maintenance — store
-  GC budget, job expiry, restart warm-up — and ``/v1/metrics``;
-  SIGTERM/SIGINT drain in-flight work and exit 0),
+  GC budget, job expiry — and ``/v1/metrics``; SIGTERM/SIGINT drain
+  in-flight work and exit 0),
 * ``fleet``     — spawn and supervise N ``repro serve`` replicas sharing
   one store behind a health-aware ``/v1`` proxy front (budgeted respawn
   of dead replicas; ``repro fleet restart`` or SIGHUP rolling-restarts
@@ -345,8 +345,6 @@ def _service_flags_ok(args: argparse.Namespace) -> bool:
     problem = None
     if not args.store and getattr(args, "store_max_bytes", None) is not None:
         problem = "--store-max-bytes requires --store"
-    elif not args.store and args.warmup:
-        problem = "--warmup requires --store (nothing to warm from)"
     elif args.exec_workers is not None and args.exec_mode != "processes":
         problem = "--exec-workers requires --exec processes"
     if problem is not None:
@@ -395,7 +393,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_ttl=args.job_ttl,
         max_jobs=args.max_jobs,
         store_max_bytes=args.store_max_bytes,
-        warmup=args.warmup,
         maintenance_interval=args.maintenance_interval or None,
         exec_mode=args.exec_mode,
         exec_workers=args.exec_workers,
@@ -449,7 +446,6 @@ def _replica_argv(args: argparse.Namespace) -> list[str]:
         ("--exec-workers", "exec_workers"),
         ("--timeout", "timeout"),
         ("--result-cache-size", "result_cache_size"),
-        ("--warmup", "warmup"),
         ("--maintenance-interval", "maintenance_interval"),
     ):
         value = getattr(args, dest)
@@ -722,15 +718,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
             "bound on the in-memory completed-result cache (default 256; "
             "0 disables it so repeats read the store's result tier — what "
             "a fleet measuring cross-replica reuse wants)"
-        ),
-    )
-    parser.add_argument(
-        "--warmup",
-        type=_arg_nonnegative_int,
-        default=0,
-        help=(
-            "re-compile the N most-requested workflow fingerprints from the "
-            "store at start-up (requires --store; default 0)"
         ),
     )
     parser.add_argument(

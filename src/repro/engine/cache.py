@@ -15,7 +15,9 @@ attribute costs or on which solver runs.  A :class:`DerivationCache`
 therefore memoizes them once per (workflow, Γ, kind) so a multi-solver
 sweep (``repro compare``, ``repro sweep``, the engine benchmarks,
 :mod:`repro.analysis.experiments`) pays the exponential enumeration a
-single time instead of once per solver.
+single time instead of once per solver.  Derivation always runs on the
+compiled packs; :mod:`repro.core`'s brute-force enumerators stay as the
+oracle the property tests compare the kernel against.
 
 Since PR 3 the cache is **two-tier**:
 
@@ -62,7 +64,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..core.module import Module
 from ..core.requirements import RequirementList, derive_module_requirement
 from ..core.workflow import Workflow
-from ..kernel import KERNEL, VALID_BACKENDS, CompiledModule, resolve_backend
+from ..kernel import CompiledModule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DerivationStore
@@ -324,11 +326,7 @@ class DerivationCache:
     # -- requirement derivation -------------------------------------------------
     @_locked
     def module_requirement(
-        self,
-        module: Module,
-        gamma: int,
-        kind: str,
-        backend: str | None = None,
+        self, module: Module, gamma: int, kind: str
     ) -> RequirementList:
         """One module's requirement list, derived at most once per *content*.
 
@@ -338,17 +336,14 @@ class DerivationCache:
         ``modules/`` tier.  ``reused_modules`` / ``rederived_modules`` count
         how the lookup was served.
         """
-        backend = resolve_backend(backend)
         fingerprint = self.module_fingerprint(module)
-        key = (fingerprint, gamma, kind, backend)
+        key = (fingerprint, gamma, kind)
         cached = self._module_requirements.get(key)
         if cached is not None:
             self.reused_modules += 1
             return cached
         if self.store is not None:
-            loaded = self.store.load_module_requirement(
-                fingerprint, gamma, kind, backend
-            )
+            loaded = self.store.load_module_requirement(fingerprint, gamma, kind)
             if loaded is not None:
                 self.store_hits += 1
                 self.reused_modules += 1
@@ -356,43 +351,28 @@ class DerivationCache:
                 return loaded
             self.store_misses += 1
         self.rederived_modules += 1
-        if backend == KERNEL:
-            compiled = self.compiled_module(module)
-            sweep_before = dict(compiled.sweep_stats)
-            derived = derive_module_requirement(
-                module, gamma, kind=kind, compiled=compiled
-            )
-            evaluated = 0
-            for counter, value in compiled.sweep_stats.items():
-                delta = value - sweep_before[counter]
-                evaluated += delta
-                setattr(self, counter, getattr(self, counter) + delta)
-            if self.store is not None and (
-                evaluated or fingerprint in self._unsaved_packs
-            ):
-                # Export the pack *after* the sweep so the privacy-level
-                # memos it populated ride along for future Γ/kind sweeps.
-                # A pack that gained no level is already stored as it is.
-                self.store.save_module_pack(fingerprint, compiled)
-                self._unsaved_packs.discard(fingerprint)
-        else:
-            derived = derive_module_requirement(
-                module, gamma, kind=kind, backend=backend
-            )
+        compiled = self.compiled_module(module)
+        sweep_before = dict(compiled.sweep_stats)
+        derived = derive_module_requirement(module, gamma, kind=kind, compiled=compiled)
+        evaluated = 0
+        for counter, value in compiled.sweep_stats.items():
+            delta = value - sweep_before[counter]
+            evaluated += delta
+            setattr(self, counter, getattr(self, counter) + delta)
+        if self.store is not None and (evaluated or fingerprint in self._unsaved_packs):
+            # Export the pack *after* the sweep so the privacy-level memos it
+            # populated ride along for future Γ/kind sweeps.  A pack that
+            # gained no level is already stored as it is.
+            self.store.save_module_pack(fingerprint, compiled)
+            self._unsaved_packs.discard(fingerprint)
         self._remember(self._module_requirements, key, derived)
         if self.store is not None:
-            self.store.save_module_requirement(
-                fingerprint, gamma, kind, backend, derived
-            )
+            self.store.save_module_requirement(fingerprint, gamma, kind, derived)
         return derived
 
     @_locked
     def requirements(
-        self,
-        workflow: Workflow,
-        gamma: int,
-        kind: str,
-        backend: str | None = None,
+        self, workflow: Workflow, gamma: int, kind: str
     ) -> Mapping[str, RequirementList]:
         """Requirement lists for every private module, derived at most once.
 
@@ -404,8 +384,7 @@ class DerivationCache:
         one ``derivation_misses`` when it derived at least one module list,
         and one ``derivation_hits`` otherwise.
         """
-        backend = resolve_backend(backend)
-        key = (self._pin(workflow), gamma, kind, backend)
+        key = (self._pin(workflow), gamma, kind)
         cached = self._seeded_requirements.get(key)
         if cached is None:
             cached = self._requirements.get(key)
@@ -414,7 +393,7 @@ class DerivationCache:
             return cached
         rederived = self.rederived_modules
         assembled = {
-            module.name: self.module_requirement(module, gamma, kind, backend=backend)
+            module.name: self.module_requirement(module, gamma, kind)
             for module in workflow.private_modules
         }
         self._remember(self._requirements, key, assembled)
@@ -436,19 +415,16 @@ class DerivationCache:
 
         Used when a :class:`SecureViewProblem` arrives with its lists already
         attached (loaded from a problem file, built by a generator) so the
-        engine never re-derives what the caller paid for.  Caller-provided
-        lists are backend-independent, so they satisfy every backend.  They
-        are seeded into a *pinned* memory table, exempt from the FIFO bound
-        and never persisted: unlike derived lists they may not be
-        re-derivable from the workflow (generators attach random lists), so
-        silently evicting one would change answers, and the store only
-        persists what it can re-key by content.
+        engine never re-derives what the caller paid for.  They are seeded
+        into a *pinned* memory table, exempt from the FIFO bound and never
+        persisted: unlike derived lists they may not be re-derivable from
+        the workflow (generators attach random lists), so silently evicting
+        one would change answers, and the store only persists what it can
+        re-key by content.
         """
-        pin = self._pin(workflow)
-        for backend in VALID_BACKENDS:
-            self._seeded_requirements.setdefault(
-                (pin, gamma, kind, backend), requirements
-            )
+        self._seeded_requirements.setdefault(
+            (self._pin(workflow), gamma, kind), requirements
+        )
 
     # -- bookkeeping ------------------------------------------------------------
     def stats(self) -> CacheStats:

@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..exceptions import RequirementError
-from ..kernel import resolve_backend
 from .cache import CacheStats, DerivationCache
 from .planner import Planner
 from .store import DerivationStore, ResultKey
@@ -165,7 +164,6 @@ class SweepSpec:
         | tuple[tuple[str, int | None], ...]
         | None
     ) = None
-    backend: str | None = None
     verify: bool = False
     params: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
 
@@ -264,8 +262,9 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
     a problem file contributes its embedded workflow and rides the
     ``gammas``/``kinds`` axes), ``problems`` (paths to problem files used
     verbatim, with their baked Γ/kind/requirements), ``gammas``, ``kinds``,
-    ``solvers``, ``seeds``, ``backend``, ``verify``.  Relative paths are
-    resolved against ``base_dir``.  The axes follow :func:`grid_axes`.
+    ``solvers``, ``seeds``, ``verify``; any other key is ignored.  Relative
+    paths are resolved against ``base_dir``.  The axes follow
+    :func:`grid_axes`.
     """
     import json
 
@@ -302,7 +301,6 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
         kinds=axes["kinds"],
         solvers=axes["solvers"],
         seeds=tuple(None if s is None else int(s) for s in axes["seeds"]),
-        backend=grid.get("backend"),
         verify=bool(grid.get("verify", False)),
     )
 
@@ -330,8 +328,8 @@ class SolveRunner:
     :meth:`resolve` rebuilds a serialized instance once per content
     fingerprint, so equal content under any label or byte spelling is one
     object and the cache's identity-keyed tables hit across requests.
-    :meth:`planner` memoizes planners per ``(source, fingerprint, Γ, kind,
-    backend)``.  Both tables evict FIFO past ``max_instances`` /
+    :meth:`planner` memoizes planners per ``(source, fingerprint, Γ,
+    kind)``.  Both tables evict FIFO past ``max_instances`` /
     ``max_planners``; a sweep sizes them from its grid, so a worker never
     rebuilds an instance mid-sweep.  Both are thread-safe: concurrent first
     requests converge on one instance and one planner.  Every cell is
@@ -357,7 +355,6 @@ class SolveRunner:
         self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
         self._by_fingerprint: OrderedDict[str, Any] = OrderedDict()
         self._planners: OrderedDict[tuple, Planner] = OrderedDict()
-        self._warmed: set[str] = set()
 
     def resolve(
         self,
@@ -426,15 +423,14 @@ class SolveRunner:
         fingerprint: str,
         gamma: int | None,
         kind: str | None,
-        backend: str | None,
     ) -> Planner:
         """The memoized planner for one instance at one derivation point."""
-        key = (source, fingerprint, gamma, kind, backend)
+        key = (source, fingerprint, gamma, kind)
         with self._lock:
             planner = self._planners.get(key)
         if planner is not None:
             return planner
-        options = dict(cache=self.cache, registry=self.registry, backend=backend)
+        options = dict(cache=self.cache, registry=self.registry)
         if source == "workflow":
             planner = Planner(instance, gamma, kind=kind, **options)
         else:
@@ -447,39 +443,6 @@ class SolveRunner:
                 return existing
             _bounded_put(self._planners, self.max_planners, key, planner)
             return planner
-
-    def warm(self, k: int) -> tuple[int, int]:
-        """Preload the ``k`` most-requested stored workflows; ``(warmed, failed)``.
-
-        For each entry of the store's popularity record: rebuild the
-        instance from its payload (through :meth:`resolve`, so requests for
-        the same content map onto the *same object*), load its private
-        modules' packs (which Γ-privacy certificates read), and load every
-        recorded ``(gamma, kind, backend)`` point.  A fingerprint this
-        runner already warmed is skipped.  Failures are isolated per
-        workflow and counted.
-        """
-        store = self.cache.store
-        if store is None or k <= 0:
-            return 0, 0
-        warmed = failed = 0
-        for fingerprint, _count, payload, points in store.popular_workflows(k):
-            if fingerprint in self._warmed:
-                continue
-            try:
-                workflow, resolved = self.resolve("workflow", payload)
-                if resolved != fingerprint:
-                    raise ValueError(f"payload re-fingerprints to {resolved[:12]}")
-                for module in workflow.private_modules:
-                    self.cache.compiled_module(module)
-                for gamma, kind, backend in points:
-                    self.cache.requirements(workflow, gamma, kind, backend=backend)
-            except Exception:  # noqa: BLE001 - warm-up is best-effort
-                failed += 1
-                continue
-            self._warmed.add(fingerprint)
-            warmed += 1
-        return warmed, failed
 
 
 #: A sweep pool worker's runner, built by :func:`_init_worker`.
@@ -555,7 +518,7 @@ def solve_cell(
     """
     cache = planner.cache
     before = cache.stats()
-    key = ResultKey(planner.backend, planner.gamma, planner.kind, solver, seed, verify)
+    key = ResultKey(planner.gamma, planner.kind, solver, seed, verify)
     costs = dict(costs) if costs else None
     store = cache.store if costs is None else None
     if store is not None and reuse_results:
@@ -631,7 +594,7 @@ def _run_chunk_in(
                 module_fingerprints[cell.label],
             )
             planner = runner.planner(
-                source, instance, fingerprint, cell.gamma, cell.kind, chunk["backend"]
+                source, instance, fingerprint, cell.gamma, cell.kind
             )
             record = solve_cell(
                 planner,
@@ -751,10 +714,6 @@ def _answer_stored(
     dispatch: their Γ and kind live in the payload, not the grid.
     """
     records: list[dict[str, Any]] = []
-    try:
-        backend = resolve_backend(spec.backend)
-    except ValueError:
-        return records, list(cells)  # workers report the bad backend per cell
     verify = bool(spec.verify)
     workflows = {i.label for i in spec.instances if i.source == "workflow"}
     remaining: list[SweepCell] = []
@@ -762,9 +721,7 @@ def _answer_stored(
         instance_keys = keys[cell.label]
         record = None
         if instance_keys is not None and cell.label in workflows:
-            key = ResultKey(
-                backend, cell.gamma, cell.kind, cell.solver, cell.seed, verify
-            )
+            key = ResultKey(cell.gamma, cell.kind, cell.solver, cell.seed, verify)
             record = _stored_record(store, instance_keys.fingerprint, key, cell.label)
         if record is None:
             remaining.append(cell)
@@ -833,7 +790,6 @@ def _chunks_for(
                 },
                 "module_fingerprints": {label: modules[label] for label in labels},
                 "cells": group,
-                "backend": spec.backend,
                 "verify": spec.verify,
             }
         )

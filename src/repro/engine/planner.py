@@ -16,6 +16,11 @@ Because the cache is shared across ``solve`` calls (and across planners,
 when one cache is passed around), a multi-solver sweep pays the exponential
 requirement derivation a single time — the comparative benchmarks measure
 severalfold wall-clock wins on sweeps that previously re-derived per solver.
+
+Derivation and certificates run on the bit-compiled privacy kernel
+(:mod:`repro.kernel`), one pack per module content; :mod:`repro.core`'s
+brute-force enumerators are the oracle the property tests compare it
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..core.workflow import Workflow
 from ..exceptions import RequirementError, WorkflowError
-from ..kernel import resolve_backend
 from ..optim.local_search import improve_solution
 from .cache import DerivationCache
 from .registry import SolverRegistry, SolverSpec, default_registry
@@ -71,11 +75,6 @@ class Planner:
         the cache already has one.
     registry:
         Solver registry to dispatch into; defaults to the process-wide one.
-    backend:
-        Privacy-analysis backend: ``"kernel"`` (default) compiles each
-        module's relation into packed bitmask tables exactly once per
-        instance and runs derivation and verification on them;
-        ``"reference"`` keeps the brute-force enumerators as the oracle.
     """
 
     def __init__(
@@ -90,14 +89,12 @@ class Planner:
         cache: DerivationCache | None = None,
         store: "DerivationStore | str | None" = None,
         registry: SolverRegistry | None = None,
-        backend: str | None = None,
     ) -> None:
         if kind not in ("set", "cardinality"):
             raise RequirementError(f"unknown requirement kind {kind!r}")
         self.workflow = workflow
         self.gamma = gamma
         self.kind = kind
-        self.backend = resolve_backend(backend)
         self.hidable_attributes = hidable_attributes
         self.allow_privatization = allow_privatization
         self.cache = cache if cache is not None else DerivationCache()
@@ -125,7 +122,6 @@ class Planner:
         cache: DerivationCache | None = None,
         store: "DerivationStore | str | None" = None,
         registry: SolverRegistry | None = None,
-        backend: str | None = None,
     ) -> "Planner":
         """Wrap an existing :class:`SecureViewProblem` (no re-derivation)."""
         planner = cls(
@@ -137,7 +133,6 @@ class Planner:
             cache=cache,
             store=store,
             registry=registry,
-            backend=backend,
         )
         planner._problems[None] = problem
         return planner
@@ -159,10 +154,10 @@ class Planner:
         workflow — ``remove`` drops modules by name, ``replace`` swaps
         modules in place (keyed by the name being replaced), ``add`` appends
         new modules — and returns a new :class:`Planner` over it **sharing
-        this planner's cache** (and therefore its store, registry and
-        backend).  Because every requirement derivation is keyed by module
-        content fingerprint, the new planner's first solve re-derives
-        exactly the modules whose content changed and reuses everything else
+        this planner's cache** (and therefore its store) and registry.
+        Because every requirement derivation is keyed by module content
+        fingerprint, the new planner's first solve re-derives exactly the
+        modules whose content changed and reuses everything else
         (``CacheStats.reused_modules`` / ``rederived_modules`` show the
         split); verification reads the same content-keyed module packs.
 
@@ -213,7 +208,6 @@ class Planner:
             allow_privatization=self.allow_privatization,
             cache=self.cache,
             registry=self.registry,
-            backend=self.backend,
         )
 
     # -- instance assembly ------------------------------------------------------
@@ -233,9 +227,7 @@ class Planner:
         cached = self._problems.get(key)
         if cached is not None:
             return cached
-        requirements = self.cache.requirements(
-            self.workflow, self.gamma, self.kind, backend=self.backend
-        )
+        requirements = self.cache.requirements(self.workflow, self.gamma, self.kind)
         workflow = self._workflows.get(key)
         if workflow is None:
             workflow = self.workflow.with_attribute_costs(dict(costs or {}))
@@ -371,7 +363,6 @@ class Planner:
                 visible,
                 hidden_public_modules=privatized,
                 stop_at=self.gamma,
-                backend=self.backend,
             )
             levels[module.name] = min(level, self.gamma)
         return PrivacyCertificate(

@@ -2,15 +2,14 @@
 
 Everything expensive about a Secure-View instance is a pure function of
 *content* plus a handful of small parameters (Γ, requirement kind,
-backend, solver, seed).  A :class:`DerivationStore` therefore keys every
+solver, seed).  A :class:`DerivationStore` therefore keys every
 artifact by a canonical-serialization fingerprint.  Whole solve results
-and the popularity record are keyed by the workflow's
-(:func:`repro.workloads.workflow_fingerprint`) and persisted under::
+are keyed by the workflow's (:func:`repro.workloads.workflow_fingerprint`)
+and persisted under::
 
     <root>/<fp[:2]>/<fingerprint>/
-        meta.json                      # the service's popularity record
-        result-<keydigest>.json        # one per (backend, gamma, kind, solver,
-                                       #          seed, verify) solve cell
+        result-<keydigest>.json        # one per (gamma, kind, solver, seed,
+                                       #          verify) solve cell
 
 Everything derived per module is keyed by the module's, in the module
 tier below.  No stored artifact holds the workflow's provenance relation:
@@ -53,7 +52,7 @@ content only, costs and privacy flags excluded)::
         pack.json                      # packed module relation + privacy-level
                                        # memos (CompiledModule.to_payload)
         pack.codes.npy|.bin            # binary pack codes
-        req-g<gamma>-<kind>-<backend>.json   # one requirement list
+        req-g<gamma>-<kind>-kernel.json      # one requirement list
 
 Any workflow containing the module — a what-if cost variant, an edited
 member of a workflow family, an entirely different pipeline reusing one
@@ -62,15 +61,10 @@ workflow re-derives one module, not ten.  This tier is the only stored
 copy of each requirement list: a workflow's mapping is its private
 modules' lists, which the cache assembles in workflow module order.
 
-**Popularity.**  ``meta.json`` is the solve service's popularity record,
-and :meth:`DerivationStore.bump_popularity` (the service's flush) is its
-only writer; sweeps and CLI runs write none.  It holds the request
-count, the requested workflow's serialized payload and the ``(gamma,
-kind, backend)`` points requests asked for, so warm-up can rebuild a
-popular instance, load its module packs and preload those points.
-Workflow-level ``req-*.json`` documents and module ``meta.json`` files
-that earlier commits wrote are never read;
-:meth:`~DerivationStore.disk_stats` counts them by file name
+**Files nothing reads.**  Workflow-level ``meta.json`` files (the
+request-count record an earlier solve service kept), workflow-level
+``req-*.json`` documents and module ``meta.json`` files are never read
+or written; :meth:`~DerivationStore.disk_stats` counts them by file name
 and :meth:`~DerivationStore.gc` evicts them like any cold file.
 
 **Maintenance.**  :meth:`DerivationStore.disk_stats` summarizes what a
@@ -92,7 +86,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..kernel import CompiledModule
 from ..kernel import binpack
@@ -112,33 +106,6 @@ FORMAT_VERSION = 2
 _CATEGORIES = ("result", "module_requirement", "module_pack")
 
 
-def _popularity_count(meta: Mapping[str, Any]) -> int:
-    """A meta document's request count; 0 unless it is a genuine ``int``.
-
-    The count is hand-editable JSON, so a string, list or bool there must
-    read as "never requested" rather than raise — the next bump rewrites
-    the field.
-    """
-    count = meta.get("popularity", 0)
-    return count if isinstance(count, int) and not isinstance(count, bool) else 0
-
-
-def _popularity_points(meta: Mapping[str, Any]) -> list[tuple[int, str, str]]:
-    """A meta document's recorded ``(gamma, kind, backend)`` points.
-
-    Hand-editable JSON like the count: entries that are not ``[int, str,
-    str]`` are skipped (a bool is not an int here either).
-    """
-    points = meta.get("points")
-    if not isinstance(points, list):
-        return []
-    return [
-        tuple(point)
-        for point in points
-        if isinstance(point, list) and [type(v) for v in point] == [int, str, str]
-    ]
-
-
 def _key_digest(parts: tuple) -> str:
     """Short stable digest of a JSON-able key tuple (used in filenames)."""
     canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
@@ -146,15 +113,19 @@ def _key_digest(parts: tuple) -> str:
 
 
 def ResultKey(
-    backend: str,
     gamma: int,
     kind: str,
     solver: str,
     seed: int | None,
     verify: bool = False,
 ) -> tuple:
-    """The parameters that (with the fingerprint) identify one solve cell."""
-    return ("result", backend, gamma, kind, solver, seed, verify)
+    """The parameters that (with the fingerprint) identify one solve cell.
+
+    The constant ``"kernel"`` component keeps the key digests, and so the
+    result file names, that stores written while the key named the privacy
+    implementation use: such a store is served warm.
+    """
+    return ("result", "kernel", gamma, kind, solver, seed, verify)
 
 
 class DerivationStore:
@@ -203,7 +174,7 @@ class DerivationStore:
             pass
         return payload
 
-    def _write(self, category: str | None, path: Path, payload: Any) -> None:
+    def _write(self, category: str, path: Path, payload: Any) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:
@@ -220,8 +191,7 @@ class DerivationStore:
             except OSError:
                 pass
             return
-        if category is not None:
-            self.writes[category] += 1
+        self.writes[category] += 1
 
     def _write_bytes(self, path: Path, data: bytes) -> None:
         """Atomically publish a binary sidecar (same tmp+replace protocol)."""
@@ -296,29 +266,16 @@ class DerivationStore:
                 doc[key] = value
         return doc
 
-    @staticmethod
-    def _read_raw(path: Path) -> dict[str, Any]:
-        """Best-effort JSON object read: no counters, no mtime touch.
-
-        Meta documents are the popularity record, not cached artifacts —
-        reading one must neither count as a store hit nor refresh its LRU
-        position.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
     # -- shared module tier -----------------------------------------------------
+    def _requirement_path(self, module_fingerprint: str, gamma: int, kind: str) -> Path:
+        # The constant "kernel" suffix keeps the names that stores written
+        # while lists were keyed by privacy implementation use.
+        return self._module_dir(module_fingerprint) / f"req-g{gamma}-{kind}-kernel.json"
+
     def load_module_requirement(
-        self, module_fingerprint: str, gamma: int, kind: str, backend: str
+        self, module_fingerprint: str, gamma: int, kind: str
     ) -> "RequirementList | None":
-        path = (
-            self._module_dir(module_fingerprint)
-            / f"req-g{gamma}-{kind}-{backend}.json"
-        )
+        path = self._requirement_path(module_fingerprint, gamma, kind)
         payload = self._read("module_requirement", path)
         if payload is None:
             return None
@@ -337,20 +294,14 @@ class DerivationStore:
         module_fingerprint: str,
         gamma: int,
         kind: str,
-        backend: str,
         requirement: "RequirementList",
     ) -> None:
-        path = (
-            self._module_dir(module_fingerprint)
-            / f"req-g{gamma}-{kind}-{backend}.json"
-        )
         self._write(
             "module_requirement",
-            path,
+            self._requirement_path(module_fingerprint, gamma, kind),
             {
                 "gamma": gamma,
                 "kind": kind,
-                "backend": backend,
                 "requirement": requirement_to_dict(requirement),
             },
         )
@@ -395,67 +346,6 @@ class DerivationStore:
     def save_result(self, fingerprint: str, key: tuple, record: Mapping) -> None:
         path = self._dir(fingerprint) / f"result-{_key_digest(key)}.json"
         self._write("result", path, dict(record))
-
-    # -- popularity (meta tier) -------------------------------------------------
-    def bump_popularity(
-        self,
-        fingerprint: str,
-        by: int = 1,
-        payload: Mapping[str, Any] | None = None,
-        points: Iterable[tuple[int, str, str]] = (),
-    ) -> int:
-        """Record ``by`` more requests for a workflow entry; the new count.
-
-        The entry's ``meta.json`` is the service's popularity record, so it
-        survives restarts and rides the same GC policy as the artifacts it
-        ranks.  Besides the count it keeps what warm-up needs: the
-        requested workflow's serialized ``payload`` (written only when the
-        meta has none) and the sorted union of the ``(gamma, kind,
-        backend)`` points requests asked for.  Read-modify-write without a
-        cross-process lock: concurrent bumpers may lose increments, which
-        ranking tolerates (popularity is a heuristic, not an invariant).
-        """
-        meta_path = self._dir(fingerprint) / "meta.json"
-        meta = self._read_raw(meta_path)
-        meta.setdefault("fingerprint", fingerprint)
-        meta["popularity"] = _popularity_count(meta) + int(by)
-        if payload is not None and not isinstance(meta.get("workflow_payload"), dict):
-            meta["workflow_payload"] = dict(payload)
-        merged = set(_popularity_points(meta)) | {tuple(point) for point in points}
-        if merged:
-            meta["points"] = sorted(merged)
-        self._write(None, meta_path, meta)
-        return meta["popularity"]
-
-    def popularity(self, fingerprint: str) -> int:
-        """The persisted request count for one workflow entry (0 if none)."""
-        return _popularity_count(self._read_raw(self._dir(fingerprint) / "meta.json"))
-
-    def popular_workflows(
-        self, k: int
-    ) -> list[tuple[str, int, dict, list[tuple[int, str, str]]]]:
-        """The ``k`` most-requested workflow entries that can be rebuilt.
-
-        ``(fingerprint, popularity, workflow_payload, points)`` tuples,
-        most popular first (fingerprint breaks ties deterministically);
-        ``points`` are the recorded ``(gamma, kind, backend)`` points.
-        Entries without a serialized payload or without any recorded
-        popularity are skipped — they cannot be warmed, or nobody asked
-        for them.
-        """
-        ranked: list[tuple[int, str, dict, list[tuple[int, str, str]]]] = []
-        # Workflow shards are two hex characters, so the glob can never
-        # descend into the "modules" tier.
-        for meta_path in self.root.glob("??/*/meta.json"):
-            meta = self._read_raw(meta_path)
-            payload = meta.get("workflow_payload")
-            count = _popularity_count(meta)
-            if not isinstance(payload, dict) or count <= 0:
-                continue
-            fingerprint = str(meta.get("fingerprint") or meta_path.parent.name)
-            ranked.append((count, fingerprint, payload, _popularity_points(meta)))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        return [(fp, count, *rest) for count, fp, *rest in ranked[: max(0, k)]]
 
     # -- maintenance ------------------------------------------------------------
     @staticmethod

@@ -16,8 +16,8 @@ Components
     :class:`~repro.engine.cache.DerivationCache` (optionally store-backed),
     a solve worker pool, an in-memory result cache, and **request
     coalescing** — concurrent identical requests (same workflow
-    fingerprint, backend, Γ, kind, solver, seed, verify) attach to one
-    computation and all receive its result.
+    fingerprint, Γ, kind, solver, seed, verify) attach to one computation
+    and all receive its result.
 :class:`RequestCoalescer`
     The keyed single-flight table behind the coalescing, with
     leader/follower counters (``coalesced`` in ``/metrics``).
@@ -26,8 +26,8 @@ Components
     immediately and the cells run through the same pipeline
     (``GET /jobs/<id>`` reports progress and partial records,
     ``DELETE /jobs/<id>`` cancels); a scheduler thread owns store GC to a
-    byte budget, job expiry, popularity flushing and restart warm-up.
-    Every other table is bounded by size alone.
+    byte budget and job expiry.  Every other table is bounded by size
+    alone.
 :class:`ServiceServer`
     The threaded HTTP front for one replica: ``POST /v1/solve``,
     ``POST /v1/sweep``, ``POST /v1/jobs/sweep``, ``GET /v1/jobs[/<id>]``,

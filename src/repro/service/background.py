@@ -26,19 +26,12 @@ facilities a long-lived process needs:
     intervals (a fleet of services sharing one store must not GC in
     lockstep) and per-task failure isolation (a GC crash increments a
     counter; it never kills job expiry, and never the thread).  Tasks:
-    job-table expiry, popularity flushing, and store GC to a byte budget.
-    The result, instance and planner tables need no pass: each is bounded
-    by size.  At start-up it also performs **warm-up**: after a restart
-    over a warm store, load the private-module packs of the K
-    most-requested workflow fingerprints and preload the (Γ, kind,
-    backend) points their requests asked for — the popularity record the
-    flush task writes to the store's meta tier — so the first solve of a
-    popular instance hits the hot cache instead of the store.
-    Execution-tier workers run the same warm-up when they spawn.
+    job-table expiry and store GC to a byte budget.  The result, instance
+    and planner tables need no pass: each is bounded by size.
 
 Everything is observable through ``GET /metrics``: job gauges/counters
-under ``jobs``, and ``maintenance.{gc_runs, gc_deleted_bytes,
-warmed_packs, ...}``.
+under ``jobs``, and ``maintenance.{runs, gc_runs, gc_deleted_bytes,
+expired_jobs, task_failures}``.
 """
 
 from __future__ import annotations
@@ -418,7 +411,7 @@ class JobManager:
 
 
 class MaintenanceScheduler:
-    """Periodic housekeeping on one daemon thread, plus on-demand warm-up.
+    """Periodic housekeeping on one daemon thread.
 
     Parameters
     ----------
@@ -433,7 +426,7 @@ class MaintenanceScheduler:
     """
 
     #: Periodic tasks, in execution order; each failure-isolated.
-    TASKS = ("expire_jobs", "flush_popularity", "gc_store")
+    TASKS = ("expire_jobs", "gc_store")
 
     def __init__(
         self,
@@ -454,9 +447,7 @@ class MaintenanceScheduler:
         self.gc_runs = 0
         self.gc_deleted_bytes = 0
         self.expired_jobs = 0
-        self.warmed_packs = 0
-        self.popularity_flushes = 0
-        self.task_failures = {name: 0 for name in self.TASKS + ("warm_up",)}
+        self.task_failures = {name: 0 for name in self.TASKS}
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "MaintenanceScheduler":
@@ -514,13 +505,6 @@ class MaintenanceScheduler:
                 self.expired_jobs += expired
         return expired
 
-    def _task_flush_popularity(self) -> int:
-        flushed = self.service.flush_popularity()
-        if flushed:
-            with self._lock:
-                self.popularity_flushes += 1
-        return flushed
-
     def _task_gc_store(self) -> dict[str, int] | None:
         store = self.service.cache.store
         if store is None or self.store_max_bytes is None:
@@ -531,24 +515,6 @@ class MaintenanceScheduler:
             self.gc_deleted_bytes += result["freed_bytes"]
         return result
 
-    # -- warm-up -----------------------------------------------------------------
-    def warm_up(self, k: int) -> int:
-        """Preload the ``k`` most-requested stored workflows into the hot cache.
-
-        Runs the service runner's :meth:`~repro.engine.executor.SolveRunner.warm`
-        (the same warm-up every execution-tier worker runs at spawn), so
-        after a restart the first solve of a popular fingerprint, verified
-        or not, reports no store hit and no derivation: its module packs
-        and requirement lists are already in memory.  Returns the number
-        of workflows warmed; per-workflow failures count under
-        ``task_failures["warm_up"]``.
-        """
-        warmed, failed = self.service.runner.warm(k)
-        with self._lock:
-            self.warmed_packs += warmed
-            self.task_failures["warm_up"] += failed
-        return warmed
-
     # -- observability -----------------------------------------------------------
     def metrics(self) -> dict[str, Any]:
         with self._lock:
@@ -558,7 +524,5 @@ class MaintenanceScheduler:
                 "gc_runs": self.gc_runs,
                 "gc_deleted_bytes": self.gc_deleted_bytes,
                 "expired_jobs": self.expired_jobs,
-                "warmed_packs": self.warmed_packs,
-                "popularity_flushes": self.popularity_flushes,
                 "task_failures": dict(self.task_failures),
             }

@@ -186,7 +186,6 @@ class ServiceClient:
         solver: str = "auto",
         seed: int | None = None,
         verify: bool = False,
-        backend: str | None = None,
         costs: Mapping[str, float] | None = None,
         timeout: float | None = None,
         label: str | None = None,
@@ -201,8 +200,6 @@ class ServiceClient:
             body["kind"] = kind if kind is not None else "set"
         else:
             body["problem"] = _instance_payload(problem)
-        if backend is not None:
-            body["backend"] = backend
         if costs is not None:
             body["costs"] = dict(costs)
         if timeout is not None:
@@ -221,13 +218,11 @@ class ServiceClient:
         solvers: tuple | list = ("auto",),
         seeds: tuple | list = (0,),
         verify: bool = False,
-        backend: str | None = None,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """Run an inline grid on the server; the sweep report."""
         body = self._grid_body(
-            workflows, problems, gammas, kinds, solvers, seeds, verify,
-            backend, timeout,
+            workflows, problems, gammas, kinds, solvers, seeds, verify, timeout
         )
         return self.request("POST", "/sweep", body)
 
@@ -240,7 +235,6 @@ class ServiceClient:
         solvers: tuple | list,
         seeds: tuple | list,
         verify: bool,
-        backend: str | None,
         timeout: float | None,
     ) -> dict[str, Any]:
         body: dict[str, Any] = {
@@ -252,8 +246,6 @@ class ServiceClient:
             "seeds": list(seeds),
             "verify": verify,
         }
-        if backend is not None:
-            body["backend"] = backend
         if timeout is not None:
             body["timeout"] = timeout
         return body
@@ -269,7 +261,6 @@ class ServiceClient:
         solvers: tuple | list = ("auto",),
         seeds: tuple | list = (0,),
         verify: bool = False,
-        backend: str | None = None,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """Submit an inline grid as an async job; ``{"job": id, ...}``.
@@ -278,8 +269,7 @@ class ServiceClient:
         :meth:`wait_job`.
         """
         body = self._grid_body(
-            workflows, problems, gammas, kinds, solvers, seeds, verify,
-            backend, timeout,
+            workflows, problems, gammas, kinds, solvers, seeds, verify, timeout
         )
         return self.request("POST", "/jobs/sweep", body)
 

@@ -18,10 +18,9 @@ Design
   shared directory, a hot module-granular
   :class:`~repro.engine.cache.DerivationCache` in front, and content-keyed
   instance and planner tables.  The store result-tier probe, the solve and
-  the record all come from one implementation.  Before it announces ready,
-  a worker (a respawned one too) runs the runner's warm-up of the store's
-  most popular workflows' module packs and requirement lists, so its
-  first request pays a solve, not a store load.
+  the record all come from one implementation.  A worker (a respawned one
+  too) announces ready as soon as its runner exists; it loads packs and
+  lists from the store as requests need them.
 * **Requests cross the boundary as JSON-shaped bodies.**  Parsed jobs hold
   rebuilt workflows whose callables do not pickle; the tier re-encodes each
   job via :meth:`~repro.service.jobs.SolveJob.to_wire` and the worker
@@ -111,34 +110,17 @@ def _mp_context() -> Any:
 # Worker side (runs in the child process)
 # ---------------------------------------------------------------------------
 
-def _worker_main(
-    conn: Any, store_path: str | None, reuse_results: bool, warmup: int
-) -> None:
+def _worker_main(conn: Any, store_path: str | None, reuse_results: bool) -> None:
     """The worker loop: bootstrap, announce readiness, answer until exit.
 
     Protocol (tuples over the duplex pipe):
     parent → worker: ``("solve", id, wire)`` | ``("exit",)``
-    worker → parent: ``("ready", info)`` | ``("done", id, record, delta)`` |
+    worker → parent: ``("ready",)`` | ``("done", id, record, delta)`` |
     ``("error", id, message, status, error_type, delta)``
     """
     runner = SolveRunner(store_path, reuse_results=reuse_results)
     try:
-        warmed, _ = runner.warm(warmup)
-        # The store serves pre-warmed packs as memory-mapped sidecars;
-        # report how much of this worker's warm set is shared mappings so
-        # the parent's /metrics can show the per-worker memory win.
-        stats = runner.cache.stats()
-        conn.send(
-            (
-                "ready",
-                {
-                    "pid": os.getpid(),
-                    "warmed": warmed,
-                    "mmap_packs": stats.mmap_packs,
-                    "mmap_bytes": stats.mmap_bytes,
-                },
-            )
-        )
+        conn.send(("ready",))
         while True:
             try:
                 message = conn.recv()
@@ -222,9 +204,6 @@ class ProcessExecTier:
     reuse_results:
         Mirror of the service flag: workers probe the store's result tier
         before solving.
-    warmup:
-        Popular packs each worker (a respawned one too) pre-warms before
-        it announces ready.
     max_restarts:
         Total worker respawns before the tier declares itself
         unrecoverable (``healthy() == False``; ``/healthz`` turns 503 and
@@ -236,19 +215,15 @@ class ProcessExecTier:
         workers: int = 2,
         store_path: str | None = None,
         reuse_results: bool = True,
-        warmup: int = 0,
         max_restarts: int = 16,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
         if max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
         self.workers = workers
         self.store_path = store_path
         self.reuse_results = reuse_results
-        self.warmup = warmup
         self.max_restarts = max_restarts
         self._mp = _mp_context()
         self._lock = threading.Lock()
@@ -262,9 +237,6 @@ class ProcessExecTier:
         self.completed = 0
         self.failed = 0
         self.worker_restarts = 0
-        self.workers_warmed = 0
-        self.workers_mmap_packs = 0
-        self.workers_mmap_bytes = 0
         self._worker_cache: dict[str, int] = {}
         self._workers = [self._spawn(index) for index in range(workers)]
         self._collector = threading.Thread(
@@ -277,7 +249,7 @@ class ProcessExecTier:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, self.store_path, self.reuse_results, self.warmup),
+            args=(child_conn, self.store_path, self.reuse_results),
             name=f"repro-exec-{index}",
             daemon=True,
         )
@@ -338,9 +310,6 @@ class ProcessExecTier:
         with self._changed:
             if op == "ready":
                 worker.ready = True
-                self.workers_warmed += int(message[1].get("warmed", 0))
-                self.workers_mmap_packs += int(message[1].get("mmap_packs", 0))
-                self.workers_mmap_bytes += int(message[1].get("mmap_bytes", 0))
                 self._dispatch_locked()
             elif op in ("done", "error"):
                 task = self._tasks.pop(message[1], None)
@@ -533,9 +502,6 @@ class ProcessExecTier:
                 "completed": self.completed,
                 "failed": self.failed,
                 "worker_restarts": self.worker_restarts,
-                "warmed_packs": self.workers_warmed,
-                "mapped_packs": self.workers_mmap_packs,
-                "mapped_bytes": self.workers_mmap_bytes,
                 "healthy": not self._closing and any(w.alive for w in self._workers),
             }
 

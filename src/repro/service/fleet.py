@@ -12,15 +12,13 @@ stdlib HTTP front that proxies the versioned ``/v1`` API across them:
 * **supervision** — a replica process that dies unexpectedly is respawned
   up to a per-replica restart budget (``--restart-budget``); beyond that
   it is marked failed and the fleet keeps serving degraded;
-* **warm-up coordination** — every replica attaches the same store, so
-  the popularity counts each drain flushes into the store's meta tier
-  rank the warm-up (``--warmup K``) of every *future* replica: a rolling
-  restart's successor preloads exactly the packs its predecessor's
-  traffic voted for;
+* **one shared store** — every replica attaches the same store, so a
+  rolling restart's successor serves its predecessor's results, packs and
+  requirement lists from disk;
 * **rolling restarts** — ``repro fleet restart`` (or SIGHUP, or ``POST
   /v1/fleet/restart``) cycles one replica at a time: leave rotation →
-  drain (its in-flight requests complete; popularity flushes) → wait for
-  exit → respawn → wait healthy → readmit — then the next replica.
+  drain (its in-flight requests complete) → wait for exit → respawn →
+  wait healthy → readmit — then the next replica.
 
 The front answers the fleet-level API itself:
 
@@ -131,9 +129,9 @@ class FleetSupervisor(HTTPFront):
         Front bind address (``port=0`` picks a free port).
     serve_argv:
         Extra ``repro serve`` arguments appended to every replica's
-        command line (``["--workers", "2", "--warmup", "8"]`` …) — and to
-        every respawn, so a restarted replica comes back with identical
-        configuration.
+        command line (``["--workers", "2", "--exec", "processes"]`` …) —
+        and to every respawn, so a restarted replica comes back with
+        identical configuration.
     restart_budget:
         Unexpected-death respawns allowed *per replica* before it is
         marked failed.
@@ -615,10 +613,10 @@ class FleetSupervisor(HTTPFront):
 
         Per replica: leave rotation (the router stops sending work) →
         POST its ``/v1/shutdown`` (the replica's own drain completes
-        in-flight responses and flushes popularity into the shared store)
-        → wait for exit → respawn with the identical command line → wait
-        for healthz 200 → readmit.  Serialized against concurrent restart
-        requests; a fleet mid-stop skips the remaining replicas.
+        in-flight responses) → wait for exit → respawn with the identical
+        command line → wait for healthz 200 → readmit.  Serialized against
+        concurrent restart requests; a fleet mid-stop skips the remaining
+        replicas.
         """
         with self._restart_lock:
             restarted: list[str] = []

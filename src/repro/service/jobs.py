@@ -9,12 +9,13 @@ and requirement lists baked in) — plus solve parameters::
 
     {"workflow": {...}, "gamma": 2, "kind": "set",
      "solver": "auto", "seed": null, "verify": false,
-     "backend": null, "costs": {"a3": 10.0}, "timeout": 30.0}
+     "costs": {"a3": 10.0}, "timeout": 30.0}
 
+An optional ``"label"`` names the record; any other field is ignored.
 Parsing produces a :class:`SolveJob`, whose :attr:`SolveJob.key` is the
-**coalescing key**: ``(workflow_fingerprint, backend, gamma, kind, solver,
-seed, verify)`` (plus the cost-override items when present).  The
-fingerprint is the store's content key, hashed straight from the payload
+**coalescing key**: ``(workflow_fingerprint, gamma, kind, solver, seed,
+verify)`` (plus the cost-override items when present).  The fingerprint
+is the store's content key, hashed straight from the payload
 (:func:`~repro.workloads.fingerprint.instance_fingerprint`), so two clients
 submitting the same workflow — regardless of module order, dict key order
 or formatting — produce the same key, coalesce while in flight, and share
@@ -45,7 +46,6 @@ from typing import Any, Mapping
 
 from ..engine.executor import SolveRunner, solve_cell
 from ..exceptions import ProvenanceError
-from ..kernel import VALID_BACKENDS, resolve_backend
 
 __all__ = [
     "InstanceCache",
@@ -166,7 +166,6 @@ class SolveJob:
     solver: str
     seed: int | None
     verify: bool
-    backend: str
     costs: tuple[tuple[str, float], ...] | None
     timeout: float | None
     #: The raw (JSON-shaped) instance payload the request carried.  Kept so
@@ -185,7 +184,6 @@ class SolveJob:
         """
         return (
             self.fingerprint,
-            self.backend,
             self.gamma,
             self.kind,
             self.solver,
@@ -211,7 +209,6 @@ class SolveJob:
             "label": self.label,
             "solver": self.solver,
             "verify": self.verify,
-            "backend": self.backend,
         }
         if self.source == "workflow":
             body["gamma"] = self.gamma
@@ -228,12 +225,7 @@ class SolveJob:
         A stored error record is returned, not raised.
         """
         planner = runner.planner(
-            self.source,
-            self.instance,
-            self.fingerprint,
-            self.gamma,
-            self.kind,
-            self.backend,
+            self.source, self.instance, self.fingerprint, self.gamma, self.kind
         )
         record = solve_cell(
             planner,
@@ -346,8 +338,8 @@ def parse_solve_payload(
     ``instances`` resolves the request's instance payload by content: a
     service's :class:`InstanceCache`, or a bare runner.  Raises
     :class:`ServiceError` (status 400) on anything malformed — an unknown
-    field combination, a bad Γ, an unknown solver kind or backend, or an
-    instance payload the serializer rejects.
+    field combination, a bad Γ, an unknown requirement kind, or an
+    instance payload the serializer rejects.  Unknown fields are ignored.
     """
     _require(isinstance(body, Mapping), "request body must be a JSON object")
     has_workflow = "workflow" in body
@@ -380,11 +372,6 @@ def parse_solve_payload(
     _require(isinstance(solver, str) and bool(solver), "solver must be a name string")
     verify = body.get("verify", False)
     _require(isinstance(verify, bool), "verify must be a boolean")
-    backend = body.get("backend")
-    _require(
-        backend is None or backend in VALID_BACKENDS,
-        f"backend must be one of {sorted(VALID_BACKENDS)}",
-    )
 
     try:
         instance, fingerprint = instances.resolve(source, payload)
@@ -408,7 +395,6 @@ def parse_solve_payload(
         solver=solver,
         seed=_parse_seed(body.get("seed")),
         verify=verify,
-        backend=resolve_backend(backend),
         costs=_parse_costs(body.get("costs")),
         timeout=_parse_timeout(body.get("timeout")),
         payload=payload,

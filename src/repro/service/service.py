@@ -47,7 +47,9 @@ paragraph is mode-independent.
 
 Shutdown is graceful by construction: :meth:`SolveService.drain` stops
 admitting new work (503), waits for every in-flight computation to publish
-its result, then shuts the pool down.
+its result, then shuts the pool down.  Start-up loads nothing: a service
+restarted over a warm store answers its first solve of each workflow from
+the store's module and result tiers, and re-derives nothing.
 """
 
 from __future__ import annotations
@@ -111,13 +113,6 @@ class SolveService:
     store_max_bytes:
         Byte budget the maintenance pass GCs an attached store down to;
         ``None`` disables the GC task.
-    warmup:
-        Re-compile this many of the store's most-requested workflow
-        fingerprints at construction and preload the (Γ, kind, backend)
-        points their requests asked for — the popularity record this
-        service flushes to the store — so a restarted service answers its
-        first popular solves from the hot cache.  Each execution-tier
-        worker runs the same warm-up when it spawns.
     maintenance_interval:
         Seconds between background maintenance passes (jittered ±10%);
         ``0`` or ``None`` disables the thread (tasks still run on demand
@@ -152,7 +147,6 @@ class SolveService:
         job_ttl: float | None = 600.0,
         max_jobs: int = 256,
         store_max_bytes: int | None = None,
-        warmup: int = 0,
         maintenance_interval: float | None = 30.0,
         exec_mode: str = "threads",
         exec_workers: int | None = None,
@@ -171,8 +165,6 @@ class SolveService:
             raise ValueError("max_jobs must be >= 1")
         if store_max_bytes is not None and store_max_bytes < 0:
             raise ValueError("store_max_bytes must be non-negative (or None)")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
         if maintenance_interval is not None and maintenance_interval < 0:
             raise ValueError("maintenance_interval must be non-negative")
         if exec_mode not in ("threads", "processes"):
@@ -205,9 +197,6 @@ class SolveService:
         self._idle = threading.Condition(self._state)
         self._in_flight = 0
         self._draining = False
-        #: Pending popularity, fingerprint -> [requests, payload, points],
-        #: flushed to the store's meta tier by maintenance and on drain.
-        self._popularity: dict[str, list] = {}
         #: Set the moment a drain begins (before it waits) — lets callers
         #: and tests sequence "no new work admitted" without polling.
         self.drain_started = threading.Event()
@@ -237,14 +226,11 @@ class SolveService:
                 workers=exec_workers or workers,
                 store_path=str(store.root) if store is not None else None,
                 reuse_results=reuse_results,
-                warmup=warmup,
             )
         self.jobs = JobManager(self, job_ttl=job_ttl, max_jobs=max_jobs)
         self.maintenance = MaintenanceScheduler(
             self, interval=maintenance_interval, store_max_bytes=store_max_bytes
         )
-        if warmup:
-            self.maintenance.warm_up(warmup)
         self.maintenance.start()
 
     # -- bookkeeping under the state lock ---------------------------------------
@@ -285,36 +271,6 @@ class SolveService:
         with self._state:
             record = self._results.get(key)
             return None if record is None else dict(record)
-
-    # -- popularity (persisted by maintenance into the store's meta tier) -------
-    def _note_popularity(self, job: SolveJob) -> None:
-        if job.source != "workflow":
-            return
-        with self._state:
-            pending = self._popularity.get(job.fingerprint)
-            if pending is None:
-                pending = self._popularity[job.fingerprint] = [0, job.payload, set()]
-            pending[0] += 1
-            pending[2].add((job.gamma, job.kind, job.backend))
-
-    def flush_popularity(self) -> int:
-        """Persist pending popularity through ``store.bump_popularity``.
-
-        Hands each fingerprint's count, payload and points to the only
-        writer of ``meta.json``; returns the number of requests flushed.
-        Without a store the pending records are discarded (nowhere durable
-        to put them), so the table cannot grow without bound.
-        """
-        with self._state:
-            pending, self._popularity = self._popularity, {}
-        store = self.cache.store
-        if store is None or not pending:
-            return 0
-        flushed = 0
-        for fingerprint, (count, payload, points) in pending.items():
-            store.bump_popularity(fingerprint, count, payload, points)
-            flushed += count
-        return flushed
 
     # -- the computation (runs on a pool thread) --------------------------------
     def _execute(self, job: SolveJob) -> dict[str, Any]:
@@ -357,13 +313,12 @@ class SolveService:
     def _admit(self, job: SolveJob) -> Any:
         """Admit one job: a finished record, or a ``(leader, entry)`` to wait on.
 
-        Counts the request's popularity, answers a completed identical
-        request from the result cache, and otherwise joins the identical
-        in-flight computation — or, as its leader, starts it on the pool.
+        Answers a completed identical request from the result cache, and
+        otherwise joins the identical in-flight computation — or, as its
+        leader, starts it on the pool.
         ``/solve``, ``/sweep`` and ``/jobs/sweep`` admit every job here;
         :meth:`_collect` finishes it.
         """
-        self._note_popularity(job)
         if self.reuse_results:
             record = self._lookup_result(job.key)
             if record is not None:
@@ -530,7 +485,7 @@ class SolveService:
         sources += [("problem", payload) for payload in axes["problems"]]
         shared = {
             key: body[key]
-            for key in ("verify", "backend", "timeout")
+            for key in ("verify", "timeout")
             if key in body
         }
         jobs: list[SolveJob] = []
@@ -633,7 +588,6 @@ class SolveService:
                 "completed": 0,
                 "failed": 0,
                 "worker_restarts": 0,
-                "warmed_packs": 0,
                 "healthy": True,
             }
             worker_cache: dict[str, int] = {}
@@ -678,14 +632,14 @@ class SolveService:
 
         Order matters: mark draining (new requests and job submits get
         503), cancel active jobs and stop the maintenance thread, wait for
-        job runners to collect their in-flight cells, flush pending
-        popularity to the store, wait out the pool, then stop the
-        execution tier (its workers are idle by then — every in-flight
-        pool thread was blocked on its tier task).  Idempotent.  Returns
-        ``True`` when everything drained within ``timeout`` (``None``
-        waits indefinitely); on ``False`` the pool is still shut down and
-        the tier's workers are killed — which fails their tasks through
-        the crash path and releases any pool thread still blocked on one.
+        job runners to collect their in-flight cells, wait out the pool,
+        then stop the execution tier (its workers are idle by then — every
+        in-flight pool thread was blocked on its tier task).  Nothing is
+        written to the store.  Idempotent.  Returns ``True`` when
+        everything drained within ``timeout`` (``None`` waits
+        indefinitely); on ``False`` the pool is still shut down and the
+        tier's workers are killed — which fails their tasks through the
+        crash path and releases any pool thread still blocked on one.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -700,7 +654,6 @@ class SolveService:
         self.jobs.cancel_all()
         self.maintenance.stop()
         self.jobs.join(_remaining())
-        self.flush_popularity()
         with self._state:
             drained = self._idle.wait_for(
                 lambda: self._in_flight == 0, _remaining()

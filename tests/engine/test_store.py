@@ -54,7 +54,7 @@ VISIBLE_SETS = (
 
 class TestArtifactRoundTrips:
     def test_result_round_trip(self, store):
-        key = ResultKey("kernel", 2, "set", "exact", None, False)
+        key = ResultKey(2, "set", "exact", None, False)
         record = {"cost": 3.0, "solver": "exact", "hidden_attributes": ["a2"]}
         store.save_result("ab" * 32, key, record)
         assert store.load_result("ab" * 32, key) == record
@@ -63,12 +63,9 @@ class TestArtifactRoundTrips:
         workflow = figure1_workflow()
         fingerprint = workflow_fingerprint(workflow)
         module, mfp = _module_entry(workflow)
-        assert store.load_module_requirement(mfp, 2, "set", "kernel") is None
+        assert store.load_module_requirement(mfp, 2, "set") is None
         assert store.load_module_pack(mfp, module) is None
-        assert (
-            store.load_result(fingerprint, ResultKey("kernel", 2, "set", "a", 0))
-            is None
-        )
+        assert store.load_result(fingerprint, ResultKey(2, "set", "a", 0)) is None
         stats = store.stats()
         assert stats["hits"] == 0 and stats["misses"] == 3
 
@@ -194,7 +191,7 @@ class TestDiskStatsSurface:
         cache.requirements(workflow, 2, "set")  # fills the module tier
         store.save_result(  # and a workflow entry
             workflow_fingerprint(workflow),
-            ResultKey("kernel", 2, "set", "exact", None, False),
+            ResultKey(2, "set", "exact", None, False),
             {"cost": 1.0},
         )
         stats = store.disk_stats()
@@ -464,8 +461,8 @@ class TestStoreGC:
         os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
 
     def test_touch_on_read_keeps_warm_artifacts_over_cold_ones(self, store):
-        warm_key = ResultKey("kernel", 2, "set", "exact", None, False)
-        cold_key = ResultKey("kernel", 3, "set", "exact", None, False)
+        warm_key = ResultKey(2, "set", "exact", None, False)
+        cold_key = ResultKey(3, "set", "exact", None, False)
         fingerprint = "ab" * 32
         store.save_result(fingerprint, warm_key, {"cost": 3.0})
         store.save_result(fingerprint, cold_key, {"cost": 4.0})
@@ -487,7 +484,7 @@ class TestStoreGC:
 
     def test_gc_never_deletes_inflight_temp_files(self, store):
         store.save_result(
-            "cd" * 32, ResultKey("kernel", 2, "set", "exact", None, False),
+            "cd" * 32, ResultKey(2, "set", "exact", None, False),
             {"cost": 1.0},
         )
         entry_dir = store._dir("cd" * 32)
@@ -497,13 +494,13 @@ class TestStoreGC:
         assert summary["kept_bytes"] == 0  # every *artifact* went
         assert temp.exists()  # the in-flight temp did not
         assert store.load_result(
-            "cd" * 32, ResultKey("kernel", 2, "set", "exact", None, False)
+            "cd" * 32, ResultKey(2, "set", "exact", None, False)
         ) is None
 
     def test_gc_sweeps_out_emptied_entry_directories(self, store):
         fingerprint = "ef" * 32
         store.save_result(
-            fingerprint, ResultKey("kernel", 2, "set", "exact", None, False),
+            fingerprint, ResultKey(2, "set", "exact", None, False),
             {"cost": 2.0},
         )
         assert store._dir(fingerprint).is_dir()
@@ -528,101 +525,9 @@ class TestStoreGC:
             store.gc(max_bytes=-1)
 
 
-class TestPopularityMeta:
-    """The meta tier's popularity record and warm-up queries."""
-
-    def test_bump_and_read_survive_reopen(self, store, tmp_path):
-        fingerprint = "ab" * 32
-        assert store.popularity(fingerprint) == 0
-        assert store.bump_popularity(fingerprint) == 1
-        assert store.bump_popularity(fingerprint, 4) == 5
-        reopened = DerivationStore(tmp_path / "store")
-        assert reopened.popularity(fingerprint) == 5
-
-    @staticmethod
-    def _bump_with_payload(store, workflow, by: int = 1) -> str:
-        """Record ``by`` requests and the workflow's payload; its fingerprint."""
-        fingerprint = workflow_fingerprint(workflow)
-        store.bump_popularity(fingerprint, by, workflow_to_dict(workflow))
-        return fingerprint
-
-    def test_popularity_survives_artifact_writes(self, store):
-        """Artifact writes never touch the popularity record."""
-        workflow = figure1_workflow()
-        fingerprint = self._bump_with_payload(store, workflow, 2)
-        cache = DerivationCache(store=store)
-        cache.requirements(workflow, 2, "set")
-        assert store.popularity(fingerprint) == 2
-        popular = store.popular_workflows(1)
-        assert popular[0][0] == fingerprint and popular[0][1] == 2
-
-    def test_bump_merges_payload_points_and_counts(self, store):
-        workflow = figure1_workflow()
-        fingerprint = workflow_fingerprint(workflow)
-        first = workflow_to_dict(workflow)
-        store.bump_popularity(fingerprint, 2, first, [(2, "set", "kernel")])
-        store.bump_popularity(
-            fingerprint,
-            3,
-            workflow_to_dict(random_workflow(3, seed=7)),
-            [(2, "set", "kernel"), (1, "cardinality", "reference")],
-        )
-        store.bump_popularity(fingerprint)  # a count alone keeps the rest
-        [(ranked, count, payload, points)] = store.popular_workflows(5)
-        assert (ranked, count) == (fingerprint, 6)
-        assert payload == first  # the first payload stays
-        assert points == [(1, "cardinality", "reference"), (2, "set", "kernel")]
-
-    def test_popular_workflows_skip_malformed_points(self, store):
-        fingerprint = workflow_fingerprint(figure1_workflow())
-        store.bump_popularity(
-            fingerprint, 1, workflow_to_dict(figure1_workflow()), [(2, "set", "kernel")]
-        )
-        meta_path = store._dir(fingerprint) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["points"] += [
-            ["2", "set", "kernel"],
-            [2, "set"],
-            "x",
-            [True, "set", "kernel"],
-        ]
-        meta_path.write_text(json.dumps(meta))
-        assert store.popular_workflows(1)[0][3] == [(2, "set", "kernel")]
-        meta["points"] = "x"
-        meta_path.write_text(json.dumps(meta))
-        assert store.popular_workflows(1)[0][3] == []
-
-    def test_popular_workflows_ranks_and_skips_unwarmables(self, store):
-        ranked = self._bump_with_payload(store, figure1_workflow(), 3)
-        other_wf = random_workflow(3, seed=7)
-        other = self._bump_with_payload(store, other_wf, 9)
-        # Popular but payload-less: bumped without one — unwarmable.
-        store.bump_popularity("99" * 32, 50)
-        ranking = store.popular_workflows(10)
-        assert [(fp, count) for fp, count, _, _ in ranking] == [
-            (other, 9), (ranked, 3)
-        ]
-        assert ranking[0][2]["name"] == other_wf.name
-        assert store.popular_workflows(1) == ranking[:1]
-
-    @pytest.mark.parametrize("count", ["lots", [1], True])
-    def test_non_integer_popularity_reads_zero_and_is_rewritten(self, store, count):
-        fingerprint = self._bump_with_payload(store, figure1_workflow())
-        meta_path = store._dir(fingerprint) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["popularity"] = count
-        meta_path.write_text(json.dumps(meta))
-        assert store.popularity(fingerprint) == 0
-        assert store.popular_workflows(5) == []  # unrequested: skipped
-        assert store.bump_popularity(fingerprint) == 1
-        assert [(fp, n) for fp, n, _, _ in store.popular_workflows(5)] == [
-            (fingerprint, 1)
-        ]
-
-
 class TestOneStoredCopyOfEachList:
     """The module tier is the only stored copy of each requirement list, and
-    only the service's popularity flush writes ``meta.json``."""
+    nothing writes ``meta.json``."""
 
     @staticmethod
     def _assert_module_tier_only(store) -> None:
@@ -680,7 +585,7 @@ class TestOneStoredCopyOfEachList:
             )
         )
         fresh = DerivationCache(store=store)
-        served = fresh.requirements(figure1_workflow(), 2, "set", backend="kernel")
+        served = fresh.requirements(figure1_workflow(), 2, "set")
         assert {name: list(lists) for name, lists in served.items()} == {
             name: list(lists) for name, lists in gamma2.items()
         }

@@ -32,6 +32,7 @@ from repro.core import (
     Module,
     Workflow,
     boolean_attributes,
+    derive_workflow_requirements,
     standalone_out_counts,
     standalone_privacy_level,
 )
@@ -223,8 +224,8 @@ def test_store_persisted_packs_match_fresh_compilation_and_reference(seed, data)
     st.sampled_from(["set", "cardinality"]),
 )
 def test_store_round_tripped_requirements_match_both_backends(seed, gamma, kind):
-    """Requirement lists served from a warm store equal fresh derivations
-    from either backend (which are property-tested equal to each other)."""
+    """Requirement lists served from a warm store equal fresh whole-workflow
+    derivations on either backend (property-tested equal to each other)."""
     workflow = random_workflow(3, seed=seed % 1000, max_inputs=2)
 
     def signature(lists):
@@ -253,17 +254,18 @@ def test_store_round_tripped_requirements_match_both_backends(seed, gamma, kind)
         store = DerivationStore(directory)
         cold = DerivationCache(store=store)
         try:
-            persisted = cold.requirements(workflow, gamma, kind, backend="kernel")
+            persisted = cold.requirements(workflow, gamma, kind)
         except RequirementError:
             # Infeasible at this Γ — nothing to persist; property is vacuous.
             assume(False)
 
         warm = DerivationCache(store=store)
-        served = warm.requirements(workflow, gamma, kind, backend="kernel")
+        served = warm.requirements(workflow, gamma, kind)
         assert warm.derivation_misses == 0
 
-        reference = DerivationCache().requirements(
-            workflow, gamma, kind, backend="reference"
-        )
         assert signature(served) == signature(persisted)
-        assert signature(served) == signature(reference)
+        for backend in ("kernel", "reference"):
+            direct = derive_workflow_requirements(
+                workflow, gamma, kind=kind, backend=backend
+            )
+            assert signature(served) == signature(direct)

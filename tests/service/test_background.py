@@ -8,10 +8,10 @@ blocking solvers gate on events, progress is sequenced through
 
 from __future__ import annotations
 
-import json
-import sys
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +22,12 @@ from repro.service import (
     TERMINAL_JOB_STATES,
     ServiceError,
     SolveService,
-    parse_solve_payload,
 )
+
+
+#: A store an earlier commit wrote (see
+#: ``TestRestart.test_a_store_an_earlier_commit_wrote_is_served_warm``).
+FIXTURE_STORE = Path(__file__).resolve().parents[1] / "fixtures" / "figure1_store"
 
 
 def make_service(**kwargs) -> SolveService:
@@ -302,7 +306,7 @@ class TestMaintenance:
         summary = service.maintenance.run_once()
         assert "RuntimeError" in summary["expire_jobs"]
         # The failing task neither killed the pass nor the other tasks.
-        assert summary["flush_popularity"] == 0
+        assert summary["gc_store"] is None  # ran: no store, no budget
         metrics = service.maintenance.metrics()
         assert metrics["task_failures"]["expire_jobs"] == 1
         assert metrics["runs"] == 1
@@ -332,179 +336,75 @@ class TestMaintenance:
         assert service.maintenance.metrics()["runs"] == runs
 
 
-class TestPopularityAndWarmup:
-    def test_popularity_persists_through_the_store_meta_tier(
+class TestRestart:
+    def test_drain_writes_nothing_to_the_store(self, tmp_path, figure1_payload):
+        """A service that solved a workflow and drained leaves no meta.json:
+        nothing in the store records which workflows were requested."""
+        store_dir = tmp_path / "store"
+        service = make_service(store=str(store_dir))
+        service.solve_payload(
+            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
+             "solver": "exact"}
+        )
+        assert service.drain(timeout=30)
+        assert list(store_dir.rglob("result-*.json"))
+        assert not list(store_dir.rglob("meta.json"))
+
+    def test_restart_serves_a_verify_solve_from_the_store(
         self, tmp_path, figure1_payload
     ):
+        """After a restart over a store an earlier service wrote, the first
+        verify solve of a workflow solved before reads its packs and lists
+        from the store and derives nothing."""
         store_dir = str(tmp_path / "store")
-        service = make_service(store=store_dir)
         body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
                 "solver": "exact"}
-        first = service.solve_payload(dict(body))
-        service.solve_payload(dict(body))  # result-cache hit still counts
-        service.solve_payload({**body, "kind": "cardinality"})
-        store = DerivationStore(store_dir)
-        assert not list(store.root.rglob("meta.json"))  # only the flush writes
-        assert service.drain(timeout=30)  # drain flushes pending popularity
-
-        fingerprint = first["fingerprint"]
-        assert store.popularity(fingerprint) == 3
-        popular = store.popular_workflows(5)
-        assert [entry[0] for entry in popular] == [fingerprint]
-        assert popular[0][2]["name"] == figure1_payload["name"]
-        points = popular[0][3]
-        assert [(gamma, kind) for gamma, kind, _backend in points] == [
-            (2, "cardinality"), (2, "set")
-        ]
-        # Bumps accumulate across service lifetimes.
-        store.bump_popularity(fingerprint, 3)
-        assert store.popularity(fingerprint) == 6
-
-    def test_restarted_service_with_warmup_compiles_before_first_request(
-        self, tmp_path, figure1_payload
-    ):
-        """The acceptance bar: first solve of a popular fingerprint after a
-        warm restart touches neither the store nor derivation: warm-up
-        loaded its module packs and requirement lists."""
-        store_dir = str(tmp_path / "store")
         first = make_service(store=store_dir)
-        first.solve_payload(
-            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-             "solver": "exact"}
-        )
+        first.solve_payload(dict(body))
         assert first.drain(timeout=30)
-
-        second = make_service(store=store_dir, warmup=3)
-        assert second.maintenance.metrics()["warmed_packs"] == 1
-        # verify=True is a *different* result key (no stored result to
-        # short-circuit), so this solves and certifies for real — from the
-        # packs and lists warm-up preloaded.
-        record = second.solve_payload(
-            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-             "solver": "exact", "verify": True}
-        )
-        assert record["from_store"] is False
-        assert record["verified"] is True
-        assert record["cache"]["store_hits"] == 0
-        assert record["cache"]["store_misses"] == 0
-        assert record["cache"]["derivation_misses"] == 0
-        assert second.drain(timeout=30)
-
-    def test_warmup_over_a_meta_without_points_warms_the_pack(
-        self, tmp_path, figure1_payload
-    ):
-        """A meta an earlier commit wrote (payload and count, no points) is
-        still warmed: its module packs load, and it gains points at a flush."""
-        store_dir = str(tmp_path / "store")
-        first = make_service(store=store_dir)
-        fingerprint = first.solve_payload(
-            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-             "solver": "exact"}
-        )["fingerprint"]
-        assert first.drain(timeout=30)
-        meta_path = DerivationStore(store_dir)._dir(fingerprint) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["points"]
-        meta_path.write_text(json.dumps(meta))
 
         second = make_service(store=store_dir)
-        assert second.maintenance.warm_up(5) == 1
-        record = second.solve_payload(
-            {"workflow": figure1_payload, "gamma": 2, "kind": "set",
-             "solver": "exact", "verify": True}
-        )
+        # verify=True is a *different* result key (no stored result to
+        # short-circuit), so this solves and certifies for real.
+        record = second.solve_payload({**body, "verify": True})
         assert record["from_store"] is False
         assert record["verified"] is True
-        # The packs came from warm-up; only the lists (no point recorded)
-        # are read from the store, one per private module.
-        private = [m for m in figure1_payload["modules"] if m["private"]]
-        assert record["cache"]["store_hits"] == len(private)
-        assert record["cache"]["store_misses"] == 0
         assert record["cache"]["derivation_misses"] == 0
+        assert record["cache"]["rederived_modules"] == 0
+        assert record["cache"]["store_hits"] >= 1
         assert second.drain(timeout=30)
-        assert json.loads(meta_path.read_text())["points"] == [[2, "set", "kernel"]]
 
-    def test_non_integer_popularity_stops_neither_drain_nor_warm_up(
+    def test_a_store_an_earlier_commit_wrote_is_served_warm(
         self, tmp_path, figure1_payload
     ):
-        store_dir = str(tmp_path / "store")
-        store = DerivationStore(store_dir)
+        """``tests/fixtures/figure1_store`` was written by an earlier commit:
+        a ``SolveService`` solved ``figure1_workflow()`` once at Γ 2 (set,
+        ``exact``) and drained, which also wrote a ``meta.json`` request
+        record.  Its result key digest and requirement file names are still
+        this code's.  A change to the store layout updates the fixture."""
+        store_dir = tmp_path / "store"
+        shutil.copytree(FIXTURE_STORE, store_dir)
 
-        def corrupt_count(fingerprint: str) -> None:
-            meta_path = store._dir(fingerprint) / "meta.json"
-            meta = json.loads(meta_path.read_text())
-            meta["popularity"] = "lots"
-            meta_path.write_text(json.dumps(meta))
+        def metas() -> dict:
+            return {
+                path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in store_dir.rglob("meta.json")
+            }
 
-        service = make_service(store=store_dir)
+        before = metas()
+        assert len(before) == 1
+        service = make_service(store=str(store_dir))
         body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
                 "solver": "exact"}
-        fingerprint = service.solve_payload(dict(body))["fingerprint"]
-        assert service.flush_popularity() == 1  # writes the meta
-        corrupt_count(fingerprint)
-        service.solve_payload(dict(body))
-        assert service.drain(timeout=30)  # flushes the pending bump
-        assert store.popularity(fingerprint) == 1
-
-        corrupt_count(fingerprint)
-        restarted = make_service(store=store_dir, warmup=1)
-        assert restarted.maintenance.metrics()["warmed_packs"] == 0
-        assert restarted.drain(timeout=30)
-
-    def test_concurrent_requests_lose_no_popularity(self, tmp_path, figure1_payload):
-        """Request threads share the pending popularity record under the
-        state lock: no count or point is lost."""
-        store_dir = str(tmp_path / "store")
-        service = make_service(store=store_dir)
-        jobs = [
-            parse_solve_payload(
-                {"workflow": figure1_payload, "gamma": gamma, "kind": "set"},
-                service.instances,
-            )
-            for gamma in (1, 2)
-        ]
-
-        def note() -> None:
-            for index in range(200):
-                service._note_popularity(jobs[index % 2])
-
-        threads = [threading.Thread(target=note) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert service.drain(timeout=30)  # flushes the pending record
-        [(_fp, count, payload, points)] = DerivationStore(
-            store_dir
-        ).popular_workflows(5)
-        assert count == 8 * 200
-        assert payload["name"] == figure1_payload["name"]
-        assert points == [(1, "set", "kernel"), (2, "set", "kernel")]
-
-    def test_warmup_without_store_or_popularity_is_a_noop(self, tmp_path):
-        assert make_service().maintenance.warm_up(5) == 0
-        cold = make_service(store=str(tmp_path / "empty"))
-        assert cold.maintenance.warm_up(5) == 0
-        assert cold.maintenance.metrics()["warmed_packs"] == 0
-
-    def test_corrupt_warmup_payloads_fail_in_isolation(self, tmp_path):
-        store = DerivationStore(tmp_path / "store")
-        meta_dir = store.root / "ab" / ("ab" * 32)
-        meta_dir.mkdir(parents=True)
-        (meta_dir / "meta.json").write_text(
-            '{"fingerprint": "%s", "popularity": 9, '
-            '"workflow_payload": {"modules": "garbage"}}' % ("ab" * 32)
-        )
-        service = make_service(store=store)
-        assert service.maintenance.warm_up(5) == 0
-        assert service.maintenance.metrics()["task_failures"]["warm_up"] == 1
+        stored = service.solve_payload(dict(body))
+        assert stored["from_store"] is True
+        assert stored["cost"] == 3.0
+        verified = service.solve_payload({**body, "verify": True})
+        assert verified["verified"] is True
+        assert verified["cache"]["derivation_misses"] == 0
+        assert verified["cache"]["rederived_modules"] == 0
         assert service.drain(timeout=30)
+        assert metas() == before
 
 
 class TestConfigValidation:
@@ -515,7 +415,6 @@ class TestConfigValidation:
             {"job_ttl": 0},
             {"max_jobs": 0},
             {"store_max_bytes": -1},
-            {"warmup": -1},
             {"maintenance_interval": -0.5},
         ],
     )

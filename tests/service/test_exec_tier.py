@@ -328,8 +328,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProcessExecTier(workers=0)
         with pytest.raises(ValueError):
-            ProcessExecTier(workers=1, warmup=-1)
-        with pytest.raises(ValueError):
             ProcessExecTier(workers=1, max_restarts=-1)
 
     def test_thread_mode_metrics_report_a_static_exec_block(

@@ -58,7 +58,7 @@ class TestValidation:
             ("verify", "yes"),
             ("solver", ""),
             ("solver", 3),
-            ("backend", "quantum"),
+            ("timeout", "soon"),
             ("timeout", -1),
             ("timeout", 0),
             ("costs", ["a1", 2.0]),
@@ -82,7 +82,6 @@ class TestCanonicalization:
         assert job.solver == "auto"
         assert job.seed is None and job.verify is False
         assert job.costs is None and job.timeout is None
-        assert job.backend == "kernel"
         assert job.label == figure1_payload["name"]
 
     def test_key_is_the_issue_tuple_plus_costs(self, instances, figure1_payload):
@@ -90,9 +89,28 @@ class TestCanonicalization:
             _solve_body(figure1_payload, solver="exact", seed=3, verify=True),
             instances,
         )
-        assert job.key == (
-            job.fingerprint, "kernel", 2, "set", "exact", 3, True, None
-        )
+        assert job.key == (job.fingerprint, 2, "set", "exact", 3, True, None)
+
+    @pytest.mark.parametrize("backend", ["reference", "quantum"])
+    def test_a_backend_field_is_ignored(self, backend, figure1_payload):
+        """A body naming a privacy backend keys like one naming none, and each
+        repeat is answered from the result cache."""
+        from repro.service import SolveService
+
+        service = SolveService(workers=1, maintenance_interval=None)
+        try:
+            plain = parse_solve_payload(
+                _solve_body(figure1_payload, solver="exact"), service.instances
+            )
+            named = _solve_body(figure1_payload, solver="exact", backend=backend)
+            assert parse_solve_payload(named, service.instances).key == plain.key
+            service.solve_payload(_solve_body(figure1_payload, solver="exact"))
+            for _ in range(2):
+                record = service.solve_payload(dict(named))
+                assert record["cost"] == 3.0
+            assert service.metrics()["result_hits"]["memory"] == 2
+        finally:
+            assert service.drain(timeout=30)
 
     def test_module_order_does_not_change_the_key(self, instances, figure1_payload):
         shuffled = dict(figure1_payload)
@@ -176,12 +194,7 @@ class TestCanonicalization:
 
         def planner_of(job):
             return runner.planner(
-                job.source,
-                job.instance,
-                job.fingerprint,
-                job.gamma,
-                job.kind,
-                job.backend,
+                job.source, job.instance, job.fingerprint, job.gamma, job.kind
             )
 
         def build(slot: int) -> None:

@@ -446,7 +446,7 @@ class TestServeFlagValidation:
             ["--job-ttl", "0"],
             ["--max-jobs", "0"],
             ["--store-max-bytes", "-1"],
-            ["--warmup", "-2"],
+            ["--maintenance-interval", "soon"],
             ["--maintenance-interval", "-1"],
             ["--exec", "fibers"],
             ["--exec-workers", "0"],
@@ -461,14 +461,16 @@ class TestServeFlagValidation:
         assert "requires --exec processes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--store-max-bytes", "1000"], ["--warmup", "3"]],
+        "flags", [["--store-max-bytes", "1000"], ["--store-max-bytes", "0"]]
     )
     def test_store_maintenance_flags_require_a_store(self, flags, capsys):
         assert main(["serve", *flags]) == 2
         assert "requires --store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--warmup", "3"], ["--exec-workers", "2"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--exec", "threads", "--exec-workers", "2"], ["--exec-workers", "2"]],
+    )
     def test_fleet_applies_the_same_cross_flag_checks(self, flags, capsys):
         assert main(["fleet", *flags]) == 2  # refused before any replica spawns
         assert "requires --" in capsys.readouterr().err
@@ -492,10 +494,10 @@ class TestFleetReplicaArgv:
             return {a.dest for a in actions if a.option_strings} - {"help"}
 
         shared = flag_dests("serve") & flag_dests("fleet")
-        assert len(shared) == 11
+        assert len(shared) == 10
         given = (
             "--workers 3 --exec processes --exec-workers 2 --timeout 12.5 "
-            "--result-cache-size 0 --warmup 4 --maintenance-interval 0 "
+            "--result-cache-size 0 --maintenance-interval 0 "
             "--store s --no-quiet"
         ).split()
         for flags in ([], given):
