@@ -119,19 +119,12 @@ def test_bench_privatization_value(benchmark, report_sink):
             )
             planner = Planner.from_problem(problem)
             with_privatization = planner.solve(solver="exact").cost
-            public_attrs = {
-                name
-                for module in problem.workflow.public_modules
-                for name in module.attribute_names
-            }
-            restricted_hidable = frozenset(
-                set(problem.workflow.attribute_names) - public_attrs
-            )
+            # Without privatization no attribute of a public module is
+            # hidable (the problem's own rule).
             restricted = SecureViewProblem(
                 problem.workflow,
                 problem.gamma,
                 problem.requirements,
-                hidable_attributes=restricted_hidable,
                 allow_privatization=False,
             )
             # Same workflow and lists: the restricted planner shares the

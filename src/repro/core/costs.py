@@ -71,9 +71,10 @@ def solution_cost(
     Costs default to those declared on the workflow's attributes and modules
     but can be overridden, which the optimization benchmarks use to sweep
     cost distributions without rebuilding workflows.  Summed exactly
-    (``math.fsum``), like :meth:`SecureViewProblem.solution_cost`: set order
-    follows the per-process string hash, so a plain float sum could differ
-    in the last bit between processes.
+    (``math.fsum``): set order follows the per-process string hash, so a
+    plain float sum could differ in the last bit between processes.
+    :meth:`SecureViewProblem.price` and :meth:`SecureViewSolution.cost` sum
+    through it.
     """
     attr_costs = (
         attribute_cost_map(workflow) if attribute_costs is None else attribute_costs

@@ -3,14 +3,22 @@
 A :class:`SecureViewProblem` packages everything the optimization layer
 needs: the workflow, the privacy parameter Γ, a requirement list per private
 module (set or cardinality constraints), and which attributes may be hidden.
-Feasibility of a candidate solution is:
+It also holds the one feasibility rule every solver reads, computed once
+when the problem is built:
 
-* **all-private workflows** — for every private module some option of its
-  requirement list is covered by the hidden attribute set;
-* **general workflows** — additionally, every *public* module with a hidden
-  input or output attribute must be privatized (this is constraint (21) of
-  the general LP in Appendix C.4), and privatized modules contribute their
-  privatization cost.
+* **the hidable set** :attr:`~SecureViewProblem.hidable` — the declared
+  ``hidable_attributes``, minus every attribute of a public module when
+  privatization is disallowed: by Theorem 8 hiding one forces the module
+  to be privatized;
+* **the price** of a hidden set (:meth:`~SecureViewProblem.price`) — its
+  attribute costs plus the costs of the privatizations it forces
+  (constraint (21) of the general LP in Appendix C.4);
+* **privatization pricing** (:attr:`~SecureViewProblem.privatizing`) —
+  whether programs carry privatization variables at all;
+* **infeasibility** — an instance is infeasible exactly when some private
+  module has no option in :meth:`~SecureViewProblem.option_sets`, and
+  every solver then raises :class:`~repro.exceptions.InfeasibleError`
+  (:meth:`~SecureViewProblem.require_feasible`).
 
 The problem holds no solver: the algorithms in :mod:`repro.optim` take it
 as their first argument, and ``repro.engine.Planner.solve`` picks one by
@@ -25,8 +33,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from ..exceptions import RequirementError, SolverError
+from ..exceptions import InfeasibleError, RequirementError
 from .composition import privatization_closure
+from .costs import solution_cost
 from .requirements import (
     CardinalityRequirementList,
     RequirementList,
@@ -58,9 +67,11 @@ class SecureViewProblem:
         Attributes allowed to be hidden; defaults to every workflow
         attribute.
     allow_privatization:
-        Whether public modules may be privatized (Section 5).  When false
-        and the workflow has public modules adjacent to hidden attributes,
-        solutions touching them are infeasible.
+        Whether public modules may be privatized (Section 5).  When false,
+        no attribute of a public module is in :attr:`hidable`.
+
+    The declared fields stay as given; ``__post_init__`` derives the rule
+    from them once.
     """
 
     workflow: Workflow
@@ -75,6 +86,14 @@ class SecureViewProblem:
     _relaxations: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: The attributes a solution may hide: ``hidable_attributes``, minus
+    #: every attribute of a public module when privatization is disallowed.
+    hidable: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: Whether programs price privatization: the workflow has public
+    #: modules and privatizing them is allowed.
+    privatizing: bool = field(init=False, repr=False, compare=False)
+    #: Each private module's :meth:`option_sets`, in requirement order.
+    _options: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.requirements:
@@ -102,6 +121,21 @@ class SecureViewProblem:
                     f"unknown hidable attributes {sorted(unknown)!r}"
                 )
             self.hidable_attributes = frozenset(self.hidable_attributes)
+        hidable = self.hidable_attributes
+        if not self.allow_privatization:
+            hidable -= {
+                name
+                for module in self.workflow.public_modules
+                for name in module.attribute_names
+            }
+        self.hidable = hidable
+        self.privatizing = self.allow_privatization and bool(
+            self.workflow.public_modules
+        )
+        costs = self.attribute_costs()
+        self._options = {
+            name: tuple(self._realize(name, costs)) for name in self.requirements
+        }
 
     # -- constructors -----------------------------------------------------------
     @classmethod
@@ -136,22 +170,12 @@ class SecureViewProblem:
         return "set" if isinstance(first, SetRequirementList) else "cardinality"
 
     @property
-    def is_all_private(self) -> bool:
-        return self.workflow.is_all_private
-
-    @property
     def lmax(self) -> int:
         """``l_max``: the longest requirement list (drives approximation factors)."""
         return max(len(req) for req in self.requirements.values())
 
     def attribute_costs(self) -> dict[str, float]:
         return {attr.name: attr.cost for attr in self.workflow.schema}
-
-    def privatization_costs(self) -> dict[str, float]:
-        return {
-            module.name: module.privatization_cost
-            for module in self.workflow.public_modules
-        }
 
     # -- feasibility ------------------------------------------------------------------
     def requirement_satisfied(self, module_name: str, hidden: Iterable[str]) -> bool:
@@ -180,36 +204,37 @@ class SecureViewProblem:
     ) -> bool:
         """Full feasibility check for a candidate (V̄, P̄)."""
         hidden_set = set(hidden_attributes)
-        if not hidden_set <= set(self.hidable_attributes):
-            return False
-        for module_name in self.requirements:
-            if not self.requirement_satisfied(module_name, hidden_set):
-                return False
-        needed = self.required_privatizations(hidden_set)
-        if not needed:
-            return True
-        if not self.allow_privatization:
-            return False
-        return needed <= set(privatized_modules)
+        return (
+            hidden_set <= self.hidable
+            and all(
+                self.requirement_satisfied(module_name, hidden_set)
+                for module_name in self.requirements
+            )
+            and self.required_privatizations(hidden_set) <= set(privatized_modules)
+        )
 
-    def option_sets(self, module_name: str) -> Iterator[frozenset[str]]:
+    def option_sets(self, module_name: str) -> tuple[frozenset[str], ...]:
         """The cheapest hidable attribute set realizing each option of a module.
 
         One set per realizable option, in list order: a set option's own
-        attributes when all of them are hidable; for an ``(α, β)`` option,
-        the α cheapest hidable inputs and the β cheapest hidable outputs
-        (equal costs keep schema order).  Options the hidable attributes
-        cannot realize are skipped.
+        attributes when all of them are in :attr:`hidable`; for an
+        ``(α, β)`` option, the α cheapest hidable inputs and the β cheapest
+        hidable outputs (equal costs keep schema order).  Options the
+        hidable attributes cannot realize are skipped.
         """
+        return self._options[module_name]
+
+    def _realize(
+        self, module_name: str, costs: Mapping[str, float]
+    ) -> Iterator[frozenset[str]]:
         requirement = self.requirements[module_name]
-        hidable = self.hidable_attributes
+        hidable = self.hidable
         if isinstance(requirement, SetRequirementList):
             for option in requirement:
                 if option.attributes <= hidable:
                     yield option.attributes
             return
         module = self.workflow.module(module_name)
-        costs = self.attribute_costs()
         inputs = sorted(
             (name for name in module.input_names if name in hidable),
             key=costs.__getitem__,
@@ -222,50 +247,57 @@ class SecureViewProblem:
             if option.alpha <= len(inputs) and option.beta <= len(outputs):
                 yield frozenset(inputs[: option.alpha] + outputs[: option.beta])
 
+    def require_feasible(self) -> None:
+        """Raise :class:`InfeasibleError` when some private module has no option.
+
+        Otherwise the instance is feasible: one of :meth:`option_sets` per
+        module meets every list, and any privatization those sets force is
+        allowed, since they lie in :attr:`hidable`.
+        """
+        for module_name, options in self._options.items():
+            if not options:
+                raise InfeasibleError(
+                    f"module {module_name!r} has no option the hidable "
+                    "attributes realize"
+                )
+
     def cheapest_option_set(self, module_name: str) -> frozenset[str]:
         """The cheapest of :meth:`option_sets`, the first one on ties.
 
         Theorem 7's greedy pick, Algorithm 1's fall-back ``B_i^min`` and the
-        repair of a threshold rounding.
+        repair of a threshold rounding.  Raises :class:`InfeasibleError` on
+        an infeasible instance.
         """
+        self.require_feasible()
         costs = self.attribute_costs()
-        best = min(
-            self.option_sets(module_name),
+        return min(
+            self._options[module_name],
             key=lambda names: math.fsum(costs[name] for name in names),
-            default=None,
         )
-        if best is None:
-            raise RequirementError(
-                f"module {module_name!r} has no option the hidable attributes realize"
-            )
-        return best
+
+    def price(self, hidden: Iterable[str]) -> float:
+        """``c(V̄) + c(P̄)``: ``hidden``'s costs and the privatizations it forces.
+
+        Summed by :func:`~repro.core.costs.solution_cost` (``math.fsum``),
+        so one hidden set has one price in every process.
+        """
+        hidden = frozenset(hidden)
+        return solution_cost(
+            self.workflow, hidden, self.required_privatizations(hidden)
+        )
 
     def finish(
         self, hidden: Iterable[str], method: str, **meta: object
     ) -> SecureViewSolution:
         """A solver's answer: ``hidden`` and the privatizations it forces.
 
-        Raises :class:`SolverError` when those privatizations are disallowed.
-        ``meta`` records ``method``, the solver's extra entries and the cost;
-        the solution is validated before it is returned.
+        Raises :class:`InfeasibleError` on an infeasible instance.  ``meta``
+        records ``method``, the solver's extra entries and the cost; the
+        solution is validated before it is returned.
         """
-        hidden = frozenset(hidden)
-        privatized = self.required_privatizations(hidden)
-        if privatized and not self.allow_privatization:
-            raise SolverError(
-                f"{method} hides attributes adjacent to public modules but "
-                "privatization is disallowed"
-            )
-        solution = SecureViewSolution(
-            self.workflow,
-            hidden,
-            privatized,
-            meta={
-                "method": method,
-                **meta,
-                "cost": self.solution_cost(hidden, privatized),
-            },
-        )
+        self.require_feasible()
+        solution = self.make_solution(hidden, meta={"method": method, **meta})
+        solution.meta["cost"] = solution.cost()
         self.validate_solution(solution)
         return solution
 
@@ -275,24 +307,6 @@ class SecureViewProblem:
             solution.hidden_attributes, solution.privatized_modules
         ):
             raise RequirementError("solution does not satisfy the Secure-View instance")
-
-    def solution_cost(
-        self,
-        hidden_attributes: Iterable[str],
-        privatized_modules: Iterable[str] = (),
-    ) -> float:
-        """``c(V̄) + c(P̄)`` for a candidate solution.
-
-        Summed exactly (``math.fsum``): set order follows the per-process
-        string hash, and a plain float sum in that order could differ in
-        the last bit between processes solving the same instance.
-        """
-        costs = self.attribute_costs()
-        module_costs = self.privatization_costs()
-        return math.fsum(
-            [costs[name] for name in set(hidden_attributes)]
-            + [module_costs[name] for name in set(privatized_modules)]
-        )
 
     def make_solution(
         self,

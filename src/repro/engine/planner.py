@@ -35,7 +35,7 @@ from ..core.requirements import RequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..core.workflow import Workflow
-from ..exceptions import RequirementError, WorkflowError
+from ..exceptions import RequirementError, SolverError, WorkflowError
 from ..optim.local_search import improve_solution
 from .cache import DerivationCache
 from .registry import SolverRegistry, SolverSpec, default_registry
@@ -283,13 +283,20 @@ class Planner:
         ``verify`` attaches a :class:`PrivacyCertificate` (Theorems 4 and
         8, see :meth:`verify`).  Other ``options`` go to the
         solver, which rejects any it does not take with
-        :class:`~repro.exceptions.SolverError`.
+        :class:`~repro.exceptions.SolverError`.  A solver whose declared
+        constraint kind is not the instance's is refused with
+        :class:`~repro.exceptions.SolverError` before it runs.
         """
         problem = self.problem(costs=costs)
         if solver == "auto":
             spec = self.registry.select(problem)
         else:
             spec = self.registry.get(solver)
+        if not spec.takes(problem.constraint_kind):
+            raise SolverError(
+                f"solver {spec.name!r} takes {spec.constraints} constraints; "
+                f"this instance has {problem.constraint_kind} constraints"
+            )
 
         kwargs = dict(options)
         if seed is not None:
@@ -313,9 +320,7 @@ class Planner:
             solver=spec.name,
             requested=solver,
             solution=solution,
-            cost=problem.solution_cost(
-                solution.hidden_attributes, solution.privatized_modules
-            ),
+            cost=solution.cost(),
             guarantee=spec.guarantee_for(problem),
             seconds=seconds,
             certificate=certificate,

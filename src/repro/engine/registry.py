@@ -64,19 +64,19 @@ class SolverSpec:
         if self.scope not in SCOPES:
             raise SolverError(f"solver {self.name!r}: scope must be one of {SCOPES}")
 
+    def takes(self, kind: str) -> bool:
+        """Does this algorithm take ``kind`` requirement lists?"""
+        return self.constraints in ("any", kind)
+
     def applicable(self, problem: SecureViewProblem) -> bool:
         """Can this algorithm run on the instance (by declared metadata)?"""
-        if self.constraints not in ("any", problem.constraint_kind):
+        if not self.takes(problem.constraint_kind):
             return False
-        if not problem.workflow.public_modules:
-            return True
-        if problem.allow_privatization:
-            # Mixed workflow where hiding may force privatization: the solver
-            # must know how to price and emit P̄.
-            return self.scope in ("general", "any")
-        # Public modules whose attributes must stay untouched: general-scope
-        # solvers insist on privatization being allowed, the rest may succeed.
-        return self.scope in ("all-private", "any")
+        # Where hiding may force privatization the solver must price and
+        # emit P̄, which all-private solvers do not.  With privatization
+        # disallowed, the problem's hidable set leaves out every attribute
+        # of a public module, so nothing is privatized and every scope runs.
+        return self.scope != "all-private" or not problem.privatizing
 
     def guarantee_for(self, problem: SecureViewProblem) -> str:
         """The (instance-dependent) approximation guarantee as text."""

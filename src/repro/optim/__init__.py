@@ -21,10 +21,15 @@ There is one program per constraint kind: the Figure-3 program for
 cardinality constraints and the set program (15)–(17) for set
 constraints.  The general LP (19)–(23) is the set program's privatizing
 form, with a ``w_i`` per public module and constraint (21); both builders
-write those variables and rows through one helper, and price
-privatization by default exactly when the workflow has public modules and
-privatization is allowed.  Greedy, Algorithm 1's fall-back, the set-LP
-repair and local search pick options through
+write those variables and rows through one helper.
+
+Every solver reads one feasibility rule, which ``SecureViewProblem``
+computes when it is built: the hidable set ``problem.hidable`` (the
+programs' ``x_b`` bounds), whether programs price privatization
+(``problem.privatizing``), the price of a hidden set (``problem.price``)
+and infeasibility (``problem.require_feasible``: every solver raises
+``InfeasibleError`` when some module has no option).  Greedy, Algorithm
+1's fall-back, the set-LP repair and local search pick options through
 ``SecureViewProblem.option_sets``, and every solver returns through
 ``SecureViewProblem.finish``.
 

@@ -4,8 +4,8 @@ None of these carry approximation guarantees; they exist to anchor the
 benchmark tables the way system papers anchor theirs:
 
 * :func:`hide_everything` — hide every hidable attribute (and privatize
-  whatever that forces).  Always feasible when the instance is feasible at
-  all, and an upper bound every algorithm should beat.
+  whatever that forces).  Feasible exactly when the instance is, and an
+  upper bound every algorithm should beat.
 * :func:`hide_all_intermediate` — hide all intermediate (module-to-module)
   attributes; mirrors the folklore "hide the plumbing" policy and is not
   always feasible.
@@ -27,20 +27,13 @@ __all__ = ["hide_everything", "hide_all_intermediate", "random_feasible"]
 
 def hide_everything(problem: SecureViewProblem) -> SecureViewSolution:
     """Hide every hidable attribute."""
-    hidden = set(problem.hidable_attributes)
-    for module_name in problem.requirements:
-        if not problem.requirement_satisfied(module_name, hidden):
-            raise InfeasibleError(
-                f"even hiding every hidable attribute does not satisfy "
-                f"module {module_name!r}"
-            )
-    return problem.finish(hidden, "hide_everything")
+    return problem.finish(problem.hidable, "hide_everything")
 
 
 def hide_all_intermediate(problem: SecureViewProblem) -> SecureViewSolution:
     """Hide every intermediate attribute (data passed between modules)."""
     workflow = problem.workflow
-    hidden = set(workflow.intermediate_attributes) & set(problem.hidable_attributes)
+    hidden = set(workflow.intermediate_attributes) & problem.hidable
     for module_name in problem.requirements:
         if not problem.requirement_satisfied(module_name, hidden):
             raise InfeasibleError(
@@ -59,11 +52,12 @@ def random_feasible(
 
     ``rng`` takes precedence over ``seed`` when both are given.
     """
+    problem.require_feasible()
     if rng is None:
         rng = random.Random(seed)
     # Sorted before any draw: set order follows the per-process string hash,
     # and one seed must give one answer in every process.
-    remaining = sorted(problem.hidable_attributes)
+    remaining = sorted(problem.hidable)
     rng.shuffle(remaining)
     hidden: set[str] = set()
 
@@ -73,11 +67,8 @@ def random_feasible(
             for module_name in problem.requirements
         )
 
+    # Hiding every hidable attribute satisfies a feasible instance.
     while not all_satisfied():
-        if not remaining:
-            raise InfeasibleError(
-                "exhausted hidable attributes without satisfying every module"
-            )
         hidden.add(remaining.pop())
     # Drop attributes that are not needed (reverse scan keeps it deterministic
     # for a given seed).

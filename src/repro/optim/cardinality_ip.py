@@ -35,7 +35,6 @@ from .lp import LinearProgram
 __all__ = [
     "build_cardinality_program",
     "hiding_program",
-    "privatizing",
     "x_var",
     "r_var",
     "w_var",
@@ -71,15 +70,6 @@ def _z_var(module: str, option: int, attribute: str) -> str:
     return f"z::{module}::{option}::{attribute}"
 
 
-def privatizing(problem: SecureViewProblem) -> bool:
-    """Whether a program prices privatization unless told otherwise.
-
-    True exactly when the workflow has public modules and the problem
-    allows privatizing them.
-    """
-    return problem.allow_privatization and bool(problem.workflow.public_modules)
-
-
 def hiding_program(
     problem: SecureViewProblem,
     kind: str,
@@ -91,22 +81,20 @@ def hiding_program(
 
     Writes ``x_b`` for every workflow attribute, then ``w_i`` for every
     public module when the program prices privatization (by default
-    :func:`privatizing`), then ``requirement_rows(program, module_name,
+    ``problem.privatizing``), then ``requirement_rows(program, module_name,
     requirement)`` for every private module, then constraint (21).  ``x_b``
-    is bounded at 0 for an attribute that may not be hidden: one outside
-    ``hidable_attributes`` or, when privatization is disallowed, one of a
-    public module (the rule ``SecureViewProblem.is_feasible`` enforces).
+    is bounded at 0 for an attribute outside ``problem.hidable``.  Raises
+    :class:`~repro.exceptions.InfeasibleError` on an infeasible instance,
+    whose relaxation would be infeasible too.
     """
     if problem.constraint_kind != kind:
         raise RequirementError(f"this program requires {kind}-constraint lists")
+    problem.require_feasible()
     if with_privatization is None:
-        with_privatization = privatizing(problem)
+        with_privatization = problem.privatizing
     workflow = problem.workflow
     costs = problem.attribute_costs()
-    hidable = set(problem.hidable_attributes)
-    if not problem.allow_privatization:
-        for module in workflow.public_modules:
-            hidable -= set(module.attribute_names)
+    hidable = problem.hidable
     program = LinearProgram(name=f"{kind}-constraints")
     for name in workflow.attribute_names:
         program.add_variable(
@@ -157,9 +145,8 @@ def build_cardinality_program(
         latter two are the weakened LPs of Appendix B.4, used only in the
         ablation benchmark.
     with_privatization:
-        Add ``w_m`` variables for public modules.  Defaults to true exactly
-        when the workflow has public modules and the problem allows
-        privatization.
+        Add ``w_m`` variables for public modules.  Defaults to
+        ``problem.privatizing``.
     """
     if strength not in _STRENGTHS:
         raise SolverError(f"unknown LP strength {strength!r}")

@@ -28,12 +28,7 @@ from ..core.requirements import CardinalityRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..exceptions import RequirementError, SolverError
-from .cardinality_ip import (
-    STRENGTH_FULL,
-    build_cardinality_program,
-    privatizing,
-    x_var,
-)
+from .cardinality_ip import STRENGTH_FULL, build_cardinality_program, x_var
 from .lp import problem_relaxation
 
 __all__ = ["cheapest_fallback_set", "solve_cardinality_rounding"]
@@ -87,10 +82,10 @@ def solve_cardinality_rounding(
         problem,
         build_cardinality_program,
         strength=strength,
-        with_privatization=privatizing(problem),
+        with_privatization=problem.privatizing,
     )
     if not lp_solution.optimal:
-        raise SolverError("the LP relaxation is infeasible")
+        raise SolverError("the LP relaxation did not solve")
 
     if rng is None:
         rng = random.Random(seed)
@@ -98,7 +93,11 @@ def solve_cardinality_rounding(
     log_n = math.log(n)
 
     hidden: set[str] = set()
-    for name in problem.hidable_attributes:
+    # One draw per hidable attribute in schema order: set order follows the
+    # per-process string hash, and one seed must give one answer everywhere.
+    for name in problem.workflow.attribute_names:
+        if name not in problem.hidable:
+            continue
         x_value = lp_solution.values.get(x_var(name), 0.0)
         probability = min(1.0, scale * x_value * log_n)
         if rng.random() < probability:

@@ -9,8 +9,8 @@ the benchmarks need a trustworthy (if slow) exact solver.  Two are provided:
   workflows) with scipy's HiGHS branch-and-bound.  This is the default
   exact baseline.
 * :func:`solve_exact_enumeration` — enumerate feasible solutions directly
-  (over requirement-option combinations, falling back to attribute subsets),
-  used to cross-validate the IP encoding on small instances.
+  (unions of one hidable realization of an option per module), used to
+  cross-validate the IP encoding on small instances.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from ..core.requirements import CardinalityRequirementList, SetRequirementList
+from ..core.requirements import SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
-from ..exceptions import InfeasibleError, SolverError
+from ..exceptions import SolverError
 from .cardinality_ip import build_cardinality_program, x_var
 from .set_lp import build_set_program
 
@@ -36,7 +36,7 @@ def solve_exact_ip(problem: SecureViewProblem) -> SecureViewSolution:
         program = build_cardinality_program(problem, integral=True)
     result = program.solve_integer()
     if not result.optimal:
-        raise InfeasibleError("the Secure-View instance admits no feasible solution")
+        raise SolverError("the integer program did not solve")
     hidden = {
         name
         for name in problem.workflow.attribute_names
@@ -47,34 +47,23 @@ def solve_exact_ip(problem: SecureViewProblem) -> SecureViewSolution:
 
 def _candidate_hidden_sets(
     problem: SecureViewProblem, max_combinations: int
-) -> Iterable[set[str]]:
+) -> Iterable[frozenset[str]]:
     """Candidate hidden sets from requirement-option combinations."""
-    module_names = list(problem.requirements)
-    option_sets: list[list[set[str]]] = []
+    option_sets: list[list[frozenset[str]]] = []
     total = 1
-    hidable = set(problem.hidable_attributes)
-    for module_name in module_names:
-        requirement = problem.requirements[module_name]
-        module = problem.workflow.module(module_name)
-        options: list[set[str]] = []
+    for module_name, requirement in problem.requirements.items():
         if isinstance(requirement, SetRequirementList):
-            for option in requirement:
-                attributes = set(option.attributes)
-                if attributes <= hidable:
-                    options.append(attributes)
-        elif isinstance(requirement, CardinalityRequirementList):
-            inputs = [n for n in module.input_names if n in hidable]
-            outputs = [n for n in module.output_names if n in hidable]
-            for option in requirement:
-                if option.alpha > len(inputs) or option.beta > len(outputs):
-                    continue
-                for ins in itertools.combinations(inputs, option.alpha):
-                    for outs in itertools.combinations(outputs, option.beta):
-                        options.append(set(ins) | set(outs))
-        if not options:
-            raise InfeasibleError(
-                f"module {module_name!r} has no realizable requirement option"
-            )
+            options = list(problem.option_sets(module_name))
+        else:
+            module = problem.workflow.module(module_name)
+            inputs = [n for n in module.input_names if n in problem.hidable]
+            outputs = [n for n in module.output_names if n in problem.hidable]
+            options = [
+                frozenset(ins + outs)
+                for option in requirement
+                for ins in itertools.combinations(inputs, option.alpha)
+                for outs in itertools.combinations(outputs, option.beta)
+            ]
         option_sets.append(options)
         total *= len(options)
         if total > max_combinations:
@@ -83,10 +72,7 @@ def _candidate_hidden_sets(
                 f"({total} > {max_combinations}); use solve_exact_ip instead"
             )
     for combo in itertools.product(*option_sets):
-        hidden: set[str] = set()
-        for chosen in combo:
-            hidden |= chosen
-        yield hidden
+        yield frozenset().union(*combo)
 
 
 def solve_exact_enumeration(
@@ -100,17 +86,9 @@ def solve_exact_enumeration(
     :class:`SolverError` when the combination count exceeds
     ``max_combinations``.
     """
-    best: tuple[float, set[str]] | None = None
-    for hidden in _candidate_hidden_sets(problem, max_combinations):
-        privatized = problem.required_privatizations(hidden)
-        if privatized and not problem.allow_privatization:
-            continue
-        cost = problem.solution_cost(hidden, privatized)
-        if best is None or cost < best[0]:
-            best = (cost, hidden)
-    if best is None:
-        raise InfeasibleError("the Secure-View instance admits no feasible solution")
-    return problem.finish(best[1], "exact_enumeration")
+    problem.require_feasible()
+    best = min(_candidate_hidden_sets(problem, max_combinations), key=problem.price)
+    return problem.finish(best, "exact_enumeration")
 
 
 def exact_optimum_cost(problem: SecureViewProblem) -> float:

@@ -13,6 +13,12 @@ that preserve feasibility:
   "charged" option by each alternative option, keeping the swap when the
   total cost (including privatization) decreases.
 
+Both passes read the problem's one feasibility rule: they price a hidden
+set by ``SecureViewProblem.price`` and swap in only
+``SecureViewProblem.option_sets``, which lie in ``problem.hidable``.  So
+from a valid answer they never hide an attribute the instance forbids, and
+with privatization disallowed they never force a privatization.
+
 Neither pass can worsen a solution, so all approximation guarantees carry
 over; the ablation benchmark measures how much they help each base solver.
 ``Planner.solve(local_search=...)`` (``repro solve --local-search``) runs
@@ -21,22 +27,12 @@ them on the answer of whichever solver it dispatched.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 
 __all__ = ["prune_solution", "swap_options", "improve_solution"]
-
-
-def _cost(problem: SecureViewProblem, hidden: set[str]) -> float:
-    """``hidden``'s cost with the privatizations it forces; infinite when
-    those are disallowed, so neither pass accepts such a set."""
-    privatized = problem.required_privatizations(hidden)
-    if privatized and not problem.allow_privatization:
-        return math.inf
-    return problem.solution_cost(hidden, privatized)
 
 
 def prune_solution(
@@ -66,7 +62,7 @@ def prune_solution(
                 problem.requirement_satisfied(module_name, trial)
                 for module_name in problem.requirements
             ):
-                if _cost(problem, trial) <= _cost(problem, hidden):
+                if problem.price(trial) <= problem.price(hidden):
                     hidden = trial
                     improved = True
                     break
@@ -75,7 +71,7 @@ def prune_solution(
         meta={
             **solution.meta,
             "local_search": "pruned",
-            "cost": _cost(problem, hidden),
+            "cost": problem.price(hidden),
         },
     )
 
@@ -85,7 +81,7 @@ def swap_options(
 ) -> SecureViewSolution:
     """Try swapping each module's option for a cheaper one, then re-prune."""
     hidden = set(solution.hidden_attributes)
-    best_cost = _cost(problem, hidden)
+    best_cost = problem.price(hidden)
     improved = True
     while improved:
         improved = False
@@ -98,7 +94,7 @@ def swap_options(
                     problem, problem.make_solution(trial), protected=option_attrs
                 )
                 trial_hidden = set(pruned.hidden_attributes)
-                trial_cost = _cost(problem, trial_hidden)
+                trial_cost = problem.price(trial_hidden)
                 if trial_cost + 1e-9 < best_cost:
                     hidden = trial_hidden
                     best_cost = trial_cost

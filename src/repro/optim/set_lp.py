@@ -29,8 +29,10 @@ to a hidden attribute is what ``w_i >= 1/ℓ_max`` forces.
 
 ``set_lp`` rounds the program without privatization costs, ``general_lp``
 the default form, which prices privatization exactly when the workflow has
-public modules and privatization is allowed.  For cardinality constraints
-``general_lp`` falls back to Algorithm 1 on the Figure-3 LP with
+public modules and privatization is allowed (``problem.privatizing``).
+When it is disallowed, no attribute of a public module is hidable, so
+nothing is privatized and the two forms are one program.  For cardinality
+constraints ``general_lp`` falls back to Algorithm 1 on the Figure-3 LP with
 privatization variables — a heuristic, as Theorem 10 shows the problem is
 label-cover hard and rules out an approximation guarantee.
 """
@@ -42,7 +44,7 @@ import random
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..exceptions import SolverError
-from .cardinality_ip import hiding_program, privatizing, r_var, x_var
+from .cardinality_ip import hiding_program, r_var, x_var
 from .cardinality_rounding import solve_cardinality_rounding
 from .lp import LinearProgram, problem_relaxation
 
@@ -58,8 +60,7 @@ def build_set_program(
 
     With privatization it is the general LP (19)–(23): ``w_i`` for every
     public module and constraint (21).  ``with_privatization`` defaults to
-    true exactly when the workflow has public modules and the problem
-    allows privatization.
+    ``problem.privatizing``.
     """
 
     def requirement_rows(program, module_name, requirement):
@@ -94,13 +95,13 @@ def _round_threshold(
         problem, build_set_program, with_privatization=with_privatization
     )
     if not lp_solution.optimal:
-        raise SolverError("the set-constraint LP relaxation is infeasible")
+        raise SolverError("the set-constraint LP relaxation did not solve")
 
     lmax = problem.lmax
     threshold = 1.0 / lmax
     hidden = {
         name
-        for name in problem.hidable_attributes
+        for name in problem.hidable
         if lp_solution.values.get(x_var(name), 0.0) >= threshold - 1e-9
     }
     # The threshold argument guarantees feasibility; repair with the
@@ -135,10 +136,8 @@ def solve_general_lp(
     LP (19)–(23).  For cardinality constraints it is Algorithm 1 on the
     Figure-3 LP augmented with privatization variables.
     """
-    if not problem.allow_privatization and problem.workflow.public_modules:
-        raise SolverError("the general solver requires privatization to be allowed")
     if problem.constraint_kind == "cardinality":
         return solve_cardinality_rounding(problem, seed=seed, rng=rng)
     return _round_threshold(
-        problem, "general_lp", with_privatization=privatizing(problem)
+        problem, "general_lp", with_privatization=problem.privatizing
     )

@@ -11,7 +11,7 @@ from repro.core import (
     SetRequirement,
     SetRequirementList,
 )
-from repro.exceptions import RequirementError
+from repro.exceptions import InfeasibleError, RequirementError
 from repro.workloads import example7_chain
 
 
@@ -134,10 +134,35 @@ class TestFeasibility:
             allow_privatization=False,
         )
         assert not problem.is_feasible({"x0"}, {"m_head"})
+        # The declared set stays as given.  The rule drops the attributes of
+        # public m_head and m_tail, which are all of them, so m_mid's only
+        # option is unrealizable.
+        assert problem.hidable_attributes == frozenset(workflow.attribute_names)
+        assert problem.hidable == frozenset()
+        assert not problem.privatizing
+        assert problem.option_sets("m_mid") == ()
+        with pytest.raises(InfeasibleError):
+            problem.require_feasible()
+
+    def test_price_counts_forced_privatizations(self):
+        workflow = example7_chain(2)
+        problem = SecureViewProblem(
+            workflow,
+            2,
+            {"m_mid": SetRequirementList(
+                "m_mid", [SetRequirement(frozenset({"x0"}), frozenset())]
+            )},
+        )
+        assert problem.privatizing
+        head = workflow.module("m_head").privatization_cost
+        assert problem.price({"x0"}) == pytest.approx(
+            workflow.attribute_cost(["x0"]) + head
+        )
+        problem.require_feasible()
 
     def test_solution_cost_and_make_solution(self, figure1):
         problem = self.make_problem(figure1)
-        assert problem.solution_cost({"a3", "a6"}) == pytest.approx(2.0)
+        assert problem.price({"a3", "a6"}) == pytest.approx(2.0)
         solution = problem.make_solution({"a3", "a6"})
         assert solution.hidden_attributes == {"a3", "a6"}
         problem.validate_solution(solution)

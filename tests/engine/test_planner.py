@@ -53,6 +53,14 @@ class TestSolve:
         with pytest.raises(SolverError, match="does not accept option"):
             figure1_planner.solve(solver="greedy", scale=2.0)
 
+    @pytest.mark.parametrize(
+        "kind, solver", [("set", "lp_rounding"), ("cardinality", "set_lp")]
+    )
+    def test_wrong_kind_solver_refused_before_dispatch(self, kind, solver):
+        planner = Planner(figure1_workflow(), 2, kind=kind)
+        with pytest.raises(SolverError, match="constraints"):
+            planner.solve(solver=solver)
+
     def test_local_search_never_worse(self, figure1_planner):
         base = figure1_planner.solve(solver="greedy")
         improved = figure1_planner.solve(solver="greedy", local_search=True)

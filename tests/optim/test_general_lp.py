@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SecureViewProblem, SetRequirement, SetRequirementList
-from repro.exceptions import RequirementError, SolverError
+from repro.exceptions import InfeasibleError, RequirementError
 from repro.optim import (
     build_set_program,
     solve_exact_ip,
@@ -81,6 +81,8 @@ class TestSolve:
         problem.validate_solution(solution)
 
     def test_privatization_disallowed_raises(self):
+        # The only option hides x0 of public m_head, which may not be
+        # privatized: the instance is infeasible.
         workflow = example7_chain(2)
         requirements = {
             "m_mid": SetRequirementList(
@@ -90,7 +92,7 @@ class TestSolve:
         problem = SecureViewProblem(
             workflow, gamma=2, requirements=requirements, allow_privatization=False
         )
-        with pytest.raises(SolverError):
+        with pytest.raises(InfeasibleError):
             solve_general_lp(problem)
 
     def test_random_mixed_instances_feasible(self):

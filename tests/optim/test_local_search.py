@@ -109,7 +109,9 @@ class TestImproveAndSolver:
 class TestDisallowedPrivatization:
     """A hidden set that forces a disallowed privatization is never accepted."""
 
-    @pytest.mark.parametrize("solver", ["exact", "exact_enum", "set_lp"])
+    @pytest.mark.parametrize(
+        "solver", ["exact", "exact_enum", "set_lp", "general_lp", "greedy"]
+    )
     def test_local_search_keeps_a_valid_answer(self, solver):
         generated = random_problem(
             n_modules=7, kind="set", seed=0, private_fraction=0.5
