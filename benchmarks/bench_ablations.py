@@ -110,12 +110,21 @@ def test_bench_rounding_scale_ablation(benchmark, report_sink):
 def test_bench_privatization_value(benchmark, report_sink):
     """How much does the option to privatize public modules save?"""
     rows = []
+    # Random seeds 1-3 are infeasible without privatization.  Random seed 8
+    # and layered seed 5 are the draws of seeds 1-15 at these parameters
+    # that stay feasible, so their rows report a cost ratio.
+    instances = [("random", 1), ("random", 2), ("random", 3)]
+    instances += [("random", 8), ("layered", 5)]
 
     def run():
         rows.clear()
-        for seed in (1, 2, 3):
+        for topology, seed in instances:
             problem = random_problem(
-                n_modules=12, kind="set", seed=seed, private_fraction=0.6
+                n_modules=12,
+                kind="set",
+                seed=seed,
+                topology=topology,
+                private_fraction=0.6,
             )
             planner = Planner.from_problem(problem)
             with_privatization = planner.solve(solver="exact").cost
@@ -136,9 +145,11 @@ def test_bench_privatization_value(benchmark, report_sink):
             except ProvenanceError:
                 without_privatization = float("inf")
                 note = "infeasible without privatization"
+            # Forbidding privatization can only remove solutions.
+            assert without_privatization >= with_privatization - 1e-6
             rows.append(
                 [
-                    f"seed {seed}",
+                    f"{topology} seed {seed}",
                     f"{with_privatization:.1f}",
                     (
                         "inf"

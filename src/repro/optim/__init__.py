@@ -21,7 +21,10 @@ There is one program per constraint kind: the Figure-3 program for
 cardinality constraints and the set program (15)–(17) for set
 constraints.  The general LP (19)–(23) is the set program's privatizing
 form, with a ``w_i`` per public module and constraint (21); both builders
-write those variables and rows through one helper.
+write those variables and rows through one helper.  Each builder appends
+its rows to a :class:`~repro.optim.lp.LinearProgram` as sparse triplets,
+and one ``scipy.optimize.milp`` call solves either the relaxation the
+approximation algorithms round or, for ``exact``, the integer program.
 
 Every solver reads one feasibility rule, which ``SecureViewProblem``
 computes when it is built: the hidable set ``problem.hidable`` (the
@@ -45,29 +48,21 @@ from .cardinality_ip import (
     STRENGTH_NO_SUM,
     build_cardinality_program,
 )
-from .cardinality_rounding import (
-    cheapest_fallback_set,
-    expected_rounding_cost,
-    solve_cardinality_rounding,
-)
-from .exact import exact_optimum_cost, solve_exact_enumeration, solve_exact_ip
+from .cardinality_rounding import solve_cardinality_rounding
+from .exact import solve_exact_enumeration, solve_exact_ip
 from .greedy import greedy_guarantee, solve_greedy, union_of_standalone_optima
 from .local_search import improve_solution, prune_solution, swap_options
-from .lp import Constraint, LinearProgram, LPSolution, Variable
+from .lp import LinearProgram, LPSolution
 from .set_lp import build_set_program, solve_general_lp, solve_set_lp
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
-    "Variable",
-    "Constraint",
     "build_cardinality_program",
     "STRENGTH_FULL",
     "STRENGTH_NO_CAP",
     "STRENGTH_NO_SUM",
     "solve_cardinality_rounding",
-    "cheapest_fallback_set",
-    "expected_rounding_cost",
     "build_set_program",
     "solve_set_lp",
     "solve_general_lp",
@@ -76,7 +71,6 @@ __all__ = [
     "greedy_guarantee",
     "solve_exact_ip",
     "solve_exact_enumeration",
-    "exact_optimum_cost",
     "hide_everything",
     "hide_all_intermediate",
     "random_feasible",

@@ -7,8 +7,8 @@ benchmark tables the way system papers anchor theirs:
   whatever that forces).  Feasible exactly when the instance is, and an
   upper bound every algorithm should beat.
 * :func:`hide_all_intermediate` — hide all intermediate (module-to-module)
-  attributes; mirrors the folklore "hide the plumbing" policy and is not
-  always feasible.
+  attributes; mirrors the folklore "hide the plumbing" policy, which can
+  leave a module unsatisfied on a feasible instance.
 * :func:`random_feasible` — add random hidable attributes until every
   requirement is met; averaged over seeds it shows how much structure the
   LP-based algorithms actually exploit.
@@ -20,7 +20,7 @@ import random
 
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
-from ..exceptions import InfeasibleError
+from ..exceptions import SolverError
 
 __all__ = ["hide_everything", "hide_all_intermediate", "random_feasible"]
 
@@ -31,12 +31,17 @@ def hide_everything(problem: SecureViewProblem) -> SecureViewSolution:
 
 
 def hide_all_intermediate(problem: SecureViewProblem) -> SecureViewSolution:
-    """Hide every intermediate attribute (data passed between modules)."""
-    workflow = problem.workflow
-    hidden = set(workflow.intermediate_attributes) & problem.hidable
+    """Hide every intermediate attribute (data passed between modules).
+
+    Raises :class:`~repro.exceptions.InfeasibleError` on an infeasible
+    instance and :class:`~repro.exceptions.SolverError` when the policy
+    leaves some module of a feasible one unsatisfied.
+    """
+    problem.require_feasible()
+    hidden = set(problem.workflow.intermediate_attributes) & problem.hidable
     for module_name in problem.requirements:
         if not problem.requirement_satisfied(module_name, hidden):
-            raise InfeasibleError(
+            raise SolverError(
                 "hiding all intermediate attributes does not satisfy module "
                 f"{module_name!r}"
             )

@@ -73,7 +73,6 @@ def _z_var(module: str, option: int, attribute: str) -> str:
 def hiding_program(
     problem: SecureViewProblem,
     kind: str,
-    integral: bool,
     with_privatization: bool | None,
     requirement_rows: Callable[[LinearProgram, str, RequirementList], None],
 ) -> LinearProgram:
@@ -95,39 +94,24 @@ def hiding_program(
     workflow = problem.workflow
     costs = problem.attribute_costs()
     hidable = problem.hidable
-    program = LinearProgram(name=f"{kind}-constraints")
+    program = LinearProgram()
     for name in workflow.attribute_names:
-        program.add_variable(
-            x_var(name),
-            cost=costs[name],
-            upper=1.0 if name in hidable else 0.0,
-            integral=integral,
-        )
+        program.add_variable(x_var(name), costs[name], 1.0 if name in hidable else 0.0)
     if with_privatization:
         for module in workflow.public_modules:
-            program.add_variable(
-                w_var(module.name),
-                cost=module.privatization_cost,
-                integral=integral,
-            )
+            program.add_variable(w_var(module.name), module.privatization_cost)
     for module_name, requirement in problem.requirements.items():
         requirement_rows(program, module_name, requirement)
     if with_privatization:
         # Constraint (21): hiding an attribute of a public module privatizes it.
         for module in workflow.public_modules:
             for b in module.attribute_names:
-                program.add_constraint(
-                    {w_var(module.name): 1.0, x_var(b): -1.0},
-                    ">=",
-                    0.0,
-                    name=f"privatize[{module.name},{b}]",
-                )
+                program.add_row({w_var(module.name): 1.0, x_var(b): -1.0}, lower=0.0)
     return program
 
 
 def build_cardinality_program(
     problem: SecureViewProblem,
-    integral: bool = False,
     strength: str = STRENGTH_FULL,
     with_privatization: bool | None = None,
 ) -> LinearProgram:
@@ -138,8 +122,6 @@ def build_cardinality_program(
     problem:
         The Secure-View instance; its requirement lists must be cardinality
         constraints.
-    integral:
-        When true, all variables are declared integral (the exact IP).
     strength:
         One of ``"full"``, ``"no_option_cap"``, ``"no_summation"`` — the
         latter two are the weakened LPs of Appendix B.4, used only in the
@@ -153,88 +135,43 @@ def build_cardinality_program(
 
     def requirement_rows(program, module_name, requirement):
         module = problem.workflow.module(module_name)
-        inputs = module.input_names
-        outputs = module.output_names
-        options = list(requirement)
-
-        for j in range(len(options)):
-            program.add_variable(r_var(module_name, j), integral=integral)
-            for b in inputs:
-                program.add_variable(_y_var(module_name, j, b), integral=integral)
-            for b in outputs:
-                program.add_variable(_z_var(module_name, j, b), integral=integral)
+        # (y_bij over the inputs, z_bij over the outputs)
+        sides = ((_y_var, module.input_names), (_z_var, module.output_names))
+        options = range(len(requirement))
+        for j in options:
+            program.add_variable(r_var(module_name, j))
+            for var, attributes in sides:
+                for b in attributes:
+                    program.add_variable(var(module_name, j, b))
 
         # Constraint (1): some option must be selected.
-        program.add_constraint(
-            {r_var(module_name, j): 1.0 for j in range(len(options))},
-            ">=",
-            1.0,
-            name=f"select[{module_name}]",
-        )
-        for j, option in enumerate(options):
-            # Constraint (2): enough input attributes contribute.
-            coeffs = {_y_var(module_name, j, b): 1.0 for b in inputs}
-            coeffs[r_var(module_name, j)] = -float(option.alpha)
-            program.add_constraint(coeffs, ">=", 0.0, name=f"in[{module_name},{j}]")
-
-            # Constraint (3): enough output attributes contribute.
-            coeffs = {_z_var(module_name, j, b): 1.0 for b in outputs}
-            coeffs[r_var(module_name, j)] = -float(option.beta)
-            program.add_constraint(coeffs, ">=", 0.0, name=f"out[{module_name},{j}]")
-
+        program.add_row({r_var(module_name, j): 1.0 for j in options}, lower=1.0)
+        for j, option in enumerate(requirement):
+            r = r_var(module_name, j)
+            # Constraints (2)/(3): enough input (output) attributes contribute.
+            for (var, attributes), count in zip(sides, (option.alpha, option.beta)):
+                row = {var(module_name, j, b): 1.0 for b in attributes}
+                row[r] = -float(count)
+                program.add_row(row, lower=0.0)
             if strength != STRENGTH_NO_CAP:
                 # Constraints (6)/(7): contributions only when the option is selected.
-                for b in inputs:
-                    program.add_constraint(
-                        {_y_var(module_name, j, b): 1.0, r_var(module_name, j): -1.0},
-                        "<=",
-                        0.0,
-                        name=f"cap_in[{module_name},{j},{b}]",
-                    )
-                for b in outputs:
-                    program.add_constraint(
-                        {_z_var(module_name, j, b): 1.0, r_var(module_name, j): -1.0},
-                        "<=",
-                        0.0,
-                        name=f"cap_out[{module_name},{j},{b}]",
-                    )
+                for var, attributes in sides:
+                    for b in attributes:
+                        program.add_row(
+                            {var(module_name, j, b): 1.0, r: -1.0}, upper=0.0
+                        )
 
         # Constraints (4)/(5): contributions require the attribute to be hidden.
-        for b in inputs:
-            if strength == STRENGTH_NO_SUM:
-                for j in range(len(options)):
-                    program.add_constraint(
-                        {_y_var(module_name, j, b): 1.0, x_var(b): -1.0},
-                        "<=",
-                        0.0,
-                        name=f"hide_in[{module_name},{j},{b}]",
-                    )
-            else:
-                coeffs = {
-                    _y_var(module_name, j, b): 1.0 for j in range(len(options))
-                }
-                coeffs[x_var(b)] = -1.0
-                program.add_constraint(
-                    coeffs, "<=", 0.0, name=f"hide_in[{module_name},{b}]"
-                )
-        for b in outputs:
-            if strength == STRENGTH_NO_SUM:
-                for j in range(len(options)):
-                    program.add_constraint(
-                        {_z_var(module_name, j, b): 1.0, x_var(b): -1.0},
-                        "<=",
-                        0.0,
-                        name=f"hide_out[{module_name},{j},{b}]",
-                    )
-            else:
-                coeffs = {
-                    _z_var(module_name, j, b): 1.0 for j in range(len(options))
-                }
-                coeffs[x_var(b)] = -1.0
-                program.add_constraint(
-                    coeffs, "<=", 0.0, name=f"hide_out[{module_name},{b}]"
-                )
+        for var, attributes in sides:
+            for b in attributes:
+                if strength == STRENGTH_NO_SUM:
+                    for j in options:
+                        program.add_row(
+                            {var(module_name, j, b): 1.0, x_var(b): -1.0}, upper=0.0
+                        )
+                else:
+                    row = {var(module_name, j, b): 1.0 for j in options}
+                    row[x_var(b)] = -1.0
+                    program.add_row(row, upper=0.0)
 
-    return hiding_program(
-        problem, "cardinality", integral, with_privatization, requirement_rows
-    )
+    return hiding_program(problem, "cardinality", with_privatization, requirement_rows)

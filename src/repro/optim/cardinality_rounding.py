@@ -22,30 +22,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
 
-from ..core.requirements import CardinalityRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..exceptions import RequirementError, SolverError
 from .cardinality_ip import STRENGTH_FULL, build_cardinality_program, x_var
 from .lp import problem_relaxation
 
-__all__ = ["cheapest_fallback_set", "solve_cardinality_rounding"]
-
-
-def cheapest_fallback_set(
-    problem: SecureViewProblem, module_name: str
-) -> frozenset[str]:
-    """``B_i^min``: the cheapest attribute set satisfying one option directly.
-
-    For each option ``(α, β)`` of the module's list, take the α cheapest
-    input attributes and the β cheapest output attributes (restricted to the
-    hidable attributes); return the cheapest such set over all options.
-    """
-    if not isinstance(problem.requirements[module_name], CardinalityRequirementList):
-        raise RequirementError("cheapest_fallback_set needs cardinality constraints")
-    return problem.cheapest_option_set(module_name)
+__all__ = ["solve_cardinality_rounding"]
 
 
 def solve_cardinality_rounding(
@@ -107,8 +91,7 @@ def solve_cardinality_rounding(
     repaired: list[str] = []
     for module_name in problem.requirements:
         if not problem.requirement_satisfied(module_name, hidden):
-            fallback = cheapest_fallback_set(problem, module_name)
-            hidden |= fallback
+            hidden |= problem.cheapest_option_set(module_name)
             repaired.append(module_name)
 
     return problem.finish(
@@ -120,19 +103,3 @@ def solve_cardinality_rounding(
         strength=strength,
         repaired_modules=repaired,
     )
-
-
-def expected_rounding_cost(
-    problem: SecureViewProblem,
-    seeds: Iterable[int],
-    scale: float = 16.0,
-) -> float:
-    """Average rounded cost over several seeds (used by the benchmarks)."""
-    seeds = list(seeds)
-    if not seeds:
-        raise SolverError("expected_rounding_cost needs at least one seed")
-    total = 0.0
-    for seed in seeds:
-        solution = solve_cardinality_rounding(problem, seed=seed, scale=scale)
-        total += solution.meta["cost"]
-    return total / len(seeds)

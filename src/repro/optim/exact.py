@@ -25,16 +25,15 @@ from ..exceptions import SolverError
 from .cardinality_ip import build_cardinality_program, x_var
 from .set_lp import build_set_program
 
-__all__ = ["solve_exact_ip", "solve_exact_enumeration", "exact_optimum_cost"]
+__all__ = ["solve_exact_ip", "solve_exact_enumeration"]
 
 
 def solve_exact_ip(problem: SecureViewProblem) -> SecureViewSolution:
     """Exact optimum via the integral version of the paper's programs."""
     if problem.constraint_kind == "set":
-        program = build_set_program(problem, integral=True)
+        result = build_set_program(problem).solve(integral=True)
     else:
-        program = build_cardinality_program(problem, integral=True)
-    result = program.solve_integer()
+        result = build_cardinality_program(problem).solve(integral=True)
     if not result.optimal:
         raise SolverError("the integer program did not solve")
     hidden = {
@@ -89,8 +88,3 @@ def solve_exact_enumeration(
     problem.require_feasible()
     best = min(_candidate_hidden_sets(problem, max_combinations), key=problem.price)
     return problem.finish(best, "exact_enumeration")
-
-
-def exact_optimum_cost(problem: SecureViewProblem) -> float:
-    """Cost of the exact optimum (convenience wrapper used by benchmarks)."""
-    return solve_exact_ip(problem).cost()

@@ -52,9 +52,7 @@ __all__ = ["build_set_program", "solve_set_lp", "solve_general_lp"]
 
 
 def build_set_program(
-    problem: SecureViewProblem,
-    integral: bool = False,
-    with_privatization: bool | None = None,
+    problem: SecureViewProblem, with_privatization: bool | None = None
 ) -> LinearProgram:
     """Build the set-constraint LP/IP (15)–(17).
 
@@ -64,27 +62,17 @@ def build_set_program(
     """
 
     def requirement_rows(program, module_name, requirement):
-        options = list(requirement)
-        for j in range(len(options)):
-            program.add_variable(r_var(module_name, j), integral=integral)
-        program.add_constraint(
-            {r_var(module_name, j): 1.0 for j in range(len(options))},
-            ">=",
-            1.0,
-            name=f"select[{module_name}]",
-        )
-        for j, option in enumerate(options):
+        options = range(len(requirement))
+        for j in options:
+            program.add_variable(r_var(module_name, j))
+        program.add_row({r_var(module_name, j): 1.0 for j in options}, lower=1.0)
+        for j, option in enumerate(requirement):
             for attribute in sorted(option.attributes):
-                program.add_constraint(
-                    {x_var(attribute): 1.0, r_var(module_name, j): -1.0},
-                    ">=",
-                    0.0,
-                    name=f"cover[{module_name},{j},{attribute}]",
+                program.add_row(
+                    {x_var(attribute): 1.0, r_var(module_name, j): -1.0}, lower=0.0
                 )
 
-    return hiding_program(
-        problem, "set", integral, with_privatization, requirement_rows
-    )
+    return hiding_program(problem, "set", with_privatization, requirement_rows)
 
 
 def _round_threshold(

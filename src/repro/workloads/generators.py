@@ -567,6 +567,10 @@ def random_problem(
             max_sharing=max_sharing,
             rng=rng,
         )
+    if not workflow.private_modules:
+        # A Secure-View problem needs a private module; taking the first
+        # draws nothing, so every draw that has one is unchanged.
+        workflow = workflow.with_privatized([workflow.modules[0].name])
     requirements = random_requirements(
         workflow, kind=kind, seed=seed, max_list_length=max_list_length, rng=rng
     )

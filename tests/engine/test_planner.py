@@ -92,15 +92,15 @@ class TestRelaxationReuse:
     """A relaxation depends on the problem only; every seed reuses it."""
 
     @staticmethod
-    def _count_relaxations(monkeypatch) -> list[str]:
-        calls: list[str] = []
-        original = LinearProgram.solve_relaxation
+    def _count_relaxations(monkeypatch) -> list[bool]:
+        calls: list[bool] = []
+        original = LinearProgram.solve
 
-        def counting(program):
-            calls.append(program.name)
-            return original(program)
+        def counting(program, integral=False):
+            calls.append(integral)
+            return original(program, integral)
 
-        monkeypatch.setattr(LinearProgram, "solve_relaxation", counting)
+        monkeypatch.setattr(LinearProgram, "solve", counting)
         return calls
 
     @staticmethod
@@ -120,7 +120,7 @@ class TestRelaxationReuse:
         calls = self._count_relaxations(monkeypatch)
         planner = Planner(figure1_workflow(), 2, kind=kind)
         results = [planner.solve(solver, seed=seed) for seed in (0, 1)]
-        assert len(calls) == 1
+        assert calls == [False]
         for seed, result in zip((0, 1), results):
             fresh = Planner(figure1_workflow(), 2, kind=kind)
             assert self._outcome(result) == self._outcome(
@@ -132,7 +132,7 @@ class TestRelaxationReuse:
         planner = Planner(figure1_workflow(), 2, kind="set")
         planner.solve("set_lp")
         planner.solve("set_lp", costs={"a3": 10.0})
-        assert len(calls) == 2
+        assert calls == [False, False]
 
 
 class TestDerivationSharing:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SecureViewProblem, SetRequirement, SetRequirementList
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, SolverError
 from repro.optim import (
     hide_all_intermediate,
     hide_everything,
@@ -67,7 +67,8 @@ class TestHideAllIntermediate:
                 )
             },
         )
-        with pytest.raises(InfeasibleError):
+        # The instance is feasible (hiding a6 satisfies m2); the policy is not.
+        with pytest.raises(SolverError):
             hide_all_intermediate(problem)
 
 

@@ -17,8 +17,6 @@ from repro.optim import (
     STRENGTH_NO_CAP,
     STRENGTH_NO_SUM,
     build_cardinality_program,
-    cheapest_fallback_set,
-    expected_rounding_cost,
     solve_cardinality_rounding,
     solve_exact_ip,
 )
@@ -38,15 +36,14 @@ class TestProgramConstruction:
     def test_variables_cover_attributes_and_options(self, problem):
         program = build_cardinality_program(problem)
         n_attrs = len(problem.workflow.attribute_names)
-        assert program.num_variables > n_attrs
+        assert len(program.index) > n_attrs
         for name in problem.workflow.attribute_names:
-            assert program.has_variable(f"x::{name}")
+            assert f"x::{name}" in program.index
 
     def test_relaxation_lower_bounds_integer_program(self, problem):
         built = build_cardinality_program(problem)
-        lp = built.solve_relaxation()
-        built_ip = build_cardinality_program(problem, integral=True)
-        ip = built_ip.solve_integer()
+        lp = built.solve()
+        ip = built.solve(integral=True)
         assert lp.optimal and ip.optimal
         assert lp.objective <= ip.objective + 1e-6
 
@@ -54,9 +51,9 @@ class TestProgramConstruction:
         full = build_cardinality_program(problem, strength=STRENGTH_FULL)
         weak = build_cardinality_program(problem, strength=STRENGTH_NO_CAP)
         nosum = build_cardinality_program(problem, strength=STRENGTH_NO_SUM)
-        v_full = full.solve_relaxation().objective
-        v_weak = weak.solve_relaxation().objective
-        v_nosum = nosum.solve_relaxation().objective
+        v_full = full.solve().objective
+        v_weak = weak.solve().objective
+        v_nosum = nosum.solve().objective
         assert v_weak <= v_full + 1e-6
         assert v_nosum <= v_full + 1e-6
 
@@ -67,7 +64,7 @@ class TestProgramConstruction:
             build_cardinality_program(problem, strength="bogus")
 
     def test_hidden_extraction_threshold(self, problem):
-        solution = build_cardinality_program(problem, integral=True).solve_integer()
+        solution = build_cardinality_program(problem).solve(integral=True)
         hidden = {
             name
             for name in problem.workflow.attribute_names
@@ -82,15 +79,10 @@ class TestProgramConstruction:
 
 class TestFallbackSet:
     def test_fallback_satisfies_module(self, problem):
+        # Algorithm 1's fall-back B_i^min is the cheapest option set.
         for module_name in problem.requirements:
-            fallback = cheapest_fallback_set(problem, module_name)
+            fallback = problem.cheapest_option_set(module_name)
             assert problem.requirement_satisfied(module_name, fallback)
-
-    def test_fallback_requires_cardinality(self, small_set_problem):
-        with pytest.raises(RequirementError):
-            cheapest_fallback_set(
-                small_set_problem, next(iter(small_set_problem.requirements))
-            )
 
 
 class TestRounding:
@@ -121,10 +113,6 @@ class TestRounding:
         solution = solve_cardinality_rounding(problem, seed=0, scale=0.0)
         problem.validate_solution(solution)
         assert len(solution.meta["repaired_modules"]) == len(problem.requirements)
-
-    def test_expected_rounding_cost_averages(self, problem):
-        value = expected_rounding_cost(problem, seeds=range(3))
-        assert value > 0
 
     def test_set_constraints_rejected(self, small_set_problem):
         with pytest.raises(RequirementError):

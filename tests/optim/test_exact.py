@@ -6,11 +6,7 @@ import pytest
 
 from repro.core import SecureViewProblem, SetRequirement, SetRequirementList
 from repro.exceptions import InfeasibleError, SolverError
-from repro.optim import (
-    exact_optimum_cost,
-    solve_exact_enumeration,
-    solve_exact_ip,
-)
+from repro.optim import solve_exact_enumeration, solve_exact_ip
 from repro.workloads import figure1_workflow, random_problem
 
 
@@ -35,11 +31,6 @@ class TestExactIP:
             assert solve_exact_ip(problem).cost() == pytest.approx(
                 solve_exact_enumeration(problem).cost()
             )
-
-    def test_exact_optimum_cost_wrapper(self, small_set_problem):
-        assert exact_optimum_cost(small_set_problem) == pytest.approx(
-            solve_exact_ip(small_set_problem).cost()
-        )
 
     def test_infeasible_instance_raises(self):
         workflow = figure1_workflow()

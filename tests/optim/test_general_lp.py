@@ -36,17 +36,15 @@ class TestProgram:
 
     def test_privatization_variables_present(self, example7_problem):
         program = build_set_program(example7_problem)
-        assert program.has_variable("w::m_head")
-        assert program.has_variable("w::m_tail")
-        rows = [c.name for c in program.constraints if c.name.startswith("privatize[")]
-        # Constraint (21): one row per attribute of each public module.
-        assert len(rows) == 8
+        assert "w::m_head" in program.index
+        assert "w::m_tail" in program.index
         plain = build_set_program(example7_problem, with_privatization=False)
-        assert not any(v.name.startswith("w::") for v in plain.variables)
-        assert not any(c.name.startswith("privatize[") for c in plain.constraints)
+        assert not any(name.startswith("w::") for name in plain.index)
+        # Constraint (21): one row per attribute of each public module.
+        assert len(program.row_lower) - len(plain.row_lower) == 8
 
     def test_relaxation_lower_bounds_optimum(self, example7_problem):
-        lp = build_set_program(example7_problem).solve_relaxation()
+        lp = build_set_program(example7_problem).solve()
         optimum = solve_exact_ip(example7_problem).cost()
         assert lp.objective <= optimum + 1e-6
 

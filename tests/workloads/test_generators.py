@@ -124,6 +124,17 @@ class TestProblemGenerator:
         )
         assert problem.workflow.data_sharing_degree() <= 2
 
+    @pytest.mark.parametrize("kind", ["set", "cardinality"])
+    def test_draw_without_private_module_gets_one(self, kind):
+        # Seed 0 draws all four modules public; the first becomes private.
+        problem = random_problem(n_modules=4, kind=kind, seed=0, private_fraction=0.5)
+        assert [m.name for m in problem.workflow.private_modules] == ["m0"]
+        assert list(problem.requirements) == ["m0"]
+        # A draw with a private module is the workflow generator's own.
+        problem = random_problem(n_modules=4, kind=kind, seed=2, private_fraction=0.5)
+        drawn = random_workflow(4, seed=2, private_fraction=0.5)
+        assert [m.private for m in problem.workflow] == [m.private for m in drawn]
+
 
 class TestRngThreading:
     """Every generator accepts an explicit rng (like the solvers do)."""
