@@ -114,12 +114,12 @@ def main() -> None:
     store_dir = Path(tempfile.mkdtemp(prefix="repro-quickstart-store-"))
     try:
         Planner(workflow, gamma, kind="set", store=DerivationStore(store_dir)).solve(
-            solver="exact", verify=True
+            solver="exact"
         )
         warm = Planner(workflow, gamma, kind="set", store=DerivationStore(store_dir))
         # The certificate reads each private module's stored pack, so the
         # zero-copy loads show in the counters.
-        warm.solve(solver="exact", verify=True)
+        warm.solve(solver="exact")
         warm_stats = warm.cache.stats()
         disk = DerivationStore(store_dir).disk_stats()
         report.add_text(
@@ -197,10 +197,10 @@ def main() -> None:
     # result tier — service_demo.py walks a two-replica fleet live.
 
     # 6. Verify the optimal view really is Γ-private, both through the
-    #    engine's certificate (Theorems 4 and 8: each private module's
-    #    standalone level, read from its pack) and by the brute-force
-    #    possible-worlds check of Definitions 5/6.
-    optimal = planner.solve(solver="exact", verify=True)
+    #    certificate every answer carries (Theorems 4 and 8: each private
+    #    module's standalone level, read from its pack) and by the
+    #    brute-force possible-worlds check of Definitions 5/6.
+    optimal = planner.solve(solver="exact")
     verified = is_gamma_private_workflow(
         workflow, optimal.solution.visible_attributes, gamma
     )

@@ -20,7 +20,7 @@ registered in the solver registry::
 
     planner = Planner(figure1_workflow(), gamma=2, kind="set")
     result = planner.solve()                         # auto-selected solver
-    result = planner.solve(solver="exact", verify=True)
+    result = planner.solve(solver="exact")           # result.certificate.ok
     result = planner.solve(solver="lp_rounding", seed=7)
 
 ``repro engine list-solvers`` (CLI) prints the registry.

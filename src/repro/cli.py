@@ -5,8 +5,8 @@ The CLI exposes the everyday operations a workflow owner would run:
 * ``info``      — summarize a workflow or problem file (modules, attributes,
   data-sharing degree, requirement lists),
 * ``solve``     — solve a Secure-View problem file with a registered solver
-  (optionally with local-search post-processing and a Γ-privacy
-  certificate) and print / save the solution,
+  (optionally with local-search post-processing) and print / save the
+  solution with its Γ-privacy certificate,
 * ``verify``    — brute-force check that a solution file really provides
   Γ-privacy (small instances only),
 * ``attack``    — run the reconstruction attack against one module under a
@@ -106,7 +106,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solver=args.solver,
         seed=args.seed,
         local_search=bool(args.local_search),
-        verify=args.verify,
     )
     payload = solution_to_dict(result.solution)
     payload["solver"] = result.solver
@@ -118,15 +117,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         payload["store_hits"] = result.cache_stats.store_hits
     if result.guarantee:
         payload["guarantee"] = result.guarantee
-    if result.certificate is not None:
-        payload["certificate"] = result.certificate.as_dict()
+    payload["certificate"] = result.certificate.as_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if result.certificate is not None and not result.certificate.ok:
-        return 1
-    return 0
+    # An undetermined certificate (ok None) is no breach: exit 1 only on one.
+    return 1 if result.certificate.ok is False else 0
 
 
 def _cmd_engine_list_solvers(args: argparse.Namespace) -> int:
@@ -528,11 +525,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     # Typed solve arguments for ServiceClient.solve — the client owns the
     # wire body now (hand-built request dicts are the deprecated path).
-    solve_kwargs: dict = {
-        "solver": args.solver,
-        "seed": args.seed,
-        "verify": args.verify,
-    }
+    solve_kwargs: dict = {"solver": args.solver, "seed": args.seed}
     if args.timeout:
         solve_kwargs["timeout"] = args.timeout
     if "modules" in payload:  # a bare workflow file: Γ/kind come from flags
@@ -576,7 +569,6 @@ def _submit_async(args: argparse.Namespace, client, solve_kwargs: dict) -> int:
     grid_kwargs: dict = {
         "solvers": [solve_kwargs["solver"]],
         "seeds": [solve_kwargs["seed"]],
-        "verify": solve_kwargs["verify"],
     }
     if "timeout" in solve_kwargs:
         grid_kwargs["timeout"] = solve_kwargs["timeout"]
@@ -765,14 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--local-search", action="store_true")
-    solve.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "attach a Γ-privacy certificate (Theorems 4 and 8; possible-worlds "
-            "enumeration only for a module they cannot certify)"
-        ),
-    )
     solve.add_argument(
         "--store",
         default="",
@@ -1009,7 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="derive at this Γ server-side (required meaning for workflow files)",
     )
     submit.add_argument("--kind", default="set", choices=["set", "cardinality"])
-    submit.add_argument("--verify", action="store_true")
     submit.add_argument(
         "--timeout", type=float, default=0.0, help="request deadline in seconds"
     )

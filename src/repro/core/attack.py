@@ -147,14 +147,14 @@ def reconstruction_attack(
     privacy claims in tests, benchmarks and examples.
     """
     module = workflow.module(module_name)
-    base = relation if relation is not None else workflow.provenance_relation()
     out_sets = workflow_out_sets(
         workflow,
         module_name,
         visible,
         hidden_public_modules=hidden_public_modules,
-        relation=base,
+        relation=relation,
     )
+    base = relation if relation is not None else workflow.provenance_relation()
     true_outputs: dict[tuple[Value, ...], tuple[Value, ...]] = {}
     for row in base:
         key = tuple(row[name] for name in module.input_names)

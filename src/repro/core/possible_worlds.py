@@ -30,7 +30,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..exceptions import PrivacyError
+from ..exceptions import WorkLimitError
 from .attributes import Value
 from .module import Module
 from .relation import Relation
@@ -44,6 +44,7 @@ __all__ = [
     "is_workflow_world",
     "workflow_out_set",
     "workflow_out_sets",
+    "check_world_work",
 ]
 
 #: Default cap on the number of candidate worlds examined by brute force.
@@ -117,7 +118,7 @@ def enumerate_standalone_worlds(
     Worlds are yielded as relations over the module schema with exactly one
     row per input assignment in the module's domain.  ``max_worlds`` limits
     how many worlds are yielded; ``work_limit`` bounds the number of
-    candidate assignments considered and raises :class:`PrivacyError` when
+    candidate assignments considered and raises :class:`WorkLimitError` when
     exceeded (enumerating worlds is inherently exponential — see Theorem 3).
     """
     relation = module.relation()
@@ -160,7 +161,7 @@ def enumerate_standalone_worlds(
         per_group_choices.append(choices)
         work *= max(len(choices), 1)
         if work > work_limit:
-            raise PrivacyError(
+            raise WorkLimitError(
                 f"standalone world enumeration exceeds work limit ({work} > "
                 f"{work_limit}); use count_standalone_worlds instead"
             )
@@ -216,6 +217,50 @@ def _world_constraints_ok(
     return True
 
 
+def _work_limit_error(work: int, work_limit: int) -> WorkLimitError:
+    return WorkLimitError(
+        f"workflow world enumeration exceeds work limit ({work} > "
+        f"{work_limit}); reduce the instance or raise work_limit"
+    )
+
+
+def check_world_work(
+    workflow: Workflow,
+    visible: Iterable[str],
+    relation: Relation | None = None,
+    work_limit: int = DEFAULT_WORK_LIMIT,
+) -> None:
+    """Raise :class:`WorkLimitError` when world enumeration must exceed
+    ``work_limit``, judged from the schema alone.
+
+    Enumeration places one of the ``H`` hidden assignments on each tuple
+    of ``pi_V(R)``, so it does ``H ** |pi_V(R)|`` work.  ``R`` has one row
+    per initial-input assignment, so ``pi_V(R)`` has at least ``V0``
+    tuples, the product of the visible initial inputs' domain sizes, and
+    ``H ** V0`` bounds the work from below before ``R`` is built or any
+    hidden assignment listed.  A given ``relation`` may be any subset of
+    ``R``, so then only a non-empty one's ``H`` counts.
+    """
+    schema = workflow.schema
+    visible_set = set(visible)
+    hidden = schema.assignment_count(
+        [name for name in schema.names if name not in visible_set]
+    )
+    if hidden <= 1:
+        return
+    if relation is None:
+        tuples = schema.assignment_count(
+            [name for name in workflow.initial_inputs if name in visible_set]
+        )
+    else:
+        tuples = min(len(relation), 1)
+    work = 1
+    for _ in range(tuples):  # at most log2(work_limit) + 1 rounds
+        work *= hidden
+        if work > work_limit:
+            raise _work_limit_error(work, work_limit)
+
+
 def enumerate_workflow_worlds(
     workflow: Workflow,
     visible: Iterable[str],
@@ -239,6 +284,12 @@ def enumerate_workflow_worlds(
     base = relation if relation is not None else workflow.provenance_relation()
     view = base.project(visible_list)
 
+    hidden_count = schema.assignment_count(hidden)
+    work = 1
+    for _ in view:
+        work *= hidden_count
+        if work > work_limit:
+            raise _work_limit_error(work, work_limit)
     hidden_assignments = list(schema.iter_assignments(hidden))
     respected_public = [
         module
@@ -247,21 +298,10 @@ def enumerate_workflow_worlds(
     ]
 
     # Pre-compute, for each visible tuple, the candidate full rows.
-    candidates_per_tuple: list[list[dict[str, Value]]] = []
-    work = 1
-    for vis_row in view:
-        candidates = []
-        for hidden_assignment in hidden_assignments:
-            row = dict(vis_row)
-            row.update(hidden_assignment)
-            candidates.append(row)
-        candidates_per_tuple.append(candidates)
-        work *= max(len(candidates), 1)
-        if work > work_limit:
-            raise PrivacyError(
-                f"workflow world enumeration exceeds work limit ({work} > "
-                f"{work_limit}); reduce the instance or raise work_limit"
-            )
+    candidates_per_tuple = [
+        [{**vis_row, **assignment} for assignment in hidden_assignments]
+        for vis_row in view
+    ]
 
     produced = 0
     for combo in itertools.product(*candidates_per_tuple):
@@ -327,9 +367,14 @@ def workflow_out_sets(
     bit-packed rows with incremental constraint pruning (see
     :class:`repro.kernel.CompiledWorkflow`); ``backend="reference"`` keeps
     this module's brute-force world enumeration as the validation oracle.
+    Both first apply :func:`check_world_work`, so an enumeration that must
+    exceed ``work_limit`` raises :class:`WorkLimitError` before ``R`` is
+    built.
     """
     from ..kernel import compile_workflow, resolve_backend
 
+    visible = frozenset(visible)
+    check_world_work(workflow, visible, relation, work_limit)
     if resolve_backend(backend) == "kernel":
         return compile_workflow(workflow, relation).module_out_sets(
             module_name,

@@ -179,9 +179,11 @@ def workflow_privacy_level(
     This is an exact, exponential computation via possible-worlds
     enumeration; ``stop_at`` short-circuits each OUT computation once enough
     distinct outputs have been found (pass ``stop_at=Γ`` when only a yes/no
-    answer is needed).
+    answer is needed).  An enumeration that would exceed ``work_limit``
+    raises :class:`~repro.exceptions.WorkLimitError`, before ``R`` is built
+    when the schema alone shows it (see
+    :func:`~repro.core.possible_worlds.check_world_work`).
     """
-    rel = relation if relation is not None else workflow.provenance_relation()
     kwargs: dict = {}
     if work_limit is not None:
         kwargs["work_limit"] = work_limit
@@ -190,7 +192,7 @@ def workflow_privacy_level(
         module_name,
         visible,
         hidden_public_modules=hidden_public_modules,
-        relation=rel,
+        relation=relation,
         stop_at=stop_at,
         backend=backend,
         **kwargs,
@@ -242,7 +244,6 @@ def is_gamma_private_workflow(
     paper's formulation — privatization is only a tool to protect private
     modules.
     """
-    rel = relation if relation is not None else workflow.provenance_relation()
     for module in workflow.private_modules:
         if not is_workflow_private(
             workflow,
@@ -250,7 +251,7 @@ def is_gamma_private_workflow(
             visible,
             gamma,
             hidden_public_modules=hidden_public_modules,
-            relation=rel,
+            relation=relation,
             work_limit=work_limit,
             backend=backend,
         ):

@@ -9,15 +9,15 @@ solve → assemble pipeline, callers go through one facade::
 
     planner = Planner(workflow, gamma=2, kind="set")
     result = planner.solve()                          # auto-selected solver
-    result = planner.solve(solver="exact", verify=True)
+    result = planner.solve(solver="exact")
     print(result.cost, result.guarantee, result.certificate.ok)
 
 Components
 ----------
 :class:`Planner`
     Derives requirement lists and materializes relations **once**, memoizes
-    them in a :class:`DerivationCache`, auto-selects solvers, and verifies
-    Γ-privacy on request.  ``Planner.evolve`` produces a planner for an
+    them in a :class:`DerivationCache`, auto-selects solvers, and certifies
+    Γ-privacy for every answer.  ``Planner.evolve`` produces a planner for an
     edited workflow that re-derives only the modules whose content changed.
 :class:`SolverRegistry` / :func:`register_solver`
     Decorator-based registry of algorithms with metadata (constraint kind,

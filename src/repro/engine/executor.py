@@ -164,7 +164,6 @@ class SweepSpec:
         | tuple[tuple[str, int | None], ...]
         | None
     ) = None
-    verify: bool = False
     params: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -262,7 +261,7 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
     a problem file contributes its embedded workflow and rides the
     ``gammas``/``kinds`` axes), ``problems`` (paths to problem files used
     verbatim, with their baked Γ/kind/requirements), ``gammas``, ``kinds``,
-    ``solvers``, ``seeds``, ``verify``; any other key is ignored.  Relative
+    ``solvers``, ``seeds``; any other key is ignored.  Relative
     paths are resolved against ``base_dir``.  The axes follow
     :func:`grid_axes`.
     """
@@ -301,7 +300,6 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
         kinds=axes["kinds"],
         solvers=axes["solvers"],
         seeds=tuple(None if s is None else int(s) for s in axes["seeds"]),
-        verify=bool(grid.get("verify", False)),
     )
 
 
@@ -498,14 +496,16 @@ def solve_cell(
     label: str,
     solver: str,
     seed: int | None = None,
-    verify: bool = False,
     reuse_results: bool = True,
     costs: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Answer one cell — (instance, Γ, kind, solver, seed) — as a flat record.
 
     The one solve step every surface runs: the sweep executor's chunks,
-    and the solve service on its threads and in its process workers.  With
+    and the solve service on its threads and in its process workers.  Every
+    record carries ``verified``, its certificate's verdict (``True``,
+    ``False`` or ``None``, see
+    :class:`~repro.engine.result.PrivacyCertificate`).  With
     a store attached to the planner's cache, its result tier is probed
     first (``reuse_results``) and a fresh record is persisted; a stored
     record, error records included, comes back with ``from_store: True``.
@@ -518,7 +518,7 @@ def solve_cell(
     """
     cache = planner.cache
     before = cache.stats()
-    key = ResultKey(planner.gamma, planner.kind, solver, seed, verify)
+    key = ResultKey(planner.gamma, planner.kind, solver, seed)
     costs = dict(costs) if costs else None
     store = cache.store if costs is None else None
     if store is not None and reuse_results:
@@ -533,7 +533,7 @@ def solve_cell(
             record = error_record(label, planner.gamma, planner.kind, solver, seed, exc)
             store.save_result(fingerprint, key, record)
         raise
-    result = planner.solve(solver=solver, seed=seed, verify=verify, costs=costs)
+    result = planner.solve(solver=solver, seed=seed, costs=costs)
     record = {
         "workflow": label,
         "gamma": planner.gamma,
@@ -547,9 +547,8 @@ def solve_cell(
         "privatized_modules": sorted(result.privatized_modules),
         "guarantee": result.guarantee,
         "seconds": result.seconds,
+        "verified": result.certificate.ok,
     }
-    if result.certificate is not None:
-        record["verified"] = result.certificate.ok
     if store is not None:
         store.save_result(fingerprint, key, record)
     record["from_store"] = False
@@ -602,7 +601,6 @@ def _run_chunk_in(
                 cell.label,
                 cell.solver,
                 cell.seed,
-                bool(chunk["verify"]),
                 runner.reuse_results,
             )
         except Exception as exc:  # noqa: BLE001 - failure isolation by design
@@ -714,14 +712,13 @@ def _answer_stored(
     dispatch: their Γ and kind live in the payload, not the grid.
     """
     records: list[dict[str, Any]] = []
-    verify = bool(spec.verify)
     workflows = {i.label for i in spec.instances if i.source == "workflow"}
     remaining: list[SweepCell] = []
     for cell in cells:
         instance_keys = keys[cell.label]
         record = None
         if instance_keys is not None and cell.label in workflows:
-            key = ResultKey(cell.gamma, cell.kind, cell.solver, cell.seed, verify)
+            key = ResultKey(cell.gamma, cell.kind, cell.solver, cell.seed)
             record = _stored_record(store, instance_keys.fingerprint, key, cell.label)
         if record is None:
             remaining.append(cell)
@@ -790,7 +787,6 @@ def _chunks_for(
                 },
                 "module_fingerprints": {label: modules[label] for label in labels},
                 "cells": group,
-                "verify": spec.verify,
             }
         )
     return chunks

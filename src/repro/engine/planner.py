@@ -8,7 +8,7 @@ through a uniform interface::
 
     planner = Planner(workflow, gamma=2, kind="set")
     result = planner.solve()                        # auto-selected solver
-    result = planner.solve(solver="exact", verify=True)
+    result = planner.solve(solver="exact")          # result.certificate.ok
     result = planner.solve(solver="lp_rounding", seed=7)
     result = planner.solve(costs={"a3": 10.0})      # what-if cost override
 
@@ -30,12 +30,13 @@ import time
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..core.module import Module
+from ..core.possible_worlds import DEFAULT_WORK_LIMIT
 from ..core.privacy import workflow_privacy_level
 from ..core.requirements import RequirementList, SetRequirementList
 from ..core.secure_view import SecureViewProblem
 from ..core.view import SecureViewSolution
 from ..core.workflow import Workflow
-from ..exceptions import RequirementError, SolverError, WorkflowError
+from ..exceptions import RequirementError, SolverError, WorkflowError, WorkLimitError
 from ..optim.local_search import improve_solution
 from .cache import DerivationCache
 from .registry import SolverRegistry, SolverSpec, default_registry
@@ -264,15 +265,13 @@ class Planner:
         rng: random.Random | None = None,
         costs: Mapping[str, float] | None = None,
         local_search: bool | Sequence[str] = False,
-        verify: bool = False,
         **options: object,
     ) -> SolveResult:
         """Solve the instance with one registered algorithm.
 
         The one place a solver name becomes a call: derivation (cached) →
         solver dispatch (timed) → optional local-search post-processing →
-        feasibility validation → optional Γ-privacy certificate
-        (:meth:`verify`).
+        feasibility validation → Γ-privacy certificate (:meth:`verify`).
 
         ``solver`` is a registry name, or ``"auto"`` for the cheapest
         applicable algorithm on the instance being solved (cost overrides
@@ -280,11 +279,9 @@ class Planner:
         and are ignored by deterministic ones.  ``costs`` overrides
         per-attribute hiding costs.  ``local_search`` is ``True`` (both
         passes) or a sequence of :mod:`repro.optim.local_search` pass names.
-        ``verify`` attaches a :class:`PrivacyCertificate` (Theorems 4 and
-        8, see :meth:`verify`).  Other ``options`` go to the
-        solver, which rejects any it does not take with
-        :class:`~repro.exceptions.SolverError`.  A solver whose declared
-        constraint kind is not the instance's is refused with
+        Other ``options`` go to the solver, which rejects any it does not
+        take with :class:`~repro.exceptions.SolverError`.  A solver whose
+        declared constraint kind is not the instance's is refused with
         :class:`~repro.exceptions.SolverError` before it runs.
         """
         problem = self.problem(costs=costs)
@@ -312,10 +309,6 @@ class Planner:
             solution = improve_solution(problem, solution, passes=passes)
         seconds = time.perf_counter() - start
         problem.validate_solution(solution)
-
-        certificate = None
-        if verify:
-            certificate = self.verify(solution, problem=problem)
         return SolveResult(
             solver=spec.name,
             requested=solver,
@@ -323,7 +316,7 @@ class Planner:
             cost=solution.cost(),
             guarantee=spec.guarantee_for(problem),
             seconds=seconds,
-            certificate=certificate,
+            certificate=self.verify(solution, problem=problem),
             cache_stats=self.cache.stats(),
         )
 
@@ -341,37 +334,47 @@ class Planner:
         a hidden attribute is privatized.  When that condition holds, a
         module whose standalone level (one lookup on its compiled pack,
         the module tier's artifact) reaches Γ is certified at Γ without
-        building the workflow relation.
+        building the workflow relation.  A pack holds one row per input
+        assignment, so a module with more of them than the work limit is
+        left to enumeration.
 
         A standalone level only bounds the workflow level from below
         (Lemma 1), so any other module falls back to possible-worlds
-        enumeration (Definitions 5/6) with early termination at Γ and the
-        usual work limit.  Levels are capped at Γ, so a reported level of
-        Γ means "at least Γ".
+        enumeration (Definitions 5/6) with early termination at Γ.  A
+        module whose enumeration would exceed the work limit is
+        undetermined (level ``None``), so a certificate never fails a
+        solve.  Levels are capped at Γ, so a reported level of Γ means
+        "at least Γ".
         """
         problem = problem if problem is not None else self.problem()
         hidden = solution.hidden_attributes
         visible = frozenset(solution.visible_attributes)
         privatized = frozenset(solution.privatized_modules)
         composes = problem.required_privatizations(hidden) <= privatized
-        levels: dict[str, int] = {}
+        levels: dict[str, int | None] = {}
         for module in self.workflow.private_modules:
             if (
                 composes
+                and module.domain_size() <= DEFAULT_WORK_LIMIT
                 and self.cache.module_privacy_level(module, visible) >= self.gamma
             ):
                 levels[module.name] = self.gamma
                 continue
-            level = workflow_privacy_level(
-                self.workflow,
-                module.name,
-                visible,
-                hidden_public_modules=privatized,
-                stop_at=self.gamma,
-            )
-            levels[module.name] = min(level, self.gamma)
-        return PrivacyCertificate(
-            gamma=self.gamma,
-            ok=all(level >= self.gamma for level in levels.values()),
-            module_levels=levels,
-        )
+            try:
+                level = workflow_privacy_level(
+                    self.workflow,
+                    module.name,
+                    visible,
+                    hidden_public_modules=privatized,
+                    stop_at=self.gamma,
+                )
+            except WorkLimitError:
+                levels[module.name] = None
+            else:
+                levels[module.name] = min(level, self.gamma)
+        known = [level for level in levels.values() if level is not None]
+        if any(level < self.gamma for level in known):
+            ok: bool | None = False
+        else:
+            ok = True if len(known) == len(levels) else None
+        return PrivacyCertificate(gamma=self.gamma, ok=ok, module_levels=levels)

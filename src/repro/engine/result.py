@@ -3,7 +3,7 @@
 Every solver in the registry — exact, LP roundings, greedy, baselines — is
 invoked through ``Planner.solve`` and answers with the same
 :class:`SolveResult`, so callers (CLI, experiment harness, benchmarks) do
-not depend on per-algorithm signatures.  A result optionally carries a
+not depend on per-algorithm signatures.  Every result carries a
 :class:`PrivacyCertificate`: evidence that the returned view really is
 Γ-private, by Theorems 4 and 8 from the module packs in the planner's
 shared :class:`~repro.engine.cache.DerivationCache`, or by possible-worlds
@@ -28,18 +28,23 @@ class PrivacyCertificate:
 
     ``module_levels`` maps each private module to its Γ-workflow-privacy
     level, the smallest out-set size over its inputs, capped at Γ: a
-    reported level of Γ means "at least Γ".
+    reported level of Γ means "at least Γ".  A level is ``None`` when
+    the module is undetermined: the theorems do not certify it and world
+    enumeration would exceed its work limit.  ``ok`` is ``True`` when
+    every level reaches Γ, ``False`` when one falls below it, and
+    ``None`` otherwise.
     """
 
     gamma: int
-    ok: bool
-    module_levels: Mapping[str, int]
+    ok: bool | None
+    module_levels: Mapping[str, int | None]
 
     @property
     def weakest_module(self) -> str | None:
-        if not self.module_levels:
-            return None
-        return min(self.module_levels, key=lambda name: self.module_levels[name])
+        """The module with the lowest determined level, if any."""
+        levels = self.module_levels
+        known = [name for name in levels if levels[name] is not None]
+        return min(known, key=levels.__getitem__) if known else None
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -71,7 +76,7 @@ class SolveResult:
         Wall-clock time of the solver call (excluding derivation, which is
         shared and cached).
     certificate:
-        Γ-privacy certificate when verification was requested, else ``None``.
+        The Γ-privacy certificate of the solution's view.
     cache_stats:
         Snapshot of the planner's derivation cache after this solve.
     """
@@ -82,7 +87,7 @@ class SolveResult:
     cost: float
     guarantee: str
     seconds: float
-    certificate: PrivacyCertificate | None = None
+    certificate: PrivacyCertificate
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
     @property
@@ -108,6 +113,5 @@ class SolveResult:
         }
         if self.guarantee:
             record["guarantee"] = self.guarantee
-        if self.certificate is not None:
-            record["verified"] = self.certificate.ok
+        record["verified"] = self.certificate.ok
         return record

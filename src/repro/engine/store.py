@@ -8,8 +8,8 @@ are keyed by the workflow's (:func:`repro.workloads.workflow_fingerprint`)
 and persisted under::
 
     <root>/<fp[:2]>/<fingerprint>/
-        result-<keydigest>.json        # one per (gamma, kind, solver, seed,
-                                       #          verify) solve cell
+        result-<keydigest>.json        # one per (gamma, kind, solver, seed)
+                                       # solve cell
 
 Everything derived per module is keyed by the module's, in the module
 tier below.  No stored artifact holds the workflow's provenance relation:
@@ -112,20 +112,16 @@ def _key_digest(parts: tuple) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def ResultKey(
-    gamma: int,
-    kind: str,
-    solver: str,
-    seed: int | None,
-    verify: bool = False,
-) -> tuple:
+def ResultKey(gamma: int, kind: str, solver: str, seed: int | None) -> tuple:
     """The parameters that (with the fingerprint) identify one solve cell.
 
-    The constant ``"kernel"`` component keeps the key digests, and so the
-    result file names, that stores written while the key named the privacy
-    implementation use: such a store is served warm.
+    Two constant components keep the key digests, and so the result file
+    names, of stores written while the key named the privacy
+    implementation (``"kernel"``) and whether the answer was certified
+    (``True``): every answer is certified now, so a certified result such
+    a store holds is served warm, and an uncertified one is never read.
     """
-    return ("result", "kernel", gamma, kind, solver, seed, verify)
+    return ("result", "kernel", gamma, kind, solver, seed, True)
 
 
 class DerivationStore:
@@ -488,9 +484,3 @@ class DerivationStore:
         flat["misses"] = sum(self.misses.values())
         flat["writes"] = sum(self.writes.values())
         return flat
-
-    def reset_stats(self) -> None:
-        for category in _CATEGORIES:
-            self.hits[category] = 0
-            self.misses[category] = 0
-            self.writes[category] = 0

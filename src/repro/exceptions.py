@@ -18,6 +18,7 @@ __all__ = [
     "CycleError",
     "PrivacyError",
     "RequirementError",
+    "WorkLimitError",
     "InfeasibleError",
     "SolverError",
 ]
@@ -62,6 +63,10 @@ class PrivacyError(ProvenanceError):
 
 class RequirementError(PrivacyError):
     """A requirement list is malformed (empty, out of range, wrong module)."""
+
+
+class WorkLimitError(PrivacyError):
+    """Possible-worlds enumeration would exceed its work limit."""
 
 
 class InfeasibleError(ProvenanceError):

@@ -368,9 +368,6 @@ class CompiledModule:
         _check_gamma(gamma)
         return self.privacy_level(visible) >= gamma
 
-    def is_safe_hidden_bits(self, hidden_bits: int, gamma: int) -> bool:
-        return self.privacy_level_bits(self.all_bits & ~hidden_bits) >= gamma
-
     def is_safe_hidden_batch(
         self, hidden_masks: Sequence[int], gamma: int
     ) -> list[bool]:

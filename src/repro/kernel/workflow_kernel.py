@@ -9,8 +9,8 @@ on packed integer rows:
 
 * a candidate row is ``visible_code | hidden_code`` — one OR,
 * an FD check is two AND-masks and a dict probe,
-* known public functionality is a precompiled ``input_code -> output_code``
-  table lookup,
+* known public functionality is an ``input_code -> output_code`` table
+  lookup, each entry computed the first time a candidate row asks for it,
 
 and the enumeration is a depth-first search that places one row per
 visible tuple, checking constraints *incrementally* so dead branches are
@@ -24,27 +24,32 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..exceptions import PrivacyError
+from ..exceptions import WorkLimitError
 from .packing import BitLayout, PackedRelation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.attributes import Value
+    from ..core.module import Module
     from ..core.relation import Relation
     from ..core.workflow import Workflow
 
 __all__ = ["CompiledWorkflow"]
 
 
-def _default_work_limit() -> int:
-    """:data:`repro.core.possible_worlds.DEFAULT_WORK_LIMIT`, read lazily.
+class _PublicTable(dict):
+    """A public module's ``input_code -> output_code`` map, filled on demand."""
 
-    Imported at call time (not module import time) so the kernel stays
-    importable from the core hot paths without a circular import, while the
-    two backends can never drift apart on the default cap.
-    """
-    from ..core.possible_worlds import DEFAULT_WORK_LIMIT
+    def __init__(self, module: "Module", layout: BitLayout) -> None:
+        super().__init__()
+        self.module = module
+        self.layout = layout
 
-    return DEFAULT_WORK_LIMIT
+    def __missing__(self, code: int) -> int:
+        module = self.module
+        names = module.input_names
+        outputs = module.apply(dict(zip(names, self.layout.unpack(code, names))))
+        value = self[code] = self.layout.pack_assignment(outputs, module.output_names)
+        return value
 
 
 class CompiledWorkflow:
@@ -67,25 +72,12 @@ class CompiledWorkflow:
             )
             for module in workflow.modules
         }
-        self._public_tables: dict[str, dict[int, int]] = {}
-
-    # -- precompiled public functionality --------------------------------------
-    def _public_table(self, module_name: str) -> dict[int, int]:
-        """``input_code -> output_code`` over a public module's full domain."""
-        cached = self._public_tables.get(module_name)
-        if cached is not None:
-            return cached
-        module = self.workflow.module(module_name)
-        in_bits, out_bits = self._module_bits[module_name]
-        pack = self.layout.pack_assignment
-        names = module.attribute_names
-        table: dict[int, int] = {}
-        for row in module.relation():
-            code = pack(row, names)
-            table[code & in_bits] = code & out_bits
-        cached = table
-        self._public_tables[module_name] = table
-        return table
+        # Filled on demand, so a wide public module is never tabulated over
+        # its whole domain.
+        self._public_tables = {
+            module.name: _PublicTable(module, self.layout)
+            for module in workflow.public_modules
+        }
 
     # -- out-set enumeration ----------------------------------------------------
     def module_out_sets(
@@ -104,7 +96,9 @@ class CompiledWorkflow:
         early termination.
         """
         if work_limit is None:
-            work_limit = _default_work_limit()
+            # Imported here: core imports the kernel, and one default serves
+            # both backends.
+            from ..core.possible_worlds import DEFAULT_WORK_LIMIT as work_limit
         workflow = self.workflow
         module = workflow.module(module_name)
         schema_names = workflow.schema.names
@@ -121,15 +115,18 @@ class CompiledWorkflow:
                 seen.add(masked)
                 view.append(masked)
 
-        hidden_codes = self.layout.assignment_codes(hidden_names)
+        hidden_count = 1
+        for name in hidden_names:
+            hidden_count *= self.layout.domain_size(name)
         work = 1
         for _ in view:
-            work *= max(len(hidden_codes), 1)
+            work *= hidden_count
             if work > work_limit:
-                raise PrivacyError(
+                raise WorkLimitError(
                     f"workflow world enumeration exceeds work limit ({work} > "
                     f"{work_limit}); reduce the instance or raise work_limit"
                 )
+        hidden_codes = self.layout.assignment_codes(hidden_names)
 
         in_bits, out_bits = self._module_bits[module_name]
         input_keys = {code & in_bits for code in codes}
@@ -139,7 +136,7 @@ class CompiledWorkflow:
 
         hidden_public = set(hidden_public_modules)
         respected = [
-            (self._module_bits[m.name], self._public_table(m.name))
+            (self._module_bits[m.name], self._public_tables[m.name])
             for m in workflow.public_modules
             if m.name not in hidden_public
         ]

@@ -54,7 +54,6 @@ from .unsat import (
     CNFFormula,
     brute_force_satisfiable,
     random_cnf,
-    unsat_privacy_level,
     unsat_safe_view_decision,
     unsat_to_module,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "brute_force_satisfiable",
     "unsat_to_module",
     "unsat_safe_view_decision",
-    "unsat_privacy_level",
     # oracle adversary
     "make_m1",
     "make_m2",

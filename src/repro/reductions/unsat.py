@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from ..core.attributes import Attribute, BOOLEAN
 from ..core.module import Module
-from ..core.privacy import is_standalone_private, standalone_privacy_level
+from ..core.privacy import is_standalone_private
 from ..exceptions import PrivacyError
 
 __all__ = [
@@ -136,10 +136,3 @@ def unsat_safe_view_decision(formula: CNFFormula, gamma: int = 2) -> bool:
     module = unsat_to_module(formula)
     visible = set(module.attribute_names) - {"y"}
     return is_standalone_private(module, visible, gamma)
-
-
-def unsat_privacy_level(formula: CNFFormula) -> int:
-    """The exact privacy level of the ``y``-hiding view (1 or 2)."""
-    module = unsat_to_module(formula)
-    visible = set(module.attribute_names) - {"y"}
-    return standalone_privacy_level(module, visible)

@@ -71,12 +71,6 @@ class VertexCoverInstance:
         chosen = set(cover)
         return all(u in chosen or v in chosen for u, v in self.edges)
 
-    def to_networkx(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.vertices)
-        graph.add_edges_from(self.edges)
-        return graph
-
 
 def random_cubic_graph(n_vertices: int, seed: int | None = 0) -> VertexCoverInstance:
     """A random (near-)cubic graph via networkx's random regular generator.

@@ -16,8 +16,8 @@ Components
     :class:`~repro.engine.cache.DerivationCache` (optionally store-backed),
     a solve worker pool, an in-memory result cache, and **request
     coalescing** — concurrent identical requests (same workflow
-    fingerprint, Γ, kind, solver, seed, verify) attach to one computation
-    and all receive its result.
+    fingerprint, Γ, kind, solver, seed) attach to one computation and all
+    receive its result, Γ-privacy certificate included.
 :class:`RequestCoalescer`
     The keyed single-flight table behind the coalescing, with
     leader/follower counters (``coalesced`` in ``/metrics``).

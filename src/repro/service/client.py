@@ -6,8 +6,8 @@ any script or from ``repro submit``::
     from repro.service import ServiceClient
 
     client = ServiceClient("http://127.0.0.1:8080")
-    record = client.solve(workflow, gamma=2, kind="set", verify=True)
-    print(record["cost"], record["hidden_attributes"])
+    record = client.solve(workflow, gamma=2, kind="set")
+    print(record["cost"], record["hidden_attributes"], record["verified"])
     print(client.metrics()["coalesced"])
 
 ``solve`` accepts a live :class:`~repro.core.workflow.Workflow` /
@@ -185,7 +185,6 @@ class ServiceClient:
         kind: str | None = None,
         solver: str = "auto",
         seed: int | None = None,
-        verify: bool = False,
         costs: Mapping[str, float] | None = None,
         timeout: float | None = None,
         label: str | None = None,
@@ -193,7 +192,7 @@ class ServiceClient:
         """Solve one instance on the server; the solve record."""
         if (workflow is None) == (problem is None):
             raise ValueError("pass exactly one of workflow= or problem=")
-        body: dict[str, Any] = {"solver": solver, "seed": seed, "verify": verify}
+        body: dict[str, Any] = {"solver": solver, "seed": seed}
         if workflow is not None:
             body["workflow"] = _instance_payload(workflow)
             body["gamma"] = gamma
@@ -217,12 +216,11 @@ class ServiceClient:
         kinds: tuple | list = ("set",),
         solvers: tuple | list = ("auto",),
         seeds: tuple | list = (0,),
-        verify: bool = False,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """Run an inline grid on the server; the sweep report."""
         body = self._grid_body(
-            workflows, problems, gammas, kinds, solvers, seeds, verify, timeout
+            workflows, problems, gammas, kinds, solvers, seeds, timeout
         )
         return self.request("POST", "/sweep", body)
 
@@ -234,7 +232,6 @@ class ServiceClient:
         kinds: tuple | list,
         solvers: tuple | list,
         seeds: tuple | list,
-        verify: bool,
         timeout: float | None,
     ) -> dict[str, Any]:
         body: dict[str, Any] = {
@@ -244,7 +241,6 @@ class ServiceClient:
             "kinds": list(kinds),
             "solvers": list(solvers),
             "seeds": list(seeds),
-            "verify": verify,
         }
         if timeout is not None:
             body["timeout"] = timeout
@@ -260,7 +256,6 @@ class ServiceClient:
         kinds: tuple | list = ("set",),
         solvers: tuple | list = ("auto",),
         seeds: tuple | list = (0,),
-        verify: bool = False,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """Submit an inline grid as an async job; ``{"job": id, ...}``.
@@ -269,7 +264,7 @@ class ServiceClient:
         :meth:`wait_job`.
         """
         body = self._grid_body(
-            workflows, problems, gammas, kinds, solvers, seeds, verify, timeout
+            workflows, problems, gammas, kinds, solvers, seeds, timeout
         )
         return self.request("POST", "/jobs/sweep", body)
 

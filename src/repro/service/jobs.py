@@ -8,18 +8,20 @@ the request's ``gamma``/``kind``) or ``"problem"`` (a
 and requirement lists baked in) — plus solve parameters::
 
     {"workflow": {...}, "gamma": 2, "kind": "set",
-     "solver": "auto", "seed": null, "verify": false,
+     "solver": "auto", "seed": null,
      "costs": {"a3": 10.0}, "timeout": 30.0}
 
-An optional ``"label"`` names the record; any other field is ignored.
-Parsing produces a :class:`SolveJob`, whose :attr:`SolveJob.key` is the
-**coalescing key**: ``(workflow_fingerprint, gamma, kind, solver, seed,
-verify)`` (plus the cost-override items when present).  The fingerprint
-is the store's content key, hashed straight from the payload
-(:func:`~repro.workloads.fingerprint.instance_fingerprint`), so two clients
-submitting the same workflow — regardless of module order, dict key order
-or formatting — produce the same key, coalesce while in flight, and share
-one persistent-store entry with every other surface (CLI, sweep executor).
+An optional ``"label"`` names the record; any other field is ignored
+(``"verify"`` among them: every record carries its certificate's
+``verified``).  Parsing produces a :class:`SolveJob`, whose
+:attr:`SolveJob.key` is the **coalescing key**: ``(workflow_fingerprint,
+gamma, kind, solver, seed)`` (plus the cost-override items when present).
+The fingerprint is the store's content key, hashed straight from the
+payload (:func:`~repro.workloads.fingerprint.instance_fingerprint`), so
+two clients submitting the same workflow — regardless of module order,
+dict key order or formatting — produce the same key, coalesce while in
+flight, and share one persistent-store entry with every other surface
+(CLI, sweep executor).
 
 Anything malformed raises :class:`ServiceError` with an HTTP status the
 server maps onto the response; nothing here touches sockets, so the codec
@@ -165,7 +167,6 @@ class SolveJob:
     kind: str | None
     solver: str
     seed: int | None
-    verify: bool
     costs: tuple[tuple[str, float], ...] | None
     timeout: float | None
     #: The raw (JSON-shaped) instance payload the request carried.  Kept so
@@ -188,7 +189,6 @@ class SolveJob:
             self.kind,
             self.solver,
             self.seed,
-            self.verify,
             self.costs,
         )
 
@@ -208,7 +208,6 @@ class SolveJob:
             self.source: self.payload,
             "label": self.label,
             "solver": self.solver,
-            "verify": self.verify,
         }
         if self.source == "workflow":
             body["gamma"] = self.gamma
@@ -233,7 +232,6 @@ class SolveJob:
             self.label,
             self.solver,
             self.seed,
-            self.verify,
             runner.reuse_results,
             self.costs,
         )
@@ -370,8 +368,6 @@ def parse_solve_payload(
 
     solver = body.get("solver", "auto")
     _require(isinstance(solver, str) and bool(solver), "solver must be a name string")
-    verify = body.get("verify", False)
-    _require(isinstance(verify, bool), "verify must be a boolean")
 
     try:
         instance, fingerprint = instances.resolve(source, payload)
@@ -394,7 +390,6 @@ def parse_solve_payload(
         kind=kind,
         solver=solver,
         seed=_parse_seed(body.get("seed")),
-        verify=verify,
         costs=_parse_costs(body.get("costs")),
         timeout=_parse_timeout(body.get("timeout")),
         payload=payload,

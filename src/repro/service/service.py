@@ -483,11 +483,7 @@ class SolveService:
             raise ServiceError(str(exc)) from exc
         sources = [("workflow", payload) for payload in axes["workflows"]]
         sources += [("problem", payload) for payload in axes["problems"]]
-        shared = {
-            key: body[key]
-            for key in ("verify", "timeout")
-            if key in body
-        }
+        shared = {"timeout": body["timeout"]} if "timeout" in body else {}
         jobs: list[SolveJob] = []
         for source, payload in sources:
             points = (

@@ -83,3 +83,22 @@ class TestReconstructionAttack:
         assert {"input", "candidates", "guess_probability", "exposed"} <= set(
             records[0]
         )
+
+    def test_an_attack_over_the_work_limit_builds_no_relation(self, monkeypatch):
+        """Every initial input visible and one output hidden: the relation
+        would have 65,536 rows, and the schema bound rejects enumeration
+        before it is built."""
+        from repro.core import Workflow
+        from repro.exceptions import WorkLimitError
+        from repro.workloads import random_problem
+
+        workflow = random_problem(n_modules=20, kind="cardinality", seed=20).workflow
+        module = workflow.private_modules[0]
+        visible = set(workflow.attribute_names) - {module.output_names[0]}
+
+        def refuse(self):
+            raise AssertionError("the attack built the workflow relation")
+
+        monkeypatch.setattr(Workflow, "provenance_relation", refuse)
+        with pytest.raises(WorkLimitError):
+            reconstruction_attack(workflow, module.name, visible)

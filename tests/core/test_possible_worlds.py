@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core import (
     Relation,
+    Schema,
+    Workflow,
     count_standalone_worlds,
     enumerate_standalone_worlds,
     enumerate_workflow_worlds,
@@ -15,8 +19,10 @@ from repro.core import (
     workflow_out_set,
     workflow_out_sets,
 )
-from repro.exceptions import PrivacyError
-from repro.workloads import example7_chain, figure1_view_attributes
+from repro.core.possible_worlds import check_world_work
+from repro.exceptions import PrivacyError, WorkLimitError
+from repro.kernel.packing import BitLayout
+from repro.workloads import example7_chain, figure1_view_attributes, random_problem
 
 
 FIGURE2_WORLDS = [
@@ -126,3 +132,55 @@ class TestWorkflowWorlds:
         assert not is_workflow_world(
             candidate, figure1, set(figure1.attribute_names) - {"a4"}
         )
+
+
+class TestWorkBound:
+    """``workflow_out_sets`` checks a work bound read from the schema before
+    it builds ``R`` or lists any hidden assignment."""
+
+    @pytest.mark.parametrize("backend", ["kernel", "reference"])
+    def test_the_bound_fires_before_anything_is_allocated(self, backend, monkeypatch):
+        # R would have 65,536 rows: every initial input is visible, and one
+        # hidden boolean makes the bound 2 ** 65,536.
+        workflow = random_problem(n_modules=20, kind="cardinality", seed=20).workflow
+        module = workflow.private_modules[0]
+        visible = set(workflow.attribute_names) - {module.output_names[0]}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("world enumeration allocated before its bound")
+
+        monkeypatch.setattr(Workflow, "provenance_relation", refuse)
+        monkeypatch.setattr(BitLayout, "assignment_codes", refuse)
+        monkeypatch.setattr(Schema, "iter_assignments", refuse)
+        with pytest.raises(WorkLimitError):
+            workflow_out_sets(workflow, module.name, visible, backend=backend)
+
+    @pytest.mark.parametrize("limit", [1, 4, 16, 256, 4096])
+    def test_the_bound_never_fires_where_enumeration_would_finish(
+        self, figure1, limit
+    ):
+        """Enumeration's own work is ``H ** |pi_V(R)|``; the bound raises only
+        where that exceeds the limit, with or without a given relation."""
+        relation = figure1.provenance_relation()
+        names = figure1.attribute_names
+        fired = 0
+        for size in range(len(names) + 1):
+            for visible in map(set, itertools.combinations(names, size)):
+                hidden = figure1.schema.assignment_count(
+                    [name for name in names if name not in visible]
+                )
+                view = relation.project([n for n in names if n in visible])
+                work = hidden ** len(view)
+                for given in (None, relation):
+                    try:
+                        check_world_work(figure1, visible, given, limit)
+                    except WorkLimitError:
+                        fired += 1
+                        assert work > limit, (sorted(visible), given is None)
+        assert fired
+
+    def test_an_empty_relation_needs_no_work(self, figure1):
+        empty = Relation(figure1.schema, [])
+        check_world_work(figure1, set(), empty, work_limit=1)
+        with pytest.raises(WorkLimitError):
+            check_world_work(figure1, set(), work_limit=1)

@@ -433,7 +433,6 @@ class TestVerification:
                 SweepInstance("fig1", "workflow", workflow_to_dict(figure1_workflow())),
             ),
             solvers=("exact",),
-            verify=True,
         )
         report = run_sweep(spec, n_jobs=1)
         assert report.records[0]["verified"] is True

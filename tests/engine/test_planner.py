@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from repro.core import SecureViewProblem, Workflow
+from repro.core.module import Module
+from repro.core.possible_worlds import DEFAULT_WORK_LIMIT
 from repro.engine import DerivationCache, Planner, default_registry
 from repro.exceptions import SolverError
+from repro.kernel.packing import BitLayout
 from repro.optim.lp import LinearProgram
-from repro.workloads import figure1_workflow, random_problem, random_workflow
+from repro.workloads import (
+    example5_problem,
+    figure1_workflow,
+    random_problem,
+    random_workflow,
+)
 
 
 def _refuse_relation(self):
@@ -197,7 +206,7 @@ class TestCostOverrides:
 
 class TestVerification:
     def test_exact_solution_certified(self, figure1_planner):
-        result = figure1_planner.solve(solver="exact", verify=True)
+        result = figure1_planner.solve(solver="exact")
         assert result.certificate is not None
         assert result.certificate.ok
         assert set(result.certificate.module_levels) == {"m1", "m2", "m3"}
@@ -215,7 +224,7 @@ class TestVerification:
 
     def test_repeated_verification_hits_the_cache(self, tmp_path, monkeypatch):
         planner = Planner(figure1_workflow(), 2, store=str(tmp_path / "store"))
-        result = planner.solve(solver="exact", verify=True)
+        result = planner.solve(solver="exact")
         before = planner.cache.stats()
         monkeypatch.setattr(Workflow, "provenance_relation", _refuse_relation)
         again = planner.verify(result.solution)
@@ -228,7 +237,7 @@ class TestVerification:
     def test_five_module_views_are_certified_by_composition(self, seed):
         """World enumeration exceeds its work limit on these instances;
         Theorems 4 and 8 certify each module from its standalone level."""
-        result = Planner(random_workflow(5, seed=seed), 2).solve(verify=True)
+        result = Planner(random_workflow(5, seed=seed), 2).solve()
         assert result.certificate.ok
         assert set(result.certificate.module_levels.values()) == {2}
 
@@ -239,8 +248,86 @@ class TestVerification:
         store = tmp_path / "store"
         for _ in range(2):  # cold, then warm
             planner = Planner(random_workflow(5, seed=0), 2, store=str(store))
-            assert planner.solve("greedy", verify=True).certificate.ok
+            assert planner.solve("greedy").certificate.ok
         assert [path.name for path in store.iterdir()] == ["modules"]
+
+
+@pytest.fixture
+def bounded_tabulation(monkeypatch):
+    """Fail any module tabulation past the work limit."""
+    tabulate = Module.relation
+
+    def bounded(module):
+        assert module.domain_size() <= DEFAULT_WORK_LIMIT, module.name
+        return tabulate(module)
+
+    monkeypatch.setattr(Module, "relation", bounded)
+
+
+class TestCertificateNeverFailsASolve:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            {"n_modules": 30, "seed": 9, "topology": "layered"},
+            {"n_modules": 20, "seed": 20},
+        ],
+    )
+    def test_an_undetermined_module_answers_at_once(self, draw, monkeypatch):
+        """Baked lists the theorems cannot certify: world enumeration would
+        list 2**37 hidden assignments (layered) or build a 65,536-row
+        relation (random), so the certificate leaves those modules
+        undetermined without allocating either."""
+        planner = Planner.from_problem(random_problem(kind="cardinality", **draw))
+
+        def refuse_codes(self, names):
+            raise AssertionError("the certificate listed hidden assignments")
+
+        monkeypatch.setattr(Workflow, "provenance_relation", _refuse_relation)
+        monkeypatch.setattr(BitLayout, "assignment_codes", refuse_codes)
+        started = time.perf_counter()
+        result = planner.solve()
+        assert time.perf_counter() - started < 1.0
+        certificate = result.certificate
+        assert certificate.ok is None
+        assert None in certificate.module_levels.values()
+        assert certificate.as_dict()["ok"] is None
+        assert result.as_record()["verified"] is None
+
+    def test_no_module_is_tabulated_past_the_work_limit(self, bounded_tabulation):
+        """Example 5 at n = 32: ``m'`` reads 32 booleans, so its pack would
+        hold 2**32 rows.  The certificate leaves it to enumeration, which
+        finishes on ``exact``'s view (the relation has two rows) and is
+        over its limit on greedy's (33 hidden booleans)."""
+        planner = Planner.from_problem(example5_problem(32))
+        exact = planner.solve("exact").certificate
+        assert exact.ok is True and exact.module_levels["m_prime"] == 2
+        greedy = planner.solve("greedy").certificate
+        assert greedy.ok is None and greedy.module_levels["m_prime"] is None
+        assert set(greedy.module_levels.values()) == {2, None}
+
+    def test_a_wide_public_module_is_not_tabulated(self, bounded_tabulation):
+        """Example 5 with ``m'`` public and nothing hidden: enumeration runs
+        (the relation has two rows) and checks ``m'`` only on the inputs its
+        candidate rows carry, not over its 2**32."""
+        base = example5_problem(32)
+        wide = base.workflow.module("m_prime")
+        public = Module(
+            wide.name,
+            list(wide.input_schema),
+            list(wide.output_schema),
+            wide.apply,
+            private=False,
+        )
+        workflow = Workflow(
+            [public if m.name == wide.name else m for m in base.workflow.modules]
+        )
+        lists = {k: v for k, v in base.requirements.items() if k != wide.name}
+        problem = SecureViewProblem(workflow, 2, lists)
+        certificate = Planner.from_problem(problem).verify(
+            problem.make_solution(frozenset())
+        )
+        assert certificate.ok is False
+        assert set(certificate.module_levels.values()) == {1}
 
 
 class TestSolverListing:

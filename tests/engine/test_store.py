@@ -54,7 +54,7 @@ VISIBLE_SETS = (
 
 class TestArtifactRoundTrips:
     def test_result_round_trip(self, store):
-        key = ResultKey(2, "set", "exact", None, False)
+        key = ResultKey(2, "set", "exact", None)
         record = {"cost": 3.0, "solver": "exact", "hidden_attributes": ["a2"]}
         store.save_result("ab" * 32, key, record)
         assert store.load_result("ab" * 32, key) == record
@@ -191,7 +191,7 @@ class TestDiskStatsSurface:
         cache.requirements(workflow, 2, "set")  # fills the module tier
         store.save_result(  # and a workflow entry
             workflow_fingerprint(workflow),
-            ResultKey(2, "set", "exact", None, False),
+            ResultKey(2, "set", "exact", None),
             {"cost": 1.0},
         )
         stats = store.disk_stats()
@@ -227,7 +227,7 @@ class TestPackIsTheStoredRelation:
     def _verified_store(tmp_path) -> DerivationStore:
         directory = tmp_path / "store"
         planner = Planner(figure1_workflow(), 2, store=str(directory))
-        assert planner.solve("greedy", verify=True).certificate.ok
+        assert planner.solve("greedy").certificate.ok
         return DerivationStore(directory)
 
     def test_verify_solve_stores_the_pack_and_no_relation(self, tmp_path):
@@ -254,7 +254,7 @@ class TestPackIsTheStoredRelation:
 
         monkeypatch.setattr(Workflow, "provenance_relation", refuse)
         planner = Planner(workflow, 2, cache=DerivationCache(store=store))
-        assert planner.solve("greedy", verify=True).certificate.ok
+        assert planner.solve("greedy").certificate.ok
         stats = planner.cache.stats()
         # One list and one pack per private module, each one store hit.
         assert stats.store_hits == 2 * len(workflow.private_modules)
@@ -325,10 +325,10 @@ class TestTwoTierCache:
     def test_planner_store_path_round_trip(self, tmp_path):
         directory = str(tmp_path / "store")
         first = Planner(figure1_workflow(), 2, kind="set", store=directory)
-        result = first.solve(solver="exact", verify=True)
+        result = first.solve(solver="exact")
 
         second = Planner(figure1_workflow(), 2, kind="set", store=directory)
-        again = second.solve(solver="exact", verify=True)
+        again = second.solve(solver="exact")
         assert again.cost == result.cost
         assert again.certificate == result.certificate
         assert again.cache_stats.derivation_misses == 0
@@ -461,8 +461,8 @@ class TestStoreGC:
         os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
 
     def test_touch_on_read_keeps_warm_artifacts_over_cold_ones(self, store):
-        warm_key = ResultKey(2, "set", "exact", None, False)
-        cold_key = ResultKey(3, "set", "exact", None, False)
+        warm_key = ResultKey(2, "set", "exact", None)
+        cold_key = ResultKey(3, "set", "exact", None)
         fingerprint = "ab" * 32
         store.save_result(fingerprint, warm_key, {"cost": 3.0})
         store.save_result(fingerprint, cold_key, {"cost": 4.0})
@@ -484,7 +484,7 @@ class TestStoreGC:
 
     def test_gc_never_deletes_inflight_temp_files(self, store):
         store.save_result(
-            "cd" * 32, ResultKey(2, "set", "exact", None, False),
+            "cd" * 32, ResultKey(2, "set", "exact", None),
             {"cost": 1.0},
         )
         entry_dir = store._dir("cd" * 32)
@@ -494,13 +494,13 @@ class TestStoreGC:
         assert summary["kept_bytes"] == 0  # every *artifact* went
         assert temp.exists()  # the in-flight temp did not
         assert store.load_result(
-            "cd" * 32, ResultKey(2, "set", "exact", None, False)
+            "cd" * 32, ResultKey(2, "set", "exact", None)
         ) is None
 
     def test_gc_sweeps_out_emptied_entry_directories(self, store):
         fingerprint = "ef" * 32
         store.save_result(
-            fingerprint, ResultKey(2, "set", "exact", None, False),
+            fingerprint, ResultKey(2, "set", "exact", None),
             {"cost": 2.0},
         )
         assert store._dir(fingerprint).is_dir()
@@ -546,7 +546,7 @@ class TestOneStoredCopyOfEachList:
         self, tmp_path
     ):
         planner = Planner(figure1_workflow(), 2, store=str(tmp_path / "store"))
-        planner.solve("greedy", verify=True)
+        planner.solve("greedy")
         self._assert_module_tier_only(planner.cache.store)
 
     def test_cold_sweep_writes_no_meta_and_no_workflow_lists(self, tmp_path):

@@ -3,9 +3,9 @@
 The corpus covers random, chain and layered topologies, private fractions
 1.0 and 0.5, privatization allowed and disallowed, a seeded 80% hidable
 subset of each instance, Examples 5 and 7, and instances of the paper's
-reductions from set cover (Theorem 5), label cover (Figure 4) and vertex
-cover (Figure 5).  Every registered solver runs on every instance, with
-and without local search, and:
+reductions from set cover (Theorems 5 and 9), label cover (Figure 4, and
+Figure 6 for Theorem 10) and vertex cover (Figure 5).  Every registered
+solver runs on every instance, with and without local search, and:
 
 * each answer validates; otherwise the solver raises ``InfeasibleError``
   or ``SolverError``, never ``RequirementError``;
@@ -17,7 +17,10 @@ and without local search, and:
   exact solvers) stays within that factor of the optimum;
 * on a reduction's instance, ``exact``'s cost is the source optimum
   (``exact_set_cover``, ``exact_label_cover``, ``exact_vertex_cover``);
-* the answers do not depend on the string-hash seed.
+* every answer to lists derived by standalone analysis (Example 7) is
+  certified Γ-private (Theorems 4 and 8);
+* the answers, certificates included, do not depend on the string-hash
+  seed.
 
 Run as a script, this file prints the corpus answers as JSON.
 """
@@ -41,10 +44,12 @@ from repro.reductions import (
     exact_label_cover,
     exact_set_cover,
     exact_vertex_cover,
+    label_cover_to_general_secure_view,
     label_cover_to_set_secure_view,
     random_cubic_graph,
     random_label_cover,
     random_set_cover,
+    set_cover_to_general_secure_view,
     set_cover_to_secure_view,
     vertex_cover_to_secure_view,
 )
@@ -81,22 +86,28 @@ def reductions() -> list[tuple[str, SecureViewProblem, int]]:
     instances = []
     for n_elements, n_subsets, seed in ((5, 4, 0), (7, 5, 0), (8, 6, 2)):
         cover = random_set_cover(n_elements, n_subsets, seed=seed)
-        instances.append(
-            (
-                f"set-cover({n_elements},{n_subsets})/{seed}",
-                set_cover_to_secure_view(cover),
-                len(exact_set_cover(cover)),
+        optimum = len(exact_set_cover(cover))
+        for tag, reduction in (
+            ("", set_cover_to_secure_view),
+            ("-general", set_cover_to_general_secure_view),
+        ):
+            instances.append(
+                (
+                    f"set-cover{tag}({n_elements},{n_subsets})/{seed}",
+                    reduction(cover),
+                    optimum,
+                )
             )
-        )
     for shape, seed in (((2, 2, 2), 7), ((3, 2, 2), 0)):
         labels = random_label_cover(*shape, seed=seed)
-        instances.append(
-            (
-                f"label-cover{shape}/{seed}",
-                label_cover_to_set_secure_view(labels),
-                labels.cost(exact_label_cover(labels)),
+        optimum = labels.cost(exact_label_cover(labels))
+        for tag, reduction in (
+            ("", label_cover_to_set_secure_view),
+            ("-general", label_cover_to_general_secure_view),
+        ):
+            instances.append(
+                (f"label-cover{tag}{shape}/{seed}", reduction(labels), optimum)
             )
-        )
     graph = random_cubic_graph(4, seed=0)
     instances.append(
         (
@@ -165,6 +176,8 @@ def answers() -> dict[str, dict]:
     for label, problem, source in corpus():
         record = {
             "allow_privatization": problem.allow_privatization,
+            # The Example-7 entries' lists come from standalone analysis.
+            "derived_lists": label.startswith("example7("),
             "source_optimum": source,
             "factors": {
                 spec.name: factor
@@ -178,10 +191,12 @@ def answers() -> dict[str, dict]:
             ),
             "outcomes": {},
         }
+        # One planner per instance: its certificates compile each module once.
+        planner = Planner.from_problem(problem)
         for spec in registry.specs():
             for local_search in (False, True):
                 try:
-                    result = Planner.from_problem(problem).solve(
+                    result = planner.solve(
                         spec.name, seed=0, local_search=local_search
                     )
                 except (InfeasibleError, SolverError, RequirementError) as exc:
@@ -193,6 +208,7 @@ def answers() -> dict[str, dict]:
                         sorted(result.hidden_attributes),
                         sorted(result.privatized_modules),
                         result.solution.meta["method"],
+                        result.certificate.ok,
                     ]
                 record["outcomes"][f"{spec.name}/ls={local_search}"] = outcome
         records[label] = record
@@ -234,6 +250,8 @@ def test_solver_contract():
             assert outcome[0] != "RequirementError", (label, key)
             if outcome[0] == "ok" and not record["allow_privatization"]:
                 assert outcome[3] == [], (label, key, outcome)
+            if outcome[0] == "ok" and record["derived_lists"]:
+                assert outcome[5] is True, (label, key, outcome)
         exact = outcomes["exact/ls=False"]
         if exact[0] == "InfeasibleError":
             for name in record["takes"]:

@@ -354,8 +354,8 @@ class TestRestart:
         self, tmp_path, figure1_payload
     ):
         """After a restart over a store an earlier service wrote, the first
-        verify solve of a workflow solved before reads its packs and lists
-        from the store and derives nothing."""
+        solve of a workflow solved before reads its packs and lists from the
+        store, derives nothing, and certifies its answer."""
         store_dir = str(tmp_path / "store")
         body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
                 "solver": "exact"}
@@ -364,9 +364,9 @@ class TestRestart:
         assert first.drain(timeout=30)
 
         second = make_service(store=store_dir)
-        # verify=True is a *different* result key (no stored result to
+        # Another solver is a *different* result key (no stored result to
         # short-circuit), so this solves and certifies for real.
-        record = second.solve_payload({**body, "verify": True})
+        record = second.solve_payload({**body, "solver": "greedy"})
         assert record["from_store"] is False
         assert record["verified"] is True
         assert record["cache"]["derivation_misses"] == 0
@@ -377,34 +377,55 @@ class TestRestart:
     def test_a_store_an_earlier_commit_wrote_is_served_warm(
         self, tmp_path, figure1_payload
     ):
-        """``tests/fixtures/figure1_store`` was written by an earlier commit:
-        a ``SolveService`` solved ``figure1_workflow()`` once at Γ 2 (set,
-        ``exact``) and drained, which also wrote a ``meta.json`` request
-        record.  Its result key digest and requirement file names are still
-        this code's.  A change to the store layout updates the fixture."""
-        store_dir = tmp_path / "store"
-        shutil.copytree(FIXTURE_STORE, store_dir)
-
-        def metas() -> dict:
-            return {
-                path: (path.read_bytes(), path.stat().st_mtime_ns)
-                for path in store_dir.rglob("meta.json")
-            }
-
-        before = metas()
-        assert len(before) == 1
-        service = make_service(store=str(store_dir))
+        """``tests/fixtures/figure1_store`` was written by earlier commits: a
+        ``SolveService`` solved ``figure1_workflow()`` at Γ 2 (set,
+        ``exact``) once unverified, which also wrote a ``meta.json`` request
+        record, and once with ``verify`` set.  The verified result's key
+        digest and the requirement file names are still this code's, so it
+        is served warm; the unverified result is never read, so a store
+        holding only that one re-solves, from stored packs and lists.  A
+        change to the store layout updates the fixture."""
+        entry = next(FIXTURE_STORE.glob("??/*"))
+        verified_name = "result-ab5405faf4f4bc50.json"
+        assert {path.name for path in entry.glob("result-*.json")} == {
+            verified_name,
+            "result-b17fc2407e3099aa.json",
+        }
         body = {"workflow": figure1_payload, "gamma": 2, "kind": "set",
                 "solver": "exact"}
+
+        store_dir = tmp_path / "store"
+        shutil.copytree(FIXTURE_STORE, store_dir)
+        metas = {
+            path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in store_dir.rglob("meta.json")
+        }
+        assert len(metas) == 1
+        service = make_service(store=str(store_dir))
         stored = service.solve_payload(dict(body))
         assert stored["from_store"] is True
         assert stored["cost"] == 3.0
-        verified = service.solve_payload({**body, "verify": True})
-        assert verified["verified"] is True
-        assert verified["cache"]["derivation_misses"] == 0
-        assert verified["cache"]["rederived_modules"] == 0
+        assert stored["verified"] is True
         assert service.drain(timeout=30)
-        assert metas() == before
+        assert {
+            path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in store_dir.rglob("meta.json")
+        } == metas
+
+        unverified_dir = tmp_path / "unverified"
+        shutil.copytree(FIXTURE_STORE, unverified_dir)
+        written = unverified_dir / entry.relative_to(FIXTURE_STORE) / verified_name
+        written.unlink()
+        service = make_service(store=str(unverified_dir))
+        resolved = service.solve_payload(dict(body))
+        assert resolved["from_store"] is False
+        assert resolved["cost"] == 3.0
+        assert resolved["verified"] is True
+        assert resolved["cache"]["derivation_misses"] == 0
+        assert resolved["cache"]["rederived_modules"] == 0
+        assert service.drain(timeout=30)
+        # The re-solve lands where the verified result was.
+        assert written.exists()
 
 
 class TestConfigValidation:

@@ -357,7 +357,7 @@ class TestWireCodec:
         instances = InstanceCache()
         body = {
             "workflow": figure1_payload, "gamma": 2, "kind": "set",
-            "solver": "auto", "seed": 7, "verify": True,
+            "solver": "auto", "seed": 7,
             "costs": {"m1_a": 2.0},
         }
         job = parse_solve_payload(dict(body), instances)

@@ -55,7 +55,7 @@ class TestValidation:
         [
             ("seed", "seven"),
             ("seed", True),
-            ("verify", "yes"),
+            ("label", 3),
             ("solver", ""),
             ("solver", 3),
             ("timeout", "soon"),
@@ -80,16 +80,15 @@ class TestCanonicalization:
         job = parse_solve_payload({"workflow": figure1_payload, "gamma": 2}, instances)
         assert job.kind == "set"
         assert job.solver == "auto"
-        assert job.seed is None and job.verify is False
+        assert job.seed is None
         assert job.costs is None and job.timeout is None
         assert job.label == figure1_payload["name"]
 
     def test_key_is_the_issue_tuple_plus_costs(self, instances, figure1_payload):
         job = parse_solve_payload(
-            _solve_body(figure1_payload, solver="exact", seed=3, verify=True),
-            instances,
+            _solve_body(figure1_payload, solver="exact", seed=3), instances
         )
-        assert job.key == (job.fingerprint, 2, "set", "exact", 3, True, None)
+        assert job.key == (job.fingerprint, 2, "set", "exact", 3, None)
 
     @pytest.mark.parametrize("backend", ["reference", "quantum"])
     def test_a_backend_field_is_ignored(self, backend, figure1_payload):

@@ -45,7 +45,7 @@ class TestRoutes:
         _, _, client = served
         record = client.solve(
             workflow=figure1_workflow(), gamma=2, kind="set",
-            solver="exact", verify=True,
+            solver="exact",
         )
         assert record["cost"] == 3.0
         assert record["verified"] is True
@@ -65,6 +65,71 @@ class TestRoutes:
             workflows=[figure1_workflow()], solvers=["exact", "greedy"]
         )
         assert report["cells"] == 2 and report["errors"] == 0
+
+
+def _scrubbed(record: dict) -> dict:
+    return {
+        key: value
+        for key, value in record.items()
+        if key not in ("seconds", "cache", "from_store")
+    }
+
+
+class TestEveryAnswerIsCertified:
+    """Every record carries ``verified``; a body or grid naming ``verify``
+    keys like one that omits it and shares its one computation."""
+
+    @staticmethod
+    def _body() -> dict:
+        return {"workflow": workflow_to_dict(figure1_workflow()), "gamma": 2,
+                "kind": "set", "solver": "exact"}
+
+    def test_solve_bodies_naming_verify_share_one_computation(self, served):
+        _, _, client = served
+        plain = client.request("POST", "/solve", self._body())
+        assert plain["verified"] is True
+        for flag in (True, False):
+            named = client.request("POST", "/solve", {**self._body(), "verify": flag})
+            assert _scrubbed(named) == _scrubbed(plain)
+        metrics = client.metrics()
+        assert metrics["leaders"] == 1
+        assert metrics["result_hits"]["memory"] == 2
+
+    def test_sweep_grids_naming_verify_share_one_computation(self, served):
+        _, _, client = served
+        body = self._body()
+        grid = {"workflows": [body["workflow"]], "gammas": [2], "kinds": ["set"],
+                "solvers": ["exact", "greedy"], "seeds": [0]}
+        plain = client.request("POST", "/sweep", grid)
+        assert [record["verified"] for record in plain["records"]] == [True, True]
+        for flag in (True, False):
+            named = client.request("POST", "/sweep", {**grid, "verify": flag})
+            assert [_scrubbed(r) for r in named["records"]] == [
+                _scrubbed(r) for r in plain["records"]
+            ]
+        metrics = client.metrics()
+        assert metrics["leaders"] == 2
+        assert metrics["result_hits"]["memory"] == 4
+
+    def test_an_undetermined_answer_is_still_an_answer(self, served):
+        """Baked lists ``repro generate --modules 5 --seed 7`` writes leave
+        modules no certificate can settle within the work limit."""
+        from repro.workloads import random_problem
+
+        _, _, client = served
+        problem = random_problem(n_modules=5, kind="set", seed=7)
+        record = client.solve(problem=problem_to_dict(problem), solver="auto")
+        assert record["verified"] is None
+        assert record["cost"] < float("inf")
+
+    def test_sweep_jobs_carry_verified(self, served):
+        _, _, client = served
+        handle = client.sweep_async(
+            workflows=[figure1_workflow()], solvers=["exact", "greedy"]
+        )
+        final = client.wait_job(handle["job"], timeout=30)
+        assert final["state"] == "done"
+        assert [record["verified"] for record in final["records"]] == [True, True]
 
 
 class TestV1Surface:

@@ -122,7 +122,7 @@ class TestModuleTierReuse:
         store = DerivationStore(str(tmp_path / "store"))
         store.save_result(
             job.fingerprint,
-            ResultKey(2, "set", "exact", None, False),
+            ResultKey(2, "set", "exact", None),
             {
                 "workflow": job.label, "gamma": 2, "kind": "set",
                 "solver": "exact", "seed": None, "method": "exact",

@@ -178,11 +178,25 @@ class TestEngine:
         assert "lp_rounding" not in out  # wrong constraint kind
 
     def test_solve_with_solver_flag_and_verify(self, problem_file, capsys):
-        assert main(["solve", problem_file, "--solver", "exact", "--verify"]) == 0
+        assert main(["solve", problem_file, "--solver", "exact"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["solver"] == "exact"
         assert payload["guarantee"] == "optimal"
         assert payload["certificate"]["ok"] is True
+
+    def test_solve_with_undetermined_modules_exits_zero(self, tmp_path, capsys):
+        """``generate --modules 5 --seed 7`` bakes lists that leave modules
+        the theorems cannot certify and world enumeration cannot finish:
+        their levels and the verdict read null, and the solve succeeds."""
+        path = str(tmp_path / "p.json")
+        main(["generate", path, "--modules", "5", "--kind", "set", "--seed", "7"])
+        capsys.readouterr()
+        assert main(["solve", path, "--solver", "auto"]) == 0
+        certificate = json.loads(capsys.readouterr().out)["certificate"]
+        assert certificate["ok"] is None
+        levels = certificate["module_levels"]
+        assert None in levels.values()
+        assert all(level in (None, 2) for level in levels.values())
 
     def test_solve_with_seed_is_reproducible(self, tmp_path, capsys):
         problem_path = tmp_path / "card.json"
@@ -253,14 +267,40 @@ class TestSweep:
             for record in cold["records"]
         ]
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_grid_naming_verify_gets_the_records_of_one_omitting_it(
+        self, grid_file, tmp_path, capsys, flag
+    ):
+        """``verify`` is no grid key: every record carries ``verified``, and
+        a grid naming it is answered from the same stored results."""
+        store = str(tmp_path / "store")
+        assert main(["sweep", grid_file, "--store", store]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert all(record["verified"] is True for record in plain["records"])
+        named = tmp_path / "named.json"
+        grid = json.loads(Path(grid_file).read_text())
+        named.write_text(json.dumps({**grid, "verify": flag}))
+        assert main(["sweep", str(named), "--store", store]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert again["stats"]["result_store_hits"] == again["cells"] == 4
+        assert again["stats"]["chunks"] == 0
+        scrub = ("seconds", "cache", "from_store")
+        assert [
+            {k: v for k, v in record.items() if k not in scrub}
+            for record in again["records"]
+        ] == [
+            {k: v for k, v in record.items() if k not in scrub}
+            for record in plain["records"]
+        ]
+
     def test_solve_with_store_reports_store_hits(self, problem_file, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["solve", problem_file, "--solver", "exact", "--verify",
+        assert main(["solve", problem_file, "--solver", "exact",
                      "--store", store]) == 0
         cold = json.loads(capsys.readouterr().out)
         assert cold["store"] == store and cold["store_hits"] == 0
 
-        assert main(["solve", problem_file, "--solver", "exact", "--verify",
+        assert main(["solve", problem_file, "--solver", "exact",
                      "--store", store]) == 0
         warm = json.loads(capsys.readouterr().out)
         assert warm["store_hits"] > 0
@@ -381,7 +421,7 @@ class TestServeAndSubmit:
 
     def test_submit_with_gamma_derives_server_side(self, problem_file, server, capsys):
         assert main(["submit", problem_file, "--url", server.url,
-                     "--gamma", "2", "--kind", "set", "--verify"]) == 0
+                     "--gamma", "2", "--kind", "set"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["gamma"] == 2
         assert record["verified"] is True
@@ -513,7 +553,7 @@ class TestStoreMaintenance:
     @pytest.fixture
     def warm_store(self, problem_file, tmp_path, capsys) -> str:
         store = str(tmp_path / "store")
-        assert main(["solve", problem_file, "--solver", "exact", "--verify",
+        assert main(["solve", problem_file, "--solver", "exact",
                      "--store", store]) == 0
         capsys.readouterr()
         return store
@@ -522,7 +562,7 @@ class TestStoreMaintenance:
         assert main(["store", "stats", warm_store]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["files"] > 0 and stats["bytes"] > 0
-        # The verify solve stored module packs, and no workflow entry.
+        # The solve stored module packs, and no workflow entry.
         assert stats["module_entries"] >= 1
         assert stats["by_kind"]["pack"] >= 1
         assert stats["workflow_entries"] == 0
