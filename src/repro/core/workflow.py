@@ -56,6 +56,10 @@ class Workflow:
         self._graph = self._build_graph()
         self._check_acyclic()
         self._order = tuple(nx.topological_sort(self._graph))
+        # Fixed from here on: the modules, and so their privacy flags.
+        self._in_order = tuple(self._modules[name] for name in self._order)
+        self._private = tuple(m for m in self._in_order if m.private)
+        self._public = tuple(m for m in self._in_order if m.public)
         self._schema = self._build_schema()
         self._data_sharing_degree = self._count_data_sharing()
         self._relation_cache: Relation | None = None
@@ -116,7 +120,7 @@ class Workflow:
     @property
     def modules(self) -> tuple[Module, ...]:
         """Modules in topological order."""
-        return tuple(self._modules[name] for name in self._order)
+        return self._in_order
 
     @property
     def module_names(self) -> tuple[str, ...]:
@@ -153,16 +157,16 @@ class Workflow:
 
     @property
     def private_modules(self) -> tuple[Module, ...]:
-        return tuple(m for m in self.modules if m.private)
+        return self._private
 
     @property
     def public_modules(self) -> tuple[Module, ...]:
-        return tuple(m for m in self.modules if m.public)
+        return self._public
 
     @property
     def is_all_private(self) -> bool:
         """True if every module is private (the Section 4 setting)."""
-        return all(m.private for m in self.modules)
+        return not self._public
 
     def with_attribute_costs(self, costs: Mapping[str, float]) -> "Workflow":
         """Copy of the workflow with some attribute hiding costs overridden.

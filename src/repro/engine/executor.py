@@ -15,13 +15,17 @@ guarantee the serial path had:
   error record for the affected cells, never a dead sweep;
 * **shared derivation** — cells are chunked by *shared-module overlap*:
   workflow instances are grouped into families (union-find over their
-  module content fingerprints), and all cells of one family at one
-  (Γ, kind) point are dispatched to one worker, whose module-granular
+  module content fingerprints), and all cells of one family, at every
+  (Γ, kind) point, are dispatched to one worker.  Its module-granular
   cache pays each *distinct* module derivation once across the whole
-  family — a grid over ``workflow_family`` edit-chain variants derives
-  each edited module once, not once per variant (unrelated instances,
-  problem instances, whose requirement lists come baked in, and distinct
-  Γ/kind points still fan out as before);
+  family, and since a module's privacy levels serve every Γ and both
+  requirement kinds, it compiles, levels and writes each module once: a
+  parallel cold pass evaluates the masks a serial one does.  A grid over
+  ``workflow_family`` edit-chain variants derives each edited module once,
+  not once per variant.  Unrelated instances and problem instances (whose
+  requirement lists come baked in) are separate chunks, and a family
+  holding more than 1/``n_jobs`` of the dispatched cells is split at its
+  (Γ, kind) points, so a one-workflow multi-Γ grid still fans out;
 * **per-worker store attachment** — with a ``store`` directory, every
   worker attaches a persistent :class:`~repro.engine.store.DerivationStore`
   as its cache's back tier, so derivations (and whole solve results) are
@@ -33,12 +37,16 @@ guarantee the serial path had:
   every workflow cell the store's result tier already holds, and groups
   and dispatches only the rest, so a warm re-run of a grid is a store read
   that starts no workers;
-* **keys computed once** — the same reserialization of a payload yields
-  its modules' fingerprints
+* **keys computed once per process** — the same reserialization of a
+  payload yields its modules' fingerprints
   (:class:`~repro.workloads.fingerprint.InstanceKeys`), hashed only for
   instances with dispatched cells.  They group instances into families and
   travel with each chunk to :meth:`SolveRunner.resolve`, which hands them
-  to the cache, so no worker tabulates a module just to key it.
+  to the cache, so no worker tabulates a module just to key it.  The
+  driver reads them from the process's keys memo
+  (:func:`~repro.workloads.fingerprint.instance_keys`, keyed by a digest
+  of the raw payload), so a process that sweeps a payload again keys it
+  by one digest, not one reserialization.
 
 Workflows carry arbitrary Python callables and cannot be pickled, so cells
 ship the *serialized* instance (the tabulated-functionality JSON payload of
@@ -313,6 +321,15 @@ def _bounded_put(table: OrderedDict, limit: int, key: Any, value: Any) -> None:
     table[key] = value
 
 
+def _rebuild(source: str, payload: Mapping[str, Any]) -> Any:
+    """The workflow or problem a serialized instance describes."""
+    from ..workloads.serialization import problem_from_dict, workflow_from_dict
+
+    if source == "workflow":
+        return workflow_from_dict(payload)
+    return problem_from_dict(payload)
+
+
 class SolveRunner:
     """One process's solve state: a cache, and instances and planners by content.
 
@@ -350,7 +367,6 @@ class SolveRunner:
         self.max_instances = max_instances
         self.max_planners = max_planners
         self._lock = threading.Lock()
-        self._by_digest: OrderedDict[str, tuple[Any, str]] = OrderedDict()
         self._by_fingerprint: OrderedDict[str, Any] = OrderedDict()
         self._planners: OrderedDict[tuple, Planner] = OrderedDict()
 
@@ -365,54 +381,40 @@ class SolveRunner:
 
         ``fingerprint`` is the payload's store key, and
         ``module_fingerprints`` its modules' keys by name, when the caller
-        already hashed it (:func:`run_sweep` does); otherwise a digest of
-        the raw payload short-circuits repeats, and a new payload is hashed
-        with :class:`~repro.workloads.fingerprint.InstanceKeys` (its error
-        raised to the caller).  A new workflow's module fingerprints are
+        already hashed it (:func:`run_sweep` does); otherwise both come
+        from the process's keys memo
+        (:func:`~repro.workloads.fingerprint.instance_keys`), which hashes
+        a payload it has not seen.  A payload whose keys raise is rebuilt
+        before the error propagates, so one that fails both ways reports
+        the rebuild's error.  A new workflow's module fingerprints are
         handed to the cache, so no module is tabulated to be hashed again.
         Serialized under one lock: rebuilding under it costs a few ms once
         per new instance, and repeats are dictionary hits.
         """
-        from ..workloads.fingerprint import InstanceKeys, payload_fingerprint
-        from ..workloads.serialization import problem_from_dict, workflow_from_dict
+        from ..workloads.fingerprint import instance_keys
 
         with self._lock:
-            digest = None
-            if fingerprint is not None:
-                instance = self._by_fingerprint.get(fingerprint)
-                if instance is not None:
-                    return instance, fingerprint
-            else:
-                digest = payload_fingerprint({source: payload})
-                built = self._by_digest.get(digest)
-                if built is not None:
-                    return built
-            # Rebuilt before hashing, so a payload that fails both ways
-            # reports the rebuild's error.
-            if source == "workflow":
-                instance = workflow_from_dict(payload)
-            else:
-                instance = problem_from_dict(payload)
             keys = None
             if fingerprint is None:
-                keys = InstanceKeys(source, payload)
+                try:
+                    keys = instance_keys(source, payload)
+                except Exception:
+                    _rebuild(source, payload)
+                    raise
                 fingerprint = keys.fingerprint
-            existing = self._by_fingerprint.get(fingerprint)
-            if existing is not None:
-                instance = existing
-            else:
-                if source == "workflow":
-                    if keys is not None:
-                        module_fingerprints = keys.modules()
-                    for name, known in (module_fingerprints or {}).items():
-                        self.cache.module_fingerprint(instance.module(name), known)
-                _bounded_put(
-                    self._by_fingerprint, self.max_instances, fingerprint, instance
-                )
-            built = (instance, fingerprint)
-            if digest is not None:
-                _bounded_put(self._by_digest, self.max_instances, digest, built)
-            return built
+            instance = self._by_fingerprint.get(fingerprint)
+            if instance is not None:
+                return instance, fingerprint
+            instance = _rebuild(source, payload)
+            if source == "workflow":
+                if keys is not None:
+                    module_fingerprints = keys.modules()
+                for name, known in (module_fingerprints or {}).items():
+                    self.cache.module_fingerprint(instance.module(name), known)
+            _bounded_put(
+                self._by_fingerprint, self.max_instances, fingerprint, instance
+            )
+            return instance, fingerprint
 
     def planner(
         self,
@@ -682,18 +684,19 @@ def _instance_keys(
     instances: Iterable[SweepInstance],
 ) -> dict[str, "InstanceKeys | None"]:
     """Each instance's :class:`~repro.workloads.fingerprint.InstanceKeys`,
-    from one reserialization of its payload.
+    from the process's keys memo (one reserialization of a payload the
+    process has not keyed before, one digest otherwise).
 
     ``None`` marks a payload that does not fingerprint: its cells skip
     the store probe and dispatch, and the worker reports the error per
     cell.
     """
-    from ..workloads.fingerprint import InstanceKeys
+    from ..workloads.fingerprint import instance_keys
 
     keys: dict[str, InstanceKeys | None] = {}
     for instance in instances:
         try:
-            keys[instance.label] = InstanceKeys(instance.source, instance.payload)
+            keys[instance.label] = instance_keys(instance.source, instance.payload)
         except Exception:  # noqa: BLE001 - the worker reports it per cell
             keys[instance.label] = None
     return keys
@@ -732,15 +735,18 @@ def _chunks_for(
     spec: SweepSpec,
     cells: Sequence[SweepCell] | None = None,
     keys: Mapping[str, "InstanceKeys | None"] | None = None,
+    n_jobs: int = 1,
 ) -> list[dict[str, Any]]:
-    """Group cells by (shared-module family, Γ, kind) to share derivations.
+    """Group cells by shared-module family to share derivations.
 
-    All cells of one family (instances connected by shared module content)
-    at one (Γ, kind) point go to one worker, whose module-granular cache
-    derives each distinct module once for the whole family.  Distinct
-    (Γ, kind) points still fan out as separate chunks — requirement lists
-    are per-(Γ, kind) anyway, so splitting there keeps a single-instance
-    multi-Γ grid parallel instead of collapsing it into one serial chunk.
+    All cells of one family (instances connected by shared module content),
+    at every (Γ, kind) point, go to one worker: its module-granular cache
+    derives each distinct module once per point, and compiles, levels and
+    writes it once for the whole family, since a module's privacy levels
+    do not depend on Γ or the requirement kind.  A family holding more than
+    1/``n_jobs`` of ``cells`` is split into one chunk per (Γ, kind) point,
+    so one large family, or a single-instance multi-Γ grid, still fans out
+    over the workers instead of collapsing into one serial chunk.
     ``cells`` (default: the whole grid) are the cells to dispatch; only
     their instances are grouped, and only their workflow payloads' module
     fingerprints are computed, from ``keys`` (:func:`_instance_keys`,
@@ -768,11 +774,15 @@ def _chunks_for(
         for index, family in enumerate(_families(modules))
         for label in family
     }
+    share = Counter(family_of[cell.label] for cell in cells)
     grouped: dict[tuple, list[SweepCell]] = {}
     for cell in cells:
-        grouped.setdefault(
-            (family_of[cell.label], cell.gamma, cell.kind), []
-        ).append(cell)
+        family = family_of[cell.label]
+        if share[family] * n_jobs <= len(cells):
+            key: tuple = (family,)
+        else:
+            key = (family, cell.gamma, cell.kind)
+        grouped.setdefault(key, []).append(cell)
     chunks: list[dict[str, Any]] = []
     for group in grouped.values():
         # Ship only the payloads this group actually touches — tabulated
@@ -813,6 +823,8 @@ def run_sweep(
         Worker processes; ``1`` runs in-process through the *same* cell
         runner, so serial and parallel sweeps produce identical records
         (modulo timings).  ``0`` or negative selects :func:`default_jobs`.
+        The count also decides which families are split at their (Γ, kind)
+        points (:func:`_chunks_for`).
     store:
         Optional persistent store (instance or directory path).  Each
         worker attaches its own :class:`DerivationStore` over the same
@@ -822,8 +834,9 @@ def run_sweep(
         When a store is attached, serve previously-solved cells straight
         from it (``from_store: true`` in the record) instead of re-running
         the solver.  The driver answers every stored workflow cell itself,
-        from one fingerprint per instance, and dispatches only the rest, so
-        a warm re-run starts no workers (``stats["chunks"] == 0``).
+        from one fingerprint per instance (read from the process's keys
+        memo), and dispatches only the rest, so a warm re-run starts no
+        workers (``stats["chunks"] == 0``).
         Derivation-level sharing happens regardless.
 
     Every process answers its chunks through one :class:`SolveRunner`
@@ -845,7 +858,7 @@ def run_sweep(
     if store_handle is not None and reuse_results:
         records, cells = _answer_stored(spec, cells, keys, store_handle)
     totals: dict[str, int] = {"result_store_hits": len(records)}
-    chunks = _chunks_for(spec, cells, keys)
+    chunks = _chunks_for(spec, cells, keys, n_jobs)
     totals["chunks"] = len(chunks)
     # Runner table bounds: one slot per dispatched instance and point.
     sizes = (

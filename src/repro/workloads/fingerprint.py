@@ -60,12 +60,22 @@ out-of-domain rows the rebuilt module drops).  The sweep driver hands
 both down with each chunk, and a
 :class:`~repro.engine.executor.SolveRunner` that hashes a payload itself
 records both, so no rebuilt module is tabulated just to be hashed.
+
+**Keys once per process.**  :func:`instance_keys` memoizes
+:class:`InstanceKeys` per process, keyed by a strict digest of the raw
+payload, so a payload swept or requested again is keyed by one JSON
+encoding and one SHA-256 instead of a reserialization.  The digest is of
+the payload's content, not its identity: a payload edited in place is a
+new key.  A payload the strict encoder refuses (a non-JSON value) is
+keyed afresh on every call and leaves no entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .serialization import _reserialized_workflow_dict, workflow_to_dict
@@ -79,6 +89,7 @@ __all__ = [
     "canonical_module_payload",
     "canonical_workflow_payload",
     "instance_fingerprint",
+    "instance_keys",
     "module_fingerprint",
     "module_payload_fingerprint",
     "payload_fingerprint",
@@ -146,6 +157,11 @@ class InstanceKeys:
     with ``str`` decodes to that string), so the keys are unchanged.  A
     problem payload maps no module: its requirement lists are baked in, so
     no module is derived from it.
+
+    Nothing here reads the payload after construction, so one object can
+    stand for its payload's content for the life of a process:
+    :func:`instance_keys` shares it between sweep passes and requests,
+    and threads may call :meth:`modules` on it concurrently.
     """
 
     __slots__ = ("fingerprint", "_canonical", "_module_keys")
@@ -166,13 +182,55 @@ class InstanceKeys:
 
     def modules(self) -> dict[str, str]:
         """Module name -> module fingerprint (hashed once, then memoized)."""
+        # Read before the check: a concurrent first call sets the keys
+        # before it drops the string, so one of the two is always there.
+        canonical = self._canonical
         if self._module_keys is None:
             self._module_keys = {
                 module["name"]: module_payload_fingerprint(module)
-                for module in json.loads(self._canonical)["modules"]
+                for module in json.loads(canonical)["modules"]
             }
             self._canonical = None
         return self._module_keys
+
+
+#: Bound on the per-process keys memo (FIFO eviction), as the kernel
+#: bounds its compile memos.
+_KEYS_LIMIT = 256
+#: Encodes a payload for the memo's digest.  No ``default``: a value JSON
+#: cannot encode raises instead of being keyed by its ``str``.  Without the
+#: circular-reference check (a quarter of the encoding time), a circular
+#: payload raises ``RecursionError`` instead of ``ValueError``.
+_STRICT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_keys: "OrderedDict[str, InstanceKeys]" = OrderedDict()
+_keys_lock = threading.Lock()
+
+
+def instance_keys(source: str, payload: Mapping[str, Any]) -> InstanceKeys:
+    """The :class:`InstanceKeys` of one serialized instance, once per process.
+
+    Memoized by the SHA-256 of ``{source: payload}`` as sorted-key JSON
+    (see module docstring), up to 256 payloads.  Raises what
+    :class:`InstanceKeys` raises, and remembers only keys that were
+    built.  Hashing runs outside the lock; two threads that miss on one
+    payload at once both hash it, and both get the first one stored.
+    """
+    try:
+        digest = _digest(_STRICT.encode({source: payload}))
+    except (TypeError, ValueError, RecursionError):  # not JSON: key it afresh
+        return InstanceKeys(source, payload)
+    with _keys_lock:
+        keys = _keys.get(digest)
+    if keys is not None:
+        return keys
+    built = InstanceKeys(source, payload)
+    with _keys_lock:
+        keys = _keys.get(digest)
+        if keys is None:
+            while len(_keys) >= _KEYS_LIMIT:
+                _keys.popitem(last=False)
+            keys = _keys[digest] = built
+    return keys
 
 
 def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:

@@ -7,21 +7,26 @@ from collections import Counter
 
 import pytest
 
+from repro.core import Workflow
 from repro.engine import (
+    SolveRunner,
     SweepInstance,
     SweepSpec,
     run_sweep,
     scrub_record,
     spec_from_grid,
 )
+from repro.exceptions import WiringError
 from repro.workloads import (
     figure1_workflow,
     module_fingerprint,
     problem_to_dict,
     random_problem,
+    random_total_module,
     random_workflow,
     workflow_family,
     workflow_fingerprint,
+    workflow_from_dict,
     workflow_to_dict,
 )
 
@@ -94,6 +99,43 @@ class TestSerialParallelEquivalence:
     def test_records_sorted_by_index(self):
         report = run_sweep(_spec(), n_jobs=2)
         assert [r["index"] for r in report.records] == list(range(len(report.records)))
+
+    def test_parallel_cold_pass_derives_what_a_serial_one_does(self):
+        """Each family goes to one worker, which levels each module once for
+        every (Γ, kind) point, as the serial pass does."""
+        instances = []
+        for index in range(3):
+            base = Workflow(
+                [
+                    random_total_module(
+                        10 * index + slot, 5, 3, f"m{slot}", f"f{index}s{slot}_"
+                    )
+                    for slot in range(3)
+                ],
+                name=f"family{index}",
+            )
+            instances += [
+                SweepInstance(w.name, "workflow", workflow_to_dict(w))
+                for w in workflow_family(base, n_variants=2, seed=index)
+            ]
+        spec = SweepSpec(
+            instances=tuple(instances),
+            gammas=(2, 3),
+            kinds=("set", "cardinality"),
+            solvers=("auto", "greedy"),
+        )
+        assert len(spec.cells()) == 72
+        serial = run_sweep(spec, n_jobs=1)
+        parallel = run_sweep(spec, n_jobs=2)
+        assert parallel.n_jobs == 2
+        assert serial.errors == parallel.errors == 0
+        assert [scrub_record(r) for r in parallel.records] == [
+            scrub_record(r) for r in serial.records
+        ]
+        assert serial.stats["chunks"] == parallel.stats["chunks"] == 3
+        for name in ("scalar_masks", "batched_masks", "rederived_modules"):
+            assert parallel.stats[name] == serial.stats[name], name
+        assert serial.stats["scalar_masks"] + serial.stats["batched_masks"] > 0
 
 
 class TestFailureIsolation:
@@ -312,9 +354,93 @@ class TestContentKeying:
         )
         report = run_sweep(spec, n_jobs=1)  # in-process, so the count is visible
         assert report.errors == 0
-        assert report.stats["chunks"] == 2  # one family at each Γ point
+        assert report.stats["chunks"] == 1  # one family, one worker
         assert len(family) == 70
         assert sorted(rebuilt) == sorted(w.name for w in family)
+
+
+class TestKeysOncePerProcess:
+    """The driver and the runner read one process-wide memo of payload keys."""
+
+    def test_a_second_pass_builds_no_instance_keys(self, monkeypatch):
+        import repro.workloads.fingerprint as fingerprint
+
+        spec = _spec()
+        first = run_sweep(spec, n_jobs=1)
+        built: list[str] = []
+        build = fingerprint.InstanceKeys.__init__
+
+        def counted(keys, source, payload):
+            built.append(payload["name"])
+            build(keys, source, payload)
+
+        monkeypatch.setattr(fingerprint.InstanceKeys, "__init__", counted)
+        second = run_sweep(spec, n_jobs=1)
+        assert built == []
+        assert second.errors == 0
+        assert [scrub_record(r) for r in second.records] == [
+            scrub_record(r) for r in first.records
+        ]
+
+    def test_a_payload_edited_in_place_is_solved_again(self, tmp_path):
+        from repro.workloads.fingerprint import instance_keys
+
+        payload = workflow_to_dict(random_workflow(5, seed=4))
+        spec = SweepSpec(
+            instances=(SweepInstance("w", "workflow", payload),),
+            solvers=("greedy",),
+        )
+        store = tmp_path / "store"
+        run_sweep(spec, n_jobs=1, store=store)
+        before = instance_keys("workflow", payload).fingerprint
+        image = payload["modules"][0]["table"][0][1]
+        image[0] = 1 - image[0]  # one table image flipped, in place
+        after = instance_keys("workflow", payload).fingerprint
+        assert after != before
+        assert after == workflow_fingerprint(workflow_from_dict(payload))
+        edited = run_sweep(spec, n_jobs=1, store=store)
+        assert edited.result_store_hits == 0
+        assert edited.stats["chunks"] == 1
+        assert edited.records[0]["from_store"] is False
+        fresh = run_sweep(spec, n_jobs=1)  # no store: solved from the edit
+        assert [scrub_record(r) for r in edited.records] == [
+            scrub_record(r) for r in fresh.records
+        ]
+
+    def test_a_payload_holding_a_non_json_value_leaves_no_memo_entry(self):
+        import repro.workloads.fingerprint as fingerprint
+
+        payload = workflow_to_dict(random_workflow(5, seed=6))
+        keyed = {**payload, "note": {"not", "json"}}  # a set: no JSON encoding
+        memo = list(fingerprint._keys)
+        keys = fingerprint.instance_keys("workflow", keyed)
+        assert keys.fingerprint == workflow_fingerprint(workflow_from_dict(payload))
+        assert fingerprint.instance_keys("workflow", keyed) is not keys
+        report = run_sweep(
+            SweepSpec(
+                instances=(SweepInstance("w", "workflow", keyed),),
+                solvers=("greedy",),
+            ),
+            n_jobs=1,
+        )
+        assert report.errors == 0
+        assert list(fingerprint._keys) == memo
+
+    def test_resolve_reports_the_rebuild_error_of_a_payload_failing_both_ways(self):
+        from repro.exceptions import SchemaError
+        from repro.workloads.fingerprint import instance_keys
+
+        payload = workflow_to_dict(random_workflow(5, seed=2))
+        # Keying fails on the missing row; rebuilding on the second producer.
+        del payload["modules"][0]["table"][0]
+        with pytest.raises(SchemaError):
+            instance_keys("workflow", payload)
+        first, second = payload["modules"][:2]
+        second["outputs"][0]["name"] = first["outputs"][0]["name"]
+        with pytest.raises(WiringError):
+            workflow_from_dict(payload)
+        with pytest.raises(WiringError):
+            SolveRunner().resolve("workflow", payload)
 
 
 class TestColdPassBookkeeping:

@@ -378,8 +378,9 @@ class TestFamilySweepChunking:
 
     def test_multi_gamma_single_instance_still_fans_out(self, family):
         # Family grouping must not collapse a one-workflow parameter sweep
-        # into a single serial chunk: distinct (Γ, kind) points are still
-        # separate chunks, so --jobs keeps parallelizing them.
+        # into a single serial chunk: a family holding more than its share
+        # of the cells for 2 workers is split at its (Γ, kind) points, so
+        # --jobs keeps parallelizing them.
         spec = SweepSpec(
             instances=(
                 SweepInstance(
@@ -391,5 +392,26 @@ class TestFamilySweepChunking:
             solvers=("greedy",),
             seeds=(0,),
         )
-        chunks = _chunks_for(spec)
+        chunks = _chunks_for(spec, n_jobs=2)
         assert len(chunks) == 6
+
+    def test_only_a_family_over_its_share_of_the_cells_is_split(self, family):
+        unrelated = workflow_family(n_variants=0, seed=99, n_modules=3)[0]
+        spec = SweepSpec(
+            instances=tuple(
+                SweepInstance(w.name, "workflow", workflow_to_dict(w))
+                for w in (*family, unrelated)
+            ),
+            gammas=(1, 2),
+            solvers=("greedy",),
+        )
+        # The family holds 6 of 8 cells: whole for one worker, split at its
+        # two Γ points for two; the unrelated workflow is one chunk either way.
+        assert len(_chunks_for(spec, n_jobs=1)) == 2
+        chunks = _chunks_for(spec, n_jobs=2)
+        assert [len(chunk["cells"]) for chunk in chunks] == [3, 3, 2]
+        assert [{c.gamma for c in chunk["cells"]} for chunk in chunks] == [
+            {1},
+            {2},
+            {1, 2},
+        ]

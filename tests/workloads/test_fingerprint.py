@@ -146,3 +146,55 @@ class TestModuleFingerprint:
             assert module_fingerprint(module) == module_fingerprint(
                 renamed.module(module.name)
             )
+
+
+class TestKeysMemo:
+    """One process-wide memo of payload keys, shared by threads."""
+
+    def test_threads_share_one_entry_per_payload_within_the_bound(self):
+        import sys
+        import threading
+
+        import repro.workloads.fingerprint as fingerprint
+
+        shared = [
+            {**workflow_to_dict(random_workflow(3, seed=seed)), "name": f"memo-{seed}"}
+            for seed in range(24)
+        ]
+        n_threads = 8  # more than cores
+        seen: list[list] = [[] for _ in range(n_threads)]
+        barrier = threading.Barrier(n_threads)
+
+        def work(slot: int) -> None:
+            for payload in shared:  # every thread misses on each payload at once
+                barrier.wait(timeout=30)
+                keys = fingerprint.instance_keys("workflow", payload)
+                seen[slot].append((keys, keys.modules()))
+            barrier.wait(timeout=30)
+            for step in range(40):  # 320 payloads in all: past the bound
+                fingerprint.instance_keys("problem", {"thread": slot, "step": step})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(entries) == len(shared) for entries in seen)
+        for index, payload in enumerate(shared):
+            answers = [entries[index] for entries in seen]
+            # Every thread got the first keys stored, and their module keys.
+            assert len({id(keys) for keys, _ in answers}) == 1
+            expected = {
+                module.name: module_fingerprint(module)
+                for module in workflow_from_dict(payload).modules
+            }
+            assert all(modules == expected for _, modules in answers)
+        assert len(fingerprint._keys) == fingerprint._KEYS_LIMIT
